@@ -1,6 +1,7 @@
 package efsm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,19 +82,19 @@ func TestMulticastApply(t *testing.T) {
 	st := r.Initial()
 	// Inject a request from C0; Sharers = {C0, C2}, so the multicast goes
 	// to C2 only.
-	st.Nets[0][0] = []Msg{{expr.EnumValOf(mt, "A"), expr.PIDVal(0)}}
+	r.SetPending(st, 0, 0, Msg{expr.EnumValOf(mt, "A"), expr.PIDVal(0)})
 	acts, probs := r.Actions(st)
 	if len(probs) != 0 || len(acts) != 1 {
 		t.Fatalf("acts=%d probs=%v", len(acts), probs)
 	}
-	next := r.Apply(st, acts[0])
-	if len(next.Nets[1][0]) != 0 || len(next.Nets[1][1]) != 0 {
+	next := r.Pending(r.Apply(st, acts[0]), 1)
+	if len(next[0]) != 0 || len(next[1]) != 0 {
 		t.Error("multicast must exclude the sender and non-members")
 	}
-	if len(next.Nets[1][2]) != 1 {
-		t.Fatalf("C2 should receive exactly one copy, got %d", len(next.Nets[1][2]))
+	if len(next[2]) != 1 {
+		t.Fatalf("C2 should receive exactly one copy, got %d", len(next[2]))
 	}
-	msg := next.Nets[1][2][0]
+	msg := next[2][0]
 	if msg[1].PID() != 2 {
 		t.Errorf("Dest field should be the member PID, got %v", msg[1])
 	}
@@ -137,11 +138,53 @@ func TestEncodeDistinguishesOrderedQueues(t *testing.T) {
 	}
 	mk := func(k string, pid int) Msg { return Msg{expr.EnumValOf(mt, k), expr.PIDVal(pid)} }
 	a := r.Initial()
-	a.Nets[0][0] = []Msg{mk("A", 0), mk("B", 1)}
+	r.SetPending(a, 0, 0, mk("A", 0), mk("B", 1))
 	b := r.Initial()
-	b.Nets[0][0] = []Msg{mk("B", 1), mk("A", 0)}
+	r.SetPending(b, 0, 0, mk("B", 1), mk("A", 0))
 	if r.Encode(a) == r.Encode(b) {
 		t.Error("ordered queues with different orders must encode differently")
+	}
+}
+
+// TestPendingCountAbove255: a slot's message count lives in the packed
+// state itself, so it must survive counts that do not fit a byte, keep
+// the slots after it readable, and keep every count's key distinct.
+func TestPendingCountAbove255(t *testing.T) {
+	sys, dir, _, _, _ := miniSystem(t)
+	dir.Transitions = nil
+	mt, _ := sys.U.Enum("MiniMT")
+	r, err := NewRuntime(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := func(n int) []Msg {
+		out := make([]Msg, n)
+		for i := range out {
+			out[i] = Msg{expr.EnumVal(mt, i%2), expr.PIDVal(i % 3)}
+		}
+		return out
+	}
+	keys := map[string]int{}
+	for _, n := range []int{0, 1, 44, 127, 128, 255, 256, 300} {
+		st := r.Initial()
+		r.SetPending(st, 0, 0, msgs(n)...) // ordered
+		r.SetPending(st, 1, 1, msgs(n)...) // unordered, by-field
+		r.SetPending(st, 1, 2, msgs(1)...)
+		if len(r.Pending(st, 0)[0]) != n {
+			t.Errorf("ordered slot holds %d messages, want %d", len(r.Pending(st, 0)[0]), n)
+		}
+		down := r.Pending(st, 1)
+		if len(down[1]) != n || len(down[2]) != 1 {
+			t.Errorf("by-field slots hold %d and %d messages, want %d and 1", len(down[1]), len(down[2]), n)
+		}
+		if n > 0 && !slices.Equal(down[1][n-1], msgs(n)[n-1]) {
+			t.Errorf("last of %d messages reads %v", n, down[1][n-1])
+		}
+		k := r.Encode(st)
+		if prev, dup := keys[k]; dup {
+			t.Errorf("%d and %d pending messages share a key", prev, n)
+		}
+		keys[k] = n
 	}
 }
 
@@ -302,7 +345,7 @@ func TestFormatHelpers(t *testing.T) {
 			t.Errorf("FormatState missing %q: %s", want, stStr)
 		}
 	}
-	st.Nets[0][0] = []Msg{msg}
+	r.SetPending(st, 0, 0, msg)
 	acts, _ := r.Actions(st)
 	if len(acts) != 1 {
 		t.Fatalf("acts = %d", len(acts))

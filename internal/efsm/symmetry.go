@@ -2,7 +2,6 @@ package efsm
 
 import (
 	"fmt"
-	"sort"
 
 	"transit/internal/expr"
 )
@@ -87,17 +86,21 @@ func permuteValue(v expr.Value, pi Perm) expr.Value {
 	case expr.KindPID:
 		return expr.PIDVal(pi[v.PID()])
 	case expr.KindSet:
-		m := v.Set()
-		low := uint64(1)<<uint(len(pi)) - 1
-		out := m &^ low
-		for p := 0; p < len(pi); p++ {
-			if m&(1<<uint(p)) != 0 {
-				out |= 1 << uint(pi[p])
-			}
-		}
-		return expr.SetVal(out)
+		return expr.SetVal(permuteSet(v.Set(), pi))
 	}
 	return v
+}
+
+// permuteSet maps each member p < len(pi) of a PID set to pi[p].
+func permuteSet(m uint64, pi Perm) uint64 {
+	low := uint64(1)<<uint(len(pi)) - 1
+	out := m &^ low
+	for p := 0; p < len(pi); p++ {
+		if m&(1<<uint(p)) != 0 {
+			out |= 1 << uint(pi[p])
+		}
+	}
+	return out
 }
 
 // permuteMsg value-permutes every field of a message.
@@ -118,39 +121,9 @@ func (r *Runtime) Permute(st *State, pi Perm) *State {
 	if pi == nil || pi.IsIdentity() {
 		return st.Clone()
 	}
-	inv := pi.Inverse()
-	out := &State{
-		Procs: make([]ProcState, len(st.Procs)),
-		Nets:  make([][][]Msg, len(st.Nets)),
-	}
-	for _, inst := range r.Insts {
-		src := inst.Idx
-		if inst.Def.Replicated {
-			src = r.byDef[inst.Def][inv[inst.PID]]
-		}
-		sp := st.Procs[src]
-		vars := make([]expr.Value, len(sp.Vars))
-		for j, v := range sp.Vars {
-			vars[j] = permuteValue(v, pi)
-		}
-		out.Procs[inst.Idx] = ProcState{Ctl: sp.Ctl, Vars: vars}
-	}
-	for n, slots := range st.Nets {
-		byField := r.Sys.Networks[n].Route == RouteByField
-		out.Nets[n] = make([][]Msg, len(slots))
-		for q := range slots {
-			srcSlot := q
-			if byField {
-				srcSlot = inv[q]
-			}
-			msgs := make([]Msg, len(slots[srcSlot]))
-			for m, msg := range slots[srcSlot] {
-				msgs[m] = permuteMsg(msg, pi)
-			}
-			out.Nets[n][q] = msgs
-		}
-	}
-	return out
+	var rbuf [slotBuf]slotRef
+	v, _ := r.appendImage(make([]byte, 0, len(st.v)), st.v, r.refsFor(st.v, rbuf[:]), pi, pi.Inverse(), false, nil)
+	return &State{v: v}
 }
 
 // PermuteAction maps an action through a PID permutation, so that
@@ -325,28 +298,28 @@ func (g *SymGroup) Encoder() *CanonEncoder {
 // minimum form a coset of the stabilizer, so |orbit| = n! / #minima.
 type CanonEncoder struct {
 	g       *SymGroup
+	refs    []slotRef
 	scratch []byte
 	best    []byte
-	keybuf  []string
 }
 
 // Canonicalize returns the canonical key of st, the permutation sigma
 // with Encode(Permute(st, sigma)) == key (the lexicographically first
 // such permutation, so the choice is deterministic), and the orbit size
-// |S_n| / |stabilizer(st)|. Each permutation's encoding is compared to
-// the running minimum as it is built and abandoned on the first byte
-// that exceeds it, which prunes most of the n! scan in practice.
+// |S_n| / |stabilizer(st)|. Each permutation's image is compared to the
+// running minimum as it is written and abandoned after the first instance
+// block or slot that exceeds it, which prunes most of the n! scan in
+// practice.
 func (e *CanonEncoder) Canonicalize(st *State) (string, Perm, int) {
-	minima := 1
-	var sigma Perm
-	for i, pi := range e.g.perms {
-		if i == 0 {
-			e.best = e.appendPermEncoding(e.best[:0], st, pi, e.g.invs[i])
-			sigma = pi
-			continue
-		}
+	r := e.g.r
+	e.refs = r.refsFor(st.v, e.refs)
+	// perms[0] is the identity: the unpermuted image.
+	e.best, _ = r.appendImage(e.best[:0], st.v, e.refs, nil, nil, true, nil)
+	sigma, minima := e.g.perms[0], 1
+	for i := 1; i < len(e.g.perms); i++ {
+		pi := e.g.perms[i]
 		var cmp int
-		e.scratch, cmp = e.appendPermEncodingVs(e.scratch[:0], st, pi, e.g.invs[i], e.best)
+		e.scratch, cmp = r.appendImage(e.scratch[:0], st.v, e.refs, pi, e.g.invs[i], true, e.best)
 		switch {
 		case cmp < 0:
 			e.best, e.scratch = e.scratch, e.best
@@ -357,143 +330,4 @@ func (e *CanonEncoder) Canonicalize(st *State) (string, Perm, int) {
 		}
 	}
 	return string(e.best), sigma, len(e.g.perms) / minima
-}
-
-// appendPermEncoding writes Encode(Permute(st, pi)) without materializing
-// the permuted state: instances read their source's local state with
-// values mapped through pi, by-field slots relocate through inv, and
-// unordered slots sort their permuted message encodings, mirroring
-// Runtime.Encode byte for byte (the identity permutation reproduces it
-// exactly; a test pins that).
-func (e *CanonEncoder) appendPermEncoding(dst []byte, st *State, pi, inv Perm) []byte {
-	r := e.g.r
-	for _, inst := range r.Insts {
-		src := inst.Idx
-		if inst.Def.Replicated {
-			src = r.byDef[inst.Def][inv[inst.PID]]
-		}
-		p := st.Procs[src]
-		dst = append(dst, byte(p.Ctl))
-		for _, v := range p.Vars {
-			dst = permuteValue(v, pi).AppendEncoding(dst)
-		}
-	}
-	for n, slots := range st.Nets {
-		net := r.Sys.Networks[n]
-		byField := net.Route == RouteByField
-		ordered := net.Kind == Ordered
-		for q := range slots {
-			srcSlot := q
-			if byField {
-				srcSlot = inv[q]
-			}
-			msgs := slots[srcSlot]
-			dst = append(dst, byte(len(msgs)), '|')
-			if ordered {
-				for _, m := range msgs {
-					dst = appendPermMsg(dst, m, pi)
-				}
-			} else {
-				keys := e.keybuf[:0]
-				for _, m := range msgs {
-					keys = append(keys, string(appendPermMsg(nil, m, pi)))
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					dst = append(dst, k...)
-				}
-				e.keybuf = keys[:0]
-			}
-		}
-	}
-	return dst
-}
-
-// appendPermEncodingVs is appendPermEncoding with pruning: the bytes
-// written so far are compared against best after every instance and
-// network slot, and encoding stops with cmp > 0 as soon as the prefix is
-// strictly greater — that permutation cannot be the minimum. It returns
-// cmp < 0 (dst is a complete encoding strictly less than best), 0 (equal
-// to best), or > 0 (abandoned, dst is partial).
-func (e *CanonEncoder) appendPermEncodingVs(dst []byte, st *State, pi, inv Perm, best []byte) ([]byte, int) {
-	r := e.g.r
-	cmp, pos := 0, 0
-	// step compares the newly appended region; returns true to abandon.
-	step := func() bool {
-		if cmp < 0 {
-			return false
-		}
-		for ; pos < len(dst); pos++ {
-			if pos >= len(best) {
-				cmp = 1
-				return true
-			}
-			if dst[pos] == best[pos] {
-				continue
-			}
-			if dst[pos] < best[pos] {
-				cmp = -1
-				return false
-			}
-			cmp = 1
-			return true
-		}
-		return false
-	}
-	for _, inst := range r.Insts {
-		src := inst.Idx
-		if inst.Def.Replicated {
-			src = r.byDef[inst.Def][inv[inst.PID]]
-		}
-		p := st.Procs[src]
-		dst = append(dst, byte(p.Ctl))
-		for _, v := range p.Vars {
-			dst = permuteValue(v, pi).AppendEncoding(dst)
-		}
-		if step() {
-			return dst, cmp
-		}
-	}
-	for n, slots := range st.Nets {
-		net := r.Sys.Networks[n]
-		byField := net.Route == RouteByField
-		ordered := net.Kind == Ordered
-		for q := range slots {
-			srcSlot := q
-			if byField {
-				srcSlot = inv[q]
-			}
-			msgs := slots[srcSlot]
-			dst = append(dst, byte(len(msgs)), '|')
-			if ordered {
-				for _, m := range msgs {
-					dst = appendPermMsg(dst, m, pi)
-				}
-			} else {
-				keys := e.keybuf[:0]
-				for _, m := range msgs {
-					keys = append(keys, string(appendPermMsg(nil, m, pi)))
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					dst = append(dst, k...)
-				}
-				e.keybuf = keys[:0]
-			}
-			if step() {
-				return dst, cmp
-			}
-		}
-	}
-	if cmp == 0 && len(dst) < len(best) {
-		cmp = -1
-	}
-	return dst, cmp
-}
-
-func appendPermMsg(dst []byte, m Msg, pi Perm) []byte {
-	for _, v := range m {
-		dst = permuteValue(v, pi).AppendEncoding(dst)
-	}
-	return dst
 }

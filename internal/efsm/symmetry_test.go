@@ -110,6 +110,12 @@ func reachable(t *testing.T, r *Runtime, max int) []*State {
 	return out
 }
 
+// permImage is the key image Canonicalize writes for st under pi.
+func permImage(r *Runtime, st *State, pi Perm) string {
+	img, _ := r.appendImage(nil, st.v, r.refsFor(st.v, nil), pi, pi.Inverse(), true, nil)
+	return string(img)
+}
+
 func allPerms3() []Perm {
 	return []Perm{
 		{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
@@ -155,36 +161,27 @@ func TestPermuteValue(t *testing.T) {
 }
 
 // TestIdentityEncodingMatchesEncode pins the core byte-format contract:
-// the canonicalizer's permuted encoding under the identity reproduces
-// Runtime.Encode exactly, on every reachable state.
+// the canonicalizer's image writer under the identity permutation
+// reproduces Runtime.Encode exactly, on every reachable state.
 func TestIdentityEncodingMatchesEncode(t *testing.T) {
 	_, r := symSystem(t)
-	g, err := NewSymGroup(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := g.Encoder()
 	id := IdentityPerm(3)
 	for _, st := range reachable(t, r, 200) {
-		got := string(enc.appendPermEncoding(nil, st, id, id))
+		got := permImage(r, st, id)
 		if got != r.Encode(st) {
 			t.Fatalf("identity encoding diverges from Encode:\n got %q\nwant %q", got, r.Encode(st))
 		}
 	}
 }
 
-// TestPermEncodingMatchesPermute pins that the in-place permuted encoding
-// equals encoding the materialized permuted state, for every permutation.
+// TestPermEncodingMatchesPermute pins that the permuted image the
+// canonicalizer writes equals encoding the materialized permuted state,
+// for every permutation.
 func TestPermEncodingMatchesPermute(t *testing.T) {
 	_, r := symSystem(t)
-	g, err := NewSymGroup(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := g.Encoder()
 	for _, st := range reachable(t, r, 100) {
 		for _, pi := range allPerms3() {
-			got := string(enc.appendPermEncoding(nil, st, pi, pi.Inverse()))
+			got := permImage(r, st, pi)
 			want := r.Encode(r.Permute(st, pi))
 			if got != want {
 				t.Fatalf("perm %v: encoding diverges:\n got %q\nwant %q", pi, got, want)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -269,9 +270,9 @@ func TestRuntimeStateEncodingCanonical(t *testing.T) {
 		return efsm.Msg{expr.EnumValOf(mt, "Req"), expr.PIDVal(pid)}
 	}
 	a := st.Clone()
-	a.Nets[0][0] = []efsm.Msg{req(0), req(1)}
+	r.SetPending(a, 0, 0, req(0), req(1))
 	b := st.Clone()
-	b.Nets[0][0] = []efsm.Msg{req(1), req(0)}
+	r.SetPending(b, 0, 0, req(1), req(0))
 	if r.Encode(a) != r.Encode(b) {
 		t.Error("unordered network contents should encode canonically")
 	}
@@ -283,9 +284,9 @@ func TestRuntimeCloneIndependence(t *testing.T) {
 	r := mustRuntime(t, sys)
 	st := r.Initial()
 	cl := st.Clone()
-	cl.Procs[0].Ctl = 1
-	cl.Procs[0].Vars[0] = expr.PIDVal(1)
-	if st.Procs[0].Ctl == cl.Procs[0].Ctl || st.Procs[0].Vars[0] == cl.Procs[0].Vars[0] {
+	r.SetCtl(cl, 0, "Busy")
+	r.SetVar(cl, 0, "Owner", expr.PIDVal(1))
+	if r.CtlOf(st, 0) == r.CtlOf(cl, 0) || r.VarOf(st, 0, "Owner") == r.VarOf(cl, 0, "Owner") {
 		t.Error("Clone aliases original state")
 	}
 }
@@ -298,12 +299,12 @@ func TestOrderedNetworkFIFO(t *testing.T) {
 	st := r.Initial()
 	// Put Grant then Rel in client0's ordered queue; only the head (Grant)
 	// may be delivered.
-	st.Nets[1][0] = []efsm.Msg{
-		{expr.EnumValOf(mt, "Grant"), expr.PIDVal(0)},
-		{expr.EnumValOf(mt, "Rel"), expr.PIDVal(0)},
-	}
+	r.SetPending(st, 1, 0,
+		efsm.Msg{expr.EnumValOf(mt, "Grant"), expr.PIDVal(0)},
+		efsm.Msg{expr.EnumValOf(mt, "Rel"), expr.PIDVal(0)},
+	)
 	// Move client0 to Waiting so Grant is handled.
-	st.Procs[1].Ctl = 1 // instance 0 is the server; 1 is Client0
+	r.SetCtl(st, 1, "Waiting") // instance 0 is the server; 1 is Client0
 	acts, probs := r.Actions(st)
 	if len(probs) != 0 {
 		t.Fatalf("unexpected problems: %v", probs)
@@ -455,5 +456,48 @@ func TestFormatMSCCleanRunHasNoChart(t *testing.T) {
 	}
 	if !res.OK || chart != "" {
 		t.Fatalf("clean run: ok=%v chart=%q", res.OK, chart)
+	}
+}
+
+// TestControlOrdinalAbove255: a process with more than 256 control states
+// must keep ordinals 0 and 256 apart. A 257-state counter stepping
+// S0 -> S1 -> ... -> S256 reaches S256 at depth 256, where the invariant
+// fails; a key that kept only the low byte of the ordinal would fold S256
+// onto the initial state and report the space complete at 256 states.
+func TestControlOrdinalAbove255(t *testing.T) {
+	const n = 257
+	u := expr.NewUniverse(2)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("S%d", i)
+	}
+	counter := &efsm.ProcDef{
+		Name:     "Counter",
+		States:   u.MustDeclareEnum("CounterSt", names...),
+		Init:     "S0",
+		Triggers: []string{"Step"},
+	}
+	for i := 0; i+1 < n; i++ {
+		counter.Transitions = append(counter.Transitions, &efsm.Transition{
+			From: names[i], Event: efsm.Event{Trigger: "Step"}, To: names[i+1]})
+	}
+	r := mustRuntime(t, &efsm.System{Name: "counter", U: u, Defs: []*efsm.ProcDef{counter}})
+	last := names[n-1]
+	inv := Predicate("never "+last, func(r *efsm.Runtime, st *efsm.State) (bool, string) {
+		if r.CtlOf(st, 0) == last {
+			return false, "counter reached " + last
+		}
+		return true, ""
+	})
+	res, err := Check(r, []Invariant{inv}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK || res.Violation == nil || res.Violation.Kind != InvariantViolation {
+		t.Fatalf("want the %s violation, got ok=%v complete=%v states=%d", last, res.OK, res.Complete, res.States)
+	}
+	if res.States != n || res.Depth != n-1 || len(res.Violation.Trace) != n {
+		t.Errorf("states=%d depth=%d trace=%d, want %d/%d/%d",
+			res.States, res.Depth, len(res.Violation.Trace), n, n-1, n)
 	}
 }

@@ -46,10 +46,10 @@ func FormatMSC(r *efsm.Runtime, actions []efsm.Action) string {
 		}
 		next := r.Apply(st, a)
 		// Sends become arrows: diff the network contents.
-		for nIdx, slots := range next.Nets {
-			net := r.Sys.Networks[nIdx]
+		for nIdx, net := range r.Sys.Networks {
+			slots, prev := r.Pending(next, nIdx), r.Pending(st, nIdx)
 			for slot := range slots {
-				old := len(st.Nets[nIdx][slot])
+				old := len(prev[slot])
 				if nIdx == a.Net && slot == a.Slot {
 					old-- // one message was consumed
 				}
