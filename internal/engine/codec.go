@@ -26,8 +26,10 @@ import (
 // wireVersion is bumped on any incompatible change to the wire structs;
 // decoders reject other versions (the entry is then a cache miss and the
 // sub-problem is re-solved and re-written). v2 added the per-iteration
-// CEGIS trace so disk hits replay provenance.
-const wireVersion = 2
+// CEGIS trace so disk hits replay provenance; v3 stopped counting a
+// round whose bank was proven stale as a bank reuse, so older entries'
+// BankReuses and Resumed no longer match a fresh solve.
+const wireVersion = 3
 
 // wireValue is a typed constant on the wire.
 type wireValue struct {

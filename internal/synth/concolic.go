@@ -134,13 +134,12 @@ func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
 		span.End()
 	}()
 
-	resumed := (*bk).usable(*concrete, limits.withDefaults())
+	bankable := !limits.NoBankReuse && !limits.NoPrune
+	candidate, cstats, nbk, resumed, err := solveConcrete(ctx, p, *concrete, limits, *bk, bankable)
+	*bk = nbk
 	if resumed {
 		stats.BankReuses++
 	}
-	bankable := !limits.NoBankReuse && !limits.NoPrune
-	candidate, cstats, nbk, err := solveConcrete(ctx, p, *concrete, limits, *bk, bankable)
-	*bk = nbk
 	stats.Concrete.Enumerated += cstats.Enumerated
 	stats.Concrete.Kept += cstats.Kept
 	stats.Concrete.Restarts += cstats.Restarts

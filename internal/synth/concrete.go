@@ -32,7 +32,7 @@ func SolveConcrete(p Problem, examples []ConcreteExample, limits Limits) (expr.E
 // the returned expression and every ConcreteStats counter are identical to
 // the sequential run (see DESIGN.md §10).
 func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits) (expr.Expr, ConcreteStats, error) {
-	e, stats, _, err := solveConcrete(ctx, p, examples, limits, nil, false)
+	e, stats, _, _, err := solveConcrete(ctx, p, examples, limits, nil, false)
 	return e, stats, err
 }
 
@@ -43,19 +43,21 @@ func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample
 // state for the next round. A resumed search that exhausts the size bound
 // transparently restarts from scratch (the stale pools may lack entries
 // that only became distinguishable under the newest concretizations), so
-// bank reuse never loses completeness.
+// bank reuse never loses completeness. resumed reports that the search
+// actually resumed the bank: a bank that is usable but proven stale up
+// front is skipped, and the round counts as a restart, not a reuse.
 func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits,
-	bk *bank, wantBank bool) (expr.Expr, ConcreteStats, *bank, error) {
+	bk *bank, wantBank bool) (res expr.Expr, stats ConcreteStats, nbk *bank, resumed bool, err error) {
 	limits = limits.withDefaults()
 	if err := p.validate(); err != nil {
-		return nil, ConcreteStats{}, nil, err
+		return nil, ConcreteStats{}, nil, false, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, ConcreteStats{}, nil, fmt.Errorf("synth: enumeration aborted: %w", err)
+		return nil, ConcreteStats{}, nil, false, fmt.Errorf("synth: enumeration aborted: %w", err)
 	}
 	for i, c := range examples {
 		if c.Out.Type() != p.Output.VT {
-			return nil, ConcreteStats{}, nil, fmt.Errorf("synth: example %d output has type %s, want %s",
+			return nil, ConcreteStats{}, nil, false, fmt.Errorf("synth: example %d output has type %s, want %s",
 				i, c.Out.Type(), p.Output.VT)
 		}
 	}
@@ -94,8 +96,8 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 	} else {
 		en.ctx = ctx
 	}
-	res, err := en.run()
-	stats := en.stats
+	res, err = en.run()
+	stats = en.stats
 	if stale {
 		// A stale-skip counts as a restart: the round ran a fresh search,
 		// it just skipped the doomed resumed walk in front of it.
@@ -134,11 +136,10 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 		obs.Int64("interp_pruned", stats.InterpPruned),
 		obs.Bool("found", res != nil))
 	span.End()
-	var nbk *bank
 	if err == nil && wantBank {
 		nbk = en.harvest()
 	}
-	return res, stats, nbk, err
+	return res, stats, nbk, resume, err
 }
 
 // enumWorkers resolves the effective tier worker count: NoPrune retains

@@ -49,12 +49,18 @@ func renderRounds(sb *strings.Builder, rounds []provenance.IterationRecord) {
 	}
 }
 
-// table3Records solves the nine short Table 3 rows the way the infer
-// workload of the end-to-end benchmark does and renders every Stats
-// field but the wall times and SMTClauses.
-func table3Records(t *testing.T) string {
+// table3Row is one short Table 3 row, set up the way the infer workload
+// of the end-to-end benchmark sets it up.
+type table3Row struct {
+	name   string
+	p      synth.Problem
+	exs    []synth.ConcolicExample
+	limits synth.Limits
+}
+
+func table3Rows(t *testing.T) []table3Row {
 	t.Helper()
-	var sb strings.Builder
+	var rows []table3Row
 	for _, b := range bench.Table3Benchmarks() {
 		if b.Long {
 			continue
@@ -64,8 +70,19 @@ func table3Records(t *testing.T) string {
 			t.Fatal(err)
 		}
 		p, exs := b.Build(u)
-		e, st, err := synth.SolveConcolicCtx(context.Background(), p, exs, synth.Limits{MaxSize: b.ExpectedSize + 2})
-		fmt.Fprintf(&sb, "=== table3 %s\n", b.Name)
+		rows = append(rows, table3Row{b.Name, p, exs, synth.Limits{MaxSize: b.ExpectedSize + 2}})
+	}
+	return rows
+}
+
+// table3Records renders every Stats field of the Table 3 rows but the
+// wall times and SMTClauses.
+func table3Records(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, r := range table3Rows(t) {
+		e, st, err := synth.SolveConcolicCtx(context.Background(), r.p, r.exs, r.limits)
+		fmt.Fprintf(&sb, "=== table3 %s\n", r.name)
 		if err != nil {
 			fmt.Fprintf(&sb, "error: %v\n", err)
 		} else {
@@ -77,6 +94,30 @@ func table3Records(t *testing.T) string {
 		renderRounds(&sb, provenance.TraceIterations(st.Trace))
 	}
 	return sb.String()
+}
+
+// TestBankReusesMatchCounter checks that Stats.BankReuses counts exactly
+// the rounds the synth.bank_reused counter counts, and that the trace
+// marks the same rounds resumed: a round whose bank is proven stale
+// before the walk runs fresh and is a restart, not a reuse.
+func TestBankReusesMatchCounter(t *testing.T) {
+	for _, r := range table3Rows(t) {
+		reg := obs.NewRegistry()
+		_, st, err := synth.SolveConcolicCtx(obs.WithMetrics(context.Background(), reg), r.p, r.exs, r.limits)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		resumed := 0
+		for _, it := range st.Trace {
+			if it.Resumed {
+				resumed++
+			}
+		}
+		if got := reg.Get("synth.bank_reused"); int64(st.BankReuses) != got || resumed != st.BankReuses {
+			t.Errorf("%s: Stats.BankReuses = %d, resumed rounds = %d, synth.bank_reused = %d",
+				r.name, st.BankReuses, resumed, got)
+		}
+	}
 }
 
 // completionRecord completes a system at one worker and renders its

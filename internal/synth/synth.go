@@ -228,7 +228,8 @@ type IterRecord struct {
 	// query produced Witness, or -1 when the candidate was accepted.
 	KilledBy int
 	// Resumed reports that the round resumed the previous round's
-	// expression bank instead of enumerating from size 1.
+	// expression bank instead of enumerating from size 1. A round whose
+	// bank was proven stale before the walk ran fresh and is not resumed.
 	Resumed bool
 	// Restarted reports that the round's search restarted despite a
 	// resumable bank (stale-skip or transparent fallback).
@@ -248,8 +249,9 @@ type Stats struct {
 	Trace      []IterRecord
 
 	// BankReuses counts CEGIS rounds that resumed enumeration from the
-	// previous round's expression bank instead of restarting at size 1
-	// (always 0 with Limits.NoBankReuse or Limits.NoPrune).
+	// previous round's expression bank instead of restarting at size 1,
+	// the rounds the synth.bank_reused counter counts (always 0 with
+	// Limits.NoBankReuse or Limits.NoPrune).
 	BankReuses int
 
 	// Unrealizable reports that the solve failed with ErrUnrealizable:
