@@ -56,43 +56,6 @@ func TestTable3ShortRows(t *testing.T) {
 	t.Logf("\n%s", FormatTable3(rows))
 }
 
-func TestSMTBenchShape(t *testing.T) {
-	// workers=1: with a concurrent pool, identical-key jobs race on the
-	// memo cache, so the number of queries actually executed (vs replayed
-	// from the memo) is timing-dependent and the cross-mode equality
-	// below would flake.
-	rows, err := SMTBench(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		// Canonical models: the execution strategy must not change what
-		// was asked, only how much encoding it cost.
-		if r.Incremental.Queries != r.OneShot.Queries {
-			t.Errorf("%s: query counts differ: incremental %d vs one-shot %d",
-				r.Protocol, r.Incremental.Queries, r.OneShot.Queries)
-		}
-		if r.Incremental.Clauses > r.OneShot.Clauses {
-			t.Errorf("%s: incremental encoded more clauses (%d) than one-shot (%d)",
-				r.Protocol, r.Incremental.Clauses, r.OneShot.Clauses)
-		}
-		if r.Incremental.ClausesReused == 0 {
-			t.Errorf("%s: incremental run reused no clauses", r.Protocol)
-		}
-		if r.Incremental.Sessions == 0 {
-			t.Errorf("%s: incremental run opened no sessions", r.Protocol)
-		}
-		if r.OneShot.ClausesReused != 0 {
-			t.Errorf("%s: one-shot run reports %d reused clauses, want 0",
-				r.Protocol, r.OneShot.ClausesReused)
-		}
-	}
-	t.Logf("\n%s", FormatSMT(rows))
-}
-
 func TestFig5SmallShape(t *testing.T) {
 	pts, err := Fig5(Fig5Options{
 		Sizes: []int{2, 4, 6, 8}, Trials: 2, Seed: 7,

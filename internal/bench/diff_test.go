@@ -13,7 +13,7 @@ const oldArtifact = `{
   "rows": [
     {"name": "max2", "found": true,
      "sequential": {"time_ms": 100.0, "enumerated": 500},
-     "portfolio":  {"time_ms": 40.0}},
+     "default":    {"time_ms": 40.0}},
     {"name": "guarded", "found": true,
      "sequential": {"time_ms": 10.0}}
   ]
@@ -28,7 +28,7 @@ const newArtifact = `{
      "sequential": {"time_ms": 20.0}},
     {"name": "max2", "found": true,
      "sequential": {"time_ms": 50.0, "enumerated": 480},
-     "portfolio":  {"time_ms": 40.0}},
+     "default":    {"time_ms": 40.0}},
     {"name": "fresh-row",
      "sequential": {"time_ms": 5.0}}
   ]
@@ -51,7 +51,7 @@ func TestDiffArtifacts(t *testing.T) {
 	}
 	want := map[string]float64{
 		"rows[max2].sequential.time_ms":    0.5,
-		"rows[max2].portfolio.time_ms":     1.0,
+		"rows[max2].default.time_ms":       1.0,
 		"rows[guarded].sequential.time_ms": 2.0,
 	}
 	if len(ratios) != len(want) {
@@ -89,7 +89,7 @@ func TestDiffRegressionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every timing is 30% slower except the untouched portfolio leaf;
+	// Every timing is 30% slower except the untouched default leaf;
 	// geomean(1.3, 1.0, 1.3) ≈ 1.19.
 	if d.Geomean < 1.15 || d.Geomean > 1.25 {
 		t.Fatalf("geomean = %v", d.Geomean)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"transit/internal/engine"
 	"transit/internal/expr"
 	"transit/internal/synth"
 )
@@ -33,79 +32,53 @@ type EnumModeStats struct {
 	Unrealizable bool `json:"unrealizable,omitempty"`
 }
 
-// EnumRow compares the sequential restart-per-round search (the seed
-// Algorithm 1 path: one tier worker, no bank reuse, no interpretation
-// reduction) against the tier-parallel bank-reusing interpretation-reduced
-// search — and, when racing is enabled, against the engine's portfolio
-// mode — on one Table 3 inference problem. All modes are answer-identical;
-// the row quantifies the work and time the rebuilt search saves.
+// EnumRow compares the restart-per-round baseline (the seed Algorithm 1
+// path: no bank reuse, no interpretation reduction) against the default
+// bank-reusing interpretation-reduced search on one Table 3 inference
+// problem. Both modes are answer-identical; the row quantifies the work
+// and time the default search saves.
 type EnumRow struct {
 	Name        string        `json:"name"`
 	Constraints int           `json:"constraints"`
 	Found       string        `json:"found"`
-	Seq         EnumModeStats `json:"sequential"`
-	Par         EnumModeStats `json:"parallel_bank"`
-	// Port is the portfolio-raced mode's stats (winner's counters);
-	// omitted when racing was disabled for the run.
-	Port *EnumModeStats `json:"portfolio,omitempty"`
-	// EnumRatio is parallel-bank candidates enumerated / sequential — the
-	// fraction of enumeration work the rebuilt search could not avoid
+	Base        EnumModeStats `json:"baseline"`
+	Default     EnumModeStats `json:"default"`
+	// EnumRatio is default candidates enumerated / baseline — the
+	// fraction of enumeration work the default search could not avoid
 	// (values > 1 mean stale-pool fallbacks outweighed resume savings on
 	// this row).
 	EnumRatio float64 `json:"enum_ratio"`
 	Speedup   float64 `json:"speedup"`
-	// PortSpeedup is sequential time / portfolio time (0 when racing was
-	// disabled).
-	PortSpeedup float64 `json:"portfolio_speedup,omitempty"`
 }
 
 // EnumBenchResult is the whole comparison plus its summary statistic.
 type EnumBenchResult struct {
-	Workers int `json:"enum_workers"`
-	// Portfolio is the configuration-race width of the portfolio column
-	// (0 = column absent).
-	Portfolio int `json:"portfolio,omitempty"`
 	// GOMAXPROCS records the scheduler parallelism the run had available.
-	// Tier-parallel speedup needs real cores: with GOMAXPROCS=1 the
-	// worker fan-out timeshares one CPU and the measured speedup reflects
-	// bank reuse and interpretation pruning alone. The artifact's shared
-	// header carries it on the wire; this field only feeds the text
-	// rendering.
+	// The artifact's shared header carries it on the wire; this field only
+	// feeds the text rendering.
 	GOMAXPROCS int       `json:"-"`
 	Trials     int       `json:"trials"`
 	Rows       []EnumRow `json:"rows"`
-	// GeomeanSpeedup is the geometric mean of the per-row parallel-bank
-	// speedups — the acceptance metric for the rebuilt search.
+	// GeomeanSpeedup is the geometric mean of the per-row speedups of the
+	// default search over the baseline.
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
-	// GeomeanPortfolioSpeedup is the same statistic for the portfolio
-	// column (0 when racing was disabled).
-	GeomeanPortfolioSpeedup float64 `json:"geomean_portfolio_speedup,omitempty"`
 }
 
-// EnumBench runs the short Table 3 rows through the modes.
-func EnumBench(workers, trials, portfolio int) (*EnumBenchResult, error) {
-	return EnumBenchCtx(context.Background(), workers, trials, portfolio)
+// EnumBench runs the short Table 3 rows through both modes.
+func EnumBench(trials int) (*EnumBenchResult, error) {
+	return EnumBenchCtx(context.Background(), trials)
 }
 
 // EnumBenchCtx is EnumBench under a context. Every trial of every mode is
-// checked for answer identity against the sequential reference and for
-// semantic consistency by brute force, so a determinism regression fails
-// the benchmark instead of skewing it. portfolio >= 2 adds a third column
-// racing that many engine configurations per solve; 0/1 omits it.
-func EnumBenchCtx(ctx context.Context, workers, trials, portfolio int) (*EnumBenchResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// checked for answer identity against the baseline and for semantic
+// consistency by brute force, so a determinism regression fails the
+// benchmark instead of skewing it.
+func EnumBenchCtx(ctx context.Context, trials int) (*EnumBenchResult, error) {
 	if trials < 1 {
 		trials = 3
 	}
-	if portfolio < 2 {
-		portfolio = 0
-	}
-	res := &EnumBenchResult{Workers: workers, Portfolio: portfolio,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Trials: trials}
+	res := &EnumBenchResult{GOMAXPROCS: runtime.GOMAXPROCS(0), Trials: trials}
 	logSum := 0.0
-	portLogSum := 0.0
 	for _, b := range Table3Benchmarks() {
 		if b.Long {
 			// The 30-minute row would dominate the run; the short rows
@@ -117,37 +90,12 @@ func EnumBenchCtx(ctx context.Context, workers, trials, portfolio int) (*EnumBen
 			return nil, err
 		}
 		prob, exs := b.Build(u)
-		base := synth.Limits{MaxSize: b.ExpectedSize + 2, Timeout: 2 * time.Minute}
-		seqLimits := base
-		seqLimits.EnumWorkers = 1
-		seqLimits.NoBankReuse = true
-		seqLimits.NoInterpReduction = true
-		parLimits := base
-		parLimits.EnumWorkers = workers
+		defLimits := synth.Limits{MaxSize: b.ExpectedSize + 2, Timeout: 2 * time.Minute}
+		baseLimits := defLimits
+		baseLimits.NoBankReuse = true
+		baseLimits.NoInterpReduction = true
 
 		row := EnumRow{Name: b.Name, Constraints: len(exs)}
-		collect := func(st *EnumModeStats, tr int, d time.Duration, stats synth.Stats) {
-			if tr == 0 || d < st.Time {
-				st.Time = d
-			}
-			st.Enumerated = stats.Concrete.Enumerated
-			st.Kept = stats.Concrete.Kept
-			st.Iterations = stats.Iterations
-			st.BankReuses = stats.BankReuses
-			st.Restarts = stats.Concrete.Restarts
-			st.InterpPruned = stats.Concrete.InterpPruned
-			st.Unrealizable = stats.Unrealizable
-		}
-		check := func(found *string, e expr.Expr) error {
-			if *found == "" {
-				*found = e.String()
-				return verifyConsistent(prob, e, exs)
-			}
-			if e.String() != *found {
-				return fmt.Errorf("nondeterministic answer: %s vs %s", e, *found)
-			}
-			return nil
-		}
 		run := func(limits synth.Limits) (EnumModeStats, string, error) {
 			var st EnumModeStats
 			var found string
@@ -158,80 +106,53 @@ func EnumBenchCtx(ctx context.Context, workers, trials, portfolio int) (*EnumBen
 				if err != nil {
 					return st, "", fmt.Errorf("bench: %s: %w", b.Name, err)
 				}
-				collect(&st, tr, d, stats)
-				if err := check(&found, e); err != nil {
-					return st, "", fmt.Errorf("bench: %s: %w", b.Name, err)
+				if tr == 0 || d < st.Time {
+					st.Time = d
+				}
+				st.Enumerated = stats.Concrete.Enumerated
+				st.Kept = stats.Concrete.Kept
+				st.Iterations = stats.Iterations
+				st.BankReuses = stats.BankReuses
+				st.Restarts = stats.Concrete.Restarts
+				st.InterpPruned = stats.Concrete.InterpPruned
+				st.Unrealizable = stats.Unrealizable
+				if found == "" {
+					found = e.String()
+					if err := verifyConsistent(prob, e, exs); err != nil {
+						return st, "", fmt.Errorf("bench: %s: %w", b.Name, err)
+					}
+				} else if e.String() != found {
+					return st, "", fmt.Errorf("bench: %s: nondeterministic answer: %s vs %s", b.Name, e, found)
 				}
 			}
 			st.TimeMS = ms(st.Time)
 			return st, found, nil
 		}
-		// The portfolio mode goes through the engine (the race lives one
-		// layer above the raw solver); a fresh cacheless engine per trial
-		// keeps every trial a cold solve.
-		runPortfolio := func(limits synth.Limits) (EnumModeStats, string, error) {
-			var st EnumModeStats
-			var found string
-			for tr := 0; tr < trials; tr++ {
-				eng := engine.New(engine.Config{EnumWorkers: workers, Portfolio: portfolio})
-				t0 := time.Now()
-				e, stats, _, err := eng.SolveConcolic(ctx, engine.SolveSpec{
-					Problem: prob, Examples: exs, Limits: limits})
-				d := time.Since(t0)
-				if err != nil {
-					return st, "", fmt.Errorf("bench: %s: portfolio: %w", b.Name, err)
-				}
-				collect(&st, tr, d, stats)
-				if err := check(&found, e); err != nil {
-					return st, "", fmt.Errorf("bench: %s: portfolio: %w", b.Name, err)
-				}
-			}
-			st.TimeMS = ms(st.Time)
-			return st, found, nil
-		}
-		seq, seqFound, err := run(seqLimits)
+		base, baseFound, err := run(baseLimits)
 		if err != nil {
 			return nil, err
 		}
-		par, parFound, err := run(parLimits)
+		def, defFound, err := run(defLimits)
 		if err != nil {
 			return nil, err
 		}
-		if seqFound != parFound {
-			return nil, fmt.Errorf("bench: %s: mode answers differ: seq %s, par %s",
-				b.Name, seqFound, parFound)
+		if baseFound != defFound {
+			return nil, fmt.Errorf("bench: %s: mode answers differ: baseline %s, default %s",
+				b.Name, baseFound, defFound)
 		}
-		row.Found = seqFound
-		row.Seq, row.Par = seq, par
-		if seq.Enumerated > 0 {
-			row.EnumRatio = float64(par.Enumerated) / float64(seq.Enumerated)
+		row.Found = baseFound
+		row.Base, row.Default = base, def
+		if base.Enumerated > 0 {
+			row.EnumRatio = float64(def.Enumerated) / float64(base.Enumerated)
 		}
-		if par.Time > 0 {
-			row.Speedup = float64(seq.Time) / float64(par.Time)
+		if def.Time > 0 {
+			row.Speedup = float64(base.Time) / float64(def.Time)
 		}
 		logSum += math.Log(row.Speedup)
-		if portfolio >= 2 {
-			port, portFound, err := runPortfolio(parLimits)
-			if err != nil {
-				return nil, err
-			}
-			if portFound != seqFound {
-				return nil, fmt.Errorf("bench: %s: portfolio answer differs: seq %s, portfolio %s",
-					b.Name, seqFound, portFound)
-			}
-			row.Port = &port
-			if port.Time > 0 {
-				row.PortSpeedup = float64(seq.Time) / float64(port.Time)
-			}
-			portLogSum += math.Log(row.PortSpeedup)
-		}
 		res.Rows = append(res.Rows, row)
 	}
 	if len(res.Rows) > 0 {
 		res.GeomeanSpeedup = math.Exp(logSum / float64(len(res.Rows)))
-		if portfolio >= 2 {
-			res.GeomeanPortfolioSpeedup = math.Exp(portLogSum / float64(len(res.Rows)))
-		}
 	}
 	return res, nil
 }
@@ -239,43 +160,28 @@ func EnumBenchCtx(ctx context.Context, workers, trials, portfolio int) (*EnumBen
 // FormatEnum renders the mode comparison.
 func FormatEnum(res *EnumBenchResult) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Enumeration: sequential restart-per-round vs. %d-worker interpretation-reduced bank-reusing search (identical answers, min of %d trials, GOMAXPROCS=%d)\n",
-		res.Workers, res.Trials, res.GOMAXPROCS)
-	fmt.Fprintf(&sb, "%-22s %4s | %9s %9s %5s | %9s %9s %8s %5s %6s %5s | %7s %8s",
+	fmt.Fprintf(&sb, "Enumeration: restart-per-round baseline vs. interpretation-reduced bank-reusing search (identical answers, min of %d trials, GOMAXPROCS=%d)\n",
+		res.Trials, res.GOMAXPROCS)
+	fmt.Fprintf(&sb, "%-22s %4s | %9s %9s %5s | %9s %9s %8s %5s %6s %5s | %7s %8s\n",
 		"Benchmark", "Cons",
-		"SeqTime", "Enum", "Iter",
-		"ParTime", "Enum", "Pruned", "Iter", "Reuse", "Fall",
+		"BaseTime", "Enum", "Iter",
+		"Time", "Enum", "Pruned", "Iter", "Reuse", "Fall",
 		"EnumR", "Speedup")
-	if res.Portfolio >= 2 {
-		fmt.Fprintf(&sb, " | %9s %8s", "PortTime", "PortSpd")
-	}
-	sb.WriteByte('\n')
 	for _, r := range res.Rows {
-		fmt.Fprintf(&sb, "%-22s %4d | %9s %9d %5d | %9s %9d %8d %5d %6d %5d | %6.0f%% %7.2fx",
+		fmt.Fprintf(&sb, "%-22s %4d | %9s %9d %5d | %9s %9d %8d %5d %6d %5d | %6.0f%% %7.2fx\n",
 			r.Name, r.Constraints,
-			r.Seq.Time.Round(time.Microsecond*100), r.Seq.Enumerated, r.Seq.Iterations,
-			r.Par.Time.Round(time.Microsecond*100), r.Par.Enumerated, r.Par.InterpPruned,
-			r.Par.Iterations, r.Par.BankReuses, r.Par.Restarts,
+			r.Base.Time.Round(time.Microsecond*100), r.Base.Enumerated, r.Base.Iterations,
+			r.Default.Time.Round(time.Microsecond*100), r.Default.Enumerated, r.Default.InterpPruned,
+			r.Default.Iterations, r.Default.BankReuses, r.Default.Restarts,
 			100*r.EnumRatio, r.Speedup)
-		if r.Port != nil {
-			fmt.Fprintf(&sb, " | %9s %7.2fx",
-				r.Port.Time.Round(time.Microsecond*100), r.PortSpeedup)
-		}
-		sb.WriteByte('\n')
 	}
 	fmt.Fprintf(&sb, "geometric-mean speedup: %.2fx\n", res.GeomeanSpeedup)
-	if res.Portfolio >= 2 {
-		fmt.Fprintf(&sb, "geometric-mean portfolio speedup (%d-way race): %.2fx\n",
-			res.Portfolio, res.GeomeanPortfolioSpeedup)
-	}
-	sb.WriteString("(EnumR is parallel-bank/sequential candidates enumerated — the search work\n the rebuilt search could not avoid; Pruned counts candidates discarded by\n interpretation-indexed signatures; Reuse counts rounds resumed from the\n bank, Fall rounds whose stale pools forced a restart; answers are identical\n in every mode and trial)\n")
+	sb.WriteString("(EnumR is default/baseline candidates enumerated — the search work the\n default search could not avoid; Pruned counts candidates discarded by\n interpretation-indexed signatures; Reuse counts rounds resumed from the\n bank, Fall rounds whose stale pools forced a restart; answers are identical\n in both modes and every trial)\n")
 	return sb.String()
 }
 
 // WriteEnumArtifact writes the comparison as a JSON artifact
-// (BENCH_enum.json by convention) for machine consumption. The shared
-// header supplies the scheduler parallelism the result struct used to
-// duplicate.
+// (BENCH_enum.json by convention) for machine consumption.
 func WriteEnumArtifact(path string, res *EnumBenchResult) error {
-	return WriteArtifact(path, NewHeader("enum_sequential_vs_parallel_bank", res.Workers), res)
+	return WriteArtifact(path, NewHeader("enum_baseline_vs_default", 0), res)
 }

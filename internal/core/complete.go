@@ -38,29 +38,11 @@ type Options struct {
 	// SkipGuardCheck disables the static pairwise mutual-exclusion
 	// verification of each group's guards.
 	SkipGuardCheck bool
-	// NoIncremental disables the shared incremental SMT sessions (the
-	// per-group guard-chain and mutual-exclusion sessions, and the
-	// per-solve CEGIS sessions), solving every query one-shot instead.
-	// Both modes pose identical queries and receive identical canonical
-	// models, so completed systems are byte-identical either way; the flag
-	// is an escape hatch and a differential-testing lever. It is merged
-	// into Limits.NoIncremental at run start.
-	NoIncremental bool
 	// Workers sizes the inference worker pool. Values <= 1 execute jobs
 	// strictly in plan order, reproducing the sequential implementation
 	// byte for byte; larger values run independent jobs concurrently
 	// (the inferred expressions are identical at every worker count).
 	Workers int
-	// EnumWorkers sizes the tier-parallel enumeration fan-out inside each
-	// inference job (values <= 1 mean sequential tiers). It multiplies
-	// with Workers, and — like Workers — never changes inferred
-	// expressions, only wall-clock time. Jobs whose Limits set their own
-	// EnumWorkers keep it.
-	EnumWorkers int
-	// Portfolio races this many solver configurations per cache-miss
-	// inference job (engine.Config.Portfolio); values <= 1 disable racing.
-	// Jobs whose Limits set their own Portfolio keep it.
-	Portfolio int
 	// Timeout bounds the whole completion run; 0 means none.
 	Timeout time.Duration
 	// JobTimeout bounds each individual inference job; 0 means none.
@@ -95,12 +77,9 @@ type Report struct {
 	GuardExprsTried  int64
 	// SMTQueries counts consistency and concretization queries.
 	SMTQueries int
-	// SMTClausesReused counts cached-circuit clauses the incremental
-	// sessions reused instead of re-encoding (0 under NoIncremental).
-	SMTClausesReused int64
-	UpdateTime       time.Duration
-	GuardTime        time.Duration
-	Elapsed          time.Duration
+	UpdateTime time.Duration
+	GuardTime  time.Duration
+	Elapsed    time.Duration
 	// Transitions is the number of completed transitions installed.
 	Transitions int
 	// Workers is the pool size the run used; Jobs the number of engine
@@ -140,7 +119,6 @@ func Complete(sys *efsm.System, vocab *expr.Vocabulary, snippets []*efsm.Snippet
 // context's error.
 func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, snippets []*efsm.Snippet, opts Options) (*Report, error) {
 	start := time.Now()
-	opts.Limits.NoIncremental = opts.Limits.NoIncremental || opts.NoIncremental
 	rep := &Report{Snippets: len(snippets)}
 	defByName := map[string]*efsm.ProcDef{}
 	for _, d := range sys.Defs {
@@ -168,14 +146,12 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 		cache = engine.NewCache()
 	}
 	eng := engine.New(engine.Config{
-		Workers:     opts.Workers,
-		EnumWorkers: opts.EnumWorkers,
-		Portfolio:   opts.Portfolio,
-		Timeout:     opts.Timeout,
-		JobTimeout:  opts.JobTimeout,
-		Retry:       opts.Retry,
-		Cache:       cache,
-		Sink:        opts.Telemetry,
+		Workers:    opts.Workers,
+		Timeout:    opts.Timeout,
+		JobTimeout: opts.JobTimeout,
+		Retry:      opts.Retry,
+		Cache:      cache,
+		Sink:       opts.Telemetry,
 	})
 	p := &planner{sys: sys, vocab: vocab, opts: opts, eng: eng}
 	for _, name := range defOrder {
@@ -224,7 +200,6 @@ func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 		case "guard":
 			rep.GuardExprsTried += j.Candidates
 			rep.SMTQueries += j.SMTQueries
-			rep.SMTClausesReused += j.ClausesReused
 			rep.GuardTime += j.Duration
 			if j.Err == nil {
 				rep.GuardsSynthesized++
@@ -232,7 +207,6 @@ func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 		case "update":
 			rep.UpdateExprsTried += j.Candidates
 			rep.SMTQueries += j.SMTQueries
-			rep.SMTClausesReused += j.ClausesReused
 			rep.UpdateTime += j.Duration
 			if j.Err == nil {
 				rep.UpdatesSynthesized++
@@ -291,22 +265,12 @@ type defPlan struct {
 }
 
 // groupPlan is one group's share of the DAG plus everything assembly
-// needs afterwards. The two sessions (absent under NoIncremental) carry
-// encodings and learned clauses across the group's related queries:
-// guardSess, over scopeVars ∪ {guard$}, is shared by the sequential
-// guard-inference chain, whose jobs pose many CEGIS queries over the same
-// variables; mutexSess, over scopeVars, is shared by the pairwise
-// mutual-exclusion checks, which re-solve the same guard circuits in
-// different pairings. Neither session is ever used concurrently: the
-// chain jobs are ordered by engine dependencies and the mutex job runs
-// after the chain.
+// needs afterwards.
 type groupPlan struct {
 	g         *group
 	ctx       string // error-message prefix, e.g. "core: Dir (EXCLUSIVE, ReqNet)"
 	scopeVars []*expr.Var
 	blocks    []*blockPlan // aligned with g.blocks
-	guardSess *smt.Session
-	mutexSess *smt.Session
 }
 
 // blockPlan carries one block's planned update jobs and their result
@@ -412,25 +376,6 @@ func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
 		inferable = append(inferable, b)
 	}
 
-	// Shared sessions for the group (skipped under NoIncremental). The
-	// guard session spans the chain's query variables scopeVars ∪ {guard$};
-	// the mutex session spans scopeVars only.
-	incremental := !p.opts.Limits.NoIncremental
-	nGuardJobs := 0
-	for _, b := range inferable {
-		if !b.symbolic && !b.defer_ {
-			nGuardJobs++
-		}
-	}
-	if incremental && nGuardJobs > 0 {
-		gvars := append(append([]*expr.Var(nil), gp.scopeVars...), expr.V(guardVar, expr.BoolType))
-		sess, err := smt.NewSession(p.sys.U, gvars)
-		if err != nil {
-			return nil, fmt.Errorf("%s: guard session: %w", gp.ctx, err)
-		}
-		gp.guardSess = sess
-	}
-
 	// The sequential guard chain.
 	var prev *engine.Job
 	for j, b := range inferable {
@@ -464,19 +409,6 @@ func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
 	}
 
 	if !p.opts.SkipGuardCheck {
-		nGuards := 0
-		for _, b := range inferable {
-			if b.symbolic || !b.defer_ {
-				nGuards++
-			}
-		}
-		if incremental && nGuards >= 2 {
-			sess, err := smt.NewSession(p.sys.U, gp.scopeVars)
-			if err != nil {
-				return nil, fmt.Errorf("%s: mutex session: %w", gp.ctx, err)
-			}
-			gp.mutexSess = sess
-		}
 		job := &engine.Job{
 			Label: fmt.Sprintf("mutex %s(%s,%s)", d.Name, g.from, g.event),
 			Kind:  "check",
@@ -621,10 +553,9 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 			job.SolveWait = out.SolveWait
 			job.Candidates = stats.Concrete.Enumerated
 			job.SMTQueries = stats.SMTQueries
-			job.ClausesReused = stats.SMTClausesReused
 			job.Iterations = stats.Iterations
 			job.Retries = out.Retries
-			cap.expr, cap.stats, cap.out, cap.err = rhs, stats, out, err
+			cap.expr, cap.stats, cap.err = rhs, stats, err
 			if err != nil {
 				return fmt.Errorf("%s: block %s: update inference for %s: %w", gp.ctx, b.key, target, err)
 			}
@@ -690,7 +621,7 @@ func (p *planner) inferGuard(ctx context.Context, job *engine.Job, g *group, blo
 	cap.exs, cap.meta, cap.ran = exs, meta, true
 	prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: scopeVars, Output: o}
 	guard, stats, out, err := p.eng.SolveConcolic(ctx, engine.SolveSpec{
-		Problem: prob, Examples: exs, Limits: p.opts.Limits, Session: gp.guardSess,
+		Problem: prob, Examples: exs, Limits: p.opts.Limits,
 	})
 	job.CacheHit = out.Cached
 	job.DiskHit = out.Tier == engine.TierDisk
@@ -698,10 +629,9 @@ func (p *planner) inferGuard(ctx context.Context, job *engine.Job, g *group, blo
 	job.SolveWait = out.SolveWait
 	job.Candidates = stats.Concrete.Enumerated
 	job.SMTQueries = stats.SMTQueries
-	job.ClausesReused = stats.SMTClausesReused
 	job.Iterations = stats.Iterations
 	job.Retries = out.Retries
-	cap.expr, cap.stats, cap.out, cap.err = guard, stats, out, err
+	cap.expr, cap.stats, cap.err = guard, stats, err
 	if err != nil {
 		return nil, fmt.Errorf("guard inference: %w", err)
 	}
@@ -728,11 +658,8 @@ func blockPre(b *block) expr.Expr {
 
 // checkMutualExclusion statically verifies pairwise guard disjointness
 // within a group via SMT validity: ¬(gi ∧ gj) must hold for every pair,
-// i.e. gi ∧ gj must be unsatisfiable. With a group session the pair
-// conjunctions are solved incrementally — each guard's circuit is encoded
-// once and re-paired for free; under NoIncremental every pair is an
-// independent validity query. A Sat verdict yields the same canonical
-// counterexample model either way, so failure messages match exactly.
+// i.e. gi ∧ gj must be unsatisfiable. A Sat verdict yields the canonical
+// counterexample model, so failure messages are deterministic.
 func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*block, gp *groupPlan) error {
 	// Own span so the validity queries below don't read as CEGIS work in
 	// the trace.
@@ -744,29 +671,11 @@ func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*
 			if gi == nil || gj == nil {
 				continue
 			}
-			var exclusive bool
-			var cex expr.Env
-			if gp.mutexSess != nil {
-				res, err := gp.mutexSess.Solve(ctx, expr.And(gi, gj), smt.Options{})
-				if err != nil {
-					return fmt.Errorf("guard exclusivity check: %w", err)
-				}
-				switch res.Status {
-				case smt.Unsat:
-					exclusive = true
-				case smt.Sat:
-					exclusive, cex = false, res.Model
-				default:
-					return fmt.Errorf("guard exclusivity check: smt: validity check exhausted conflict budget")
-				}
-			} else {
-				ok, model, err := smt.ValidOptCtx(ctx, p.sys.U, gp.scopeVars, expr.Not(expr.And(gi, gj)), smt.Options{})
-				if err != nil {
-					return fmt.Errorf("guard exclusivity check: %w", err)
-				}
-				exclusive, cex = ok, model
+			ok, cex, err := smt.ValidOptCtx(ctx, p.sys.U, gp.scopeVars, expr.Not(expr.And(gi, gj)), smt.Options{})
+			if err != nil {
+				return fmt.Errorf("guard exclusivity check: %w", err)
 			}
-			if !exclusive {
+			if !ok {
 				return fmt.Errorf("guards %s and %s overlap (e.g. %v)",
 					expr.Pretty(gi), expr.Pretty(gj), cex)
 			}

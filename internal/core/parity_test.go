@@ -98,52 +98,6 @@ func TestWorkerCountParity(t *testing.T) {
 	}
 }
 
-// TestNoIncrementalParity is the acceptance gate for the incremental-SMT
-// rewiring: completing a protocol with shared sessions disabled
-// (one solver per query) must produce a byte-identical EFSM and identical
-// query/candidate counters — canonical models make the execution strategy
-// unobservable in the answers.
-func TestNoIncrementalParity(t *testing.T) {
-	specs := map[string]func() *protocols.Spec{
-		"VI":     func() *protocols.Spec { return protocols.VI(2) },
-		"Origin": func() *protocols.Spec { return protocols.Origin(2, true) },
-	}
-	for name, mk := range specs {
-		t.Run(name, func(t *testing.T) {
-			complete := func(noInc bool) (string, *core.Report) {
-				spec := mk()
-				rep, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
-					core.Options{
-						Limits:        synth.Limits{MaxSize: 12},
-						Workers:       2,
-						NoIncremental: noInc,
-					})
-				if err != nil {
-					t.Fatalf("noIncremental=%v: %v", noInc, err)
-				}
-				return renderSystem(spec.Sys), rep
-			}
-			inc, incRep := complete(false)
-			one, oneRep := complete(true)
-			if inc != one {
-				t.Errorf("incremental and one-shot EFSMs differ:\n--- incremental\n%s\n--- one-shot\n%s", inc, one)
-			}
-			if incRep.SMTQueries != oneRep.SMTQueries ||
-				incRep.UpdateExprsTried != oneRep.UpdateExprsTried ||
-				incRep.GuardExprsTried != oneRep.GuardExprsTried ||
-				incRep.Transitions != oneRep.Transitions {
-				t.Errorf("reports differ: incremental %+v vs one-shot %+v", incRep, oneRep)
-			}
-			if incRep.SMTClausesReused == 0 {
-				t.Error("incremental completion reports zero reused clauses")
-			}
-			if oneRep.SMTClausesReused != 0 {
-				t.Errorf("one-shot completion reports %d reused clauses, want 0", oneRep.SMTClausesReused)
-			}
-		})
-	}
-}
-
 // TestSharedCacheAcrossRebuilds covers the cross-universe replay path: a
 // cache populated by one build of a protocol is reused by a fresh build
 // (new Universe, new enum instances) and must still produce the identical,

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"transit/internal/engine"
 	"transit/internal/expr"
 	"transit/internal/obs/provenance"
 	"transit/internal/synth"
@@ -46,7 +45,6 @@ type holeCapture struct {
 	ran   bool
 	expr  expr.Expr
 	stats synth.Stats
-	out   engine.SolveOutcome
 	err   error
 }
 
@@ -91,7 +89,6 @@ func recordProvenance(rec *provenance.Recorder, p *planner) {
 			h.Examples = append(h.Examples, er)
 		}
 		h.Iterations = provenance.TraceIterations(cap.stats.Trace)
-		h.Portfolio = cap.out.Portfolio
 		switch {
 		case cap.err != nil:
 			switch {

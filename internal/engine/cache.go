@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"transit/internal/expr"
-	"transit/internal/smt"
 	"transit/internal/synth"
 )
 
@@ -20,13 +19,6 @@ type SolveSpec struct {
 	Problem  synth.Problem
 	Examples []synth.ConcolicExample
 	Limits   synth.Limits
-
-	// Session, when non-nil, runs the solve's SMT queries in this shared
-	// incremental session (which must span exactly Vars ∪ {Output}).
-	// It is an execution detail, not part of the problem: canonical models
-	// make session and sessionless solves answer-identical, so Session —
-	// like Limits.NoIncremental — is deliberately excluded from Key().
-	Session *smt.Session
 }
 
 // Key derives the canonical cache key: a SHA-256 over the universe
@@ -36,12 +28,11 @@ type SolveSpec struct {
 // variable, the concolic examples (pre ⇒ post in canonical String form),
 // and the limits after default resolution (so Limits{} and the explicit
 // defaults share an entry). Only the answer-affecting limits participate:
-// Limits.EnumWorkers, Limits.NoBankReuse, Limits.NoInterpReduction, and
-// Limits.Portfolio — like Limits.NoIncremental — steer how the search
-// runs, not what it returns (the tier merge, the restart fallback, the
-// interpretation-reduction partition, and the portfolio race are
-// output-identical by construction; DESIGN.md §10 and §15), so they are
-// deliberately excluded.
+// Limits.NoBankReuse and Limits.NoInterpReduction steer how the search
+// runs, not what it returns (the restart fallback and the
+// interpretation-reduction partition are output-identical by
+// construction; DESIGN.md §10 and §15), so they are deliberately
+// excluded.
 func (s SolveSpec) Key() string {
 	var b strings.Builder
 	u := s.Problem.U

@@ -78,17 +78,16 @@ type wireIter struct {
 // replay — the property that keeps aggregate reports identical whether
 // or not the cache intervened — is unchanged.
 type wireStats struct {
-	Enumerated       int64 `json:"enumerated"`
-	Kept             int64 `json:"kept"`
-	MaxSizeSeen      int   `json:"max_size_seen"`
-	Restarts         int   `json:"restarts"`
-	ConcreteNS       int64 `json:"concrete_ns"`
-	BankReuses       int   `json:"bank_reuses"`
-	SMTQueries       int   `json:"smt_queries"`
-	SMTClauses       int64 `json:"smt_clauses"`
-	SMTClausesReused int64 `json:"smt_clauses_reused"`
-	Iterations       int   `json:"iterations"`
-	ElapsedNS        int64 `json:"elapsed_ns"`
+	Enumerated  int64 `json:"enumerated"`
+	Kept        int64 `json:"kept"`
+	MaxSizeSeen int   `json:"max_size_seen"`
+	Restarts    int   `json:"restarts"`
+	ConcreteNS  int64 `json:"concrete_ns"`
+	BankReuses  int   `json:"bank_reuses"`
+	SMTQueries  int   `json:"smt_queries"`
+	SMTClauses  int64 `json:"smt_clauses"`
+	Iterations  int   `json:"iterations"`
+	ElapsedNS   int64 `json:"elapsed_ns"`
 }
 
 // wireEntry is one persisted cache entry.
@@ -115,17 +114,16 @@ func EncodeEntry(ent CacheEntry) ([]byte, error) {
 		Expr:    we,
 		Trace:   trace,
 		Stats: wireStats{
-			Enumerated:       st.Concrete.Enumerated,
-			Kept:             st.Concrete.Kept,
-			MaxSizeSeen:      st.Concrete.MaxSizeSeen,
-			Restarts:         st.Concrete.Restarts,
-			ConcreteNS:       int64(st.Concrete.Elapsed),
-			BankReuses:       st.BankReuses,
-			SMTQueries:       st.SMTQueries,
-			SMTClauses:       st.SMTClauses,
-			SMTClausesReused: st.SMTClausesReused,
-			Iterations:       st.Iterations,
-			ElapsedNS:        int64(st.Elapsed),
+			Enumerated:  st.Concrete.Enumerated,
+			Kept:        st.Concrete.Kept,
+			MaxSizeSeen: st.Concrete.MaxSizeSeen,
+			Restarts:    st.Concrete.Restarts,
+			ConcreteNS:  int64(st.Concrete.Elapsed),
+			BankReuses:  st.BankReuses,
+			SMTQueries:  st.SMTQueries,
+			SMTClauses:  st.SMTClauses,
+			Iterations:  st.Iterations,
+			ElapsedNS:   int64(st.Elapsed),
 		},
 	})
 }
@@ -258,12 +256,11 @@ func DecodeEntry(data []byte, spec SolveSpec) (ent CacheEntry, ok bool) {
 				Restarts:    we.Stats.Restarts,
 				Elapsed:     time.Duration(we.Stats.ConcreteNS),
 			},
-			BankReuses:       we.Stats.BankReuses,
-			SMTQueries:       we.Stats.SMTQueries,
-			SMTClauses:       we.Stats.SMTClauses,
-			SMTClausesReused: we.Stats.SMTClausesReused,
-			Iterations:       we.Stats.Iterations,
-			Elapsed:          time.Duration(we.Stats.ElapsedNS),
+			BankReuses: we.Stats.BankReuses,
+			SMTQueries: we.Stats.SMTQueries,
+			SMTClauses: we.Stats.SMTClauses,
+			Iterations: we.Stats.Iterations,
+			Elapsed:    time.Duration(we.Stats.ElapsedNS),
 		},
 	}, true
 }

@@ -58,9 +58,6 @@ type Job struct {
 	Candidates int64
 	// SMTQueries is the number of SMT queries issued.
 	SMTQueries int
-	// ClausesReused is the number of cached-circuit clauses the job's
-	// incremental SMT session reused instead of re-encoding.
-	ClausesReused int64
 	// Iterations is the number of CEGIS iterations taken.
 	Iterations int
 	// Retries is the number of extra attempts the retry policy spent.
@@ -95,20 +92,6 @@ type Config struct {
 	// Workers is the pool size; values <= 0 mean 1. Workers == 1
 	// reproduces sequential plan-order execution exactly.
 	Workers int
-	// EnumWorkers is the per-solve tier-parallel enumeration fan-out
-	// (synth.Limits.EnumWorkers), applied to specs that leave it unset.
-	// Values <= 0 mean 1 (sequential tiers). The two pools multiply —
-	// Workers jobs may each run EnumWorkers enumeration goroutines — so
-	// callers sharing a machine budget should split it between them.
-	// Enumeration results are worker-count-invariant, so this never
-	// affects answers or the memoization key.
-	EnumWorkers int
-	// Portfolio races this many solver configurations per cache-miss solve
-	// (see SolveConcolic), applied to specs whose Limits leave it unset.
-	// Values <= 1 disable racing. Like EnumWorkers it is an execution
-	// strategy, not part of the problem, and is excluded from the
-	// memoization key.
-	Portfolio int
 	// Timeout bounds a whole Run; 0 means none.
 	Timeout time.Duration
 	// JobTimeout bounds each individual job; 0 means none.
@@ -342,7 +325,7 @@ func (e *Engine) execute(ctx context.Context, j *Job, worker int) error {
 	err := j.Run(jctx)
 	j.Duration = time.Since(start)
 	span.SetAttr(obs.Bool("cache_hit", j.CacheHit), obs.Int64("candidates", j.Candidates),
-		obs.Int("smt_queries", j.SMTQueries), obs.Int64("clauses_reused", j.ClausesReused),
+		obs.Int("smt_queries", j.SMTQueries),
 		obs.Int("cegis_iterations", j.Iterations), obs.Int("retries", j.Retries))
 	if err != nil {
 		span.SetAttr(obs.Str("error", err.Error()))
@@ -351,8 +334,7 @@ func (e *Engine) execute(ctx context.Context, j *Job, worker int) error {
 	ev := Event{Type: "job_end", Job: j.Label, Kind: j.Kind, Worker: worker + 1,
 		DurationMS: float64(j.Duration) / float64(time.Millisecond),
 		CacheHit:   j.CacheHit, Candidates: j.Candidates,
-		SMTQueries: j.SMTQueries, ClausesReused: j.ClausesReused,
-		Iterations: j.Iterations, Retries: j.Retries}
+		SMTQueries: j.SMTQueries, Iterations: j.Iterations, Retries: j.Retries}
 	if err != nil {
 		ev.Error = err.Error()
 	}

@@ -474,3 +474,36 @@ func TestEngineRunStress(t *testing.T) {
 		}
 	}
 }
+
+// TestUnrealizableFastFail pins the interaction between the retry
+// schedule and unrealizability detection: a hole the atlas proves
+// impossible fails in one attempt — no escalating-limits retries — and
+// the error reaches the caller as ErrUnrealizable.
+func TestUnrealizableFastFail(t *testing.T) {
+	u, err := expr.NewUniverseWidth(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := expr.V("a", expr.IntType), expr.V("b", expr.IntType)
+	o := expr.V("o", expr.IntType)
+	spec := SolveSpec{
+		Problem: synth.Problem{U: u, Vocab: expr.NewVocabulary(), Vars: []*expr.Var{a, b}, Output: o},
+		Examples: []synth.ConcolicExample{{
+			Pre: expr.True(),
+			Post: expr.And(expr.Ge(o, a), expr.Ge(o, b),
+				expr.Or(expr.Eq(o, a), expr.Eq(o, b))),
+		}},
+		Limits: synth.Limits{MaxSize: 4},
+	}
+	eng := New(Config{Retry: RetryPolicy{Attempts: 3}})
+	_, stats, out, err := eng.SolveConcolic(context.Background(), spec)
+	if !errors.Is(err, synth.ErrUnrealizable) {
+		t.Fatalf("error = %v, want ErrUnrealizable", err)
+	}
+	if out.Retries != 0 {
+		t.Errorf("spent %d retries on a proven-unrealizable hole", out.Retries)
+	}
+	if !stats.Unrealizable {
+		t.Error("stats.Unrealizable not set")
+	}
+}

@@ -40,13 +40,8 @@ type SolveOutcome struct {
 	Cached bool
 	// Tier is the cache tier that answered the lookup.
 	Tier Tier
-	// Retries is the number of extra attempts the retry policy spent (the
-	// winning configuration's, in a portfolio race).
+	// Retries is the number of extra attempts the retry policy spent.
 	Retries int
-	// Portfolio names the configuration that won the portfolio race, or
-	// "" when no race ran (racing disabled, or the answer came from the
-	// cache).
-	Portfolio string
 	// CacheWait is the time spent in the two-tier cache lookup.
 	CacheWait time.Duration
 	// SolveWait is the time spent in the synthesizer (all attempts).
@@ -96,21 +91,9 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 		}
 		key = k
 	}
-	limits := spec.Limits
-	if limits.EnumWorkers == 0 {
-		limits.EnumWorkers = e.cfg.EnumWorkers
-	}
-	k := limits.Portfolio
-	if k == 0 {
-		k = e.cfg.Portfolio
-	}
 	solveStart := time.Now()
 	defer func() { out.SolveWait = time.Since(solveStart) }()
-	if k > 1 {
-		res, stats, out.Retries, out.Portfolio, err = e.racePortfolio(ctx, spec, limits, k)
-	} else {
-		res, stats, out.Retries, err = e.solveAttempts(ctx, spec, limits)
-	}
+	res, stats, out.Retries, err = e.solveAttempts(ctx, spec)
 	if err != nil {
 		return nil, stats, out, err
 	}
@@ -120,21 +103,22 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 	return res, stats, out, nil
 }
 
-// solveAttempts runs the retry-with-grown-limits schedule for one solver
-// configuration, accumulating the stats of every attempt. Retry only makes
+// solveAttempts runs the retry-with-grown-limits schedule, accumulating
+// the stats of every attempt. Retry only makes
 // sense when the bounded search came up empty; inconsistent example sets,
 // proven-unrealizable holes (synth.ErrUnrealizable does not wrap
 // synth.ErrNoExpression, which is precisely what makes an impossible hole
 // fail in one attempt instead of three escalating ones), and cancellations
 // are final.
-func (e *Engine) solveAttempts(ctx context.Context, spec SolveSpec, limits synth.Limits) (res expr.Expr, stats synth.Stats, retries int, err error) {
+func (e *Engine) solveAttempts(ctx context.Context, spec SolveSpec) (res expr.Expr, stats synth.Stats, retries int, err error) {
 	attempts := e.cfg.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
+	limits := spec.Limits
 	for a := 0; ; a++ {
 		var st synth.Stats
-		res, st, err = synth.SolveConcolicSessionCtx(ctx, spec.Problem, spec.Examples, limits, spec.Session)
+		res, st, err = synth.SolveConcolicCtx(ctx, spec.Problem, spec.Examples, limits)
 		stats.Concrete.Enumerated += st.Concrete.Enumerated
 		stats.Concrete.Kept += st.Concrete.Kept
 		stats.Concrete.Restarts += st.Concrete.Restarts
@@ -145,7 +129,6 @@ func (e *Engine) solveAttempts(ctx context.Context, spec SolveSpec, limits synth
 		stats.BankReuses += st.BankReuses
 		stats.SMTQueries += st.SMTQueries
 		stats.SMTClauses += st.SMTClauses
-		stats.SMTClausesReused += st.SMTClausesReused
 		stats.Iterations += st.Iterations
 		stats.Elapsed += st.Elapsed
 		stats.Trace = append(stats.Trace, st.Trace...)
@@ -159,111 +142,4 @@ func (e *Engine) solveAttempts(ctx context.Context, spec SolveSpec, limits synth
 		}
 		limits = growLimits(limits)
 	}
-}
-
-// portfolioConfig is one raced solver configuration: a display name (the
-// telemetry label) and the limits it runs under.
-type portfolioConfig struct {
-	name   string
-	limits synth.Limits
-}
-
-// portfolioConfigs derives the deterministic configuration ladder for a
-// K-way race from the base limits: the base configuration first, then the
-// escape-hatch variants in fixed order — interpretation reduction off
-// (wins when probe evaluation overhead outweighs its pruning), bank reuse
-// off (wins when stale banks would force fallback walks), and the
-// opposite tier-worker count (sequential if the base is parallel, 4-way
-// if sequential). Hint strategies are not varied: the concretization hint
-// is part of what makes answers canonical, so racing it would race
-// different answers. K beyond the ladder length is clamped.
-func portfolioConfigs(base synth.Limits, k int) []portfolioConfig {
-	noRed := base
-	noRed.NoInterpReduction = true
-	noBank := base
-	noBank.NoBankReuse = true
-	alt := base
-	altName := "enum-workers-4"
-	if base.WithDefaults().EnumWorkers > 1 {
-		alt.EnumWorkers = 1
-		altName = "enum-workers-1"
-	} else {
-		alt.EnumWorkers = 4
-	}
-	cfgs := []portfolioConfig{
-		{name: "base", limits: base},
-		{name: "no-interp-reduction", limits: noRed},
-		{name: "no-bank", limits: noBank},
-		{name: altName, limits: alt},
-	}
-	if k < len(cfgs) {
-		cfgs = cfgs[:k]
-	}
-	return cfgs
-}
-
-// racePortfolio runs K solver configurations concurrently on the same
-// spec and keeps the first one to succeed, cancelling the rest through
-// the usual context plumbing and waiting for every racer to exit before
-// returning (no goroutine outlives the call). The winner's expression,
-// stats, and retry count are returned as if that configuration had run
-// alone; losers' work is discarded. When every configuration fails, the
-// base configuration's error is returned — deterministic, and the most
-// meaningful, since the others differ only in execution strategy.
-//
-// Racers never share the caller's incremental SMT session (sessions are
-// single-threaded), so spec.Session is dropped for the race; canonical
-// models make session and sessionless solves answer-identical, so this
-// changes wall-clock only.
-func (e *Engine) racePortfolio(ctx context.Context, spec SolveSpec, base synth.Limits, k int) (expr.Expr, synth.Stats, int, string, error) {
-	cfgs := portfolioConfigs(base, k)
-	ctx, span := obs.Start(ctx, "engine.portfolio", obs.Int("configs", len(cfgs)))
-	defer span.End()
-	reg := obs.MetricsFrom(ctx)
-	if reg != nil {
-		reg.Counter("engine.portfolio.races").Inc()
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type raceResult struct {
-		idx     int
-		res     expr.Expr
-		stats   synth.Stats
-		retries int
-		err     error
-	}
-	done := make(chan raceResult, len(cfgs))
-	for i, c := range cfgs {
-		rspec := spec
-		rspec.Session = nil
-		rspec.Limits = c.limits
-		go func(i int, rspec SolveSpec) {
-			res, stats, retries, err := e.solveAttempts(rctx, rspec, rspec.Limits)
-			done <- raceResult{idx: i, res: res, stats: stats, retries: retries, err: err}
-		}(i, rspec)
-	}
-	var winner raceResult
-	hasWinner := false
-	results := make([]raceResult, len(cfgs))
-	for pending := len(cfgs); pending > 0; pending-- {
-		r := <-done
-		results[r.idx] = r
-		if r.err == nil && !hasWinner {
-			winner, hasWinner = r, true
-			cancel()
-			if reg != nil {
-				reg.Counter("engine.portfolio.cancelled").Add(int64(pending - 1))
-			}
-		}
-	}
-	if hasWinner {
-		name := cfgs[winner.idx].name
-		span.SetAttr(obs.Str("winner", name))
-		if reg != nil {
-			reg.Counter("engine.portfolio.win." + name).Inc()
-		}
-		return winner.res, winner.stats, winner.retries, name, nil
-	}
-	r := results[0]
-	return nil, r.stats, r.retries, "", r.err
 }

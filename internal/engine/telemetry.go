@@ -11,7 +11,7 @@ import (
 //	{"type":"engine_start","workers":N,"jobs":M}
 //	{"type":"job_start","job":L,"kind":K,"worker":W}
 //	{"type":"job_end","job":L,"kind":K,"worker":W,"duration_ms":D,
-//	 "cache_hit":B,"candidates":C,"smt_queries":Q,"clauses_reused":CR,
+//	 "cache_hit":B,"candidates":C,"smt_queries":Q,
 //	 "cegis_iterations":I,"retries":R,"error":E}
 //	{"type":"engine_end","workers":N,"jobs":M,"failed":F,"skipped":S,
 //	 "cache_hits":H,"cache_misses":Mi,"duration_ms":D,"utilization":U}
@@ -22,26 +22,25 @@ import (
 // 0-based numbering would have dropped the field from worker 0's job
 // events as well.
 type Event struct {
-	Type          string  `json:"type"`
-	Job           string  `json:"job,omitempty"`
-	Kind          string  `json:"kind,omitempty"`
-	Worker        int     `json:"worker,omitempty"`
-	DurationMS    float64 `json:"duration_ms,omitempty"`
-	CacheHit      bool    `json:"cache_hit,omitempty"`
-	CacheTier     string  `json:"cache_tier,omitempty"`
-	Candidates    int64   `json:"candidates,omitempty"`
-	SMTQueries    int     `json:"smt_queries,omitempty"`
-	ClausesReused int64   `json:"clauses_reused,omitempty"`
-	Iterations    int     `json:"cegis_iterations,omitempty"`
-	Retries       int     `json:"retries,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
-	Jobs          int     `json:"jobs,omitempty"`
-	Failed        int     `json:"failed,omitempty"`
-	Skipped       int     `json:"skipped,omitempty"`
-	CacheHits     int     `json:"cache_hits,omitempty"`
-	CacheMisses   int     `json:"cache_misses,omitempty"`
-	Utilization   float64 `json:"utilization,omitempty"`
-	Error         string  `json:"error,omitempty"`
+	Type        string  `json:"type"`
+	Job         string  `json:"job,omitempty"`
+	Kind        string  `json:"kind,omitempty"`
+	Worker      int     `json:"worker,omitempty"`
+	DurationMS  float64 `json:"duration_ms,omitempty"`
+	CacheHit    bool    `json:"cache_hit,omitempty"`
+	CacheTier   string  `json:"cache_tier,omitempty"`
+	Candidates  int64   `json:"candidates,omitempty"`
+	SMTQueries  int     `json:"smt_queries,omitempty"`
+	Iterations  int     `json:"cegis_iterations,omitempty"`
+	Retries     int     `json:"retries,omitempty"`
+	Workers     int     `json:"workers,omitempty"`
+	Jobs        int     `json:"jobs,omitempty"`
+	Failed      int     `json:"failed,omitempty"`
+	Skipped     int     `json:"skipped,omitempty"`
+	CacheHits   int     `json:"cache_hits,omitempty"`
+	CacheMisses int     `json:"cache_misses,omitempty"`
+	Utilization float64 `json:"utilization,omitempty"`
+	Error       string  `json:"error,omitempty"`
 }
 
 // Sink consumes telemetry events. Sinks must be safe for concurrent

@@ -90,9 +90,6 @@ func explainHole(w io.Writer, h *HoleRecord) {
 	default:
 		fmt.Fprintf(w, "├─ FAILED (%s): %s\n", h.Status, h.Error)
 	}
-	if h.Portfolio != "" {
-		fmt.Fprintf(w, "├─ portfolio winner: %s\n", h.Portfolio)
-	}
 
 	if len(h.Examples) > 0 {
 		fmt.Fprintf(w, "├─ examples (%d):\n", len(h.Examples))

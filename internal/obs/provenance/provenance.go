@@ -111,7 +111,6 @@ type HoleRecord struct {
 	Status    string          `json:"status"`
 	Result    string          `json:"result,omitempty"`
 	Error     string          `json:"error,omitempty"`
-	Portfolio string          `json:"portfolio,omitempty"` // winning config when racing was on
 	Witnesses []WitnessRecord `json:"witnesses"`
 }
 

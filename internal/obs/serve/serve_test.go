@@ -252,8 +252,8 @@ func TestPprofMounted(t *testing.T) {
 }
 
 // TestBroadcastConcurrent is the race-mode stress: concurrent span
-// closes (the EnumWorkers shape) against subscribers that come and go,
-// including slow ones that force the drop path.
+// closes (as from parallel engine jobs) against subscribers that come
+// and go, including slow ones that force the drop path.
 func TestBroadcastConcurrent(t *testing.T) {
 	b := NewBroadcast()
 	var wg sync.WaitGroup

@@ -194,9 +194,9 @@ func TestRecorderMetricsTrailer(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent hammers the ring from many goroutines (the
-// EnumWorkers shape: concurrent span closes) while dumps run, under the
-// race detector.
+// TestRecorderConcurrent hammers the ring from many goroutines
+// (concurrent span closes, as from parallel engine jobs) while dumps
+// run, under the race detector.
 func TestRecorderConcurrent(t *testing.T) {
 	rec := NewRecorder(64)
 	rec.Metrics = NewRegistry()

@@ -20,8 +20,6 @@ type encoder struct {
 	vars       map[string]encVar
 	order      []string
 	cache      map[expr.Expr][]sat.Lit
-	cost       map[expr.Expr]int64 // clauses emitted when the node was first encoded
-	reused     int64               // cumulative clauses avoided via cache hits
 }
 
 type encVar struct {
@@ -35,7 +33,6 @@ func newEncoder(u *expr.Universe, vars []*expr.Var) (*encoder, error) {
 		s:     sat.New(),
 		vars:  make(map[string]encVar, len(vars)),
 		cache: make(map[expr.Expr][]sat.Lit),
-		cost:  make(map[expr.Expr]int64),
 	}
 	// A dedicated always-true literal anchors constants.
 	e.trueLit = e.fresh()
@@ -323,21 +320,16 @@ func (e *encoder) valueBits(v expr.Value) ([]sat.Lit, error) {
 }
 
 // encode translates an expression to its bit vector, caching shared
-// subtrees by node identity. A cache hit credits the node's first-encode
-// clause count (newly encoded descendants included) to the reuse counter —
-// a lower bound on the clauses a fresh encoder would have re-emitted.
+// subtrees by node identity.
 func (e *encoder) encode(x expr.Expr) ([]sat.Lit, error) {
 	if bits, ok := e.cache[x]; ok {
-		e.reused += e.cost[x]
 		return bits, nil
 	}
-	before := e.numClauses
 	bits, err := e.encode1(x)
 	if err != nil {
 		return nil, err
 	}
 	e.cache[x] = bits
-	e.cost[x] = e.numClauses - before
 	return bits, nil
 }
 

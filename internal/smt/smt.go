@@ -50,29 +50,20 @@ type Options struct {
 	// hinted variable every bit's preferred polarity is the hint's bit, so
 	// the query returns the satisfying assignment closest to the hint
 	// (unhinted variables keep the default least-value preference). The
-	// model stays a pure function of (formula, hint) — identical for
-	// one-shot and incremental solving — which is what lets CEGIS
-	// concretize "near the current candidate" without breaking answer
-	// parity. Hints never affect satisfiability, only model choice.
+	// model stays a pure function of (formula, hint), which is what lets
+	// CEGIS concretize "near the current candidate" deterministically.
+	// Hints never affect satisfiability, only model choice.
 	Hint expr.Env
 }
 
-// Stats reports encoding and solving work for one query. On a fresh
-// (one-shot) query the session deltas coincide with the totals; on a
-// reused incremental session, Clauses/Conflicts/Decisions/Propagated and
-// the extras below are charged per query.
+// Stats reports encoding and solving work for one query.
 type Stats struct {
-	SATVars    int   // total SAT variables in the (possibly shared) solver
-	Clauses    int64 // clauses newly encoded by this query
-	Conflicts  int64
-	Decisions  int64
-	Propagated int64
-
-	// Incremental-session extras.
-	NewVars          int   // SAT variables created by this query
-	ClausesReused    int64 // cached-circuit clauses reused instead of re-encoded
-	AssumptionSolves int64 // SAT calls under assumptions (incl. canonicalization probes)
-	LearnedKept      int64 // learned clauses retained from earlier queries
+	SATVars          int   // SAT variables in the query's solver
+	Clauses          int64 // clauses encoded
+	Conflicts        int64
+	Decisions        int64
+	Propagated       int64
+	AssumptionSolves int64 // canonicalization probes (SAT calls under assumptions)
 }
 
 // Solve checks satisfiability of a Boolean formula over the given typed
@@ -100,20 +91,6 @@ func SolveOptCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formul
 // SolveStats is SolveOpt, additionally reporting work statistics.
 func SolveStats(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (Result, Stats, error) {
 	return SolveStatsCtx(context.Background(), u, vars, formula, opts)
-}
-
-// SolveStatsCtx is SolveStats under a context (see SolveOptCtx). One
-// "smt.solve" span brackets the query, with an "smt.encode" child for
-// bit-blasting and a "sat.search" child for the CDCL run; the metrics
-// registry on the context (when present) accumulates query and search
-// counters. Each call runs in a fresh one-query Session, so it returns the
-// same canonical model an incremental session would.
-func SolveStatsCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (Result, Stats, error) {
-	sess, err := newSession(u, vars, false)
-	if err != nil {
-		return Result{}, Stats{}, err
-	}
-	return sess.SolveStats(ctx, formula, opts)
 }
 
 // statusName renders a verdict for span attributes.

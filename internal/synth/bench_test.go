@@ -58,30 +58,14 @@ func BenchmarkSolveConcolicTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkCEGISIncremental measures the default path: one incremental
-// smt.Session per solve, examples encoded once, candidates asserted under
-// activation literals. Compare against BenchmarkCEGISOneShot (the
-// -no-incremental escape hatch) for the encoding-reuse win; answers are
-// identical by construction.
-func BenchmarkCEGISIncremental(b *testing.B) {
+// BenchmarkCEGIS measures a whole CEGIS solve: enumeration plus one
+// one-shot SMT query per consistency check and concretization.
+func BenchmarkCEGIS(b *testing.B) {
 	p, exs := benchProblem(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := SolveConcolicCtx(ctx, p, exs, Limits{MaxSize: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCEGISOneShot is the same workload with every SMT query solved
-// in a fresh encoder and solver.
-func BenchmarkCEGISOneShot(b *testing.B) {
-	p, exs := benchProblem(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveConcolicCtx(ctx, p, exs, Limits{MaxSize: 8, NoIncremental: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,26 +27,9 @@ func SolveConcolic(p Problem, examples []ConcolicExample, limits Limits) (expr.E
 // the context is cancelled or times out. The context also carries the
 // observability plumbing: a "synth.cegis" span brackets the call with
 // one "synth.iteration" child per CEGIS round, and the metrics registry
-// (when present) accumulates the solve counters.
-//
-// By default all SMT queries of one solve run in a single incremental
-// smt.Session: the symbolic examples are encoded once, each iteration
-// asserts only the candidate's binding o = e under a fresh activation
-// literal and retracts it afterwards. Limits.NoIncremental falls back to
-// one-shot queries; both paths pose identical formulas and, because models
-// are canonical, produce identical witnesses, concretizations, and traces.
+// (when present) accumulates the solve counters. Every SMT query is a
+// fresh one-shot smt.SolveStatsCtx call.
 func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits) (expr.Expr, Stats, error) {
-	return SolveConcolicSessionCtx(ctx, p, examples, limits, nil)
-}
-
-// SolveConcolicSessionCtx is SolveConcolicCtx running its SMT queries in
-// the supplied session, which must have been created over exactly
-// Vars ∪ {Output} of the problem. It lets callers with several related
-// solves over the same variables (e.g. the guard chain of one core group)
-// share circuits and learned clauses across solves; every assertion made
-// here is retracted before returning. A nil session gives each solve its
-// own; Limits.NoIncremental ignores the session entirely.
-func SolveConcolicSessionCtx(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits, sess *smt.Session) (expr.Expr, Stats, error) {
 	limits = limits.withDefaults()
 	stats := Stats{}
 	start := time.Now()
@@ -74,12 +57,7 @@ func SolveConcolicSessionCtx(ctx context.Context, p Problem, examples []Concolic
 			return nil, stats, fmt.Errorf("synth: concolic example %d is not Boolean", i)
 		}
 	}
-	smtOpts := smt.Options{MaxConflicts: limits.SMTConflicts}
-	be, err := newBackend(p, examples, limits, smtOpts, sess)
-	if err != nil {
-		return nil, stats, fmt.Errorf("synth: encoding examples: %w", err)
-	}
-	defer be.close()
+	be := newBackend(p, examples, smt.Options{MaxConflicts: limits.SMTConflicts})
 
 	var concrete []ConcreteExample
 	var bk *bank
@@ -151,11 +129,6 @@ func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
 		return nil, false, err
 	}
 
-	if err := be.beginCandidate(candidate); err != nil {
-		return nil, false, fmt.Errorf("synth: consistency query: %w", err)
-	}
-	defer be.endCandidate()
-
 	rec := IterRecord{
 		Candidate:  candidate,
 		KilledBy:   -1,
@@ -166,7 +139,7 @@ func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
 	}
 	consistent = true
 	for i := range examples {
-		S, err := be.checkExample(ctx, i, stats)
+		S, err := be.checkExample(ctx, i, candidate, stats)
 		if err != nil {
 			return nil, false, err
 		}
@@ -193,17 +166,11 @@ func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
 	return candidate, consistent, nil
 }
 
-// smtBackend issues the CEGIS queries. Both modes pose the same formulas
-// over Vars ∪ {o}:
+// smtBackend issues the CEGIS queries, each a one-shot query over
+// Vars ∪ {o}:
 //
 //	consistency(i, e):  pre_i ∧ ¬post_i ∧ (o = e)     witness over Vars
 //	concretize(S):      ∧_j (pre_j ⇒ post_j) ∧ pins(S) model value of o
-//
-// In incremental mode the example groups are asserted once at
-// construction, each under its own activation literal; per iteration only
-// o = e is asserted (and retracted when the iteration ends). One-shot mode
-// sends each query to the package-level solver. Canonical models make the
-// two answer-identical.
 //
 // Model choice is steered with hints (smt.Options.Hint): every query is
 // hinted toward the saturated valuation — each variable, the output
@@ -216,119 +183,37 @@ func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
 // Concretizations pin the legal output closest to the domain maximum —
 // the most permissive correction — which keeps small generalizations (add
 // every relevant PID) inside the consistent set instead of forcing
-// minimal-output special cases. Both modes pass identical hints, so
-// answer parity is unaffected.
+// minimal-output special cases.
 type smtBackend struct {
-	p       Problem
-	qvars   []*expr.Var // p.Vars ∪ {Output}
-	opts    smt.Options
-	satHint expr.Env // saturated hint over Vars ∪ {Output}
-
+	p        Problem
+	qvars    []*expr.Var // p.Vars ∪ {Output}
+	opts     smt.Options // hinted toward the saturated valuation
 	examples []ConcolicExample
-
-	sess     *smt.Session     // nil in one-shot mode
-	owned    bool             // session created by this backend
-	exChecks []*smt.Assertion // per-example pre_i ∧ ¬post_i
-	allEx    *smt.Assertion   // ∧_j (pre_j ⇒ post_j)
-	bind     *smt.Assertion   // o = candidate for the current iteration
-	cand     expr.Expr        // current candidate
+	allEx    expr.Expr // ∧_j (pre_j ⇒ post_j)
 }
 
-func newBackend(p Problem, examples []ConcolicExample, limits Limits, opts smt.Options, sess *smt.Session) (*smtBackend, error) {
+func newBackend(p Problem, examples []ConcolicExample, opts smt.Options) *smtBackend {
 	qvars := append(append([]*expr.Var(nil), p.Vars...), p.Output)
-	satHint := make(expr.Env, len(qvars))
+	opts.Hint = make(expr.Env, len(qvars))
 	for _, v := range qvars {
-		satHint[v.Name] = expr.MaxOf(p.U, v.VT)
-	}
-	be := &smtBackend{p: p, qvars: qvars, opts: opts, satHint: satHint, examples: examples}
-	if limits.NoIncremental {
-		return be, nil
-	}
-	if sess == nil {
-		var err error
-		sess, err = smt.NewSession(p.U, qvars)
-		if err != nil {
-			return nil, err
-		}
-		be.owned = true
-	}
-	be.sess = sess
-	for _, c := range examples {
-		a, err := sess.Assert(expr.And(c.Pre, expr.Not(c.Post)))
-		if err != nil {
-			be.close()
-			return nil, err
-		}
-		be.exChecks = append(be.exChecks, a)
+		opts.Hint[v.Name] = expr.MaxOf(p.U, v.VT)
 	}
 	forms := make([]expr.Expr, 0, len(examples))
 	for _, c := range examples {
 		forms = append(forms, c.Formula())
 	}
-	all, err := sess.Assert(expr.And(forms...))
-	if err != nil {
-		be.close()
-		return nil, err
-	}
-	be.allEx = all
-	return be, nil
+	return &smtBackend{p: p, qvars: qvars, opts: opts, examples: examples, allEx: expr.And(forms...)}
 }
 
-// close retracts everything this backend asserted, leaving an injected
-// session clean for its next user.
-func (be *smtBackend) close() {
-	if be.sess == nil {
-		return
-	}
-	be.sess.Retract(be.bind)
-	be.sess.Retract(be.allEx)
-	for _, a := range be.exChecks {
-		be.sess.Retract(a)
-	}
-}
-
-// beginCandidate installs o = candidate for the coming consistency checks.
-func (be *smtBackend) beginCandidate(candidate expr.Expr) error {
-	be.cand = candidate
-	if be.sess == nil {
-		return nil
-	}
-	a, err := be.sess.Assert(expr.Eq(be.p.Output, candidate))
-	if err != nil {
-		return err
-	}
-	be.bind = a
-	return nil
-}
-
-// endCandidate retracts the current candidate binding.
-func (be *smtBackend) endCandidate() {
-	if be.sess != nil {
-		be.sess.Retract(be.bind)
-	}
-	be.bind = nil
-	be.cand = nil
-}
-
-// checkExample poses consistency query i for the current candidate and
-// returns the witness valuation over p.Vars, or nil when the example is
+// checkExample poses consistency query i for the candidate and returns
+// the witness valuation over p.Vars, or nil when the example is
 // satisfied.
-func (be *smtBackend) checkExample(ctx context.Context, i int, stats *Stats) (expr.Env, error) {
+func (be *smtBackend) checkExample(ctx context.Context, i int, candidate expr.Expr, stats *Stats) (expr.Env, error) {
 	c := be.examples[i]
 	stats.SMTQueries++
-	opts := be.opts
-	opts.Hint = be.satHint
-	var res smt.Result
-	var qstats smt.Stats
-	var err error
-	if be.sess != nil {
-		res, qstats, err = be.sess.SolveAssuming(ctx, []*smt.Assertion{be.exChecks[i], be.bind}, be.p.Vars, opts)
-	} else {
-		query := expr.And(c.Pre, expr.Not(c.Post), expr.Eq(be.p.Output, be.cand))
-		res, qstats, err = smt.SolveStatsCtx(ctx, be.p.U, be.qvars, query, opts)
-	}
+	query := expr.And(c.Pre, expr.Not(c.Post), expr.Eq(be.p.Output, candidate))
+	res, qstats, err := smt.SolveStatsCtx(ctx, be.p.U, be.qvars, query, be.opts)
 	stats.SMTClauses += qstats.Clauses
-	stats.SMTClausesReused += qstats.ClausesReused
 	if err != nil {
 		return nil, fmt.Errorf("synth: consistency query: %w", err)
 	}
@@ -338,11 +223,7 @@ func (be *smtBackend) checkExample(ctx context.Context, i int, stats *Stats) (ex
 	case smt.Unknown:
 		return nil, fmt.Errorf("synth: consistency query exhausted SMT budget")
 	}
-	if be.sess != nil {
-		return res.Model, nil
-	}
-	// Project the one-shot model onto the input variables so both modes
-	// return identical witnesses.
+	// The witness is the model's projection onto the input variables.
 	S := make(expr.Env, len(be.p.Vars))
 	for _, v := range be.p.Vars {
 		S[v.Name] = res.Model[v.Name]
@@ -364,7 +245,6 @@ func (be *smtBackend) checkExample(ctx context.Context, i int, stats *Stats) (ex
 // degenerate output only a spec-overfitted expression can reproduce,
 // stranding CEGIS; the saturated pin instead stays reachable by the small
 // generalizations (add every relevant PID) the enumerator proposes first.
-// Both modes pass the same hint, so answer parity is unaffected.
 func (be *smtBackend) concretize(ctx context.Context, S expr.Env, stats *Stats) (expr.Value, error) {
 	pins := make([]expr.Expr, 0, len(be.p.Vars))
 	for _, v := range be.p.Vars {
@@ -375,28 +255,9 @@ func (be *smtBackend) concretize(ctx context.Context, S expr.Env, stats *Stats) 
 		pins = append(pins, expr.Eq(v, expr.NewConst(val)))
 	}
 	stats.SMTQueries++
-	opts := be.opts
-	opts.Hint = be.satHint
-	var res smt.Result
-	var qstats smt.Stats
-	var err error
-	if be.sess != nil {
-		pinA, aerr := be.sess.Assert(expr.And(pins...))
-		if aerr != nil {
-			return expr.Value{}, fmt.Errorf("synth: output concretization: %w", aerr)
-		}
-		res, qstats, err = be.sess.SolveAssuming(ctx, []*smt.Assertion{be.allEx, pinA}, be.qvars, opts)
-		be.sess.Retract(pinA)
-	} else {
-		forms := make([]expr.Expr, 0, len(be.examples))
-		for _, ex := range be.examples {
-			forms = append(forms, ex.Formula())
-		}
-		query := expr.And(expr.And(forms...), expr.And(pins...))
-		res, qstats, err = smt.SolveStatsCtx(ctx, be.p.U, be.qvars, query, opts)
-	}
+	query := expr.And(be.allEx, expr.And(pins...))
+	res, qstats, err := smt.SolveStatsCtx(ctx, be.p.U, be.qvars, query, be.opts)
 	stats.SMTClauses += qstats.Clauses
-	stats.SMTClausesReused += qstats.ClausesReused
 	if err != nil {
 		return expr.Value{}, fmt.Errorf("synth: output concretization: %w", err)
 	}

@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"context"
 	"testing"
 
 	"transit/internal/expr"
@@ -60,71 +59,5 @@ func parityProblems(t *testing.T) []struct {
 			},
 			limits: Limits{MaxSize: 8},
 		},
-	}
-}
-
-// TestConcolicIncrementalParity is the answer-parity guard for the
-// incremental-session refactor: with and without NoIncremental, CEGIS must
-// produce byte-identical traces — same candidates, same witnesses, same
-// concretized outputs, same final expression, same query count.
-func TestConcolicIncrementalParity(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range parityProblems(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			incLimits := tc.limits
-			oneLimits := tc.limits
-			oneLimits.NoIncremental = true
-			incExpr, incStats, incErr := SolveConcolicCtx(ctx, tc.p, tc.examples, incLimits)
-			oneExpr, oneStats, oneErr := SolveConcolicCtx(ctx, tc.p, tc.examples, oneLimits)
-			if (incErr == nil) != (oneErr == nil) {
-				t.Fatalf("error parity: incremental=%v one-shot=%v", incErr, oneErr)
-			}
-			if incErr != nil {
-				return
-			}
-			if incExpr.String() != oneExpr.String() {
-				t.Fatalf("result parity: incremental=%s one-shot=%s", incExpr, oneExpr)
-			}
-			if incStats.Iterations != oneStats.Iterations {
-				t.Fatalf("iteration parity: incremental=%d one-shot=%d",
-					incStats.Iterations, oneStats.Iterations)
-			}
-			if incStats.SMTQueries != oneStats.SMTQueries {
-				t.Fatalf("query-count parity: incremental=%d one-shot=%d",
-					incStats.SMTQueries, oneStats.SMTQueries)
-			}
-			if len(incStats.Trace) != len(oneStats.Trace) {
-				t.Fatalf("trace length parity: %d vs %d", len(incStats.Trace), len(oneStats.Trace))
-			}
-			for i := range incStats.Trace {
-				ir, or := incStats.Trace[i], oneStats.Trace[i]
-				if ir.Candidate.String() != or.Candidate.String() {
-					t.Fatalf("iter %d candidate: %s vs %s", i+1, ir.Candidate, or.Candidate)
-				}
-				if (ir.Witness == nil) != (or.Witness == nil) {
-					t.Fatalf("iter %d witness presence differs", i+1)
-				}
-				for k, v := range ir.Witness {
-					if or.Witness[k] != v {
-						t.Fatalf("iter %d witness[%s]: %v vs %v", i+1, k, v, or.Witness[k])
-					}
-				}
-				if (ir.NewExample == nil) != (or.NewExample == nil) {
-					t.Fatalf("iter %d new-example presence differs", i+1)
-				}
-				if ir.NewExample != nil && ir.NewExample.Out != or.NewExample.Out {
-					t.Fatalf("iter %d concretized output: %v vs %v",
-						i+1, ir.NewExample.Out, or.NewExample.Out)
-				}
-			}
-			// The refactor's point: the incremental run re-encodes less.
-			if incStats.SMTClauses >= oneStats.SMTClauses && incStats.SMTQueries > 2 {
-				t.Errorf("incremental encoded %d clauses, one-shot %d — no reuse win",
-					incStats.SMTClauses, oneStats.SMTClauses)
-			}
-			if oneStats.SMTClausesReused != 0 {
-				t.Errorf("one-shot mode reports reused clauses: %d", oneStats.SMTClausesReused)
-			}
-		})
 	}
 }

@@ -135,13 +135,11 @@ func TestSigKeyLayout(t *testing.T) {
 }
 
 // TestInterpReductionParity pins the reduction's central contract: with
-// interpretation reduction and bank reuse enabled — sequential or
-// tier-parallel — SolveConcolic returns exactly the expression the
-// sequential restart-per-round baseline returns, on every workload of the
-// suite.
+// interpretation reduction and bank reuse enabled, SolveConcolic returns
+// exactly the expression the restart-per-round baseline returns, on every
+// workload of the suite.
 func TestInterpReductionParity(t *testing.T) {
 	ctx := context.Background()
-	unclampWorkers(t, 4)
 	configs := []struct {
 		name string
 		mut  func(*Limits)
@@ -149,7 +147,6 @@ func TestInterpReductionParity(t *testing.T) {
 		{"baseline", func(l *Limits) { l.NoBankReuse = true; l.NoInterpReduction = true }},
 		{"bank-only", func(l *Limits) { l.NoInterpReduction = true }},
 		{"bank+reduction", func(l *Limits) {}},
-		{"bank+reduction-4workers", func(l *Limits) { l.EnumWorkers = 4 }},
 	}
 	for _, b := range reductionBenches() {
 		// One universe per workload: identity-level equality (enum types,
@@ -161,7 +158,7 @@ func TestInterpReductionParity(t *testing.T) {
 		prob, exs := b.build(u)
 		var ref expr.Expr
 		for _, cf := range configs {
-			limits := Limits{MaxSize: b.expectedSize + 2, Timeout: 2 * time.Minute, EnumWorkers: 1}
+			limits := Limits{MaxSize: b.expectedSize + 2, Timeout: 2 * time.Minute}
 			cf.mut(&limits)
 			e, _, err := SolveConcolicCtx(ctx, prob, exs, limits)
 			if err != nil {
@@ -277,7 +274,7 @@ func FuzzInterpReductionParity(f *testing.F) {
 				Post: expr.Eq(o, out(av, bv)),
 			})
 		}
-		limits := Limits{MaxSize: 7, Timeout: time.Minute, EnumWorkers: 1}
+		limits := Limits{MaxSize: 7, Timeout: time.Minute}
 		base := limits
 		base.NoBankReuse = true
 		base.NoInterpReduction = true

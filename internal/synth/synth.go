@@ -82,30 +82,16 @@ type Limits struct {
 	// NoPrune disables indistinguishability pruning (the paper's
 	// "Exhaustive" variant, used as the Figure 5 baseline).
 	NoPrune bool
-	// NoIncremental makes SolveConcolic issue every SMT query one-shot
-	// instead of through a per-solve incremental session. Both paths pose
-	// identical queries and receive identical canonical models, so answers
-	// (and the CEGIS trace) do not change — the flag exists as an escape
-	// hatch and for differential testing, and is deliberately excluded
-	// from the engine's memoization key.
-	NoIncremental bool
-	// EnumWorkers sizes SolveConcrete's per-size-tier worker pool. Values
-	// <= 1 (and 0, which resolves to 1) run the enumeration sequentially.
-	// Any worker count returns the same expression and the same
-	// ConcreteStats as the sequential search — the parallel tiers merge
-	// through a deterministic minimum-index reduction (see DESIGN.md §10) —
-	// so the field is an execution detail and, like NoIncremental, is
-	// excluded from the engine's memoization key.
-	EnumWorkers int
 	// NoBankReuse makes SolveConcolic rebuild the expression bank from
 	// size 1 on every CEGIS round instead of extending the previous
 	// round's bank with the new concretization and resuming enumeration
 	// at the previous winner's position. Reuse never yields an expression
 	// inconsistent with the examples (every answer still passes the full
 	// SMT consistency check) and falls back to a full restart when the
-	// resumed search exhausts the size bound; the flag is the escape
-	// hatch and the differential-testing lever for that path. Ignored
-	// (reuse disabled) under NoPrune.
+	// resumed search exhausts the size bound. The restart-per-round search
+	// the flag selects is the reference path: the parity tests and the
+	// transit-bench -enum baseline compare the default search against it.
+	// Ignored (reuse disabled) under NoPrune.
 	NoBankReuse bool
 	// NoInterpReduction disables interpretation-indexed pruning: by
 	// default (and only when pruning is on at all, i.e. not under
@@ -115,19 +101,12 @@ type Limits struct {
 	// finer from round one and rarely goes stale when a new
 	// concretization arrives. The finer partition is answer-invariant —
 	// the first candidate matching the goal on the example coordinates is
-	// the same expression either way (DESIGN.md §15) — so the flag, like
-	// EnumWorkers and NoBankReuse, is an escape hatch and a
-	// differential-testing lever, excluded from the engine's memoization
-	// key. It also disables the unrealizability check, which needs the
-	// interpretation-indexed class structure.
+	// the same expression either way (DESIGN.md §15) — so, like
+	// NoBankReuse, the flag selects the reference path for the parity
+	// tests and the -enum baseline and is excluded from the engine's
+	// memoization key. It also disables the unrealizability check, which
+	// needs the interpretation-indexed class structure.
 	NoInterpReduction bool
-	// Portfolio asks the engine to race this many solver configurations
-	// per job and keep the first finisher (values <= 1 disable racing).
-	// The synthesizer itself ignores the field: racing is an engine-level
-	// execution strategy layered on top of SolveConcolic, and — because
-	// every raced configuration is answer-identical on the pinned parity
-	// workloads — it is excluded from the engine's memoization key.
-	Portfolio int
 }
 
 // Default limits, applied by Limits.WithDefaults.
@@ -151,9 +130,6 @@ func (l Limits) WithDefaults() Limits {
 	}
 	if l.MaxIters == 0 {
 		l.MaxIters = DefaultMaxIters
-	}
-	if l.EnumWorkers == 0 {
-		l.EnumWorkers = 1
 	}
 	return l
 }
@@ -200,9 +176,7 @@ type ConcreteStats struct {
 	// proved redundant beyond example-equivalence: output-typed
 	// expressions whose full signature — probe coordinates plus example
 	// coordinates — was already covered by a retained representative or a
-	// stored shadow. 0 when interpretation reduction is off. The count is
-	// exact for sequential tiers and approximate under tier parallelism
-	// (workers may scan slightly past the tier's final stop index).
+	// stored shadow. 0 when interpretation reduction is off.
 	InterpPruned int64
 	Elapsed      time.Duration
 }
@@ -212,10 +186,9 @@ type ConcreteStats struct {
 // record carries the causal fields the provenance ledger needs: which
 // concolic example killed the candidate, whether the round resumed the
 // previous bank or restarted, and the round's enumeration counters. All
-// of them are deterministic across worker counts (InterpPruned, which is
-// approximate under tier parallelism, is deliberately absent), so the
-// trace — and any ledger derived from it — stays byte-identical across
-// `-workers` settings and memo-cache replays.
+// of them are deterministic, so the trace — and any ledger derived from
+// it — stays byte-identical across `-workers` settings and memo-cache
+// replays.
 type IterRecord struct {
 	// Candidate is the expression proposed by SolveConcrete.
 	Candidate expr.Expr
@@ -258,9 +231,6 @@ type Stats struct {
 	// the exhaustion was proved permanent, not a budget artifact.
 	Unrealizable bool
 
-	// SMTClauses and SMTClausesReused sum the per-query encoding work:
-	// clauses newly bit-blasted and cached-circuit clauses reused by the
-	// incremental session (always 0 with Limits.NoIncremental).
-	SMTClauses       int64
-	SMTClausesReused int64
+	// SMTClauses sums the clauses bit-blasted by every SMT query.
+	SMTClauses int64
 }

@@ -76,7 +76,6 @@ func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExampl
 	}()
 
 	al := limits
-	al.EnumWorkers = 1
 	al.NoBankReuse = true
 	al.MaxExprs = unrealizableEvalCap / int64(len(envs))
 	al.MaxSize = unrealizableMaxSize

@@ -274,15 +274,6 @@ type SynthesisOptions struct {
 	// the sequential order (byte-identical output to the historical
 	// implementation; larger pools infer identical expressions faster).
 	Workers int
-	// EnumWorkers sizes the tier-parallel enumeration fan-out inside each
-	// inference job; <= 1 runs tiers sequentially. Like Workers it never
-	// changes the inferred expressions, only wall-clock time.
-	EnumWorkers int
-	// Portfolio races this many solver configurations per cache-miss
-	// inference call, keeping the first to finish; <= 1 disables racing.
-	// The raced configurations differ only in execution strategy
-	// (interpretation reduction, bank reuse, tier-worker count).
-	Portfolio int
 	// Timeout bounds the whole synthesis run; 0 means none.
 	Timeout time.Duration
 	// Telemetry, when non-nil, receives the engine's structured events.
@@ -290,11 +281,6 @@ type SynthesisOptions struct {
 	// Cache, when non-nil, is used instead of a fresh per-run
 	// memoization cache.
 	Cache *SynthCache
-	// NoIncremental disables the shared incremental SMT sessions and
-	// solves every query in a fresh solver. Answers are byte-identical
-	// either way (canonical models); this is the escape hatch for
-	// debugging and for measuring what the session reuse saves.
-	NoIncremental bool
 }
 
 // Synthesize completes the protocol's skeleton from its snippets (§5),
@@ -310,12 +296,9 @@ func SynthesizeCtx(ctx context.Context, proto *Protocol, opts SynthesisOptions) 
 		Limits:         opts.Limits,
 		SkipGuardCheck: opts.SkipGuardCheck,
 		Workers:        opts.Workers,
-		EnumWorkers:    opts.EnumWorkers,
-		Portfolio:      opts.Portfolio,
 		Timeout:        opts.Timeout,
 		Telemetry:      opts.Telemetry,
 		Cache:          opts.Cache,
-		NoIncremental:  opts.NoIncremental,
 	})
 }
 
