@@ -104,12 +104,11 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 }
 
 // solveAttempts runs the retry-with-grown-limits schedule, accumulating
-// the stats of every attempt. Retry only makes
-// sense when the bounded search came up empty; inconsistent example sets,
-// proven-unrealizable holes (synth.ErrUnrealizable does not wrap
-// synth.ErrNoExpression, which is precisely what makes an impossible hole
-// fail in one attempt instead of three escalating ones), and cancellations
-// are final.
+// the stats of every attempt. Retry only makes sense when the bounded
+// search came up empty; inconsistent example sets, proven-unrealizable
+// holes (synth.ErrUnrealizable does not wrap synth.ErrNoExpression, which
+// is precisely what makes an impossible hole fail in one attempt instead
+// of three escalating ones), and cancellations are final.
 func (e *Engine) solveAttempts(ctx context.Context, spec SolveSpec) (res expr.Expr, stats synth.Stats, retries int, err error) {
 	attempts := e.cfg.Retry.Attempts
 	if attempts < 1 {

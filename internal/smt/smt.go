@@ -19,8 +19,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"transit/internal/expr"
+	"transit/internal/obs"
 	"transit/internal/sat"
 )
 
@@ -91,6 +93,114 @@ func SolveOptCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formul
 // SolveStats is SolveOpt, additionally reporting work statistics.
 func SolveStats(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (Result, Stats, error) {
 	return SolveStatsCtx(context.Background(), u, vars, formula, opts)
+}
+
+// SolveStatsCtx is SolveStats under a context (see SolveOptCtx). One
+// "smt.solve" span brackets the query, with an "smt.encode" child for
+// bit-blasting and a "sat.search" child for the CDCL run; the metrics
+// registry on the context (when present) accumulates query and search
+// counters.
+//
+// Every call encodes the formula into a fresh encoder and SAT solver.
+// Sat answers carry a canonical model: the lexicographically least
+// satisfying assignment, taking variables from the highest name to the
+// lowest with each domain in expr.ValuesOf order. That is exactly the
+// first assignment SolveBrute's odometer visits, so the model is a pure
+// function of the formula — independent of encoding layout and search
+// history — and cross-validates against the brute-force reference
+// directly. Options.Hint shifts the preference toward given values (the
+// model closest to the hint), keeping the same purity: the model is then
+// a function of (formula, hint).
+func SolveStatsCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (res Result, stats Stats, err error) {
+	ctx, span := obs.Start(ctx, "smt.solve", obs.Int("vars", len(vars)))
+	start := time.Now()
+	defer func() {
+		span.SetAttr(obs.Str("status", statusName(res.Status)),
+			obs.Int("sat_vars", stats.SATVars),
+			obs.Int64("clauses", stats.Clauses),
+			obs.Int64("conflicts", stats.Conflicts),
+			obs.Int64("decisions", stats.Decisions),
+			obs.Int64("propagations", stats.Propagated))
+		if err != nil {
+			span.SetAttr(obs.Str("error", err.Error()))
+		}
+		span.End()
+		if reg := obs.MetricsFrom(ctx); reg != nil {
+			reg.Counter("smt.queries").Inc()
+			switch res.Status {
+			case Sat:
+				reg.Counter("smt.sat").Inc()
+			case Unsat:
+				reg.Counter("smt.unsat").Inc()
+			default:
+				reg.Counter("smt.unknown").Inc()
+			}
+			reg.Counter("smt.sat_vars").Add(int64(stats.SATVars))
+			reg.Counter("smt.clauses").Add(stats.Clauses)
+			reg.Counter("sat.conflicts").Add(stats.Conflicts)
+			reg.Counter("sat.decisions").Add(stats.Decisions)
+			reg.Counter("sat.propagations").Add(stats.Propagated)
+			reg.Counter("sat.assumption_solves").Add(stats.AssumptionSolves)
+			reg.Histogram("smt.solve_ms").Observe(time.Since(start))
+		}
+	}()
+	if formula.Type() != expr.BoolType {
+		return Result{}, Stats{}, fmt.Errorf("smt: formula has type %s, want Bool", formula.Type())
+	}
+	_, encSpan := obs.Start(ctx, "smt.encode")
+	enc, err := newEncoder(u, vars)
+	if err == nil {
+		var root []sat.Lit
+		if root, err = enc.encode(formula); err == nil {
+			enc.addClause(root[0])
+		}
+	}
+	if enc != nil {
+		encSpan.SetAttr(obs.Int("sat_vars", enc.s.NumVars()), obs.Int64("clauses", enc.numClauses))
+	}
+	encSpan.End()
+	if err != nil {
+		return Result{}, Stats{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Result{}, Stats{}, fmt.Errorf("smt: %w", err)
+	}
+
+	sv := enc.s
+	sv.MaxConflicts = opts.MaxConflicts
+	sv.Interrupt = ctx.Done()
+	_, satSpan := obs.Start(ctx, "sat.search",
+		obs.Int("sat_vars", sv.NumVars()), obs.Int64("clauses", enc.numClauses))
+	st := sv.Solve()
+	var model expr.Env
+	if st == sat.Sat {
+		var patterns map[string]uint64
+		patterns, st = canonicalize(enc, vars, opts.Hint)
+		if st == sat.Sat {
+			model = make(expr.Env, len(vars))
+			for _, v := range vars {
+				model[v.Name] = enc.patternValue(v.VT, patterns[v.Name])
+			}
+		}
+	}
+	satSpan.SetAttr(obs.Str("status", statusName(st)),
+		obs.Int64("conflicts", sv.Stats.Conflicts),
+		obs.Int64("decisions", sv.Stats.Decisions),
+		obs.Int64("propagations", sv.Stats.Propagations))
+	satSpan.End()
+
+	stats = Stats{
+		SATVars:          sv.NumVars(),
+		Clauses:          enc.numClauses,
+		Conflicts:        sv.Stats.Conflicts,
+		Decisions:        sv.Stats.Decisions,
+		Propagated:       sv.Stats.Propagations,
+		AssumptionSolves: sv.Stats.AssumptionSolves,
+	}
+	if st == sat.Unknown && ctx.Err() != nil {
+		return Result{}, stats, fmt.Errorf("smt: %w", ctx.Err())
+	}
+	return Result{Status: st, Model: model}, stats, nil
 }
 
 // statusName renders a verdict for span attributes.
@@ -175,4 +285,66 @@ func SolveBrute(u *expr.Universe, vars []*expr.Var, formula expr.Expr, maxAssign
 			return Result{Status: Unsat}, nil
 		}
 	}
+}
+
+// canonicalize shrinks the solver's current model to the canonical one.
+// Variables are processed from the highest name down, each bit from the
+// most significant down, preferring — for hinted variables — the hint's
+// bit, and otherwise the polarity that comes first in expr.ValuesOf order
+// (0, except the Int sign bit, where the negative half precedes). With no
+// hint this is the lexicographically least satisfying assignment; with a
+// hint, the satisfying assignment closest to it. When the solver's model
+// already agrees with the preferred polarity the bit is fixed for free;
+// otherwise a single assumption probe decides it — Sat adopts the improved
+// model, Unsat proves every remaining model takes the other polarity.
+func canonicalize(enc *encoder, vars []*expr.Var, hint expr.Env) (map[string]uint64, sat.Status) {
+	minOrder := append([]*expr.Var(nil), vars...)
+	sort.Slice(minOrder, func(i, j int) bool { return minOrder[i].Name > minOrder[j].Name })
+	sv := enc.s
+	var fixed []sat.Lit
+	snap := sv.Model()
+	patterns := make(map[string]uint64, len(minOrder))
+	for _, v := range minOrder {
+		ev := enc.vars[v.Name]
+		w := len(ev.bits)
+		hintPat, hinted := uint64(0), false
+		if hv, ok := hint[v.Name]; ok {
+			hintPat, hinted = enc.valuePattern(ev.t, hv)
+		}
+		var pattern uint64
+		for i := w - 1; i >= 0; i-- {
+			bit := ev.bits[i]
+			// Preferred polarity: the hint's bit, or canonical value order.
+			var wantOne bool
+			if hinted {
+				wantOne = hintPat&(uint64(1)<<uint(i)) != 0
+			} else {
+				wantOne = v.VT.Kind == expr.KindInt && i == w-1
+			}
+			prefer := bit.Not()
+			if wantOne {
+				prefer = bit
+			}
+			// Current model's polarity for this bit (constant-folded bits
+			// alias trueLit and decode like any other literal).
+			has := snap[bit.Var()] != bit.Neg()
+			if has != wantOne {
+				switch sv.Solve(append(fixed, prefer)...) {
+				case sat.Sat:
+					snap = sv.Model()
+				case sat.Unsat:
+					prefer = prefer.Not()
+					wantOne = !wantOne
+				default:
+					return nil, sat.Unknown
+				}
+			}
+			fixed = append(fixed, prefer)
+			if wantOne {
+				pattern |= uint64(1) << uint(i)
+			}
+		}
+		patterns[v.Name] = pattern
+	}
+	return patterns, sat.Sat
 }

@@ -37,11 +37,12 @@ func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample
 // state for the next round. A resumed search that exhausts the size bound
 // transparently restarts from scratch (the stale pools may lack entries
 // that only became distinguishable under the newest concretizations), so
-// bank reuse never loses completeness. resumed reports that the search
-// actually resumed the bank: a bank that is usable but proven stale up
-// front is skipped, and the round counts as a restart, not a reuse.
+// bank reuse never loses completeness. The bool result reports that the
+// search actually resumed the bank: a bank that is usable but proven
+// stale up front is skipped, and the round counts as a restart, not a
+// reuse.
 func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits,
-	bk *bank, wantBank bool) (res expr.Expr, stats ConcreteStats, nbk *bank, resumed bool, err error) {
+	bk *bank, wantBank bool) (expr.Expr, ConcreteStats, *bank, bool, error) {
 	limits = limits.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, ConcreteStats{}, nil, false, err
@@ -89,8 +90,8 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 	} else {
 		en.ctx = ctx
 	}
-	res, err = en.run()
-	stats = en.stats
+	res, err := en.run()
+	stats := en.stats
 	if stale {
 		// A stale-skip counts as a restart: the round ran a fresh search,
 		// it just skipped the doomed resumed walk in front of it.
@@ -129,6 +130,7 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 		obs.Int64("interp_pruned", stats.InterpPruned),
 		obs.Bool("found", res != nil))
 	span.End()
+	var nbk *bank
 	if err == nil && wantBank {
 		nbk = en.harvest()
 	}
