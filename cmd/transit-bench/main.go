@@ -25,9 +25,9 @@
 // Observability flags apply to whichever benchmarks run: -trace out.json
 // writes a Chrome trace-event file (open at ui.perfetto.dev),
 // -stats-summary prints the end-of-run span tree,
-// -cpuprofile/-memprofile/-pprof enable the Go profilers, -serve ADDR
-// exposes the live introspection endpoints while benchmarks run, and
-// -flight F arms the flight recorder.
+// -cpuprofile/-memprofile write Go profiles, -serve ADDR exposes the
+// live introspection endpoints (the Go profilers among them) while
+// benchmarks run, and -flight F arms the flight recorder.
 //
 // Absolute numbers depend on the machine; the shapes to compare against
 // the paper are described in EXPERIMENTS.md.
@@ -83,7 +83,6 @@ func main() {
 	)
 	flag.StringVar(&profiling.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&profiling.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&profiling.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 	if runtime.GOMAXPROCS(0) == 1 {
 		fmt.Fprintf(os.Stderr, "transit-bench: warning: GOMAXPROCS=1 (NumCPU=%d): worker pools timeshare one CPU, so -engine and -mc parallel speedups measure algorithmic savings only\n",

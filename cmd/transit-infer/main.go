@@ -18,7 +18,7 @@
 //	transit-infer [-max-size K] [-timeout D] [-cegis-trace] [-stats]
 //	              [-trace out.json] [-stats-summary]
 //	              [-serve ADDR] [-flight F]
-//	              [-cpuprofile F] [-memprofile F] [-pprof ADDR] file
+//	              [-cpuprofile F] [-memprofile F] file
 //
 // With no file the spec is read from stdin. -cegis-trace prints the
 // Table 2 style iteration log; -trace writes a Chrome trace-event JSON
@@ -62,14 +62,13 @@ func main() {
 	flag.IntVar(&opts.maxSize, "max-size", 14, "expression-size bound")
 	flag.BoolVar(&opts.cegisTrace, "cegis-trace", false, "print the CEGIS trace (Table 2 style)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "inference deadline, e.g. 30s (0 = none)")
-	flag.BoolVar(&opts.stats, "stats", false, "stream statistics and trace spans as JSON lines to stderr")
+	flag.BoolVar(&opts.stats, "stats", false, "stream trace spans and marks as JSON lines to stderr")
 	flag.StringVar(&opts.tracePath, "trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
 	flag.BoolVar(&opts.statsSummary, "stats-summary", false, "print an end-of-run span tree and metrics table to stderr")
 	flag.StringVar(&opts.serveAddr, "serve", "", "serve live introspection on this address (e.g. localhost:6969)")
 	flag.StringVar(&opts.flightPath, "flight", "", "arm the flight recorder, dumping to this file on panic/cancel/SIGINT")
 	flag.StringVar(&opts.profiling.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&opts.profiling.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&opts.profiling.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 	var src []byte
 	var err error
@@ -258,11 +257,8 @@ func run(src string, opts inferOptions) error {
 	prob := transit.Problem{U: u, Vocab: voc, Vars: vars, Output: transit.NewVar(sp.output.name, outType)}
 
 	var ndjson, summary io.Writer
-	var statsWriter io.Writer = os.Stderr
 	if opts.stats {
-		sw := obs.NewSyncWriter(os.Stderr)
-		ndjson = sw
-		statsWriter = sw
+		ndjson = os.Stderr
 	}
 	if opts.statsSummary {
 		summary = os.Stderr
@@ -323,12 +319,6 @@ func run(src string, opts inferOptions) error {
 					i+1, rec.Candidate, rec.Witness, rec.NewExample.Out)
 			}
 		}
-	}
-	if opts.stats {
-		fmt.Fprintf(statsWriter,
-			`{"type":"infer_end","size":%d,"cegis_iterations":%d,"smt_queries":%d,"candidates":%d,"duration_ms":%.3f}`+"\n",
-			e.Size(), st.Iterations, st.SMTQueries, st.Concrete.Enumerated,
-			float64(st.Elapsed)/float64(time.Millisecond))
 	}
 	fmt.Printf("%s\n", e)
 	fmt.Printf("  pretty: %s\n", transit.Pretty(e))

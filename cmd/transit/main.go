@@ -17,14 +17,12 @@
 //	-dump           print every completed transition
 //	-workers N      inference worker pool size (default 1 = sequential)
 //	-timeout D      overall synthesis deadline, e.g. 30s (default none)
-//	-stats          stream engine telemetry and trace spans as JSON lines
-//	                to stderr
+//	-stats          stream trace spans and marks as JSON lines to stderr
 //	-trace F        write a Chrome trace-event JSON file to F (open it at
 //	                https://ui.perfetto.dev)
 //	-stats-summary  print an end-of-run span tree and metrics table
 //	-cpuprofile F   write a CPU profile to F
 //	-memprofile F   write a heap profile to F at exit
-//	-pprof ADDR     serve pprof on a private mux on ADDR (e.g. localhost:6060)
 //	-serve ADDR     serve live introspection on ADDR: /metrics (Prometheus),
 //	                /vars, /runs, /trace/live (SSE), /flight, /debug/pprof/
 //	-flight F       arm the flight recorder, dumping the event tail to F on
@@ -103,12 +101,11 @@ func main() {
 	flag.StringVar(&opts.builtin, "builtin", "", "run a built-in protocol: vi, msi, mesi, origin, origin-buggy")
 	flag.IntVar(&opts.workers, "workers", 1, "inference worker pool size (1 = sequential)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "overall synthesis deadline (0 = none)")
-	flag.BoolVar(&opts.stats, "stats", false, "stream engine telemetry and trace spans as JSON lines to stderr")
+	flag.BoolVar(&opts.stats, "stats", false, "stream trace spans and marks as JSON lines to stderr")
 	flag.StringVar(&opts.tracePath, "trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
 	flag.BoolVar(&opts.statsSummary, "stats-summary", false, "print an end-of-run span tree and metrics table to stderr")
 	flag.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&opts.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&opts.pprofAddr, "pprof", "", "serve pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&opts.serveAddr, "serve", "", "serve live introspection on this address (e.g. localhost:6969)")
 	flag.StringVar(&opts.flightPath, "flight", "", "arm the flight recorder, dumping to this file on panic/cancel/SIGINT")
 	flag.StringVar(&opts.ledgerPath, "ledger", "", "write the synthesis provenance ledger (NDJSON) to this file; render it with `transit obs explain`")
@@ -144,7 +141,6 @@ type options struct {
 	statsSummary bool
 	cpuProfile   string
 	memProfile   string
-	pprofAddr    string
 	serveAddr    string
 	flightPath   string
 	ledgerPath   string
@@ -276,11 +272,7 @@ func run(opts options) (int, error) {
 		Timeout: opts.timeout,
 	}
 	if opts.stats {
-		// One SyncWriter keeps engine telemetry lines and span lines
-		// from interleaving bytes within a line on stderr.
-		sw := obs.NewSyncWriter(os.Stderr)
-		ndjson = sw
-		sopts.Telemetry = transit.NewJSONTelemetry(sw)
+		ndjson = os.Stderr
 	}
 	if opts.statsSummary {
 		summary = os.Stderr
@@ -306,7 +298,6 @@ func run(opts options) (int, error) {
 		Profiling: obs.Profiling{
 			CPUProfile: opts.cpuProfile,
 			MemProfile: opts.memProfile,
-			PprofAddr:  opts.pprofAddr,
 		},
 	}
 	if srv != nil {

@@ -35,9 +35,6 @@ import (
 type Options struct {
 	// Limits bounds each expression-inference call.
 	Limits synth.Limits
-	// SkipGuardCheck disables the static pairwise mutual-exclusion
-	// verification of each group's guards.
-	SkipGuardCheck bool
 	// Workers sizes the inference worker pool. Values <= 1 execute jobs
 	// strictly in plan order, reproducing the sequential implementation
 	// byte for byte; larger values run independent jobs concurrently
@@ -45,11 +42,6 @@ type Options struct {
 	Workers int
 	// Timeout bounds the whole completion run; 0 means none.
 	Timeout time.Duration
-	// JobTimeout bounds each individual inference job; 0 means none.
-	JobTimeout time.Duration
-	// Retry is the engine's retry-with-larger-limits policy for jobs
-	// whose bounded search came up empty. The zero value disables it.
-	Retry engine.RetryPolicy
 	// DisableCache turns off cross-job memoization. Memoization never
 	// changes results (identical sub-problems have identical answers and
 	// their original work stats are replayed into the Report), it only
@@ -59,8 +51,6 @@ type Options struct {
 	// per-run cache — share one across CEGIS iterations or across
 	// protocols to exploit repeated sub-problems.
 	Cache *engine.Cache
-	// Telemetry receives the engine's structured event stream.
-	Telemetry engine.Sink
 }
 
 // Report summarizes one completion run; its counters feed Table 4.
@@ -145,14 +135,7 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 	if cache == nil && !opts.DisableCache {
 		cache = engine.NewCache()
 	}
-	eng := engine.New(engine.Config{
-		Workers:    opts.Workers,
-		Timeout:    opts.Timeout,
-		JobTimeout: opts.JobTimeout,
-		Retry:      opts.Retry,
-		Cache:      cache,
-		Sink:       opts.Telemetry,
-	})
+	eng := engine.New(engine.Config{Workers: opts.Workers, Timeout: opts.Timeout, Cache: cache})
 	p := &planner{sys: sys, vocab: vocab, opts: opts, eng: eng}
 	for _, name := range defOrder {
 		if err := p.planDef(defByName[name], perDef[name]); err != nil {
@@ -189,7 +172,7 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 	return rep, nil
 }
 
-// aggregate folds per-job telemetry into the Report in plan order, so the
+// aggregate folds per-job counters into the Report in plan order, so the
 // counters are independent of scheduling.
 func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 	rep.Workers = stats.Workers
@@ -408,22 +391,20 @@ func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
 		prev = job
 	}
 
-	if !p.opts.SkipGuardCheck {
-		job := &engine.Job{
-			Label: fmt.Sprintf("mutex %s(%s,%s)", d.Name, g.from, g.event),
-			Kind:  "check",
-		}
-		if prev != nil {
-			job.Deps = []*engine.Job{prev}
-		}
-		job.Run = func(jctx context.Context) error {
-			if err := p.checkMutualExclusion(jctx, g, inferable, gp); err != nil {
-				return fmt.Errorf("%s: %w", gp.ctx, err)
-			}
-			return nil
-		}
-		p.add(job)
+	check := &engine.Job{
+		Label: fmt.Sprintf("mutex %s(%s,%s)", d.Name, g.from, g.event),
+		Kind:  "check",
 	}
+	if prev != nil {
+		check.Deps = []*engine.Job{prev}
+	}
+	check.Run = func(jctx context.Context) error {
+		if err := p.checkMutualExclusion(jctx, g, inferable, gp); err != nil {
+			return fmt.Errorf("%s: %w", gp.ctx, err)
+		}
+		return nil
+	}
+	p.add(check)
 
 	// Update-expression jobs per block: independent of everything.
 	for _, b := range g.blocks {
@@ -544,18 +525,7 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 			cap.ran = true
 			o := expr.V(efsm.Prime(target), vt)
 			prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: gp.scopeVars, Output: o}
-			rhs, stats, out, err := p.eng.SolveConcolic(jctx, engine.SolveSpec{
-				Problem: prob, Examples: exs, Limits: p.opts.Limits,
-			})
-			job.CacheHit = out.Cached
-			job.DiskHit = out.Tier == engine.TierDisk
-			job.CacheWait = out.CacheWait
-			job.SolveWait = out.SolveWait
-			job.Candidates = stats.Concrete.Enumerated
-			job.SMTQueries = stats.SMTQueries
-			job.Iterations = stats.Iterations
-			job.Retries = out.Retries
-			cap.expr, cap.stats, cap.err = rhs, stats, err
+			rhs, err := p.solve(jctx, job, cap, prob, exs)
 			if err != nil {
 				return fmt.Errorf("%s: block %s: update inference for %s: %w", gp.ctx, b.key, target, err)
 			}
@@ -620,7 +590,19 @@ func (p *planner) inferGuard(ctx context.Context, job *engine.Job, g *group, blo
 	}
 	cap.exs, cap.meta, cap.ran = exs, meta, true
 	prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: scopeVars, Output: o}
-	guard, stats, out, err := p.eng.SolveConcolic(ctx, engine.SolveSpec{
+	guard, err := p.solve(ctx, job, cap, prob, exs)
+	if err != nil {
+		return nil, fmt.Errorf("guard inference: %w", err)
+	}
+	return guard, nil
+}
+
+// solve infers one hole through the engine's memo cache. It copies the
+// solve's cache outcome and work counters onto the job, where aggregate
+// and the engine.job span read them, and its answer onto the hole's
+// provenance capture.
+func (p *planner) solve(ctx context.Context, job *engine.Job, cap *holeCapture, prob synth.Problem, exs []synth.ConcolicExample) (expr.Expr, error) {
+	res, stats, out, err := p.eng.SolveConcolic(ctx, engine.SolveSpec{
 		Problem: prob, Examples: exs, Limits: p.opts.Limits,
 	})
 	job.CacheHit = out.Cached
@@ -630,12 +612,8 @@ func (p *planner) inferGuard(ctx context.Context, job *engine.Job, g *group, blo
 	job.Candidates = stats.Concrete.Enumerated
 	job.SMTQueries = stats.SMTQueries
 	job.Iterations = stats.Iterations
-	job.Retries = out.Retries
-	cap.expr, cap.stats, cap.err = guard, stats, err
-	if err != nil {
-		return nil, fmt.Errorf("guard inference: %w", err)
-	}
-	return guard, nil
+	cap.expr, cap.stats, cap.err = res, stats, err
+	return res, err
 }
 
 // blockPre is the disjunction of a block's case preconditions (nil Pre

@@ -1,9 +1,10 @@
 // Package engine is a concurrent synthesis-job engine: it executes a DAG
 // of expression-inference jobs (the per-primed-variable and per-guard
 // sub-problems that §5 skeleton completion decomposes into) on a bounded
-// worker pool, with cooperative cancellation, cross-job memoization, a
-// retry-with-larger-limits robustness policy, and a structured telemetry
-// stream.
+// worker pool, with cooperative cancellation and cross-job memoization.
+// Its telemetry is its spans: one engine.run per Run, one engine.job per
+// executed job carrying the job's counters, and one engine.cache per
+// memo-cache lookup.
 //
 // Scheduling is deterministic by construction: jobs are identified by
 // their position in the plan (the slice passed to Run), dependencies may
@@ -31,7 +32,7 @@ import (
 // the planner, wired with Deps, and passed to Engine.Run; the zero value
 // of the bookkeeping fields is correct.
 type Job struct {
-	// Label identifies the job in telemetry (e.g. "guard Dir(EXCLUSIVE,ReqNet)#1").
+	// Label identifies the job in its span (e.g. "guard Dir(EXCLUSIVE,ReqNet)#1").
 	Label string
 	// Kind classifies the job ("guard", "update", "check", ...).
 	Kind string
@@ -39,11 +40,11 @@ type Job struct {
 	// must appear earlier than the job itself in the slice given to Run.
 	Deps []*Job
 	// Run does the work. It must honor ctx cancellation. It may write the
-	// telemetry fields below on its own job (the engine reads them only
+	// counter fields below on its own job (the engine reads them only
 	// after Run returns).
 	Run func(ctx context.Context) error
 
-	// Telemetry fields, set by Run before returning.
+	// Counter fields, set by Run before returning.
 
 	// CacheHit records that the job's result came from the memo cache.
 	CacheHit bool
@@ -60,8 +61,6 @@ type Job struct {
 	SMTQueries int
 	// Iterations is the number of CEGIS iterations taken.
 	Iterations int
-	// Retries is the number of extra attempts the retry policy spent.
-	Retries int
 
 	// Results, set by the engine.
 
@@ -79,14 +78,6 @@ type Job struct {
 // ErrSkipped marks a job that never ran because a dependency failed.
 var ErrSkipped = errors.New("engine: job skipped: dependency failed")
 
-// RetryPolicy grows a failed job's search limits and retries it. The zero
-// value disables retries.
-type RetryPolicy struct {
-	// Attempts is the total number of tries per job; values <= 1 mean a
-	// single attempt (no retry).
-	Attempts int
-}
-
 // Config configures an Engine.
 type Config struct {
 	// Workers is the pool size; values <= 0 mean 1. Workers == 1
@@ -94,15 +85,8 @@ type Config struct {
 	Workers int
 	// Timeout bounds a whole Run; 0 means none.
 	Timeout time.Duration
-	// JobTimeout bounds each individual job; 0 means none.
-	JobTimeout time.Duration
-	// Retry is the retry-with-larger-limits policy applied by the
-	// memoized solver (see Engine.SolveConcolic).
-	Retry RetryPolicy
 	// Cache is the cross-job memoization cache; nil disables memoization.
 	Cache *Cache
-	// Sink receives telemetry events; nil disables telemetry.
-	Sink Sink
 }
 
 // Engine executes job DAGs. It is safe to reuse across Runs (the cache
@@ -135,7 +119,7 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // Cache returns the engine's memoization cache (nil when disabled).
 func (e *Engine) Cache() *Cache { return e.cfg.Cache }
 
-// RunStats summarizes one Run for callers and telemetry.
+// RunStats summarizes one Run for its caller.
 type RunStats struct {
 	Workers     int           `json:"workers"`
 	Jobs        int           `json:"jobs"`
@@ -190,7 +174,6 @@ func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 	}
 	e.mu.Unlock()
 
-	e.emit(Event{Type: "engine_start", Workers: e.cfg.Workers, Jobs: len(jobs)})
 	ctx, runSpan := obs.Start(ctx, "engine.run",
 		obs.Int("workers", e.cfg.Workers), obs.Int("jobs", len(jobs)))
 	rs := registerRun(e.cfg.Workers, len(jobs))
@@ -236,17 +219,6 @@ func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 	if err == nil {
 		err = firstAny
 	}
-	ev := Event{Type: "engine_end", Workers: stats.Workers, Jobs: stats.Jobs,
-		Failed: stats.Failed, Skipped: stats.Skipped, CacheHits: stats.CacheHits,
-		DurationMS: stats.WallMS, Utilization: stats.Utilization}
-	if c := e.cfg.Cache; c != nil {
-		hits, misses := c.Counters()
-		ev.CacheHits, ev.CacheMisses = int(hits), int(misses)
-	}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	e.emit(ev)
 	runSpan.SetAttr(obs.Int("failed", stats.Failed), obs.Int("skipped", stats.Skipped),
 		obs.Int("cache_hits", stats.CacheHits), obs.Float("utilization", stats.Utilization))
 	if err != nil {
@@ -298,8 +270,8 @@ func (e *Engine) work(ctx context.Context, cancel context.CancelFunc, worker int
 	}
 }
 
-// execute runs one job, honoring skip markers, cancellation, and the
-// per-job timeout, and emits its telemetry events.
+// execute runs one job, honoring skip markers and cancellation, under an
+// engine.job span that carries the job's counters.
 func (e *Engine) execute(ctx context.Context, j *Job, worker int) error {
 	for _, d := range j.Deps {
 		if d.Err != nil {
@@ -309,43 +281,21 @@ func (e *Engine) execute(ctx context.Context, j *Job, worker int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	e.emit(Event{Type: "job_start", Job: j.Label, Kind: j.Kind, Worker: worker + 1})
-	jctx := ctx
-	if e.cfg.JobTimeout > 0 {
-		var jcancel context.CancelFunc
-		jctx, jcancel = context.WithTimeout(ctx, e.cfg.JobTimeout)
-		defer jcancel()
-	}
 	// Each worker gets its own display track, so concurrent jobs render
 	// as parallel rows in Perfetto and never overlap within a row.
-	jctx = obs.WithTrack(jctx, worker+1)
+	jctx := obs.WithTrack(ctx, worker+1)
 	jctx, span := obs.Start(jctx, "engine.job",
 		obs.Str("job", j.Label), obs.Str("kind", j.Kind), obs.Int("worker", worker+1))
 	start := time.Now()
 	err := j.Run(jctx)
 	j.Duration = time.Since(start)
 	span.SetAttr(obs.Bool("cache_hit", j.CacheHit), obs.Int64("candidates", j.Candidates),
-		obs.Int("smt_queries", j.SMTQueries),
-		obs.Int("cegis_iterations", j.Iterations), obs.Int("retries", j.Retries))
+		obs.Int("smt_queries", j.SMTQueries), obs.Int("cegis_iterations", j.Iterations))
 	if err != nil {
 		span.SetAttr(obs.Str("error", err.Error()))
 	}
 	span.End()
-	ev := Event{Type: "job_end", Job: j.Label, Kind: j.Kind, Worker: worker + 1,
-		DurationMS: float64(j.Duration) / float64(time.Millisecond),
-		CacheHit:   j.CacheHit, Candidates: j.Candidates,
-		SMTQueries: j.SMTQueries, Iterations: j.Iterations, Retries: j.Retries}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	e.emit(ev)
 	return err
-}
-
-func (e *Engine) emit(ev Event) {
-	if e.cfg.Sink != nil {
-		e.cfg.Sink(ev)
-	}
 }
 
 // jobHeap is a min-heap of jobs on plan index, so ready jobs are claimed

@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -153,30 +151,6 @@ func TestNDJSONSchema(t *testing.T) {
 	}
 	if _, has := mark["duration_ms"]; has {
 		t.Error("mark should omit duration_ms")
-	}
-}
-
-func TestSyncWriterConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewSyncWriter(&buf)
-	var wg sync.WaitGroup
-	const n = 32
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fmt.Fprintf(w, "line %d\n", i)
-		}(i)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != n {
-		t.Fatalf("got %d lines, want %d", len(lines), n)
-	}
-	for _, ln := range lines {
-		if !strings.HasPrefix(ln, "line ") {
-			t.Fatalf("torn line %q", ln)
-		}
 	}
 }
 

@@ -7,28 +7,8 @@ import (
 	"time"
 )
 
-// SyncWriter wraps a writer with a mutex so independent producers (the
-// engine's NDJSON telemetry sink and the span NDJSON exporter, both
-// writing to stderr under -stats) never interleave bytes within a line.
-type SyncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewSyncWriter wraps w.
-func NewSyncWriter(w io.Writer) *SyncWriter { return &SyncWriter{w: w} }
-
-// Write implements io.Writer; each call is atomic with respect to other
-// writers of the same SyncWriter.
-func (s *SyncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
-}
-
-// ndjsonRecord is the line schema. It deliberately mirrors
-// engine.Event's NDJSON stream — a "type" discriminator plus flat fields
-// — so spans interleave with engine job events in one coherent stream:
+// ndjsonRecord is the line schema: a "type" discriminator plus flat
+// fields, one span close or mark per line:
 //
 //	{"type":"span","name":"smt.solve","span":17,"parent":9,"track":2,
 //	 "t_ms":41.2,"duration_ms":3.8,"attrs":{"status":"unsat",...}}
@@ -45,11 +25,10 @@ type ndjsonRecord struct {
 	Attrs      map[string]any `json:"attrs,omitempty"`
 }
 
-// MarshalRecord renders one span or mark in the NDJSON line schema
-// (without trailing newline), timestamped against epoch. It is the shared
-// wire format of the -stats stream, the flight recorder, and the live
-// SSE trace endpoint, so a consumer parses all three identically.
-func MarshalRecord(typ string, d SpanData, epoch time.Time) ([]byte, error) {
+// record builds the line record of one span or mark, timestamped in
+// milliseconds since epoch. It is the one encoding behind MarshalRecord,
+// the -stats exporter and the flight-recorder dump.
+func record(typ string, d SpanData, epoch time.Time) ndjsonRecord {
 	rec := ndjsonRecord{
 		Type:    typ,
 		Name:    d.Name,
@@ -62,12 +41,21 @@ func MarshalRecord(typ string, d SpanData, epoch time.Time) ([]byte, error) {
 	if d.Duration > 0 {
 		rec.DurationMS = float64(d.Duration) / float64(time.Millisecond)
 	}
-	return json.Marshal(rec)
+	return rec
+}
+
+// MarshalRecord renders one span or mark in the NDJSON line schema
+// (without trailing newline), timestamped against epoch. It is the shared
+// wire format of the -stats stream, the flight recorder, the live SSE
+// trace endpoint and the job server's per-job event streams, so a
+// consumer parses all of them identically.
+func MarshalRecord(typ string, d SpanData, epoch time.Time) ([]byte, error) {
+	return json.Marshal(record(typ, d, epoch))
 }
 
 // NDJSONExporter streams finished spans and marks as one JSON object per
 // line, timestamped in milliseconds since the exporter's epoch. Encoding
-// errors are dropped (telemetry is best-effort, matching engine.Sink).
+// errors are dropped (telemetry is best-effort).
 type NDJSONExporter struct {
 	mu    sync.Mutex
 	enc   *json.Encoder
@@ -95,18 +83,7 @@ func attrMap(attrs []Attr) map[string]any {
 }
 
 func (n *NDJSONExporter) write(typ string, d SpanData) {
-	rec := ndjsonRecord{
-		Type:    typ,
-		Name:    d.Name,
-		Span:    d.ID,
-		Parent:  d.Parent,
-		Track:   d.Track,
-		StartMS: float64(d.Start.Sub(n.epoch)) / float64(time.Millisecond),
-		Attrs:   attrMap(d.Attrs),
-	}
-	if d.Duration > 0 {
-		rec.DurationMS = float64(d.Duration) / float64(time.Millisecond)
-	}
+	rec := record(typ, d, n.epoch)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	_ = n.enc.Encode(rec)

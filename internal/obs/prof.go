@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -23,13 +22,10 @@ type Profiling struct {
 	// MemProfile, when non-empty, writes a heap profile to this file at
 	// stop time (after a forced GC, so it reflects live objects).
 	MemProfile string
-	// PprofAddr, when non-empty, serves the pprof endpoints on this
-	// address (e.g. "localhost:6060") for live inspection of long runs.
-	PprofAddr string
 }
 
 func (p Profiling) enabled() bool {
-	return p.CPUProfile != "" || p.MemProfile != "" || p.PprofAddr != ""
+	return p.CPUProfile != "" || p.MemProfile != ""
 }
 
 // NewPprofMux builds a private ServeMux carrying the /debug/pprof/
@@ -124,35 +120,12 @@ func sleepCtx(r *http.Request, d time.Duration) {
 	}
 }
 
-// servePprof starts an HTTP server on addr with a private pprof mux and
-// returns its listener (whose Addr reports the bound port, so ":0" works
-// in tests). The server shuts down when the listener closes.
-func servePprof(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: pprof listener: %w", err)
-	}
-	srv := &http.Server{Handler: NewPprofMux(), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return ln, nil
-}
-
 // Start begins the configured profilers and returns a stop function that
-// finalizes them (stops the CPU profile, writes the heap profile, shuts
-// the pprof listener). The stop function must be called exactly once;
-// with nothing configured it is a cheap no-op.
+// finalizes them (stops the CPU profile, writes the heap profile). The
+// stop function must be called exactly once; with nothing configured it
+// is a cheap no-op.
 func (p Profiling) Start() (stop func() error, err error) {
 	var cpuFile *os.File
-	var ln net.Listener
-	cleanup := func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if ln != nil {
-			ln.Close()
-		}
-	}
 	if p.CPUProfile != "" {
 		cpuFile, err = os.Create(p.CPUProfile)
 		if err != nil {
@@ -164,13 +137,6 @@ func (p Profiling) Start() (stop func() error, err error) {
 			return nil, fmt.Errorf("obs: cpu profile: %w", err)
 		}
 	}
-	if p.PprofAddr != "" {
-		ln, err = servePprof(p.PprofAddr)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
 	memPath := p.MemProfile
 	return func() error {
 		if cpuFile != nil {
@@ -178,9 +144,6 @@ func (p Profiling) Start() (stop func() error, err error) {
 			if err := cpuFile.Close(); err != nil {
 				return err
 			}
-		}
-		if ln != nil {
-			_ = ln.Close()
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)

@@ -215,20 +215,7 @@ func (r *Recorder) Dump(w io.Writer, reason string) error {
 		if e.kind == 2 {
 			typ = "mark"
 		}
-		d := e.data
-		rec := ndjsonRecord{
-			Type:    typ,
-			Name:    d.Name,
-			Span:    d.ID,
-			Parent:  d.Parent,
-			Track:   d.Track,
-			StartMS: float64(d.Start.Sub(r.epoch)) / float64(time.Millisecond),
-			Attrs:   attrMap(d.Attrs),
-		}
-		if d.Duration > 0 {
-			rec.DurationMS = float64(d.Duration) / float64(time.Millisecond)
-		}
-		if err := enc.Encode(rec); err != nil {
+		if err := enc.Encode(record(typ, e.data, r.epoch)); err != nil {
 			return err
 		}
 	}

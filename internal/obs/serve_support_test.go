@@ -7,8 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -313,19 +313,13 @@ func TestReportRejectsGarbage(t *testing.T) {
 // escape: two profiling servers in one process coexist on private muxes,
 // both serve /debug/pprof/, and nothing is registered globally.
 func TestPprofPrivateMux(t *testing.T) {
-	ln1, err := servePprof("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	ln2, err := servePprof("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("second pprof listener failed: %v", err)
-	}
-	defer ln2.Close()
-	for _, ln := range []net.Listener{ln1, ln2} {
+	srv1 := httptest.NewServer(NewPprofMux())
+	defer srv1.Close()
+	srv2 := httptest.NewServer(NewPprofMux())
+	defer srv2.Close()
+	for _, srv := range []*httptest.Server{srv1, srv2} {
 		for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
-			resp, err := http.Get("http://" + ln.Addr().String() + path)
+			resp, err := srv.Client().Get(srv.URL + path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +327,7 @@ func TestPprofPrivateMux(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK || len(body) == 0 {
 				t.Errorf("GET %s on %s = %d (%d bytes), want 200 with body",
-					path, ln.Addr(), resp.StatusCode, len(body))
+					path, srv.URL, resp.StatusCode, len(body))
 			}
 		}
 	}

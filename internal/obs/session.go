@@ -13,8 +13,7 @@ import (
 // used by cmd/transit, cmd/transit-infer, and cmd/transit-bench.
 type Options struct {
 	// NDJSON, when non-nil, streams spans and marks as NDJSON lines to
-	// this writer (interleaving with engine telemetry when both target
-	// the same SyncWriter).
+	// this writer.
 	NDJSON io.Writer
 	// TracePath, when non-empty, writes a Chrome trace-event JSON file
 	// there at Close (open it at https://ui.perfetto.dev).
@@ -36,7 +35,7 @@ type Options struct {
 	// Extra exporters join the tracer fan-out (the introspection server's
 	// SSE broadcaster and live-gauge aggregator ride here).
 	Extra []Exporter
-	// Profiling configures CPU/heap/pprof profiling for the run.
+	// Profiling configures CPU and heap profiling for the run.
 	Profiling Profiling
 }
 

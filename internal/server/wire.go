@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"transit/internal/core"
 	"transit/internal/efsm"
@@ -271,32 +270,7 @@ func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 
 // runSolve executes a solve job through the shared cache.
 func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (json.RawMessage, jobCache, error) {
-	sink := j.telemetrySink()
-	eng := engine.New(engine.Config{
-		Cache: s.cache,
-		Sink:  sink,
-	})
-	// Direct SolveConcolic calls sit below the engine's job-DAG telemetry,
-	// so bracket the solve with the same event shapes Run emits.
-	sink(engine.Event{Type: "solve_start", Job: j.id, Kind: j.kind})
-	start := time.Now()
-	res, st, out, err := eng.SolveConcolic(ctx, spec)
-	ev := engine.Event{
-		Type:       "solve_done",
-		Job:        j.id,
-		Kind:       j.kind,
-		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-		CacheHit:   out.Cached,
-		CacheTier:  string(out.Tier),
-		Candidates: st.Concrete.Enumerated,
-		SMTQueries: st.SMTQueries,
-		Iterations: st.Iterations,
-		Retries:    out.Retries,
-	}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	sink(ev)
+	res, st, out, err := engine.New(engine.Config{Cache: s.cache}).SolveConcolic(ctx, spec)
 	cinfo := jobCache{Tier: out.Tier, CacheWait: out.CacheWait, SolveWait: out.SolveWait}
 	if out.Cached {
 		cinfo.Hits = 1
@@ -400,10 +374,9 @@ func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, 
 	rec := provenance.NewRecorder(proto.Name)
 	ctx = provenance.WithRecorder(ctx, rec)
 	rep, err := core.CompleteCtx(ctx, proto.Sys, proto.Vocab, proto.Snippets, core.Options{
-		Limits:    synth.Limits{MaxSize: req.MaxSize},
-		Workers:   s.cfg.Workers,
-		Cache:     s.cache,
-		Telemetry: j.telemetrySink(),
+		Limits:  synth.Limits{MaxSize: req.MaxSize},
+		Workers: s.cfg.Workers,
+		Cache:   s.cache,
 	})
 	if err != nil {
 		return nil, jobCache{}, err
@@ -449,14 +422,6 @@ func completionTier(rep *core.Report) engine.Tier {
 		return engine.TierMem
 	default:
 		return engine.TierNone
-	}
-}
-
-// telemetrySink adapts the job's event bus to the engine's Sink: every
-// engine event becomes one NDJSON line on the job's SSE stream.
-func (j *job) telemetrySink() engine.Sink {
-	return func(ev engine.Event) {
-		j.publish("engine", map[string]any{"event": ev})
 	}
 }
 

@@ -52,8 +52,6 @@ package transit
 
 import (
 	"context"
-	"io"
-	"time"
 
 	"transit/internal/core"
 	"transit/internal/efsm"
@@ -244,44 +242,16 @@ func LoadProtocol(src string, numCaches int) (*Protocol, error) {
 	return lang.Build(src, numCaches)
 }
 
-// Telemetry types of the synthesis engine (re-exported from
-// internal/engine).
-type (
-	// EngineEvent is one structured telemetry record emitted by the
-	// synthesis-job engine.
-	EngineEvent = engine.Event
-	// TelemetrySink consumes engine events; it must be safe for
-	// concurrent calls.
-	TelemetrySink = engine.Sink
-	// SynthCache is the engine's cross-job memoization cache; share one
-	// across Synthesize calls to reuse solved sub-problems.
-	SynthCache = engine.Cache
-)
-
-// NewJSONTelemetry returns a sink writing one JSON event per line to w.
-func NewJSONTelemetry(w io.Writer) TelemetrySink { return engine.NewJSONSink(w) }
+// SynthCache is the engine's cross-job memoization cache; share one
+// across Synthesize calls to reuse solved sub-problems.
+type SynthCache = engine.Cache
 
 // NewSynthCache creates an empty memoization cache.
 func NewSynthCache() *SynthCache { return engine.NewCache() }
 
-// SynthesisOptions configures Synthesize.
-type SynthesisOptions struct {
-	// Limits bounds each inference call; zero fields take defaults.
-	Limits Limits
-	// SkipGuardCheck disables the static guard mutual-exclusion check.
-	SkipGuardCheck bool
-	// Workers sizes the inference worker pool; <= 1 runs jobs in exactly
-	// the sequential order (byte-identical output to the historical
-	// implementation; larger pools infer identical expressions faster).
-	Workers int
-	// Timeout bounds the whole synthesis run; 0 means none.
-	Timeout time.Duration
-	// Telemetry, when non-nil, receives the engine's structured events.
-	Telemetry TelemetrySink
-	// Cache, when non-nil, is used instead of a fresh per-run
-	// memoization cache.
-	Cache *SynthCache
-}
+// SynthesisOptions configures Synthesize: search limits, the inference
+// worker pool, an overall deadline, and the memoization cache.
+type SynthesisOptions = core.Options
 
 // Synthesize completes the protocol's skeleton from its snippets (§5),
 // installing full transitions into proto.Sys.
@@ -292,48 +262,13 @@ func Synthesize(proto *Protocol, opts SynthesisOptions) (*SynthesisReport, error
 // SynthesizeCtx is Synthesize under a context: cancellation and deadlines
 // stop in-flight inference jobs.
 func SynthesizeCtx(ctx context.Context, proto *Protocol, opts SynthesisOptions) (*SynthesisReport, error) {
-	return core.CompleteCtx(ctx, proto.Sys, proto.Vocab, proto.Snippets, core.Options{
-		Limits:         opts.Limits,
-		SkipGuardCheck: opts.SkipGuardCheck,
-		Workers:        opts.Workers,
-		Timeout:        opts.Timeout,
-		Telemetry:      opts.Telemetry,
-		Cache:          opts.Cache,
-	})
+	return core.CompleteCtx(ctx, proto.Sys, proto.Vocab, proto.Snippets, opts)
 }
 
-// VerifyOptions configures Verify.
-type VerifyOptions struct {
-	// MaxStates caps exploration (0 = 1,000,000).
-	MaxStates int
-	// CheckDeadlock reports stuck states as violations.
-	CheckDeadlock bool
-	// ProgressInterval sets the model checker's wall-clock heartbeat: how
-	// often it emits an mc.progress mark (live gauges for the -serve
-	// introspection endpoint) regardless of exploration speed. 0 means the
-	// 1s default; negative disables the heartbeat.
-	ProgressInterval time.Duration
-	// Workers sizes the checker's frontier worker pool (0 or 1 =
-	// sequential). The Result — counters, budgets, counterexample trace —
-	// is identical for every worker count; only wall-clock time changes.
-	Workers int
-	// SymmetryReduction explores one canonical representative per orbit of
-	// the replicated-process PID symmetry, shrinking the state space by up
-	// to |caches|!. It auto-disables (CheckResult.SymmetryApplied reports
-	// the outcome) on systems that are not PID-symmetric.
-	SymmetryReduction bool
-}
-
-// mcOptions lowers the facade options to the checker's.
-func (o VerifyOptions) mcOptions() mc.Options {
-	return mc.Options{
-		MaxStates:         o.MaxStates,
-		CheckDeadlock:     o.CheckDeadlock,
-		ProgressInterval:  o.ProgressInterval,
-		Workers:           o.Workers,
-		SymmetryReduction: o.SymmetryReduction,
-	}
-}
+// VerifyOptions configures Verify: the state budget, deadlock checking,
+// the progress heartbeat, the frontier worker pool, and symmetry
+// reduction.
+type VerifyOptions = mc.Options
 
 // Verify model checks a synthesized protocol against its invariants,
 // returning the first (shortest) counterexample if any.
@@ -342,7 +277,7 @@ func Verify(proto *Protocol, opts VerifyOptions) (*CheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mc.Check(rt, proto.Invariants, opts.mcOptions())
+	return mc.Check(rt, proto.Invariants, opts)
 }
 
 // VerifyCtx is Verify under a context: cancellation and deadlines abort
@@ -352,7 +287,7 @@ func VerifyCtx(ctx context.Context, proto *Protocol, opts VerifyOptions) (*Check
 	if err != nil {
 		return nil, err
 	}
-	return mc.CheckCtx(ctx, rt, proto.Invariants, opts.mcOptions())
+	return mc.CheckCtx(ctx, rt, proto.Invariants, opts)
 }
 
 // VerifyWithChart is Verify, additionally rendering any violation as an
@@ -363,7 +298,7 @@ func VerifyWithChart(proto *Protocol, opts VerifyOptions) (*CheckResult, string,
 	if err != nil {
 		return nil, "", err
 	}
-	return mc.CheckWithMSC(rt, proto.Invariants, opts.mcOptions())
+	return mc.CheckWithMSC(rt, proto.Invariants, opts)
 }
 
 // VerifyWithChartCtx is VerifyWithChart under a context: cancellation and
@@ -374,7 +309,7 @@ func VerifyWithChartCtx(ctx context.Context, proto *Protocol, opts VerifyOptions
 	if err != nil {
 		return nil, "", err
 	}
-	return mc.CheckWithMSCCtx(ctx, rt, proto.Invariants, opts.mcOptions())
+	return mc.CheckWithMSCCtx(ctx, rt, proto.Invariants, opts)
 }
 
 // RunCaseStudy replays a scripted specify→synthesize→check→fix workflow.
