@@ -101,7 +101,6 @@ type Solver struct {
 	seen     []bool // scratch for analyze
 
 	assumptions []Lit // current Solve call's assumptions
-	conflict    []Lit // final conflict clause over failed assumptions
 	budgetEnd   int64 // Stats.Conflicts bound for the current Solve; 0 = none
 
 	// Stats counts solver work; useful for benchmarks and debugging.
@@ -418,10 +417,9 @@ const restartBase = 100
 // called repeatedly, interleaved with AddClause, for incremental use:
 // learned clauses, variable activities, and saved phases carry over between
 // calls. An Unsat answer caused by the assumptions (rather than the clause
-// database itself) leaves the solver usable; Conflict then reports the
-// failed-assumption clause and Okay stays true.
+// database itself) leaves the solver usable: a later call without them
+// can still answer Sat.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	s.conflict = s.conflict[:0]
 	if !s.ok {
 		return Unsat
 	}
@@ -465,25 +463,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.Stats.Restarts++
 	}
 }
-
-// Conflict returns the final conflict clause from the last Solve call that
-// returned Unsat because of its assumptions: each literal is the negation
-// of an assumption, and their disjunction is implied by the clause
-// database. It is empty when the last answer did not hinge on assumptions
-// (in particular, when the database itself is unsatisfiable).
-func (s *Solver) Conflict() []Lit {
-	out := make([]Lit, len(s.conflict))
-	copy(out, s.conflict)
-	return out
-}
-
-// Okay reports whether the clause database is still possibly satisfiable;
-// it turns false permanently once an empty clause is derived at level 0.
-// Unsat answers under assumptions do not clear it.
-func (s *Solver) Okay() bool { return s.ok }
-
-// NumLearnts reports the number of learned clauses currently retained.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
 // interrupted reports whether the Interrupt channel has fired.
 func (s *Solver) interrupted() bool {
@@ -539,8 +518,8 @@ func (s *Solver) search(conflictBudget int64) Status {
 			continue
 		}
 		// No conflict: honor pending assumptions, then decide. Each
-		// assumption occupies one leading decision level so cancelUntil
-		// and analyzeFinal can index assumptions by level.
+		// assumption occupies one leading decision level, so the current
+		// level indexes the next pending assumption.
 		next := litUndef
 		for next == litUndef && s.decisionLevel() < len(s.assumptions) {
 			p := s.assumptions[s.decisionLevel()]
@@ -550,10 +529,8 @@ func (s *Solver) search(conflictBudget int64) Status {
 				// level↔assumption alignment.
 				s.trailLim = append(s.trailLim, len(s.trail))
 			case lFalse:
-				// The database falsifies this assumption: extract the
-				// failed-assumption clause and answer Unsat without
-				// poisoning the solver (ok stays true).
-				s.analyzeFinal(p.Not())
+				// The database falsifies this assumption: answer Unsat
+				// without poisoning the solver (ok stays true).
 				s.cancelUntil(0)
 				return Unsat
 			default:
@@ -571,40 +548,6 @@ func (s *Solver) search(conflictBudget int64) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(next, nil)
 	}
-}
-
-// analyzeFinal computes the final conflict clause when assumption p.Not()
-// is falsified by the current trail: it walks reasons backwards from p,
-// collecting the negations of the assumption decisions responsible, in the
-// MiniSat tradition. The result (which includes p itself) lands in
-// s.conflict.
-func (s *Solver) analyzeFinal(p Lit) {
-	s.conflict = append(s.conflict[:0], p)
-	if s.decisionLevel() == 0 {
-		return
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if s.reason[v] == nil {
-			// An assumption decision (dummy levels hold no decisions):
-			// its negation belongs to the conflict clause.
-			if s.level[v] > 0 {
-				s.conflict = append(s.conflict, s.trail[i].Not())
-			}
-		} else {
-			for _, l := range s.reason[v].lits {
-				if s.level[l.Var()] > 0 {
-					s.seen[l.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	s.seen[p.Var()] = false
 }
 
 // ValueOf reports the model value of a variable after Sat.
