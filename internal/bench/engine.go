@@ -33,8 +33,7 @@ type EngineRow struct {
 	CacheMisses int           `json:"cache_misses"`
 	HitRate     float64       `json:"cache_hit_rate"`
 	// Work counters from the parallel run's obs metrics registry (the
-	// same counters -stats-summary reports), not re-derived from
-	// telemetry events.
+	// same counters -stats-summary reports), not re-derived from spans.
 	SMTQueries   int64 `json:"smt_queries"`
 	SATConflicts int64 `json:"sat_conflicts"`
 	Candidates   int64 `json:"candidates"`

@@ -7,9 +7,9 @@
 //
 // The paper's evaluation (§7, Table 3 / Figure 5) is built on per-phase
 // counters — enumeration tiers, SMT queries, SAT conflicts, model-checker
-// states/sec. PR 1's engine telemetry reports those numbers only at job
-// granularity; this package explains where the time inside a job goes,
-// and is the substrate every future performance PR reports through.
+// states/sec. The engine.job span carries those numbers per job; the
+// spans nested under it explain where the time inside a job goes, and
+// this package is the substrate every performance change reports through.
 //
 // # Design
 //

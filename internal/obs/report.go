@@ -13,8 +13,7 @@ import (
 // summary-tree format -stats-summary prints live: the span tree with
 // count/total/mean/max per call position, mark counts, and (when the
 // stream carries a metrics trailer) the counters-and-histograms table.
-// Unknown line types (engine telemetry such as job_start/job_end shares
-// the stream under -stats) are skipped and counted. Lines that are not
+// Lines of any other type are skipped and counted. Lines that are not
 // JSON objects fail the whole report: a half-written dump should be
 // noticed, not silently truncated.
 func Report(r io.Reader, w io.Writer) error {

@@ -70,7 +70,7 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 		if err != nil {
 			// An exhausted search may be hiding an impossible hole; the
 			// atlas check upgrades the error to ErrUnrealizable when it
-			// can prove so, which stops the engine's retry escalation.
+			// can prove so, telling the caller larger limits cannot help.
 			if errors.Is(err, ErrNoExpression) {
 				if uerr := checkUnrealizable(ctx, p, examples, limits, &stats); uerr != nil {
 					return nil, stats, uerr

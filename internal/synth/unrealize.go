@@ -12,9 +12,8 @@ import (
 // Unrealizability detection: when the CEGIS loop exhausts its budget, the
 // failure is ambiguous — the hole may be merely undiscovered (too-small
 // limits, concretizations that stranded the search) or genuinely
-// impossible. Distinguishing the two cheaply is what lets the engine skip
-// its escalating-limits retry schedule, which otherwise multiplies the
-// exhaustion cost several-fold per attempt.
+// impossible. Distinguishing the two cheaply tells the caller whether a
+// retry with larger limits could ever succeed.
 //
 // The check builds a semantic atlas of the vocabulary: it reruns the
 // signature-table enumerator with the probe set replaced by EVERY
@@ -34,7 +33,7 @@ import (
 // succeeds), only under interpretation reduction, and under hard caps on
 // the valuation count, class count, enumerated candidates, and wall
 // clock; any cap overrun makes it inconclusive — the caller keeps its
-// plain ErrNoExpression and the retry schedule stays available.
+// plain ErrNoExpression.
 
 const (
 	// unrealizableDomainCap bounds the materialized input valuations
