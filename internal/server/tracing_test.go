@@ -111,7 +111,12 @@ func TestJobTraceEndToEnd(t *testing.T) {
 	}
 
 	// The access-log line for the same run: identity matches, and the
-	// queue + cache + solve breakdown reconciles with the wall time.
+	// queue + cache + solve breakdown reconciles with the wall time. The
+	// envelope turns terminal before the line is written; done closes
+	// after it.
+	if j, ok := s.get(env.ID); ok {
+		<-j.done
+	}
 	var rec AccessRecord
 	if err := json.Unmarshal(bytes.TrimSpace(logBuf.Bytes()), &rec); err != nil {
 		t.Fatalf("access log line: %v (%q)", err, logBuf.String())
