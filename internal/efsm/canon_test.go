@@ -1,0 +1,303 @@
+package efsm_test
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"transit/internal/core"
+	"transit/internal/efsm"
+	"transit/internal/expr"
+	"transit/internal/protocols"
+	"transit/internal/synth"
+)
+
+// scanCanonicalize is the reference Canonicalize is held to: the least
+// Encode(Permute(st, pi)) over every permutation pi in lexicographic
+// order, the first pi that reaches it, and n! over the number that do.
+func scanCanonicalize(r *efsm.Runtime, st *efsm.State) (string, efsm.Perm, int) {
+	perms := lexPerms(r.Sys.U.NumCaches())
+	var key string
+	var sigma efsm.Perm
+	minimizers := 0
+	for _, pi := range perms {
+		k := r.Encode(r.Permute(st, pi))
+		switch {
+		case sigma == nil || k < key:
+			key, sigma, minimizers = k, pi, 1
+		case k == key:
+			minimizers++
+		}
+	}
+	return key, sigma, len(perms) / minimizers
+}
+
+// lexPerms lists the permutations of 0..n-1 in lexicographic order.
+func lexPerms(n int) []efsm.Perm {
+	var ps []efsm.Perm
+	var gen func(prefix efsm.Perm, used int)
+	gen = func(prefix efsm.Perm, used int) {
+		if len(prefix) == n {
+			ps = append(ps, slices.Clone(prefix))
+			return
+		}
+		for v := 0; v < n; v++ {
+			if used&(1<<v) == 0 {
+				gen(append(prefix, v), used|1<<v)
+			}
+		}
+	}
+	gen(make(efsm.Perm, 0, n), 0)
+	return ps
+}
+
+// checkCanonicalize compares enc's key, sigma and orbit size for st with
+// the reference's.
+func checkCanonicalize(t *testing.T, r *efsm.Runtime, enc *efsm.CanonEncoder, st *efsm.State) {
+	t.Helper()
+	key, sigma, orbit := enc.Canonicalize(st)
+	wkey, wsigma, worbit := scanCanonicalize(r, st)
+	if key != wkey || !slices.Equal(sigma, wsigma) || orbit != worbit {
+		t.Fatalf("%s:\nCanonicalize gives key %x sigma %v orbit %d\n   the scan gives key %x sigma %v orbit %d",
+			r.FormatState(st), key, sigma, orbit, wkey, wsigma, worbit)
+	}
+}
+
+func encoder(t testing.TB, r *efsm.Runtime) *efsm.CanonEncoder {
+	t.Helper()
+	g, err := efsm.NewSymGroup(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Encoder()
+}
+
+// TestCanonicalizeMatchesScan holds Canonicalize to the reference scan on
+// every successor of every reachable state of the token system and of
+// the four completed protocols at 3 caches, and on 8-cache states that
+// hold PID 7 and the full set, the widest values one byte carries.
+func TestCanonicalizeMatchesScan(t *testing.T) {
+	type system struct {
+		name string
+		r    *efsm.Runtime
+	}
+	_, sym := efsm.SymSystem(t)
+	systems := []system{{"sym", sym}}
+	for _, p := range []struct {
+		name string
+		spec *protocols.Spec
+	}{
+		{"vi", protocols.VI(3)},
+		{"msi", protocols.MSI(3)},
+		{"mesi", protocols.MESI(3)},
+		{"origin", protocols.Origin(3, true)},
+	} {
+		if _, err := core.CompleteCtx(context.Background(), p.spec.Sys, p.spec.Vocab, p.spec.Snippets,
+			core.Options{Limits: synth.Limits{MaxSize: 12}}); err != nil {
+			t.Fatalf("completing %s: %v", p.name, err)
+		}
+		r, err := efsm.NewRuntime(p.spec.Sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, system{p.name, r})
+	}
+	for _, s := range systems {
+		t.Run(s.name, func(t *testing.T) {
+			enc := encoder(t, s.r)
+			init := s.r.Initial()
+			seen := map[string]bool{s.r.Encode(init): true}
+			successors := 0
+			for queue := []*efsm.State{init}; len(queue) > 0; queue = queue[1:] {
+				acts, _ := s.r.Actions(queue[0])
+				for _, a := range acts {
+					next := s.r.Apply(queue[0], a)
+					checkCanonicalize(t, s.r, enc, next)
+					successors++
+					if k := s.r.Encode(next); !seen[k] {
+						seen[k] = true
+						queue = append(queue, next)
+					}
+				}
+			}
+			t.Logf("%d states, %d successors", len(seen), successors)
+		})
+	}
+	t.Run("n=8", func(t *testing.T) {
+		r := canonSystem(t, 8)
+		enc := encoder(t, r)
+		last, full := expr.PIDVal(7), expr.SetVal(0xFF)
+		peers, twins := r.InstancesOf(r.Sys.Defs[0]), r.InstancesOf(r.Sys.Defs[2])
+		hub := r.InstancesOf(r.Sys.Defs[3])[0]
+		// Networks 0, 1 and 2 are Fwd, Ack and Req.
+		for i, fill := range []func(st *efsm.State){
+			func(st *efsm.State) {
+				r.SetVar(st, hub, "P", last)
+				r.SetVar(st, hub, "S", full)
+			},
+			func(st *efsm.State) {
+				r.SetVar(st, peers[3], "P", last)
+				r.SetVar(st, peers[5], "S", full)
+				r.SetVar(st, twins[7], "Q", last)
+			},
+			func(st *efsm.State) {
+				r.SetVar(st, hub, "P", last)
+				r.SetCtl(st, peers[7], "Y")
+				r.SetPending(st, 1, 7, efsm.Msg{canonKind(r, 1), last, expr.PIDVal(2), full})
+				r.SetPending(st, 2, 0,
+					efsm.Msg{canonKind(r, 0), last, full},
+					efsm.Msg{canonKind(r, 0), expr.PIDVal(6), expr.SetVal(0x80)})
+			},
+			func(st *efsm.State) {
+				r.SetPending(st, 0, 7, efsm.Msg{canonKind(r, 1), last, last, full})
+				r.SetPending(st, 0, 2, efsm.Msg{canonKind(r, 1), expr.PIDVal(2), last, expr.SetVal(0x7F)})
+			},
+		} {
+			st := r.Initial()
+			fill(st)
+			checkCanonicalize(t, r, enc, st)
+			if i == 0 {
+				// Only PID 7 and PID 0, which every other PID variable
+				// holds, stand out: the orbit has 8·7 states.
+				if _, _, orbit := enc.Canonicalize(st); orbit != 56 {
+					t.Errorf("orbit %d, want 56", orbit)
+				}
+			}
+		}
+	})
+}
+
+// canonSystem builds an n-cache system that takes Canonicalize down every
+// path the built-in protocols leave alone: a replicated definition with
+// PID and Set variables, a second and a third replicated definition (one
+// without PID or Set variables), a singleton after them, ordered and
+// unordered by-field networks whose records carry PID and Set fields, and
+// an unordered static network. It has no transitions: the tests set its
+// states directly.
+func canonSystem(t testing.TB, n int) *efsm.Runtime {
+	t.Helper()
+	u := expr.NewUniverse(n)
+	kind := expr.EnumOf(u.MustDeclareEnum("CanonKind", "A", "B"))
+	states := u.MustDeclareEnum("CanonSt", "X", "Y")
+	peer := &efsm.ProcDef{Name: "Peer", States: states, Init: "X", Replicated: true,
+		Vars: []*expr.Var{expr.V("P", expr.PIDType), expr.V("S", expr.SetType)}}
+	mute := &efsm.ProcDef{Name: "Mute", States: states, Init: "X", Replicated: true,
+		Vars: []*expr.Var{expr.V("I", expr.IntType)}}
+	twin := &efsm.ProcDef{Name: "Twin", States: states, Init: "X", Replicated: true,
+		Vars: []*expr.Var{expr.V("Q", expr.PIDType)}}
+	hub := &efsm.ProcDef{Name: "Hub", States: states, Init: "X",
+		Vars: []*expr.Var{expr.V("P", expr.PIDType), expr.V("S", expr.SetType)}}
+	routed := []efsm.Field{{Name: "K", T: kind}, {Name: "Dest", T: expr.PIDType},
+		{Name: "From", T: expr.PIDType}, {Name: "S", T: expr.SetType}}
+	sys := &efsm.System{Name: "canon", U: u, Defs: []*efsm.ProcDef{peer, mute, twin, hub},
+		Networks: []*efsm.Network{
+			{Name: "Fwd", Kind: efsm.Ordered, Receiver: peer, Route: efsm.RouteByField, DestField: "Dest",
+				Msg: &efsm.MessageType{Name: "FwdM", Fields: routed}},
+			{Name: "Ack", Kind: efsm.Unordered, Receiver: twin, Route: efsm.RouteByField, DestField: "Dest",
+				Msg: &efsm.MessageType{Name: "AckM", Fields: routed}},
+			{Name: "Req", Kind: efsm.Unordered, Receiver: hub, Route: efsm.RouteStatic,
+				Msg: &efsm.MessageType{Name: "ReqM", Fields: []efsm.Field{{Name: "K", T: kind},
+					{Name: "From", T: expr.PIDType}, {Name: "S", T: expr.SetType}}}},
+		}}
+	r, err := efsm.NewRuntime(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// canonKind is value i of canonSystem's message-kind enum.
+func canonKind(r *efsm.Runtime, i int) expr.Value {
+	return expr.EnumVal(r.Sys.Networks[0].Msg.Fields[0].T.Enum, i)
+}
+
+// randomCanonState fills a canonSystem state from rng. Each definition
+// and each network is left at its initial value, or every instance (slot)
+// takes one of a few random profiles. A profile names PIDs relative to
+// its holder: its own PID, PID 0, or one drawn at random, and sets are
+// empty, full, the holder alone or random. Instances, slots and records
+// therefore often coincide, and states with large stabilizers, tied
+// branches and cells still open at the networks are common.
+func randomCanonState(r *efsm.Runtime, rng *rand.Rand) *efsm.State {
+	n, u := r.Sys.U.NumCaches(), r.Sys.U
+	// value draws a value of type t for the holder self.
+	value := func(rng *rand.Rand, t expr.Type, self int) expr.Value {
+		switch t {
+		case expr.PIDType:
+			return expr.PIDVal([]int{self, 0, rng.Intn(n)}[rng.Intn(3)])
+		case expr.SetType:
+			return expr.SetVal([]uint64{0, u.SetMask(), 1 << self, rng.Uint64() & u.SetMask()}[rng.Intn(4)])
+		case expr.IntType:
+			return expr.IntVal(u, int64(rng.Intn(2)))
+		}
+		return expr.EnumVal(t.Enum, rng.Intn(2))
+	}
+	// profiles returns 1 to 3 seeds, one per profile; a holder replays
+	// its profile's seed, so holders sharing one draw the same values.
+	profiles := func() []int64 {
+		seeds := make([]int64, 1+rng.Intn(3))
+		for i := range seeds {
+			seeds[i] = rng.Int63()
+		}
+		return seeds
+	}
+	st := r.Initial()
+	for _, d := range r.Sys.Defs {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		seeds := profiles()
+		for _, inst := range r.InstancesOf(d) {
+			prng := rand.New(rand.NewSource(seeds[rng.Intn(len(seeds))]))
+			r.SetCtl(st, inst, d.States.Values[prng.Intn(2)])
+			for _, v := range d.Vars {
+				r.SetVar(st, inst, v.Name, value(prng, v.VT, r.Insts[inst].PID))
+			}
+		}
+	}
+	for ni, net := range r.Sys.Networks {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		slots := 1
+		if net.Route == efsm.RouteByField {
+			slots = n
+		}
+		seeds := profiles()
+		for slot := 0; slot < slots; slot++ {
+			prng := rand.New(rand.NewSource(seeds[rng.Intn(len(seeds))]))
+			msgs := make([]efsm.Msg, prng.Intn(4))
+			for i := range msgs {
+				for _, f := range net.Msg.Fields {
+					v := value(prng, f.T, slot)
+					if f.Name == "Dest" {
+						v = expr.PIDVal(slot)
+					}
+					msgs[i] = append(msgs[i], v)
+				}
+			}
+			r.SetPending(st, ni, slot, msgs...)
+		}
+	}
+	return st
+}
+
+// FuzzCanonicalize holds Canonicalize to the reference scan on random
+// canonSystem states at 2 to 6 caches, and on a random permutation of
+// each, which must canonicalize to the same key and orbit.
+func FuzzCanonicalize(f *testing.F) {
+	for seed := int64(0); seed < 5; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, caches uint8) {
+		n := 2 + int(caches%5)
+		r := canonSystem(t, n)
+		enc := encoder(t, r)
+		rng := rand.New(rand.NewSource(seed))
+		st := randomCanonState(r, rng)
+		checkCanonicalize(t, r, enc, st)
+		perms := lexPerms(n)
+		checkCanonicalize(t, r, enc, r.Permute(st, perms[rng.Intn(len(perms))]))
+	})
+}

@@ -193,12 +193,8 @@ func (r *Runtime) refsFor(v []byte, buf []slotRef) []slotRef {
 // nil: replicated instance q takes the value-permuted block of instance
 // inv[q], by-field slot q the value-permuted records of slot inv[q].
 // With sorted set, every unordered slot's records are sorted, which makes
-// the image a state key. With best non-nil, the image is compared with
-// best as it grows and abandoned as soon as it is greater; cmp reports
-// the outcome (negative: less than best, zero: equal, positive: greater
-// and incomplete). Encode, Permute and Canonicalize all write through it.
-func (r *Runtime) appendImage(dst, v []byte, refs []slotRef, pi, inv Perm, sorted bool, best []byte) ([]byte, int) {
-	cmp, pos := 0, 0
+// the image a state key. Encode and Permute write through it.
+func (r *Runtime) appendImage(dst, v []byte, refs []slotRef, pi, inv Perm, sorted bool) []byte {
 	for i, pl := range r.procs {
 		src := i
 		if pi != nil && pl.def.Replicated {
@@ -208,11 +204,6 @@ func (r *Runtime) appendImage(dst, v []byte, refs []slotRef, pi, inv Perm, sorte
 		dst = append(dst, v[o:o+pl.block.size]...)
 		if pi != nil {
 			pl.block.permute(dst[start:], pi)
-		}
-		if best != nil && cmp == 0 {
-			if cmp, pos = compareFrom(dst, best, pos); cmp > 0 {
-				return dst, cmp
-			}
 		}
 	}
 	for i := range r.nets {
@@ -234,30 +225,9 @@ func (r *Runtime) appendImage(dst, v []byte, refs []slotRef, pi, inv Perm, sorte
 			if sorted && !nl.ordered && ref.n > 1 {
 				sortRecords(dst[start:], ref.n, sz)
 			}
-			if best != nil && cmp == 0 {
-				if cmp, pos = compareFrom(dst, best, pos); cmp > 0 {
-					return dst, cmp
-				}
-			}
 		}
 	}
-	if best != nil && cmp == 0 && len(dst) < len(best) {
-		cmp = -1
-	}
-	return dst, cmp
-}
-
-// compareFrom compares dst with best from pos on, where dst[:pos] equals
-// best[:pos], and returns the comparison so far and the new pos.
-func compareFrom(dst, best []byte, pos int) (int, int) {
-	end := len(dst)
-	if end > len(best) {
-		if c := bytes.Compare(dst[pos:len(best)], best[pos:]); c != 0 {
-			return c, end
-		}
-		return 1, end
-	}
-	return bytes.Compare(dst[pos:end], best[pos:end]), end
+	return dst
 }
 
 // sortRecords insertion-sorts the n records of size sz at the start of b.

@@ -552,7 +552,7 @@ func (r *Runtime) Apply(st *State, a Action) *State {
 func (r *Runtime) Encode(st *State) string {
 	var rbuf [slotBuf]slotRef
 	var kbuf [256]byte
-	key, _ := r.appendImage(kbuf[:0], st.v, r.refsFor(st.v, rbuf[:]), nil, nil, true, nil)
+	key := r.appendImage(kbuf[:0], st.v, r.refsFor(st.v, rbuf[:]), nil, nil, true)
 	return string(key)
 }
 

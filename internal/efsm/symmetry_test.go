@@ -110,10 +110,9 @@ func reachable(t *testing.T, r *Runtime, max int) []*State {
 	return out
 }
 
-// permImage is the key image Canonicalize writes for st under pi.
+// permImage is the key image of st under pi, written in one pass.
 func permImage(r *Runtime, st *State, pi Perm) string {
-	img, _ := r.appendImage(nil, st.v, r.refsFor(st.v, nil), pi, pi.Inverse(), true, nil)
-	return string(img)
+	return string(r.appendImage(nil, st.v, r.refsFor(st.v, nil), pi, pi.Inverse(), true))
 }
 
 func allPerms3() []Perm {
