@@ -285,6 +285,10 @@ func TestPIDSymmetricRejections(t *testing.T) {
 		{"asymmetric opt-out", func(sys *System, client *ProcDef) {
 			client.Asymmetric = true
 		}},
+		{"singleton Self", func(sys *System, client *ProcDef) {
+			sys.Defs[0].Transitions[0].Guard = expr.Eq(
+				expr.V(SelfVar, expr.PIDType), expr.V("In.From", expr.PIDType))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,10 +16,8 @@ import (
 )
 
 // goldenPath pins every model-checking answer the checker gives on the
-// fixtures below: each Result field except the wall-clock ones and
-// ShardStates (shards hash the key bytes, so they move with the state
-// encoding while every answer stays put), plus the violation's trace and
-// message-sequence chart.
+// fixtures below: each Result field except the wall-clock ones, plus the
+// violation's trace and message-sequence chart.
 const goldenPath = "testdata/golden.txt"
 
 // goldenRecord runs one check and renders its answer.

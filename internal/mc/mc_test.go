@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -17,11 +18,17 @@ type tokenOpts struct {
 	dropRelease    bool // server cannot handle Rel (unexpected message)
 	overlapGuards  bool // two enabled guards for Req in Free
 	noDone         bool // clients never release (deadlock with stalls)
+	caches         int  // client count (0 means 2)
+	owner          int  // the server's initial Owner; < 0 drops the Owner variable
 }
 
 func tokenSystem(t *testing.T, o tokenOpts) (*efsm.System, *efsm.ProcDef, *efsm.ProcDef) {
 	t.Helper()
-	u := expr.NewUniverse(2)
+	n := o.caches
+	if n == 0 {
+		n = 2
+	}
+	u := expr.NewUniverse(n)
 	mt := u.MustDeclareEnum("TokMT", "Req", "Grant", "Rel")
 
 	client := &efsm.ProcDef{
@@ -35,7 +42,12 @@ func tokenSystem(t *testing.T, o tokenOpts) (*efsm.System, *efsm.ProcDef, *efsm.
 		Name:   "Server",
 		States: u.MustDeclareEnum("ServerState", "Free", "Busy"),
 		Init:   "Free",
-		Vars:   []*expr.Var{expr.V("Owner", expr.PIDType)},
+	}
+	var recordOwner []efsm.Update
+	if o.owner >= 0 {
+		server.Vars = []*expr.Var{expr.V("Owner", expr.PIDType)}
+		server.InitVals = expr.Env{"Owner": expr.PIDVal(o.owner)}
+		recordOwner = []efsm.Update{{Var: "Owner", Rhs: expr.V("Msg.Sender", expr.PIDType)}}
 	}
 
 	toServ := &efsm.Network{
@@ -86,7 +98,7 @@ func tokenSystem(t *testing.T, o tokenOpts) (*efsm.System, *efsm.ProcDef, *efsm.
 			From: from, Event: efsm.Event{Net: toServ, MsgVar: "Msg"},
 			Guard:   expr.Eq(servMT, expr.EnumC(mt, "Req")),
 			To:      "Busy",
-			Updates: []efsm.Update{{Var: "Owner", Rhs: sender}},
+			Updates: recordOwner,
 			Sends: []efsm.Send{{Net: toCli, MsgVar: "Out", Fields: []efsm.SendField{
 				{Field: "MType", Rhs: expr.EnumC(mt, "Grant")},
 				{Field: "Dest", Rhs: sender},
@@ -220,8 +232,8 @@ func TestMaxStatesBudget(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{})
 	r := mustRuntime(t, sys)
 	_, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{MaxStates: 3})
-	if err == nil {
-		t.Fatal("expected budget error")
+	if !errors.Is(err, ErrStateBudget) {
+		t.Fatalf("err = %v, want ErrStateBudget", err)
 	}
 }
 

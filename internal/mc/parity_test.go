@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,8 @@ func normalize(res *Result) *Result {
 
 // grantSystem builds an n-cache request/grant protocol whose server
 // records the owner PID, parameterized by the initial owner so tests can
-// feed the checker PID-permuted variants of the same system.
+// feed the checker PID-permuted variants of the same system. A negative
+// initial owner drops the Owner variable.
 func grantSystem(t *testing.T, n, initialOwner int) (*efsm.System, *efsm.ProcDef) {
 	t.Helper()
 	u := expr.NewUniverse(n)
@@ -31,11 +33,15 @@ func grantSystem(t *testing.T, n, initialOwner int) (*efsm.System, *efsm.ProcDef
 		Triggers:   []string{"Want", "Done"},
 	}
 	server := &efsm.ProcDef{
-		Name:     "Server",
-		States:   u.MustDeclareEnum("GrServerSt", "Free", "Busy"),
-		Init:     "Free",
-		Vars:     []*expr.Var{expr.V("Owner", expr.PIDType)},
-		InitVals: expr.Env{"Owner": expr.PIDVal(initialOwner)},
+		Name:   "Server",
+		States: u.MustDeclareEnum("GrServerSt", "Free", "Busy"),
+		Init:   "Free",
+	}
+	var recordOwner []efsm.Update
+	if initialOwner >= 0 {
+		server.Vars = []*expr.Var{expr.V("Owner", expr.PIDType)}
+		server.InitVals = expr.Env{"Owner": expr.PIDVal(initialOwner)}
+		recordOwner = []efsm.Update{{Var: "Owner", Rhs: expr.V("Msg.Sender", expr.PIDType)}}
 	}
 	toServ := &efsm.Network{
 		Name: "ToServ", Kind: efsm.Unordered, Receiver: server, Route: efsm.RouteStatic,
@@ -80,7 +86,7 @@ func grantSystem(t *testing.T, n, initialOwner int) (*efsm.System, *efsm.ProcDef
 			From: "Free", Event: efsm.Event{Net: toServ, MsgVar: "Msg"},
 			Guard:   expr.Eq(servMT, expr.EnumC(mt, "Req")),
 			To:      "Busy",
-			Updates: []efsm.Update{{Var: "Owner", Rhs: sender}},
+			Updates: recordOwner,
 			Sends: []efsm.Send{{Net: toCli, MsgVar: "Out", Fields: []efsm.SendField{
 				{Field: "MType", Rhs: expr.EnumC(mt, "Grant")},
 				{Field: "Dest", Rhs: sender},
@@ -108,9 +114,9 @@ func grantSystem(t *testing.T, n, initialOwner int) (*efsm.System, *efsm.ProcDef
 // TestWorkerParity pins the central determinism contract: for every
 // violation class and with symmetry reduction both off and on, workers=1,
 // 2, and 8 produce byte-identical Results — counterexample trace, action
-// path, counters, and per-shard stats included. Only the wall-clock
-// fields are exempt. Run under -race this also exercises the phase
-// barriers of the parallel engine.
+// path and counters included. Only the wall-clock fields are exempt. Run
+// under -race this also exercises the phase barriers of the parallel
+// engine.
 func TestWorkerParity(t *testing.T) {
 	fixtures := []struct {
 		name     string
@@ -163,8 +169,8 @@ func TestWorkerParityBudgets(t *testing.T) {
 		for _, w := range []int{1, 2, 8} {
 			res, err := Check(r, []Invariant{AtMostOne(client, "Holding")},
 				Options{MaxStates: 7, Workers: w, SymmetryReduction: sym})
-			if err == nil {
-				t.Fatalf("workers=%d: budget error expected", w)
+			if !errors.Is(err, ErrStateBudget) {
+				t.Fatalf("workers=%d: err = %v, want ErrStateBudget", w, err)
 			}
 			normalize(res)
 			if baseBudget == nil {
@@ -247,7 +253,7 @@ func TestSymmetryAgreement(t *testing.T) {
 // TestPermutedInitialSystems is the orbit-invariance property test: the
 // same protocol seeded with PID-permuted initial values must explore the
 // identical canonical reachable set — same state count, transition count,
-// depth, and per-shard occupancy.
+// depth and reduction factor.
 func TestPermutedInitialSystems(t *testing.T) {
 	const n = 3
 	var base *Result
@@ -275,20 +281,9 @@ func TestPermutedInitialSystems(t *testing.T) {
 				owner, base, res)
 		}
 	}
-	if got := sum(base.ShardStates); got != base.States {
-		t.Errorf("shard stats sum %d != states %d", got, base.States)
-	}
 	if base.ReductionFactor <= 1.5 {
 		t.Errorf("3-cache reduction factor = %.2f, want > 1.5", base.ReductionFactor)
 	}
-}
-
-func sum(xs []int) int {
-	total := 0
-	for _, x := range xs {
-		total += x
-	}
-	return total
 }
 
 // TestTraceDeterministicPredecessor is the buildTrace regression: the
