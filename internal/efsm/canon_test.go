@@ -3,6 +3,7 @@ package efsm_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -73,17 +74,18 @@ func encoder(t testing.TB, r *efsm.Runtime) *efsm.CanonEncoder {
 	return g.Encoder()
 }
 
-// TestCanonicalizeMatchesScan holds Canonicalize to the reference scan on
-// every successor of every reachable state of the token system and of
-// the four completed protocols at 3 caches, and on 8-cache states that
-// hold PID 7 and the full set, the widest values one byte carries.
-func TestCanonicalizeMatchesScan(t *testing.T) {
-	type system struct {
-		name string
-		r    *efsm.Runtime
-	}
+// testSystem is a runtime the exhaustive tests walk.
+type testSystem struct {
+	name string
+	r    *efsm.Runtime
+}
+
+// testSystems returns the symmetric token system and the four completed
+// protocols at 3 caches.
+func testSystems(t *testing.T) []testSystem {
+	t.Helper()
 	_, sym := efsm.SymSystem(t)
-	systems := []system{{"sym", sym}}
+	systems := []testSystem{{"sym", sym}}
 	for _, p := range []struct {
 		name string
 		spec *protocols.Spec
@@ -101,27 +103,94 @@ func TestCanonicalizeMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		systems = append(systems, system{p.name, r})
+		systems = append(systems, testSystem{p.name, r})
 	}
-	for _, s := range systems {
+	return systems
+}
+
+// walk visits every reachable state of r breadth-first and calls visit on
+// each successor with its parent, the parent's actions and the action's
+// index. It returns the state and successor counts.
+func walk(r *efsm.Runtime, visit func(st, next *efsm.State, acts []efsm.Action, i int)) (int, int) {
+	init := r.Initial()
+	seen := map[string]bool{r.Encode(init): true}
+	successors := 0
+	for queue := []*efsm.State{init}; len(queue) > 0; queue = queue[1:] {
+		acts, _ := r.Actions(queue[0])
+		for i, a := range acts {
+			next := r.Apply(queue[0], a)
+			visit(queue[0], next, acts, i)
+			successors++
+			if k := r.Encode(next); !seen[k] {
+				seen[k] = true
+				queue = append(queue, next)
+			}
+		}
+	}
+	return len(seen), successors
+}
+
+// TestAppendFormsMatchWrappers holds each append form to the call that
+// wraps it, on every successor of every reachable state of the systems
+// TestCanonicalizeMatchesScan walks, writing into buffers reused from one
+// call to the next as the model checker does: AppendActions to Actions,
+// messages included, AppendApply to Apply, AppendEncode to Encode,
+// AppendPermute to Permute, and AppendCanonical to Canonicalize.
+func TestAppendFormsMatchWrappers(t *testing.T) {
+	for _, s := range testSystems(t) {
 		t.Run(s.name, func(t *testing.T) {
-			enc := encoder(t, s.r)
-			init := s.r.Initial()
-			seen := map[string]bool{s.r.Encode(init): true}
-			successors := 0
-			for queue := []*efsm.State{init}; len(queue) > 0; queue = queue[1:] {
-				acts, _ := s.r.Actions(queue[0])
-				for _, a := range acts {
-					next := s.r.Apply(queue[0], a)
-					checkCanonicalize(t, s.r, enc, next)
-					successors++
-					if k := s.r.Encode(next); !seen[k] {
-						seen[k] = true
-						queue = append(queue, next)
+			r := s.r
+			g, err := efsm.NewSymGroup(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := g.Encoder()
+			rng := rand.New(rand.NewSource(1))
+			var acts []efsm.Action
+			var succ, key []byte
+			walk(r, func(st, next *efsm.State, want []efsm.Action, i int) {
+				if i == 0 {
+					// A new parent: refill the reused action buffer, whose
+					// messages belong to the previous parent.
+					acts, _ = r.AppendActions(acts[:0], st)
+					if !reflect.DeepEqual(acts, want) {
+						t.Fatalf("%s: AppendActions gives %v, Actions %v", r.FormatState(st), acts, want)
 					}
 				}
-			}
-			t.Logf("%d states, %d successors", len(seen), successors)
+				succ = r.AppendApply(succ[:0], st, acts[i])
+				if v := efsm.View(succ); !reflect.DeepEqual(&v, next) {
+					t.Fatalf("%s: AppendApply(%s) differs from Apply", r.FormatState(st), r.FormatAction(acts[i]))
+				}
+				if key = r.AppendEncode(key[:0], next); string(key) != r.Encode(next) {
+					t.Fatalf("%s: AppendEncode differs from Encode", r.FormatState(next))
+				}
+				pi := g.Perm(rng.Intn(g.Size()))
+				if v := efsm.View(r.AppendPermute(succ[:0], next, pi)); !reflect.DeepEqual(&v, r.Permute(next, pi)) {
+					t.Fatalf("%s: AppendPermute(%v) differs from Permute", r.FormatState(next), pi)
+				}
+				var rank, orbit int
+				key, rank, orbit = enc.AppendCanonical(key[:0], next)
+				wkey, wsigma, worbit := enc.Canonicalize(next)
+				if string(key) != wkey || !slices.Equal(g.Perm(rank), wsigma) || orbit != worbit {
+					t.Fatalf("%s: AppendCanonical differs from Canonicalize", r.FormatState(next))
+				}
+			})
+		})
+	}
+}
+
+// TestCanonicalizeMatchesScan holds Canonicalize to the reference scan on
+// every successor of every reachable state of the token system and of
+// the four completed protocols at 3 caches, and on 8-cache states that
+// hold PID 7 and the full set, the widest values one byte carries.
+func TestCanonicalizeMatchesScan(t *testing.T) {
+	for _, s := range testSystems(t) {
+		t.Run(s.name, func(t *testing.T) {
+			enc := encoder(t, s.r)
+			states, successors := walk(s.r, func(st, next *efsm.State, _ []efsm.Action, _ int) {
+				checkCanonicalize(t, s.r, enc, next)
+			})
+			t.Logf("%d states, %d successors", states, successors)
 		})
 	}
 	t.Run("n=8", func(t *testing.T) {
