@@ -196,6 +196,25 @@ func (v Value) AppendEncoding(dst []byte) []byte {
 	return dst
 }
 
+// Code returns v's payload as one unsigned word: the mask of a Set, the
+// sign-extended two's complement of an Int, and the ordinal or index of a
+// Bool, PID or Enum. Within one type, Code is injective.
+func (v Value) Code() uint64 {
+	if v.t.Kind == KindSet {
+		return v.mask
+	}
+	return uint64(v.n)
+}
+
+// FromCode is the inverse of Code: the value of type t whose Code is c. It
+// does not check that c names an element of t's domain.
+func FromCode(t Type, c uint64) Value {
+	if t.Kind == KindSet {
+		return Value{t: t, mask: c}
+	}
+	return Value{t: t, n: int64(c)}
+}
+
 // SetSize reports the cardinality of a set value.
 func SetSize(v Value) int {
 	return bits.OnesCount64(v.Set())

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"transit/internal/efsm"
+	"transit/internal/hashidx"
 )
 
 // The search runs in depth-synchronized rounds over one visited table (see
@@ -88,7 +89,7 @@ type expander struct {
 	// idx maps keys to positions in cands, so that a worker keeps only the
 	// first candidate of each key it finds: it expands parents in id order
 	// and actions in index order, so its first is its least.
-	idx   index
+	idx   hashidx.Index
 	trans int64
 	prob  *problemAt
 	// over is the least frontier index of a state with more than
@@ -116,10 +117,10 @@ func (x *expander) rep(i int) []byte {
 // already, and reports whether it did.
 func (x *expander) add(c cand) bool {
 	key := x.buf[c.off : c.off+int(c.klen)]
-	if _, dup := x.idx.find(c.hash, func(i uint32) bool { return bytes.Equal(x.key(int(i)), key) }); dup {
+	if _, dup := x.idx.Find(c.hash, func(i uint32) bool { return bytes.Equal(x.key(int(i)), key) }); dup {
 		return false
 	}
-	x.idx.add(c.hash, uint32(len(x.cands)))
+	x.idx.Add(c.hash, uint32(len(x.cands)))
 	x.cands = append(x.cands, c)
 	return true
 }
@@ -153,7 +154,7 @@ func (s *search) appendKey(enc *efsm.CanonEncoder, dst []byte, st *efsm.State) (
 // has id lo, into x.
 func (s *search) expand(ctx context.Context, x *expander, cur *frontier, lo uint32, w, workers int) {
 	x.buf, x.cands, x.trans, x.prob, x.over = x.buf[:0], x.cands[:0], 0, nil, -1
-	x.idx.reset()
+	x.idx.Reset()
 	for i := w; i < cur.len(); i += workers {
 		if (i/workers)&255 == 255 && ctx.Err() != nil {
 			return

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+
+	"transit/internal/hashidx"
 )
 
 // ErrStateBudget is wrapped by the error a search returns when it stores
@@ -55,7 +57,7 @@ type table struct {
 	parent []uint32
 	act    []uint16
 	sigma  []uint16
-	idx    index
+	idx    hashidx.Index
 }
 
 func newTable() *table {
@@ -80,7 +82,7 @@ func (t *table) key(id uint32) []byte {
 
 // find returns the id of key, whose hash is h.
 func (t *table) find(key []byte, h uint32) (uint32, bool) {
-	return t.idx.find(h, func(id uint32) bool { return bytes.Equal(t.key(id), key) })
+	return t.idx.Find(h, func(id uint32) bool { return bytes.Equal(t.key(id), key) })
 }
 
 // insert stores a key that is not in the table yet, with hash h and its
@@ -111,64 +113,6 @@ func (t *table) insert(key []byte, h, parent uint32, act, sigma uint16) (uint32,
 	t.parent = append(t.parent, parent)
 	t.act = append(t.act, act)
 	t.sigma = append(t.sigma, sigma)
-	t.idx.add(h, id)
+	t.idx.Add(h, id)
 	return id, nil
-}
-
-// index is an open-addressed, linearly probed hash index over dense ids.
-// A slot holds the low 32 bits of a key's hash in its high half and the
-// key's id+1 in its low half, 0 when empty. The hash half picks the home
-// slot, rehomes the slot when the index grows, and rules out most key
-// comparisons.
-type index struct {
-	slots []uint64
-	n     int
-}
-
-// find returns the id under hash h for which eq holds.
-func (ix *index) find(h uint32, eq func(id uint32) bool) (uint32, bool) {
-	if len(ix.slots) == 0 {
-		return 0, false
-	}
-	mask := uint32(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := ix.slots[i]
-		if s == 0 {
-			return 0, false
-		}
-		if uint32(s>>32) == h && eq(uint32(s)-1) {
-			return uint32(s) - 1, true
-		}
-	}
-}
-
-// add records id under hash h, doubling the index past 3/4 load.
-func (ix *index) add(h, id uint32) {
-	if 4*(ix.n+1) > 3*len(ix.slots) {
-		old := ix.slots
-		ix.slots = make([]uint64, max(1024, 2*len(old)))
-		for _, s := range old {
-			if s != 0 {
-				ix.place(s)
-			}
-		}
-	}
-	ix.place(uint64(h)<<32 | uint64(id+1))
-	ix.n++
-}
-
-// place puts slot s at the first free slot from its home.
-func (ix *index) place(s uint64) {
-	mask := uint32(len(ix.slots) - 1)
-	i := uint32(s>>32) & mask
-	for ix.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	ix.slots[i] = s
-}
-
-// reset empties the index and keeps its size.
-func (ix *index) reset() {
-	clear(ix.slots)
-	ix.n = 0
 }

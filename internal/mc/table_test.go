@@ -71,9 +71,9 @@ func testVisitedTable(t *testing.T, hash func(*table, []byte) uint32, n int) {
 	if tab.len() != len(ref) {
 		t.Fatalf("table holds %d keys, reference %d", tab.len(), len(ref))
 	}
-	if len(tab.idx.slots) < 8*1024 || len(tab.pages) < 2 {
+	if tab.idx.Slots() < 8*1024 || len(tab.pages) < 2 {
 		t.Fatalf("index grew to %d slots over %d pages; want 3+ growths from 1024 and 2+ pages",
-			len(tab.idx.slots), len(tab.pages))
+			tab.idx.Slots(), len(tab.pages))
 	}
 	for k, id := range ref {
 		got, ok := tab.find([]byte(k), hash(tab, []byte(k)))

@@ -2,38 +2,43 @@ package synth
 
 import (
 	"context"
+	"time"
 
 	"transit/internal/expr"
 )
 
 // bank carries SolveConcrete's retained state across the CEGIS rounds of
-// one SolveConcolic call: the per-size pools of signature-class
-// representatives and the cursor of the round's winner. A new
-// concretization only refines the signature partition — every retained
-// representative stays the minimum-index representative of its refined
-// class — so the next round extends each entry's signature with one new
-// evaluation, re-keys the table, and resumes enumeration right after the
-// previous winner instead of restarting at size 1. The previous winner
-// cannot match the new goal (its concretization was chosen to contradict
-// it), and no earlier candidate can either (the new goal signature
-// projects onto the old one), which is what makes resuming at the cursor
-// sound; see DESIGN.md §10 for the full argument and for the restart
-// fallback covering representatives that only the newest examples can
-// distinguish.
+// one SolveConcolic call: the per-type stores of packed entries, the
+// per-size pools of signature-class representatives and the cursor of the
+// round's winner. A new concretization only refines the signature
+// partition — every retained representative stays the minimum-index
+// representative of its refined class — so the next round appends one
+// coordinate per entry, re-keys the index, and resumes enumeration right
+// after the previous winner instead of restarting at size 1. The previous
+// winner cannot match the new goal (its concretization was chosen to
+// contradict it), and no earlier candidate can either (the new goal
+// signature projects onto the old one), which is what makes resuming at
+// the cursor sound; see DESIGN.md §10 for the full argument and for the
+// restart fallback covering representatives that only the newest examples
+// can distinguish.
 type bank struct {
-	// nExamples is the concretization count the signatures cover.
+	// nExamples is the concretization count the rows cover.
 	nExamples int
-	// perSize are the pools, adopted from the winning enumerator.
-	perSize []map[expr.Type][]entry
+	// stores and pools are adopted from the winning enumerator.
+	stores []store
+	pools  [][][]uint32
 	// shadows are the probe-distinct pruned duplicates the round
 	// collected (plus the ones it inherited); the next round extends
-	// their keys and uses them to detect a stale partition before
+	// their rows and uses them to detect a stale partition before
 	// walking it (DESIGN.md §15).
-	shadows []shadowEntry
+	shadows []ref
 	// alts are shadows whose classes already split in earlier rounds:
 	// permanently missing from the pools, carried so the adopt-time
-	// shallow probe can test them against each new goal (staleAlt).
-	alts []*staleAlt
+	// shallow probe can test them against each new goal. The pools can
+	// never recover the split retroactively — every composition over an
+	// alt is unreachable from them — so a live split means the resumed
+	// walk may be searching a partition the fresh search would not build.
+	alts []ref
 	// curSize/curIdx locate the previous winner: candidate curIdx
 	// (1-based, tier-local) of size tier curSize.
 	curSize int
@@ -41,12 +46,12 @@ type bank struct {
 }
 
 // harvest captures the enumerator state after a successful solve. The
-// enumerator is not used afterwards, so the pools and shadows move
-// instead of copy.
+// enumerator is not used afterwards, so the stores, pools and shadows
+// move instead of copy.
 func (en *enumerator) harvest() *bank {
 	// en.alts is nil on fresh enumerators: a restart rebuilds the pools
 	// with every split class materialized, so inherited alts are obsolete.
-	return &bank{nExamples: len(en.examples), perSize: en.perSize,
+	return &bank{nExamples: len(en.examples), stores: en.stores, pools: en.pools,
 		shadows: en.shadows, alts: en.alts, curSize: en.curSize, curIdx: en.curIdx}
 }
 
@@ -61,16 +66,10 @@ func (bk *bank) usable(examples []ConcreteExample, limits Limits) bool {
 		bk.curSize >= 1 && bk.curSize <= limits.MaxSize
 }
 
-// resumeEnumerator builds an enumerator over the bank: pools are adopted
-// (resized to the current MaxSize), every entry's signature and signature
-// key are extended in place with one evaluation and one fixed-width record
-// per new concretization — the key layout puts example coordinates last,
-// so extension is a plain append and the old key bytes are never
-// re-encoded — and the resume cursor is set to the previous winner's
-// position. Entries whose extended key collides with an earlier entry's
-// are dropped as newly-indistinguishable duplicates (signature extension
-// cannot merge distinct classes, so this is defensive; the invariant is
-// checked by the parity tests).
+// resumeEnumerator builds an enumerator over the bank: stores and pools
+// are adopted (the pools resized to the current MaxSize), every entry's
+// row gains one field per new concretization (extend), and the resume
+// cursor is set to the previous winner's position.
 //
 // The bank's shadows are extended the same way, and then consulted for
 // staleness: a shadow whose extended example coordinates match no pooled
@@ -78,156 +77,146 @@ func (bk *bank) usable(examples []ConcreteExample, limits Limits) bool {
 // distinguished — the pools provably lack a class a fresh search would
 // retain. A split shadow that itself matches the new goal dooms the walk
 // outright (resumeEnumerator returns nil and the caller restarts fresh);
-// every other split becomes a staleAlt, and a shallow probe over
-// compositions of the alts decides whether the resumed walk is skipped,
-// capped, or left to run (DESIGN.md §15).
-func resumeEnumerator(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits, bk *bank) *enumerator {
-	en := newEnumerator(ctx, p, examples, limits)
-	ps := bk.perSize
-	if want := limits.MaxSize + 1; len(ps) != want {
-		np := make([]map[expr.Type][]entry, want)
-		copy(np, ps)
+// every other split becomes an alt, and a shallow probe over compositions
+// of the alts decides whether the resumed walk is skipped, capped, or left
+// to run (DESIGN.md §15).
+func resumeEnumerator(ctx context.Context, sc *schema, p Problem, examples []ConcreteExample, limits Limits,
+	deadline time.Time, bk *bank) *enumerator {
+	en := newEnumerator(ctx, sc, p, examples, limits, deadline, true)
+	en.stores = bk.stores
+	en.pools = bk.pools
+	if want := limits.MaxSize + 1; len(en.pools) != want {
+		np := make([][][]uint32, want)
+		copy(np, en.pools)
 		for i := range np {
 			if np[i] == nil {
-				np[i] = make(map[expr.Type][]entry)
+				np[i] = make([][]uint32, len(en.stores))
 			}
 		}
-		ps = np
+		en.pools = np
 	}
-	en.perSize = ps
-	en.sigSeen = make(map[string][]expr.Value)
-	// Each new concretization gets a value memo keyed by expression
-	// identity: pooled compositions share their argument expression objects
-	// with the pool entries they were built from, and the pools are walked
-	// in ascending size order, so by the time a composition is extended its
-	// children's values are already memoized and extension costs one Apply
-	// call instead of a full tree re-evaluation. Late CEGIS rounds bank
-	// tens of thousands of entries whose trees average many nodes, so this
-	// turns per-round extension from O(total tree size) into O(entries).
-	nOld := bk.nExamples
-	nEntries := 0
-	for s := range en.perSize {
-		for _, pool := range en.perSize[s] {
-			nEntries += len(pool)
-		}
-	}
-	memos := make([]map[expr.Expr]expr.Value, len(examples)-nOld)
-	for i := range memos {
-		memos[i] = make(map[expr.Expr]expr.Value, nEntries)
-	}
-	for s := range en.perSize {
-		for t, pool := range en.perSize[s] {
-			keep := pool[:0]
-			for i := range pool {
-				ent := pool[i]
-				for k := nOld; k < len(examples); k++ {
-					v := en.extendVal(ent.e, examples[k].S, memos[k-nOld])
-					memos[k-nOld][ent.e] = v
-					ent.sig = append(ent.sig, v)
-					ent.key = v.AppendEncoding(ent.key)
-				}
-				if _, dup := en.sigSeen[string(ent.key)]; dup {
-					continue
-				}
-				en.sigSeen[string(ent.key)] = nil
-				keep = append(keep, ent)
-			}
-			en.perSize[s][t] = keep
-		}
-	}
+	en.extend(bk)
 	// The cursor is set before shadow adoption: the shallow doom probe may
 	// tighten resumeCap below the default slack.
 	en.resumeSize, en.resumeSkip = bk.curSize, bk.curIdx
 	en.resumeCap = bk.curSize + resumeCapSlack
-	if en.probeBuf != nil {
-		if !en.adoptShadows(bk, examples, memos) {
+	if en.nProbe > 0 {
+		if !en.adoptShadows(bk) {
 			return nil
 		}
 	}
 	return en
 }
 
-// extendVal evaluates e under one new concretization, resolving Apply
-// arguments through the round's identity memo: pooled children hit the
-// memo (their pools extend first), so the common case is one function
-// application over already-computed values. A child outside the memo — an
-// alt's subterm whose representative was compacted away — falls back to a
-// plain evaluation, which is always correct, just slower.
-func (en *enumerator) extendVal(e expr.Expr, env expr.Env, memo map[expr.Expr]expr.Value) expr.Value {
-	ap, ok := e.(*expr.Apply)
-	if !ok || len(ap.Args) == 0 {
-		return e.Eval(en.p.U, env)
+// extend appends the new concretizations' coordinates to every live row
+// and re-keys each store's seen index. Rows are re-laid at the wider
+// stride, old fields first, so entry ranks never change. Each new field is
+// one Apply over the children's new fields — pools are extended in size
+// order, and shadows and alts (whose children are pooled) after them, so
+// the children's fields are always ready — and an atom's is one direct
+// evaluation. Extension only refines the partition: two pooled classes
+// cannot come to share a key, and extend panics if they do.
+func (en *enumerator) extend(bk *bank) {
+	nNew := len(en.examples) - bk.nExamples
+	for i := range en.stores {
+		st := &en.stores[i]
+		old := st.stride
+		st.stride = st.w * (en.nProbe + en.nSig)
+		if old != st.stride-st.w*nNew {
+			panic("synth: banked rows do not match the enumerator's layout")
+		}
+		rows := make([]byte, st.len()*st.stride)
+		for r := 0; r < st.len(); r++ {
+			copy(rows[r*st.stride:], st.rows[r*old:(r+1)*old])
+		}
+		st.rows = rows
 	}
-	if cap(en.argBuf) < len(ap.Args) {
-		en.argBuf = make([]expr.Value, len(ap.Args))
-	}
-	argv := en.argBuf[:len(ap.Args)]
-	for j, a := range ap.Args {
-		if v, hit := memo[a]; hit {
-			argv[j] = v
-		} else {
-			argv[j] = a.Eval(en.p.U, env)
+	en.initScratch()
+	first := en.nProbe + len(en.probes) + bk.nExamples
+	for s := range en.pools {
+		for t, pool := range en.pools[s] {
+			for _, r := range pool {
+				en.extendEntry(t, r, first)
+			}
 		}
 	}
-	return ap.Fn.Apply(en.p.U, argv)
+	for _, sh := range bk.shadows {
+		en.extendEntry(sh.s, sh.r, first)
+	}
+	for _, a := range bk.alts {
+		en.extendEntry(a.s, a.r, first)
+	}
+	for t := range en.stores {
+		st := &en.stores[t]
+		from := en.nProbe * st.w
+		st.seen.Reset()
+		for s := range en.pools {
+			for _, r := range en.pools[s][t] {
+				key := st.row(r)[from:]
+				h := hashBytes(key)
+				if _, dup := st.find(&st.seen, h, from, key); dup {
+					panic("synth: extended keys of two pooled classes collide")
+				}
+				st.seen.Add(h, r)
+			}
+		}
+	}
 }
 
-// adoptShadows extends the bank's shadow keys with the new
-// concretizations, checks each against the freshly re-keyed pools, and
-// rebuilds the probe-chunk index over pools and shadows. Shadows whose
-// extended example coordinates escape every pooled class have split: one
-// that itself matches the new goal proves the fresh winner sits at or
-// before an expression the pools cannot reach, and adoptShadows reports
-// false — restart immediately. Every other split converts to a staleAlt,
-// and the shallow probe over alt compositions decides whether the walk
-// is skipped, capped, or left to the exhaustion fallback.
-func (en *enumerator) adoptShadows(bk *bank, examples []ConcreteExample, memos []map[expr.Expr]expr.Value) bool {
-	nOld := bk.nExamples
-	var splitIdx []int
-	for i := range bk.shadows {
-		sh := &bk.shadows[i]
-		for k := nOld; k < len(examples); k++ {
-			v := en.extendVal(sh.e, examples[k].S, memos[k-nOld])
-			sh.key = v.AppendEncoding(sh.key)
+// extendEntry writes entry r of store t's coordinates from first on.
+func (en *enumerator) extendEntry(t int, r uint32, first int) {
+	st := &en.stores[t]
+	a := &en.ops[st.op[r]]
+	row := st.row(r)
+	end := en.nProbe + en.nSig
+	if a.atom != nil {
+		for c := first; c < end; c++ {
+			st.put(row[c*st.w:], a.atom.Eval(en.p.U, en.examples[c-en.nProbe-len(en.probes)].S))
 		}
-		if _, pooled := en.sigSeen[string(sh.key)]; !pooled {
-			if sh.e.Type() == en.p.Output.VT && string(sh.key[sigKeyHeaderLen:]) == en.goalSuffix {
-				return false
-			}
-			splitIdx = append(splitIdx, i)
+		return
+	}
+	kids := st.kidsOf(r)
+	rows, argv := en.kidRows[:len(kids)], en.argBuf[:len(kids)]
+	for j, k := range kids {
+		rows[j] = en.stores[a.params[j]].row(k)
+	}
+	for c := first; c < end; c++ {
+		for j := range rows {
+			ks := &en.stores[a.params[j]]
+			argv[j] = ks.get(rows[j][c*ks.w:])
+		}
+		st.put(row[c*st.w:], a.f.Apply(en.p.U, argv))
+	}
+}
+
+// adoptShadows checks each extended shadow against the re-keyed pools and
+// rebuilds the full index over tracked pooled representatives and
+// shadows. Shadows whose extended example coordinates escape every pooled
+// class have split: one that itself matches the new goal proves the fresh
+// winner sits at or before an expression the pools cannot reach, and
+// adoptShadows reports false — restart immediately. Every other split
+// becomes an alt, and the shallow probe over alt compositions decides
+// whether the walk is skipped, capped, or left to the exhaustion fallback.
+func (en *enumerator) adoptShadows(bk *bank) bool {
+	keep := bk.shadows[:0]
+	for _, sh := range bk.shadows {
+		st := &en.stores[sh.s]
+		from := en.nProbe * st.w
+		key := st.row(sh.r)[from:]
+		if _, pooled := st.find(&st.seen, hashBytes(key), from, key); pooled {
+			keep = append(keep, sh)
+			continue
+		}
+		if en.goalHit(sh.s, key) {
+			return false
+		}
+		// Split shadows leave the shadow set, their rows no longer
+		// describing a merged class, and become alts up to the cap.
+		if len(bk.alts) < maxAlts {
+			bk.alts = append(bk.alts, sh)
 		}
 	}
-	// Persisted alts gain the new coordinates like everything else.
-	for _, a := range bk.alts {
-		for k := nOld; k < len(examples); k++ {
-			a.sig = append(a.sig, en.extendVal(a.e, examples[k].S, memos[k-nOld]))
-		}
-	}
-	if len(splitIdx) > 0 {
-		// New splits become alts.
-		isSplit := make(map[int]bool, len(splitIdx))
-		for _, i := range splitIdx {
-			isSplit[i] = true
-			if len(bk.alts) >= maxAlts {
-				continue
-			}
-			sh := &bk.shadows[i]
-			sig := make([]expr.Value, len(examples), len(examples)+sigHeadroom)
-			for k := range examples {
-				sig[k] = sh.e.Eval(en.p.U, examples[k].S)
-			}
-			bk.alts = append(bk.alts, &staleAlt{e: sh.e, sig: sig})
-		}
-		// Split shadows leave the shadow set: their full keys no longer
-		// describe a merged class.
-		keep := bk.shadows[:0]
-		for i := range bk.shadows {
-			if !isSplit[i] {
-				keep = append(keep, bk.shadows[i])
-			}
-		}
-		bk.shadows = keep
-	}
+	bk.shadows = keep
 	if len(bk.alts) > 0 {
 		en.alts = bk.alts
 		if s, doomed := en.shallowAltDoom(); doomed {
@@ -249,29 +238,24 @@ func (en *enumerator) adoptShadows(bk *bank, examples []ConcreteExample, memos [
 			}
 		}
 	}
-	// Rebuild the probe-chunk rows over tracked pooled representatives and
-	// shadows: the example keys moved under extension, so chunks re-group
-	// under the extended keys, straight into sigSeen's values. No encoding
-	// happens — the rows are plain stored probe values. Non-split shadows
-	// by definition share a pooled class's key, so the guarded append never
-	// creates a key of its own.
+	// Rebuild the full index over tracked pooled representatives and
+	// shadows: the rows moved under extension. Non-split shadows by
+	// definition share a pooled class's key.
 	en.shadows = bk.shadows
-	for s := range en.perSize {
-		for _, pool := range en.perSize[s] {
-			for i := range pool {
-				ent := &pool[i]
-				if ent.psig == nil {
-					continue
-				}
-				en.sigSeen[string(ent.key)] = append(en.sigSeen[string(ent.key)], ent.psig...)
+	for t := range en.stores {
+		en.stores[t].full.Reset()
+	}
+	for s := 1; s < len(en.pools) && s <= shadowTrackMaxSize; s++ {
+		for t, pool := range en.pools[s] {
+			st := &en.stores[t]
+			for _, r := range pool {
+				st.full.Add(hashBytes(st.row(r)), r)
 			}
 		}
 	}
-	for i := range en.shadows {
-		sh := &en.shadows[i]
-		if rows, pooled := en.sigSeen[string(sh.key)]; pooled {
-			en.sigSeen[string(sh.key)] = append(rows, sh.psig...)
-		}
+	for _, sh := range en.shadows {
+		st := &en.stores[sh.s]
+		st.full.Add(hashBytes(st.row(sh.r)), sh.r)
 	}
 	return true
 }
@@ -299,64 +283,67 @@ const shallowAltDoomBudget = 1 << 17
 // ite over a split guard and two variables, a set operator over two split
 // set differences); deeper dooms still fall to the exhaustion fallback.
 func (en *enumerator) shallowAltDoom() (int, bool) {
-	byType := make(map[expr.Type][]*staleAlt, 4)
+	byStore := make([][]ref, len(en.stores))
+	sizes := make([][]int, len(en.stores))
 	for _, a := range en.alts {
-		byType[a.e.Type()] = append(byType[a.e.Type()], a)
+		byStore[a.s] = append(byStore[a.s], a)
+		sizes[a.s] = append(sizes[a.s], en.exprSize(a.s, a.r))
 	}
-	atoms := en.perSize[1]
+	atoms := en.pools[1]
 	n := len(en.examples)
+	first := en.nProbe + len(en.probes)
 	budget := shallowAltDoomBudget
 	best := 0
-	var enc []byte
 	var argv []expr.Value
-	sigs := make([][]expr.Value, 8)
-	var try func(f *expr.Func, slot, sizeAcc int, hasAlt bool)
-	try = func(f *expr.Func, slot, sizeAcc int, hasAlt bool) {
-		if best != 0 && sizeAcc+(f.Arity()-slot) >= best {
+	rows := make([][]byte, 8)
+	var try func(a *op, slot, sizeAcc int, hasAlt bool)
+	try = func(a *op, slot, sizeAcc int, hasAlt bool) {
+		if best != 0 && sizeAcc+(len(a.params)-slot) >= best {
 			return
 		}
-		if slot == f.Arity() {
+		if slot == len(a.params) {
 			if !hasAlt || budget < n {
 				return
 			}
 			budget -= n
 			for k := 0; k < n; k++ {
 				for j := 0; j < slot; j++ {
-					argv[j] = sigs[j][k]
+					ks := &en.stores[a.params[j]]
+					argv[j] = ks.get(rows[j][(first+k)*ks.w:])
 				}
-				v := f.Apply(en.p.U, argv)
-				enc = v.AppendEncoding(enc[:0])
-				if string(enc) != en.goalSuffix[sigValEncLen*k:sigValEncLen*(k+1)] {
+				if a.f.Apply(en.p.U, argv) != en.examples[k].Out {
 					return
 				}
 			}
 			best = sizeAcc
 			return
 		}
-		t := f.Params[slot]
-		for i := range atoms[t] {
-			sigs[slot] = atoms[t][i].sig
-			try(f, slot+1, sizeAcc+1, hasAlt)
+		t := a.params[slot]
+		st := &en.stores[t]
+		for _, r := range atoms[t] {
+			rows[slot] = st.row(r)
+			try(a, slot+1, sizeAcc+1, hasAlt)
 		}
-		for _, a := range byType[t] {
-			sigs[slot] = a.sig
-			try(f, slot+1, sizeAcc+a.e.Size(), true)
+		for i, al := range byStore[t] {
+			rows[slot] = st.row(al.r)
+			try(a, slot+1, sizeAcc+sizes[t][i], true)
 		}
 	}
-	for _, f := range en.p.Vocab.Funcs() {
-		m := f.Arity()
-		if m == 0 || m > len(sigs) || f.Ret != en.p.Output.VT {
+	for fi := range en.p.Vocab.Funcs() {
+		a := &en.ops[en.funcOp(fi)]
+		m := len(a.params)
+		if m == 0 || m > len(rows) || a.ret != en.outStore {
 			continue
 		}
 		// Require every slot to be fillable and at least one alt-typed slot
 		// before recursing.
 		feasible, altSlot := true, false
-		for _, t := range f.Params {
-			if len(atoms[t])+len(byType[t]) == 0 {
+		for _, t := range a.params {
+			if len(atoms[t])+len(byStore[t]) == 0 {
 				feasible = false
 				break
 			}
-			if len(byType[t]) > 0 {
+			if len(byStore[t]) > 0 {
 				altSlot = true
 			}
 		}
@@ -367,7 +354,7 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 			argv = make([]expr.Value, m)
 		}
 		argv = argv[:m]
-		try(f, 0, 1, false)
+		try(a, 0, 1, false)
 		if budget < n {
 			break
 		}

@@ -33,6 +33,7 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 	limits = limits.withDefaults()
 	stats := Stats{}
 	start := time.Now()
+	deadline := deadlineOf(limits)
 	ctx, span := obs.Start(ctx, "synth.cegis", obs.Int("examples", len(examples)))
 	defer func() {
 		stats.Elapsed = time.Since(start)
@@ -58,6 +59,7 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 		}
 	}
 	be := newBackend(p, examples, smt.Options{MaxConflicts: limits.SMTConflicts})
+	sc := newSchema(p)
 
 	var concrete []ConcreteExample
 	var bk *bank
@@ -65,14 +67,18 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 		if err := ctx.Err(); err != nil {
 			return nil, stats, fmt.Errorf("synth: CEGIS aborted: %w", err)
 		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, stats, fmt.Errorf("%w (%v, before round %d)", ErrTimeout, limits.Timeout, iter)
+		}
 		stats.Iterations = iter
-		candidate, consistent, err := cegisIteration(ctx, p, examples, &concrete, limits, be, &stats, iter, &bk)
+		candidate, consistent, err := cegisIteration(ctx, sc, p, examples, &concrete, limits, deadline, be, &stats, iter, &bk)
 		if err != nil {
 			// An exhausted search may be hiding an impossible hole; the
 			// atlas check upgrades the error to ErrUnrealizable when it
 			// can prove so, telling the caller larger limits cannot help.
-			if errors.Is(err, ErrNoExpression) {
-				if uerr := checkUnrealizable(ctx, p, examples, limits, &stats); uerr != nil {
+			// A timed-out call has no time left to spend on it.
+			if errors.Is(err, ErrNoExpression) && !errors.Is(err, ErrTimeout) {
+				if uerr := checkUnrealizable(ctx, p, examples, limits, deadline, &stats); uerr != nil {
 					return nil, stats, uerr
 				}
 			}
@@ -82,10 +88,10 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 			return candidate, stats, nil
 		}
 	}
-	if uerr := checkUnrealizable(ctx, p, examples, limits, &stats); uerr != nil {
+	if uerr := checkUnrealizable(ctx, p, examples, limits, deadline, &stats); uerr != nil {
 		return nil, stats, uerr
 	}
-	return nil, stats, fmt.Errorf("%w: CEGIS iteration budget %d exhausted", ErrNoExpression, limits.MaxIters)
+	return nil, stats, fmt.Errorf("%w (%d rounds)", ErrIterBudget, limits.MaxIters)
 }
 
 // cegisIteration runs one round of Algorithm 2's loop under its own
@@ -93,8 +99,8 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 // previous round's expression bank when one is available — check each
 // concolic example, and on failure concretize the witness into a new
 // example.
-func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
-	concrete *[]ConcreteExample, limits Limits, be *smtBackend,
+func cegisIteration(ctx context.Context, sc *schema, p Problem, examples []ConcolicExample,
+	concrete *[]ConcreteExample, limits Limits, deadline time.Time, be *smtBackend,
 	stats *Stats, iter int, bk **bank) (candidate expr.Expr, consistent bool, err error) {
 	ctx, span := obs.Start(ctx, "synth.iteration", obs.Int("iteration", iter))
 	if span != nil {
@@ -113,7 +119,7 @@ func cegisIteration(ctx context.Context, p Problem, examples []ConcolicExample,
 	}()
 
 	bankable := !limits.NoBankReuse && !limits.NoPrune
-	candidate, cstats, nbk, resumed, err := solveConcrete(ctx, p, *concrete, limits, *bk, bankable)
+	candidate, cstats, nbk, resumed, err := solveConcrete(ctx, sc, p, *concrete, limits, deadline, *bk, bankable)
 	*bk = nbk
 	if resumed {
 		stats.BankReuses++

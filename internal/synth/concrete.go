@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -26,9 +27,23 @@ func SolveConcrete(p Problem, examples []ConcreteExample, limits Limits) (expr.E
 // deadline passes. The search runs under a "synth.enumerate" span with one
 // "synth.size" child per size tier entered.
 func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits) (expr.Expr, ConcreteStats, error) {
-	e, stats, _, _, err := solveConcrete(ctx, p, examples, limits, nil, false)
+	e, stats, _, _, err := solveConcrete(ctx, nil, p, examples, limits, deadlineOf(limits), nil, false)
 	return e, stats, err
 }
+
+// deadlineOf starts a call's Limits.Timeout clock: the zero time when
+// there is no timeout.
+func deadlineOf(l Limits) time.Time {
+	if l.Timeout <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(l.Timeout)
+}
+
+// afterResumedRound, when set, sees every resumed enumerator once its walk
+// ends, before a fallback replaces it. Tests set it to check the extended
+// pools against the evaluator.
+var afterResumedRound func(en *enumerator)
 
 // solveConcrete is the shared driver behind SolveConcreteCtx and the
 // CEGIS bank-reuse path: it validates, opens the enumeration span, builds
@@ -40,12 +55,17 @@ func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample
 // bank reuse never loses completeness. The bool result reports that the
 // search actually resumed the bank: a bank that is usable but proven
 // stale up front is skipped, and the round counts as a restart, not a
-// reuse.
-func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits,
-	bk *bank, wantBank bool) (expr.Expr, ConcreteStats, *bank, bool, error) {
+// reuse. Every enumerator of the call lays its pools out by sc (nil: the
+// problem's own) and stops at deadline, the end of the caller's Timeout
+// (zero: none).
+func solveConcrete(ctx context.Context, sc *schema, p Problem, examples []ConcreteExample, limits Limits,
+	deadline time.Time, bk *bank, wantBank bool) (expr.Expr, ConcreteStats, *bank, bool, error) {
 	limits = limits.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, ConcreteStats{}, nil, false, err
+	}
+	if sc == nil {
+		sc = newSchema(p)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, ConcreteStats{}, nil, false, fmt.Errorf("synth: enumeration aborted: %w", err)
@@ -65,7 +85,7 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 		// pooled class under the new concretizations — in which case the
 		// resumed walk could only end in exhaustion and restart, so the
 		// round restarts fresh immediately.
-		en = resumeEnumerator(ctx, p, examples, limits, bk)
+		en = resumeEnumerator(ctx, sc, p, examples, limits, deadline, bk)
 		if en == nil {
 			resume, stale = false, true
 		}
@@ -82,15 +102,15 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 		}
 	}
 	if en == nil {
-		en = newEnumerator(ctx, p, examples, limits)
-		if !wantBank {
-			en.disableShadows()
-		}
+		en = newEnumerator(ctx, sc, p, examples, limits, deadline, wantBank)
 		en.initFresh()
 	} else {
 		en.ctx = ctx
 	}
 	res, err := en.run()
+	if resume && afterResumedRound != nil {
+		afterResumedRound(en)
+	}
 	stats := en.stats
 	if stale {
 		// A stale-skip counts as a restart: the round ran a fresh search,
@@ -107,7 +127,7 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 		if reg := obs.MetricsFrom(ctx); reg != nil {
 			reg.Counter("synth.bank_fallback").Inc()
 		}
-		en = newEnumerator(ctx, p, examples, limits)
+		en = newEnumerator(ctx, sc, p, examples, limits, deadline, true)
 		en.initFresh()
 		res, err = en.run()
 		stats.Restarts++
@@ -177,68 +197,10 @@ func interpProbes(p Problem) []expr.Env {
 	return []expr.Env{sat, zero, alt}
 }
 
-// entry pairs a retained expression with its signature so that parent
-// signatures compose from child signatures without re-walking trees, and
-// with its signature key so a resumed round extends the key in place — one
-// evaluation and one fixed-width append per new concretization — instead
-// of re-encoding it (key is nil under NoPrune, where no bank is built).
-// psig holds the entry's probe coordinates when shadow tracking is active
-// (nil otherwise): parents' probe signatures compose pointwise from child
-// psigs exactly like sig.
-type entry struct {
-	e    expr.Expr
-	sig  []expr.Value
-	key  []byte
-	psig []expr.Value
-}
-
-// staleAlt is a split shadow: a candidate that an earlier round pruned as
-// example-indistinguishable from a retained representative and that a
-// later concretization separated from every pooled class. The pools can
-// never recover the split retroactively — every composition over the
-// candidate is unreachable from them — so a live split means the resumed
-// walk may be searching a partition the fresh search would not build.
-// resumeEnumerator probes the splits before the walk starts
-// (shallowAltDoom): a split that already wins at or below the resume
-// cursor skips the resumed walk outright, and a deeper potential winner
-// caps the walk at its size so the exhaustion fallback fires before the
-// resumed search overshoots into exponentially larger tiers
-// (DESIGN.md §15).
-//
-// sig holds the alt's example-coordinate values, extended each round like
-// pool signatures.
-type staleAlt struct {
-	e   expr.Expr
-	sig []expr.Value
-}
-
 // maxAlts bounds the alts carried per bank. Beyond it, further splits go
 // undetected by the adopt-time probe and fall to the exhaustion-restart
 // fallback — slower, never wrong.
 const maxAlts = 96
-
-// shadowEntry is a pruned-but-probe-distinct candidate retained on the
-// side: an expression (of any type, within shadowTrackMaxSize) whose
-// example signature duplicated an earlier candidate's but whose full
-// (probe + example) interpretation signature was new. Shadows never enter
-// the candidate stream — pools, pruning, and the goal test stay exactly
-// example-keyed, which is what keeps every answer identical to the
-// unreduced search.
-// Their job is staleness detection: a resumed round extends each shadow's
-// key with the new concretizations, and a shadow whose extended example
-// coordinates escape every pooled class proves the bank's partition went
-// stale, letting the round restart fresh immediately instead of walking
-// the doomed resumed tiers first (DESIGN.md §15).
-//
-// key is the example signature key (same layout as pool keys), so
-// extension is one evaluation and one fixed-width append per new
-// concretization, like pool entries; psig holds the probe coordinates
-// that distinguished the shadow within its example class.
-type shadowEntry struct {
-	e    expr.Expr
-	key  []byte
-	psig []expr.Value
-}
 
 // maxShadows bounds the shadow store per solve. Beyond it, new
 // probe-distinct duplicates are dropped: completeness is unaffected
@@ -263,61 +225,68 @@ type enumerator struct {
 	p        Problem
 	examples []ConcreteExample
 	limits   Limits
+	// deadline ends the call's Limits.Timeout (zero: none); start times
+	// this enumerator's own Elapsed.
+	deadline time.Time
 	start    time.Time
 	stats    ConcreteStats
 
-	// perSize[s][t] holds retained entries of size s and type t, in
-	// canonical enumeration order. sigSeen is the pruning table: one key
-	// per signature class seen. Under shadow tracking the value holds the
-	// class's probe coordinate chunks (the retained representative's and
-	// every stored shadow's, len(shadowProbes) values per chunk), so the
-	// duplicate path answers "example dup" and "full-signature dup" with a
-	// single map access; without tracking the values stay nil.
-	perSize []map[expr.Type][]entry
-	sigSeen map[string][]expr.Value
+	// ops and stores are the problem's functions and types (pool.go); ops
+	// and outStore come from the call's schema.
+	// pools[s][t] holds the ranks of the retained entries of size s in
+	// store t, in canonical enumeration order; a store's seen index is the
+	// pruning table, one representative per signature class.
+	ops      []op
+	stores   []store
+	outStore int
+	pools    [][][]uint32
 
-	// probes are extra valuations folded into the main signature;
-	// vectors are laid out [probe evaluations..., example evaluations...],
-	// so the goal test is a fixed-offset suffix comparison (goalSuffix at
-	// byte offset goalOff of the key). Normal solves leave probes empty —
-	// the stream partition must stay example-keyed for answer identity —
-	// and only the unrealizability atlas installs a probe set (with
-	// noGoal, which suppresses the goal test: the atlas enumerates
-	// classes, it does not search for a winner).
-	probes     []expr.Env
-	nSig       int
-	goalSuffix string
-	goalOff    int
-	noGoal     bool
+	// probes are extra valuations folded into the main signature: key
+	// coordinates are laid out [probe evaluations..., example
+	// evaluations...], so the goal test is a fixed-offset suffix
+	// comparison (goal at byte offset goalOff of an output-typed key).
+	// Normal solves leave probes empty — the stream partition must stay
+	// example-keyed for answer identity — and only the unrealizability
+	// atlas installs a probe set (with noGoal, which suppresses the goal
+	// test: the atlas enumerates classes, it does not search for a winner).
+	probes  []expr.Env
+	nSig    int
+	goal    []byte
+	goalOff int
+	noGoal  bool
 
 	// Shadow-class state (interpretation reduction, DESIGN.md §15). The
 	// shadowProbes valuations refine the example partition on the side:
-	// each example class's probe coordinate chunks live in sigSeen's
-	// values — the full (probe + example) signature set, without ever
-	// materializing full keys. shadows holds the probe-distinct duplicates
-	// themselves. probeBuf is reusable scratch, keeping the duplicate path
-	// allocation-free, and doubles as the "tracking active" flag. All
-	// nil/unused when reduction is off or no bank will consume them.
+	// their nProbe coordinates head every row, and a store's full index
+	// holds the whole rows of its tracked representatives and shadows — the
+	// full (probe + example) signature set. shadows holds the
+	// probe-distinct duplicates themselves. nProbe is 0 when reduction is
+	// off or no bank will consume the shadows.
 	shadowProbes []expr.Env
-	shadows      []shadowEntry
-	probeBuf     []expr.Value
+	nProbe       int
+	shadows      []ref
 	// trackTier is set per size tier: shadow tracking is active and the
 	// tier is within shadowTrackMaxSize.
 	trackTier bool
 
 	// Split shadows carried by the bank, set only on resumed rounds with
 	// live splits; consumed by the adopt-time shallowAltDoom probe.
-	alts []*staleAlt
+	alts []ref
 
-	sigBuf []expr.Value
-	keyBuf []byte
-	argBuf []expr.Value
-
-	// Scratch buffers hoisted out of the per-tier loops so the hot path
-	// allocates only for candidates that survive pruning.
-	shareBuf []int
-	argsBuf  []entry
-	posBuf   []int
+	// Scratch, so that the hot path allocates only the columns and rows of
+	// candidates that survive pruning: the candidate's row, its children's
+	// rows, fields and decoded key coordinates (argMat, one row of
+	// arguments per coordinate), and the per-tier odometer state.
+	rowBuf    []byte
+	kidRows   [][]byte
+	kidFields []*field
+	argMat    []expr.Value
+	argBuf    []expr.Value
+	kidBuf    []uint32
+	shareBuf  []int
+	posBuf    []int
+	unitBuf   []tierUnit
+	unitPools [][]uint32
 
 	// Resume cursor: tiers below resumeSize are already banked; within
 	// tier resumeSize the first resumeSkip candidates were consumed by
@@ -334,9 +303,10 @@ type enumerator struct {
 
 	// Winner cursor, recorded for the bank when the search succeeds:
 	// the winner was candidate curIdx (1-based, tier-local) of tier
-	// curSize.
+	// curSize, and it is entry win.
 	curSize int
 	curIdx  int64
+	win     ref
 
 	// exhausted marks a run that walked every tier up to MaxSize without
 	// finding the goal or hitting a budget — the only failure mode the
@@ -344,73 +314,85 @@ type enumerator struct {
 	exhausted bool
 }
 
-func newEnumerator(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits) *enumerator {
-	en := &enumerator{ctx: ctx, p: p, examples: examples, limits: limits, start: time.Now()}
-	// Shadow tracking rides on the signature table and only pays off when
-	// a later round can consult the shadows, i.e. when a bank will be
-	// built. A zero-example round has a degenerate partition (one class
-	// per type) whose bank is never resumed, so it skips tracking too.
-	// The probe valuations deliberately do NOT join the main signature:
-	// the candidate stream, pruning, and goal test stay example-keyed, so
-	// answers are identical to the unreduced search by construction.
-	if interpReduced(limits) && !limits.NoBankReuse && len(examples) > 0 {
+// newEnumerator builds an enumerator without pools; initFresh or
+// resumeEnumerator installs them. Shadow tracking rides on the signature
+// table and only pays off when a later round can consult the shadows, so
+// it needs track (a bank will be built) and at least one example: a
+// zero-example round has a degenerate partition (one class per type)
+// whose bank is never resumed. The probe valuations deliberately do NOT
+// join the main signature: the candidate stream, pruning, and goal test
+// stay example-keyed, so answers are identical to the unreduced search by
+// construction.
+func newEnumerator(ctx context.Context, sc *schema, p Problem, examples []ConcreteExample, limits Limits,
+	deadline time.Time, track bool) *enumerator {
+	en := &enumerator{ctx: ctx, p: p, examples: examples, limits: limits,
+		deadline: deadline, start: time.Now(), ops: sc.ops, outStore: sc.out, stores: sc.newStores()}
+	if track && interpReduced(limits) && !limits.NoBankReuse && len(examples) > 0 {
 		en.shadowProbes = interpProbes(p)
-		if len(en.shadowProbes) > 0 {
-			en.probeBuf = make([]expr.Value, len(en.shadowProbes))
-		}
+		en.nProbe = len(en.shadowProbes)
 	}
 	en.initSigLayout()
 	return en
 }
 
-// disableShadows turns shadow tracking off after construction; callers
-// that will not build a bank (plain SolveConcrete) use it to keep the hot
-// path free of probe evaluations.
-func (en *enumerator) disableShadows() {
-	en.shadowProbes, en.probeBuf, en.shadows = nil, nil, nil
-}
-
-// initSigLayout derives the signature layout from the installed probe and
-// example sets: buffer sizes, the goal suffix (the encoded example
-// outputs), and its fixed byte offset within a key. Split out of
-// newEnumerator so the unrealizability atlas can install a custom probe
-// set and re-derive.
+// initSigLayout derives the key layout from the installed probe and
+// example sets: the key's coordinate count, the goal (the packed example
+// outputs), and its fixed byte offset within an output-typed key. Split
+// out of newEnumerator so the unrealizability atlas can install a custom
+// probe set and re-derive.
 func (en *enumerator) initSigLayout() {
 	en.nSig = len(en.probes) + len(en.examples)
-	en.sigBuf = make([]expr.Value, en.nSig)
-	var suffix []byte
-	for _, c := range en.examples {
-		suffix = c.Out.AppendEncoding(suffix)
+	out := &en.stores[en.outStore]
+	en.goal = make([]byte, out.w*len(en.examples))
+	for k, c := range en.examples {
+		out.put(en.goal[k*out.w:], c.Out)
 	}
-	en.goalSuffix = string(suffix)
-	en.goalOff = sigKeyHeaderLen + sigValEncLen*len(en.probes)
+	en.goalOff = out.w * len(en.probes)
 }
 
-// goalHit reports whether a candidate of type t whose signature key is key
-// matches the goal: right output type and example coordinates equal to the
+// goalHit reports whether a candidate of store s whose key is key matches
+// the goal: right output type and example coordinates equal to the
 // example outputs. Probe coordinates deliberately do not participate — the
 // goal constrains only the examples — which is what keeps the finer
 // probe-keyed partition answer-identical to the example-only one (the
 // first key-suffix match in enumeration order is the same expression
 // either way; DESIGN.md §15).
-func (en *enumerator) goalHit(t expr.Type, key []byte) bool {
-	return !en.noGoal && t == en.p.Output.VT && string(key[en.goalOff:]) == en.goalSuffix
+func (en *enumerator) goalHit(s int, key []byte) bool {
+	return !en.noGoal && s == en.outStore && bytes.Equal(key[en.goalOff:], en.goal)
 }
 
-// initFresh allocates empty pools and signature table for a from-scratch
-// search (resumeEnumerator installs banked ones instead).
+// initFresh sizes empty stores and pools for a from-scratch search
+// (resumeEnumerator adopts banked ones instead).
 func (en *enumerator) initFresh() {
-	en.sigSeen = make(map[string][]expr.Value)
-	en.perSize = make([]map[expr.Type][]entry, en.limits.MaxSize+1)
-	for i := range en.perSize {
-		en.perSize[i] = make(map[expr.Type][]entry)
+	for i := range en.stores {
+		st := &en.stores[i]
+		st.stride = st.w * (en.nProbe + en.nSig)
 	}
+	en.pools = make([][][]uint32, en.limits.MaxSize+1)
+	for i := range en.pools {
+		en.pools[i] = make([][]uint32, len(en.stores))
+	}
+	en.initScratch()
 }
 
-// errStop distinguishes budget exhaustion from normal exhaustion.
-type errStop struct{ reason string }
-
-func (e errStop) Error() string { return e.reason }
+// initScratch sizes the hot path's buffers for the current strides.
+func (en *enumerator) initScratch() {
+	stride, arity := 0, 0
+	for i := range en.stores {
+		stride = max(stride, en.stores[i].stride)
+	}
+	for i := range en.ops {
+		arity = max(arity, len(en.ops[i].params))
+	}
+	en.rowBuf = make([]byte, stride)
+	en.kidRows = make([][]byte, arity)
+	en.kidFields = make([]*field, arity)
+	en.argMat = make([]expr.Value, en.nSig*arity)
+	en.argBuf = make([]expr.Value, arity)
+	en.kidBuf = make([]uint32, arity)
+	en.posBuf = make([]int, arity)
+	en.shareBuf = make([]int, arity)
+}
 
 func (en *enumerator) run() (expr.Expr, error) {
 	startSize := 1
@@ -429,25 +411,26 @@ func (en *enumerator) run() (expr.Expr, error) {
 		}
 		found, err := en.runSize(size, skip)
 		if err != nil {
-			return nil, budgetErr(err)
+			return nil, err
 		}
-		if found != nil {
+		if found {
 			en.stats.Elapsed = time.Since(en.start)
-			return found, nil
+			return en.materialize(en.win.s, en.win.r), nil
 		}
 	}
 	en.exhausted = true
 	en.stats.Elapsed = time.Since(en.start)
-	return nil, fmt.Errorf("%w (size <= %d, %d candidates)", ErrNoExpression, maxSize, en.stats.Enumerated)
+	return nil, fmt.Errorf("%w (size <= %d, %d candidates)", ErrSizeBound, maxSize, en.stats.Enumerated)
 }
 
 // runSize enumerates one size tier under its own "synth.size" span, so a
-// trace shows where enumeration time concentrates as tiers grow. skip is
-// the number of leading tier-local candidates already consumed by the
-// round that built the bank being resumed (0 on fresh tiers).
-func (en *enumerator) runSize(size int, skip int64) (found expr.Expr, err error) {
-	en.trackTier = en.probeBuf != nil && size <= shadowTrackMaxSize
-	before := en.stats.Enumerated
+// trace shows where enumeration time concentrates as tiers grow and how
+// many classes each tier kept. skip is the number of leading tier-local
+// candidates already consumed by the round that built the bank being
+// resumed (0 on fresh tiers).
+func (en *enumerator) runSize(size int, skip int64) (found bool, err error) {
+	en.trackTier = en.nProbe > 0 && size <= shadowTrackMaxSize
+	before, keptBefore := en.stats.Enumerated, en.stats.Kept
 	tierStart := time.Now()
 	_, span := obs.Start(en.ctx, "synth.size", obs.Int("size", size))
 	if span != nil {
@@ -458,7 +441,8 @@ func (en *enumerator) runSize(size int, skip int64) (found expr.Expr, err error)
 	}
 	defer func() {
 		span.SetAttr(obs.Int64("enumerated", en.stats.Enumerated-before),
-			obs.Bool("found", found != nil))
+			obs.Int64("kept", en.stats.Kept-keptBefore),
+			obs.Bool("found", found))
 		span.End()
 		if reg := obs.MetricsFrom(en.ctx); reg != nil {
 			reg.Histogram("synth.tier_ms").Observe(time.Since(tierStart))
@@ -472,286 +456,218 @@ func (en *enumerator) runSize(size int, skip int64) (found expr.Expr, err error)
 
 // runAtoms enumerates the size-1 tier: variables in declaration order,
 // then arity-0 function symbols in vocabulary order.
-func (en *enumerator) runAtoms(skip int64) (expr.Expr, error) {
+func (en *enumerator) runAtoms(skip int64) (bool, error) {
 	idx := int64(0)
-	atom := func(e expr.Expr) (expr.Expr, error) {
-		idx++
-		if idx <= skip {
-			return nil, nil
-		}
-		return en.consider(e)
-	}
-	for _, v := range en.p.Vars {
-		found, err := atom(v)
-		if err != nil || found != nil {
-			en.curSize, en.curIdx = 1, idx
-			return found, err
-		}
-	}
-	for _, f := range en.p.Vocab.Funcs() {
-		if f.Arity() != 0 {
+	for o := range en.ops {
+		if en.ops[o].atom == nil {
 			continue
 		}
-		found, err := atom(expr.NewApply(f))
-		if err != nil || found != nil {
+		idx++
+		if idx <= skip {
+			continue
+		}
+		found, err := en.considerAtom(uint16(o))
+		if err != nil || found {
 			en.curSize, en.curIdx = 1, idx
 			return found, err
 		}
 	}
-	return nil, nil
+	return false, nil
 }
 
 // runTier processes a tier's units in canonical order through the
 // charge/prune/retain path.
-func (en *enumerator) runTier(size int, units []tierUnit, skip int64) (expr.Expr, error) {
+func (en *enumerator) runTier(size int, units []tierUnit, skip int64) (bool, error) {
 	for ui := range units {
 		u := &units[ui]
 		if u.base+u.count <= skip {
 			continue
 		}
-		found, idx, err := en.runUnit(u, skip)
+		found, idx, err := en.runUnit(u, size, skip)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		if found != nil {
+		if found {
 			en.curSize, en.curIdx = size, idx
-			return found, nil
+			return true, nil
 		}
 	}
-	return nil, nil
+	return false, nil
 }
 
 // runUnit enumerates one unit's candidates, fast-forwarding past the
-// resumed prefix by index arithmetic instead of iteration.
-func (en *enumerator) runUnit(u *tierUnit, skip int64) (expr.Expr, int64, error) {
+// resumed prefix by index arithmetic instead of iteration. The odometer
+// turns its last child fastest, so considerApply reuses the decoded
+// fields of the leading children that did not move.
+func (en *enumerator) runUnit(u *tierUnit, size int, skip int64) (bool, int64, error) {
 	m := len(u.pools)
-	if cap(en.argsBuf) < m {
-		en.argsBuf = make([]entry, m)
-	}
-	if cap(en.posBuf) < m {
-		en.posBuf = make([]int, m)
-	}
-	args, pos := en.argsBuf[:m], en.posBuf[:m]
+	kids, pos := en.kidBuf[:m], en.posBuf[:m]
 	off := int64(0)
 	if skip > u.base {
 		off = skip - u.base
 	}
 	u.decode(off, pos)
+	moved := 0
 	for {
-		for j := 0; j < m; j++ {
-			args[j] = u.pools[j][pos[j]]
+		for j := moved; j < m; j++ {
+			kids[j] = u.pools[j][pos[j]]
 		}
-		found, err := en.considerApply(u.f, args)
+		found, err := en.considerApply(u.op, kids, moved, size)
 		if err != nil {
-			return nil, 0, err
+			return false, 0, err
 		}
-		if found != nil {
-			return found, u.base + off + 1, nil
+		if found {
+			return true, u.base + off + 1, nil
 		}
 		off++
 		if off == u.count {
-			return nil, 0, nil
+			return false, 0, nil
 		}
-		u.advance(pos)
+		moved = u.advance(pos)
 	}
 }
 
-func budgetErr(err error) error {
-	if s, ok := err.(errStop); ok {
-		return fmt.Errorf("%w (%s)", ErrNoExpression, s.reason)
-	}
-	return err
-}
-
-// considerApply evaluates the candidate's signature from child signatures,
-// prunes, and on survival materializes the expression node. The hot path
-// is allocation-free until a candidate survives pruning: the signature and
-// key live in reusable buffers, and map lookups use the compiler's
-// alloc-free string([]byte) comparison.
-func (en *enumerator) considerApply(f *expr.Func, args []entry) (expr.Expr, error) {
+// considerApply composes the candidate o(kids)'s key from its children's
+// rows — one Apply per coordinate over the children's decoded fields —
+// and settles it. Children before moved are the previous call's, whose
+// fields are still decoded in argMat: a coordinate's arguments are the
+// row argMat[c*m:(c+1)*m], so only the moved children are decoded again.
+// The hot path allocates nothing until a candidate survives pruning, and
+// a survivor only grows the store's columns and arena: the row, the
+// children's rows and fields live in reusable buffers, and the index
+// compares keys in place.
+func (en *enumerator) considerApply(o uint16, kids []uint32, moved, size int) (bool, error) {
 	if err := en.charge(); err != nil {
-		return nil, err
+		return false, err
 	}
-	if cap(en.argBuf) < len(args) {
-		en.argBuf = make([]expr.Value, len(args))
-	}
-	argv := en.argBuf[:len(args)]
-	// Probe coordinates compose pointwise exactly like example
-	// coordinates: a child's value at a probe valuation is its sig entry,
-	// and evaluation is compositional.
-	for k := 0; k < en.nSig; k++ {
-		for j := range args {
-			argv[j] = args[j].sig[k]
+	a := &en.ops[o]
+	st := &en.stores[a.ret]
+	m, n, np := len(kids), en.nSig, en.nProbe
+	args := en.argMat[:n*m]
+	for j := moved; j < m; j++ {
+		ks := &en.stores[a.params[j]]
+		kr := ks.row(kids[j])
+		en.kidRows[j], en.kidFields[j] = kr, &ks.field
+		if j == m-1 {
+			break
 		}
-		en.sigBuf[k] = f.Apply(en.p.U, argv)
+		for c := 0; c < n; c++ {
+			args[c*m+j] = ks.get(kr[(np+c)*ks.w:])
+		}
 	}
-	en.keyBuf = appendSigKey(en.keyBuf[:0], f.Ret, en.sigBuf)
+	row := en.rowBuf[:st.stride]
+	u, apply, w := en.p.U, a.f.Apply, st.w
+	lf, lr := en.kidFields[m-1], en.kidRows[m-1]
+	for c := 0; c < n; c++ {
+		argv := args[c*m : c*m+m]
+		argv[m-1] = lf.get(lr[(np+c)*lf.w:])
+		st.put(row[(np+c)*w:], apply(u, argv))
+	}
+	return en.settle(o, kids, row, size)
+}
+
+// considerAtom handles size-1 candidates, which are evaluated directly.
+func (en *enumerator) considerAtom(o uint16) (bool, error) {
+	if err := en.charge(); err != nil {
+		return false, err
+	}
+	a := &en.ops[o]
+	st := &en.stores[a.ret]
+	row := en.rowBuf[:st.stride]
+	c := en.nProbe
+	for _, env := range en.probes {
+		st.put(row[c*st.w:], a.atom.Eval(en.p.U, env))
+		c++
+	}
+	for _, ex := range en.examples {
+		st.put(row[c*st.w:], a.atom.Eval(en.p.U, ex.S))
+		c++
+	}
+	return en.settle(o, nil, row, 1)
+}
+
+// fillProbes writes the candidate's shadow-probe coordinates into the head
+// of its row: evaluated directly for an atom, composed pointwise from the
+// children's rows and fields (in kidRows and kidFields) otherwise, exactly
+// like the key.
+func (en *enumerator) fillProbes(o uint16, row []byte) {
+	a := &en.ops[o]
+	st := &en.stores[a.ret]
+	if a.atom != nil {
+		for c, env := range en.shadowProbes {
+			st.put(row[c*st.w:], a.atom.Eval(en.p.U, env))
+		}
+		return
+	}
+	m := len(a.params)
+	rows, fields, argv := en.kidRows[:m], en.kidFields[:m], en.argBuf[:m]
+	for c := 0; c < en.nProbe; c++ {
+		for j, f := range fields {
+			argv[j] = f.get(rows[j][c*f.w:])
+		}
+		st.put(row[c*st.w:], a.f.Apply(en.p.U, argv))
+	}
+}
+
+// settle prunes, shadows or retains the candidate o(kids), whose key is in
+// row, and reports whether it hits the goal. A retained candidate is its
+// class's first member, so it joins the seen index (and, in a tracked
+// tier, the full index with its probe coordinates). A duplicate in a
+// tracked tier whose whole row is new is stored as a shadow of its class;
+// one whose row is covered counts as interpretation-pruned. Winners are
+// pooled too: the bank needs the winner entry in place so a resumed round
+// re-encounters it as an ordinary retained expression.
+func (en *enumerator) settle(o uint16, kids []uint32, row []byte, size int) (bool, error) {
+	s := en.ops[o].ret
+	st := &en.stores[s]
+	from := en.nProbe * st.w
+	key := row[from:]
+	var h uint32
 	if !en.limits.NoPrune {
-		if rows, seen := en.sigSeen[string(en.keyBuf)]; seen {
+		h = hashBytes(key)
+		if _, dup := st.find(&st.seen, h, from, key); dup {
 			if en.trackTier {
-				en.fillProbesApply(f, args)
-				if psigsContain(rows, en.probeBuf) {
+				en.fillProbes(o, row)
+				fh := hashBytes(row)
+				if _, covered := st.find(&st.full, fh, 0, row); covered {
 					en.stats.InterpPruned++
 				} else if len(en.shadows) < maxShadows {
-					childExprs := make([]expr.Expr, len(args))
-					for j, a := range args {
-						childExprs[j] = a.e
-					}
-					en.addShadow(expr.NewApply(f, childExprs...))
+					r := st.add(o, kids, row)
+					st.full.Add(fh, r)
+					en.shadows = append(en.shadows, ref{s, r})
 				}
 			}
-			return nil, nil
+			return false, nil
 		}
 	}
-	if en.trackTier {
-		en.fillProbesApply(f, args)
-	}
-	childExprs := make([]expr.Expr, len(args))
-	size := 1
-	for j, a := range args {
-		childExprs[j] = a.e
-		size += a.e.Size()
-	}
-	node := expr.NewApply(f, childExprs...)
-	return en.retain(node, size)
-}
-
-// fillProbesApply composes the candidate's probe coordinates pointwise
-// from its children's psigs into probeBuf (alloc-free; argBuf is free
-// again once the main signature loop is done).
-func (en *enumerator) fillProbesApply(f *expr.Func, args []entry) {
-	argv := en.argBuf[:len(args)]
-	for k := range en.shadowProbes {
-		for j := range args {
-			argv[j] = args[j].psig[k]
-		}
-		en.probeBuf[k] = f.Apply(en.p.U, argv)
-	}
-}
-
-// fillProbesEval evaluates a size-1 candidate's probe coordinates
-// directly.
-func (en *enumerator) fillProbesEval(e expr.Expr) {
-	for k, env := range en.shadowProbes {
-		en.probeBuf[k] = e.Eval(en.p.U, env)
-	}
-}
-
-// psigsContain reports whether rows — a flat sequence of len(ps)-stride
-// probe-value chunks — contains a chunk equal to ps. Within one universe,
-// Value equality coincides with encoding equality (Value is comparable,
-// constructors zero unused payload fields, and equal enum types share one
-// *EnumType), so a chunk match under a shared example key is exactly a
-// full-signature match — without building a key or encoding a value.
-func psigsContain(rows, ps []expr.Value) bool {
-	np := len(ps)
-	for i := 0; i < len(rows); i += np {
-		match := true
-		for j := 0; j < np; j++ {
-			if rows[i+j] != ps[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
-
-// addShadow stores the candidate (example key in keyBuf, probe chunk in
-// probeBuf) as a shadow of its example class: the chunk joins the class's
-// rows in sigSeen and the shadow itself is retained on the side. The
-// caller has checked coverage and the cap. Like retained keys, the stored
-// key carries extension headroom: adoptShadows appends one record per new
-// concretization each round.
-func (en *enumerator) addShadow(e expr.Expr) {
-	key := make([]byte, len(en.keyBuf), len(en.keyBuf)+sigValEncLen*sigHeadroom)
-	copy(key, en.keyBuf)
-	psig := append([]expr.Value(nil), en.probeBuf...)
-	en.sigSeen[string(key)] = append(en.sigSeen[string(key)], psig...)
-	en.shadows = append(en.shadows, shadowEntry{e: e, key: key, psig: psig})
-}
-
-// consider handles size-1 candidates, which must be evaluated directly.
-func (en *enumerator) consider(e expr.Expr) (expr.Expr, error) {
-	if err := en.charge(); err != nil {
-		return nil, err
-	}
-	for k, env := range en.probes {
-		en.sigBuf[k] = e.Eval(en.p.U, env)
-	}
-	np := len(en.probes)
-	for k, c := range en.examples {
-		en.sigBuf[np+k] = e.Eval(en.p.U, c.S)
-	}
-	en.keyBuf = appendSigKey(en.keyBuf[:0], e.Type(), en.sigBuf)
-	if !en.limits.NoPrune {
-		if rows, seen := en.sigSeen[string(en.keyBuf)]; seen {
-			if en.trackTier {
-				en.fillProbesEval(e)
-				if psigsContain(rows, en.probeBuf) {
-					en.stats.InterpPruned++
-				} else if len(en.shadows) < maxShadows {
-					en.addShadow(e)
-				}
-			}
-			return nil, nil
-		}
-	}
-	if en.trackTier {
-		en.fillProbesEval(e)
-	}
-	return en.retain(e, e.Size())
-}
-
-// retain stores a surviving candidate (whose key is in keyBuf) and reports
-// it if it hits the goal. Winners are pooled too: the bank needs the
-// winner entry in place so a resumed round re-encounters it as an
-// ordinary retained expression.
-func (en *enumerator) retain(e expr.Expr, size int) (expr.Expr, error) {
 	en.stats.Kept++
-	if size < len(en.perSize) {
-		// Signature and key copies carry capacity headroom for a few future
-		// concretizations: the bank extends both in place on every resumed
-		// round, and exact-size allocations would force a reallocation of
-		// every entry every round.
-		sig := make([]expr.Value, len(en.sigBuf), len(en.sigBuf)+sigHeadroom)
-		copy(sig, en.sigBuf)
-		var key []byte
-		var psig []expr.Value
-		if !en.limits.NoPrune {
-			key = make([]byte, len(en.keyBuf), len(en.keyBuf)+sigValEncLen*sigHeadroom)
-			copy(key, en.keyBuf)
-			if en.trackTier {
-				// The caller filled probeBuf; record the coordinates so
-				// parents compose from them, and seed the class's probe
-				// rows so duplicates of it are recognized.
-				psig = append([]expr.Value(nil), en.probeBuf...)
-			}
-			// A surviving candidate is its class's first member, so the
-			// assignment both marks the class seen and installs its first
-			// probe chunk (nil without tracking).
-			en.sigSeen[string(key)] = psig
+	if en.trackTier {
+		en.fillProbes(o, row)
+	}
+	r := st.add(o, kids, row)
+	if !en.limits.NoPrune {
+		st.seen.Add(h, r)
+		if en.trackTier {
+			st.full.Add(hashBytes(row), r)
 		}
-		en.perSize[size][e.Type()] = append(en.perSize[size][e.Type()], entry{e: e, sig: sig, key: key, psig: psig})
 	}
-	if en.goalHit(e.Type(), en.keyBuf) {
+	en.pools[size][s] = append(en.pools[size][s], r)
+	if en.goalHit(s, key) {
+		en.win = ref{s, r}
 		en.stats.Elapsed = time.Since(en.start)
-		return e, nil
+		return true, nil
 	}
-	return nil, nil
+	return false, nil
 }
 
 // charge accounts one candidate against the budgets and polls the
-// cancellation context. The budget check precedes the increment so that a
-// budget of N admits exactly N candidates (candidate N itself may still
-// win).
+// cancellation context and the deadline. The budget check precedes the
+// increment so that a budget of N admits exactly N candidates (candidate
+// N itself may still win).
 func (en *enumerator) charge() error {
 	if en.stats.Enumerated >= en.limits.MaxExprs {
 		en.stats.Elapsed = time.Since(en.start)
-		return errStop{reason: fmt.Sprintf("expression budget %d exhausted", en.limits.MaxExprs)}
+		return fmt.Errorf("%w (%d candidates)", ErrExprBudget, en.limits.MaxExprs)
 	}
 	en.stats.Enumerated++
 	if en.stats.Enumerated%4096 == 0 {
@@ -759,45 +675,10 @@ func (en *enumerator) charge() error {
 			en.stats.Elapsed = time.Since(en.start)
 			return fmt.Errorf("synth: enumeration aborted: %w", err)
 		}
-		if en.limits.Timeout > 0 && time.Since(en.start) > en.limits.Timeout {
+		if !en.deadline.IsZero() && time.Now().After(en.deadline) {
 			en.stats.Elapsed = time.Since(en.start)
-			return errStop{reason: "timeout"}
+			return fmt.Errorf("%w (%v)", ErrTimeout, en.limits.Timeout)
 		}
 	}
 	return nil
-}
-
-// Signature-key layout constants: a key is a sigKeyHeaderLen-byte type
-// header (kind tag, enum ID or 0) followed by one fixed sigValEncLen-byte
-// record per signature value (expr.Value.AppendEncoding). The fixed widths
-// are what make the goal test a constant-offset suffix comparison and the
-// bank's key extension a plain append; TestSigKeyLayout pins them against
-// the encoder.
-const (
-	sigKeyHeaderLen = 2
-	sigValEncLen    = 10
-)
-
-// sigHeadroom is the number of future concretizations retained signatures
-// and keys reserve capacity for, letting the bank's per-round in-place
-// extension append without reallocating every entry (CEGIS adds one
-// example per round, so this covers the next few rounds per allocation).
-const sigHeadroom = 4
-
-// appendSigKey appends the map key for a signature: the expression type
-// tag followed by the fixed-width encodings of the probe and example
-// values. The encoding is injective over (type, value-vector) pairs — see
-// FuzzSigKeyInjective — which pruning relies on: a silent collision would
-// fuse two distinguishable candidate classes.
-func appendSigKey(dst []byte, t expr.Type, sig []expr.Value) []byte {
-	dst = append(dst, byte(t.Kind))
-	if t.Kind == expr.KindEnum {
-		dst = append(dst, byte(t.Enum.ID()))
-	} else {
-		dst = append(dst, 0)
-	}
-	for _, v := range sig {
-		dst = v.AppendEncoding(dst)
-	}
-	return dst
 }

@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -101,36 +103,86 @@ func reductionBenches() []reductionBench {
 	}
 }
 
-// TestSigKeyLayout pins the signature-key byte layout the bank and shadow
-// machinery rely on: a fixed-width type header followed by one fixed-width
-// record per signature coordinate. Both widths are load-bearing — key
-// extension appends records in place, the goal test is a fixed-offset
-// suffix compare, and shadow keys slice off the header — so a change here
-// must be deliberate and versioned.
+// TestSigKeyLayout pins the packed signature layout the pools, the bank
+// and the shadow machinery rely on: one fixed-width field per coordinate,
+// as wide as the type's domain in the universe, so a row's key is its
+// coordinates' fields in order. The widths are load-bearing — extension
+// appends fields in place, the goal test is a fixed-offset suffix compare,
+// and every row of a store has one stride — so a change here must be
+// deliberate.
 func TestSigKeyLayout(t *testing.T) {
-	if sigKeyHeaderLen != 2 {
-		t.Fatalf("sigKeyHeaderLen = %d, want 2", sigKeyHeaderLen)
+	wide := func(caches int, intWidth uint) *expr.Universe {
+		u, err := expr.NewUniverseWidth(caches, intWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
 	}
-	if sigValEncLen != 10 {
-		t.Fatalf("sigValEncLen = %d, want 10", sigValEncLen)
+	u3 := wide(3, 4)
+	small := u3.MustDeclareEnum("Small", "A", "B", "C")
+	vals := make([]string, 257)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%d", i)
 	}
-	u := expr.NewUniverse(3)
-	vals := []expr.Value{expr.IntVal(u, 0), expr.IntVal(u, 3), expr.SetVal(0), expr.SetVal(5)}
-	for _, v := range vals {
-		if got := len(v.AppendEncoding(nil)); got != sigValEncLen {
-			t.Errorf("AppendEncoding(%v) = %d bytes, want %d", v, got, sigValEncLen)
+	big := u3.MustDeclareEnum("Big", vals...)
+	cases := []struct {
+		name string
+		u    *expr.Universe
+		t    expr.Type
+		w    int
+		v    expr.Value
+	}{
+		{"bool", u3, expr.BoolType, 1, expr.BoolVal(true)},
+		{"pid/3", u3, expr.PIDType, 1, expr.PIDVal(2)},
+		{"pid/64", wide(64, 8), expr.PIDType, 1, expr.PIDVal(63)},
+		{"enum/3", u3, expr.EnumOf(small), 1, expr.EnumVal(small, 2)},
+		{"enum/257", u3, expr.EnumOf(big), 2, expr.EnumVal(big, 256)},
+		{"int/4", u3, expr.IntType, 1, expr.IntVal(u3, -8)},
+		{"int/8", wide(3, 8), expr.IntType, 1, expr.IntVal(wide(3, 8), -128)},
+		{"int/16", wide(3, 16), expr.IntType, 2, expr.IntVal(wide(3, 16), -30000)},
+		{"int/32", wide(3, 32), expr.IntType, 4, expr.IntVal(wide(3, 32), -1<<31)},
+		{"set/3", u3, expr.SetType, 1, expr.SetVal(5)},
+		{"set/8", wide(8, 8), expr.SetType, 1, expr.SetVal(0xff)},
+		{"set/9", wide(9, 8), expr.SetType, 2, expr.SetVal(0x1ff)},
+		{"set/64", wide(64, 8), expr.SetType, 8, expr.SetVal(1<<63 | 1)},
+	}
+	for _, c := range cases {
+		f := newField(c.u, c.t)
+		if f.w != c.w {
+			t.Errorf("%s: field width %d, want %d", c.name, f.w, c.w)
+			continue
+		}
+		buf := make([]byte, f.w)
+		f.put(buf, c.v)
+		if got := f.get(buf); got != c.v {
+			t.Errorf("%s: %v reads back as %v", c.name, c.v, got)
 		}
 	}
-	key := appendSigKey(nil, expr.IntType, vals)
-	if want := sigKeyHeaderLen + len(vals)*sigValEncLen; len(key) != want {
-		t.Errorf("appendSigKey over %d values = %d bytes, want %d", len(vals), len(key), want)
+
+	// A store's rows are [shadow probes..., examples...] at one stride,
+	// and the goal is the packed example outputs: a fixed-offset suffix.
+	// Ints are stored offset by half their domain: 1 and 300 at 16 bits
+	// are 0x8001 and 0x812c.
+	u := wide(3, 16)
+	a, b := expr.V("a", expr.IntType), expr.V("b", expr.IntType)
+	p := Problem{U: u, Vocab: expr.CoherenceVocabulary(u, expr.CoherenceOptions{}),
+		Vars: []*expr.Var{a, b}, Output: expr.V("o", expr.IntType)}
+	exs := []ConcreteExample{
+		{S: expr.Env{"a": expr.IntVal(u, 1), "b": expr.IntVal(u, -2)}, Out: expr.IntVal(u, 1)},
+		{S: expr.Env{"a": expr.IntVal(u, 300), "b": expr.IntVal(u, 7)}, Out: expr.IntVal(u, 300)},
 	}
-	// Extension is append-only: the shorter key must be a byte prefix of
-	// the longer one, which is what lets resumed rounds extend keys in
-	// place.
-	short := appendSigKey(nil, expr.IntType, vals[:2])
-	if string(key[:len(short)]) != string(short) {
-		t.Error("key extension is not append-only: shorter key is not a prefix")
+	en := newEnumerator(context.Background(), newSchema(p), p, exs, Limits{MaxSize: 3}.withDefaults(), time.Time{}, true)
+	en.initFresh()
+	st := &en.stores[en.outStore]
+	if want := 2 * (3 + 2); en.nProbe != 3 || st.stride != want {
+		t.Fatalf("int/16 rows: %d shadow probes, stride %d; want 3 and %d", en.nProbe, st.stride, want)
+	}
+	if found, err := en.runAtoms(0); err != nil || !found {
+		t.Fatalf("atom tier: found=%v err=%v", found, err)
+	}
+	row := st.row(en.win.r)
+	if got, want := row[en.nProbe*st.w:], []byte{0x01, 0x80, 0x2c, 0x81}; !bytes.Equal(got, want) || !bytes.Equal(en.goal, want) {
+		t.Errorf("winner a's key %x and goal %x, want %x", got, en.goal, want)
 	}
 }
 

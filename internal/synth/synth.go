@@ -7,6 +7,7 @@ package synth
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"transit/internal/expr"
@@ -75,7 +76,8 @@ type Limits struct {
 	// MaxIters caps CEGIS iterations in SolveConcolic.
 	// 0 means DefaultMaxIters.
 	MaxIters int
-	// Timeout caps wall-clock time for the whole call; 0 means none.
+	// Timeout caps wall-clock time for the whole call, every CEGIS
+	// round and restart of SolveConcolic included; 0 means none.
 	Timeout time.Duration
 	// SMTConflicts bounds each SMT query; 0 means unlimited.
 	SMTConflicts int64
@@ -139,8 +141,19 @@ func (l Limits) withDefaults() Limits { return l.WithDefaults() }
 // Sentinel errors.
 var (
 	// ErrNoExpression means the bounded space held no consistent
-	// expression (or a resource limit cut the search off).
+	// expression (or a resource limit cut the search off). Every such
+	// failure wraps one of the four stop reasons below, which wrap it.
 	ErrNoExpression = errors.New("synth: no consistent expression within limits")
+	// ErrExprBudget means a search examined Limits.MaxExprs candidates.
+	ErrExprBudget = fmt.Errorf("%w: candidate budget exhausted", ErrNoExpression)
+	// ErrTimeout means the call ran past Limits.Timeout.
+	ErrTimeout = fmt.Errorf("%w: timeout", ErrNoExpression)
+	// ErrSizeBound means a search enumerated every expression up to
+	// Limits.MaxSize without finding one consistent with its examples.
+	ErrSizeBound = fmt.Errorf("%w: size bound reached", ErrNoExpression)
+	// ErrIterBudget means CEGIS ran Limits.MaxIters rounds without an
+	// answer.
+	ErrIterBudget = fmt.Errorf("%w: CEGIS iteration budget exhausted", ErrNoExpression)
 	// ErrInconsistent means the example set itself admits no output value
 	// for some reachable input valuation.
 	ErrInconsistent = errors.New("synth: example set is inconsistent")

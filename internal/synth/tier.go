@@ -1,18 +1,16 @@
 package synth
 
-import "transit/internal/expr"
-
 // A size tier's composition work — (function symbol × size split) — is
 // laid out as units. Each unit covers a contiguous range of the tier's
 // canonical enumeration order, so every candidate has a tier-local index
 // computable from its unit's base offset; a resumed round uses it to skip
 // the candidates the previous round already consumed.
 
-// tierUnit is function symbol f applied to arguments from pools, one per
-// parameter, fixed by one size split.
+// tierUnit is op op applied to arguments from pools (ranks in the stores
+// of its parameter types), one per parameter, fixed by one size split.
 type tierUnit struct {
-	f     *expr.Func
-	pools [][]entry
+	op    uint16
+	pools [][]uint32
 	// base is the tier-local 0-based index of the unit's first candidate;
 	// count the unit total.
 	base, count int64
@@ -30,12 +28,12 @@ func (u *tierUnit) decode(off int64, pos []int) {
 }
 
 // advance steps the odometer to the next candidate (caller guarantees one
-// exists).
-func (u *tierUnit) advance(pos []int) {
+// exists) and returns the first position it moved.
+func (u *tierUnit) advance(pos []int) int {
 	for j := len(u.pools) - 1; ; j-- {
 		pos[j]++
 		if j == 0 || pos[j] < len(u.pools[j]) {
-			return
+			return j
 		}
 		pos[j] = 0
 	}
@@ -45,9 +43,11 @@ func (u *tierUnit) advance(pos []int) {
 // symbols in vocabulary order, size splits in recursion order. Empty
 // products contribute nothing.
 func (en *enumerator) buildUnits(size int) []tierUnit {
-	var units []tierUnit
+	// The units and their pool lists reuse the previous tier's storage.
+	units, unitPools := en.unitBuf[:0], en.unitPools[:0]
+	defer func() { en.unitBuf, en.unitPools = units, unitPools }()
 	var base int64
-	for _, f := range en.p.Vocab.Funcs() {
+	for fi, f := range en.p.Vocab.Funcs() {
 		m := f.Arity()
 		if m == 0 {
 			continue
@@ -56,24 +56,25 @@ func (en *enumerator) buildUnits(size int) []tierUnit {
 		if budget < m {
 			continue
 		}
-		if cap(en.shareBuf) < m {
-			en.shareBuf = make([]int, m)
-		}
+		o := en.funcOp(fi)
+		params := en.ops[o].params
 		shares := en.shareBuf[:m]
 		var rec func(i, remaining int)
 		rec = func(i, remaining int) {
 			if i == m-1 {
 				shares[i] = remaining
-				pools := make([][]entry, m)
 				count := int64(1)
 				for j := 0; j < m; j++ {
-					pools[j] = en.perSize[shares[j]][f.Params[j]]
-					count *= int64(len(pools[j]))
+					count *= int64(len(en.pools[shares[j]][params[j]]))
 				}
 				if count == 0 {
 					return
 				}
-				units = append(units, tierUnit{f: f, pools: pools, base: base, count: count})
+				at := len(unitPools)
+				for j := 0; j < m; j++ {
+					unitPools = append(unitPools, en.pools[shares[j]][params[j]])
+				}
+				units = append(units, tierUnit{op: o, pools: unitPools[at : at+m : at+m], base: base, count: count})
 				base += count
 				return
 			}

@@ -59,7 +59,8 @@ const (
 // outcome — domains too large, class space too rich, budget or context
 // expired — returns nil and leaves the original exhaustion error in
 // force. A nil return therefore never asserts realizability.
-func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits, stats *Stats) error {
+func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits,
+	deadline time.Time, stats *Stats) error {
 	if !interpReduced(limits) || len(examples) == 0 {
 		return nil
 	}
@@ -78,10 +79,14 @@ func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExampl
 	al.NoBankReuse = true
 	al.MaxExprs = unrealizableEvalCap / int64(len(envs))
 	al.MaxSize = unrealizableMaxSize
-	if al.Timeout <= 0 || al.Timeout > unrealizableTimeout {
-		al.Timeout = unrealizableTimeout
+	al.Timeout = unrealizableTimeout
+	// The check spends at most unrealizableTimeout, and never runs past
+	// the call's own deadline.
+	atlasDeadline := time.Now().Add(unrealizableTimeout)
+	if !deadline.IsZero() && deadline.Before(atlasDeadline) {
+		atlasDeadline = deadline
 	}
-	en := newEnumerator(ctx, p, nil, al)
+	en := newEnumerator(ctx, newSchema(p), p, nil, al, atlasDeadline, false)
 	en.probes = envs
 	en.noGoal = true
 	en.initSigLayout()
@@ -100,7 +105,7 @@ func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExampl
 	k := 0
 	horizon := 1
 	for size := 1; size <= horizon; size++ {
-		if size >= len(en.perSize) {
+		if size >= len(en.pools) {
 			return nil
 		}
 		keptBefore := en.stats.Kept
@@ -127,11 +132,18 @@ func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExampl
 	// expressible functions. A class is consistent with the spec iff at
 	// every valuation where an example's precondition holds, its
 	// postcondition holds with the output bound to the class's value
-	// there — the signature coordinate, no re-evaluation needed.
+	// there — the signature coordinate, decoded from its row, no
+	// re-evaluation needed.
 	outName := p.Output.Name
-	for s := 1; s < len(en.perSize) && s <= horizon; s++ {
-		for _, ent := range en.perSize[s][p.Output.VT] {
-			if classConsistent(p, examples, envs, ent.sig) {
+	out := &en.stores[en.outStore]
+	sig := make([]expr.Value, len(envs))
+	for s := 1; s < len(en.pools) && s <= horizon; s++ {
+		for _, r := range en.pools[s][en.outStore] {
+			row := out.row(r)
+			for i := range sig {
+				sig[i] = out.get(row[i*out.w:])
+			}
+			if classConsistent(p, examples, envs, sig) {
 				return nil
 			}
 		}
