@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"transit/internal/synth"
 )
 
 func TestTable2Shape(t *testing.T) {
@@ -38,8 +41,8 @@ func TestTable3ShortRows(t *testing.T) {
 		switch {
 		case r.Skipped:
 			skipped++
-		case r.TimedOut:
-			t.Errorf("%s timed out", r.Name)
+		case r.Stop != nil:
+			t.Errorf("%s stopped: %s", r.Name, StopName(r.Stop))
 		default:
 			solved++
 			if r.Found == "" {
@@ -120,4 +123,25 @@ func TestTable5Shape(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", FormatTable5(rows))
+}
+
+// TestTable3StopReasons checks that a row which stops without an answer
+// carries synth's typed reason and that the table prints it.
+func TestTable3StopReasons(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{fmt.Errorf("%w (20000000 candidates)", synth.ErrExprBudget), "candidate budget"},
+		{fmt.Errorf("%w (30m0s)", synth.ErrTimeout), "timeout"},
+		{fmt.Errorf("%w (size <= 18, 5 candidates)", synth.ErrSizeBound), "size bound"},
+		{fmt.Errorf("%w (64 rounds)", synth.ErrIterBudget), "iteration budget"},
+		{synth.ErrNoExpression, "no expression"},
+	} {
+		row := Table3Row{Name: "max3-functional", Stop: stopReason(c.err), Enumerated: 5}
+		out := FormatTable3([]Table3Row{row})
+		if !strings.Contains(out, "stopped: "+c.want+" after 5 candidates") {
+			t.Errorf("%v: table reads\n%s", c.err, out)
+		}
+	}
 }

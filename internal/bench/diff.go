@@ -14,16 +14,44 @@ import (
 // benchmark family, the differ walks both JSON trees in parallel —
 // objects by sorted key, arrays element-wise with elements matched by
 // their "name" field when they have one — and compares every numeric
-// leaf whose key ends in "_ms" (the shared timing convention of all
-// artifacts). That makes it future-proof against new benchmark bodies as
-// long as they keep the header schema and the _ms suffix.
+// leaf whose key ends in one of the metric suffixes below. That makes it
+// future-proof against new benchmark bodies as long as they keep the
+// header schema and the suffixes.
 
-// DiffRow is one compared timing leaf.
+// metricSuffixes are the leaf-key suffixes bench-diff compares, each with
+// its unit and direction: a rate (_per_s) is better higher, a time (_ms,
+// _s) or a size (_mb) lower. _per_s comes before _s, which it ends with.
+var metricSuffixes = []struct {
+	suffix, unit string
+	higher       bool
+}{
+	{"_per_s", "/s", true},
+	{"_ms", "ms", false},
+	{"_s", "s", false},
+	{"_mb", "MB", false},
+}
+
+// metricLeaf returns the suffix entry of a leaf key, or ok false when
+// bench-diff does not compare it.
+func metricLeaf(leaf string) (unit string, higher, ok bool) {
+	for _, m := range metricSuffixes {
+		if strings.HasSuffix(leaf, m.suffix) {
+			return m.unit, m.higher, true
+		}
+	}
+	return "", false, false
+}
+
+// DiffRow is one compared metric leaf.
 type DiffRow struct {
 	Path string  // e.g. "rows[max2-guarded].sequential.time_ms"
-	Old  float64 // milliseconds in the old artifact
-	New  float64 // milliseconds in the new artifact
-	// Ratio is New/Old: > 1 is a regression, < 1 an improvement.
+	Old  float64 // the value in the old artifact
+	New  float64 // the value in the new artifact
+	Unit string  // from the leaf's suffix: "ms", "s", "/s" or "MB"
+	// Higher marks a rate, for which a higher value is better.
+	Higher bool
+	// Ratio is New/Old for a time or size and Old/New for a rate, so that
+	// > 1 is always a regression and < 1 an improvement.
 	Ratio float64
 }
 
@@ -34,7 +62,7 @@ type DiffResult struct {
 	// Geomean is the geometric mean of the row ratios (rows with a
 	// non-positive side are excluded); 1.0 when no rows are comparable.
 	Geomean float64
-	// OldOnly / NewOnly are timing leaves present in just one artifact
+	// OldOnly / NewOnly are metric leaves present in just one artifact
 	// (benchmark shape drift) — reported, never failed on.
 	OldOnly []string
 	NewOnly []string
@@ -147,7 +175,8 @@ func diffNode(d *DiffResult, path string, o, n any) {
 			}
 		}
 	case float64:
-		if !timingLeaf(path) {
+		unit, higher, ok := metricLeaf(leafKey(path))
+		if !ok {
 			return
 		}
 		nv, ok := n.(float64)
@@ -155,9 +184,12 @@ func diffNode(d *DiffResult, path string, o, n any) {
 			markOnly(d, path, o, n)
 			return
 		}
-		row := DiffRow{Path: path, Old: ov, New: nv, Ratio: math.NaN()}
+		row := DiffRow{Path: path, Old: ov, New: nv, Unit: unit, Higher: higher, Ratio: math.NaN()}
 		if ov > 0 && nv > 0 {
 			row.Ratio = nv / ov
+			if higher {
+				row.Ratio = ov / nv
+			}
 		}
 		d.Rows = append(d.Rows, row)
 	}
@@ -177,14 +209,16 @@ func splitNamed(elems []any) (named map[string]any, anon []any) {
 	return named, anon
 }
 
-// timingLeaf reports whether a path names a comparable timing: the leaf
-// key ends in "_ms".
-func timingLeaf(path string) bool {
-	leaf := path
-	if i := strings.LastIndexAny(path, "]."); i >= 0 && path[i] == '.' {
-		leaf = path[i+1:]
+// leafKey returns the last object key of a path ("" when the path ends
+// in an array index).
+func leafKey(path string) string {
+	if i := strings.LastIndexAny(path, "]."); i >= 0 {
+		if path[i] == ']' {
+			return ""
+		}
+		return path[i+1:]
 	}
-	return strings.HasSuffix(leaf, "_ms")
+	return path
 }
 
 func joinPath(path, key string) string {
@@ -194,7 +228,7 @@ func joinPath(path, key string) string {
 	return path + "." + key
 }
 
-// markOnly records a timing leaf present on only one side.
+// markOnly records a metric leaf present on only one side.
 func markOnly(d *DiffResult, path string, o, n any) {
 	var collect func(prefix string, v any, out *[]string)
 	collect = func(prefix string, v any, out *[]string) {
@@ -213,7 +247,7 @@ func markOnly(d *DiffResult, path string, o, n any) {
 				collect(fmt.Sprintf("%s[%d]", prefix, i), e, out)
 			}
 		case float64:
-			if timingLeaf(prefix) {
+			if _, _, ok := metricLeaf(leafKey(prefix)); ok {
 				*out = append(*out, prefix)
 			}
 		}
@@ -226,9 +260,10 @@ func markOnly(d *DiffResult, path string, o, n any) {
 	}
 }
 
-// Format renders the per-row table and the geomean line.
+// Format renders the per-row table and the geomean line. A row's change
+// is its value's; the geomean is of the regression ratios.
 func (d *DiffResult) Format(w io.Writer) {
-	fmt.Fprintf(w, "bench-diff: %s (%d timing rows)\n", d.Benchmark, len(d.Rows))
+	fmt.Fprintf(w, "bench-diff: %s (%d metric rows)\n", d.Benchmark, len(d.Rows))
 	width := 0
 	for _, r := range d.Rows {
 		if len(r.Path) > width {
@@ -237,10 +272,13 @@ func (d *DiffResult) Format(w io.Writer) {
 	}
 	for _, r := range d.Rows {
 		delta := "n/a"
-		if !math.IsNaN(r.Ratio) {
-			delta = fmt.Sprintf("%+.1f%%", (r.Ratio-1)*100)
+		if r.Old > 0 && r.New > 0 {
+			delta = fmt.Sprintf("%+.1f%%", (r.New/r.Old-1)*100)
 		}
-		fmt.Fprintf(w, "  %-*s  %10.3fms -> %10.3fms  %s\n", width, r.Path, r.Old, r.New, delta)
+		if r.Higher {
+			delta += " (higher is better)"
+		}
+		fmt.Fprintf(w, "  %-*s  %10.3f%s -> %10.3f%s  %s\n", width, r.Path, r.Old, r.Unit, r.New, r.Unit, delta)
 	}
 	for _, p := range d.OldOnly {
 		fmt.Fprintf(w, "  %s: only in old artifact\n", p)

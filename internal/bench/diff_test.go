@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -43,7 +45,7 @@ func TestDiffArtifacts(t *testing.T) {
 		t.Fatalf("benchmark %q", d.Benchmark)
 	}
 	// Three comparable timing leaves: rows are matched by name despite
-	// reordering, and only *_ms leaves count ("enumerated" and the
+	// reordering, and only metric leaves count ("enumerated" and the
 	// header's geomean_speedup are ignored).
 	ratios := map[string]float64{}
 	for _, r := range d.Rows {
@@ -115,7 +117,7 @@ func TestDiffFormat(t *testing.T) {
 	d.Format(&sb)
 	out := sb.String()
 	for _, want := range []string{
-		"bench-diff: enum (3 timing rows)",
+		"bench-diff: enum (3 metric rows)",
 		"rows[max2].sequential.time_ms",
 		"-50.0%",
 		"+100.0%",
@@ -124,6 +126,63 @@ func TestDiffFormat(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDiffMetricSuffixes compares _s, _per_s and _mb leaves next to _ms
+// ones, with a rate's ratio inverted so that > 1 stays a regression.
+func TestDiffMetricSuffixes(t *testing.T) {
+	o := `{"benchmark": "e2e", "setup_s": 2.0, "ops_per_s": 100.0, "peak_rss_mb": 50.0, "op_p50_ms": 4.0, "states": 9}`
+	n := `{"benchmark": "e2e", "setup_s": 1.0, "ops_per_s": 125.0, "peak_rss_mb": 55.0, "op_p50_ms": 4.0, "states": 7}`
+	d, err := DiffArtifacts([]byte(o), []byte(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"setup_s": 0.5, "ops_per_s": 0.8, "peak_rss_mb": 1.1, "op_p50_ms": 1}
+	if len(d.Rows) != len(want) {
+		t.Fatalf("rows: %+v", d.Rows)
+	}
+	for _, r := range d.Rows {
+		if w, ok := want[r.Path]; !ok || math.Abs(r.Ratio-w) > 1e-9 {
+			t.Errorf("%s ratio = %v, want %v", r.Path, r.Ratio, w)
+		}
+	}
+	var sb strings.Builder
+	d.Format(&sb)
+	if !strings.Contains(sb.String(), "100.000/s ->    125.000/s  +25.0% (higher is better)") {
+		t.Errorf("rate row not rendered as a rate:\n%s", sb.String())
+	}
+}
+
+// TestDiffDirectionsMatchBenchmark checks the suffix rule against the
+// "better" field of every end-to-end metric BENCHMARK.json declares. It
+// only reads the file.
+func TestDiffDirectionsMatchBenchmark(t *testing.T) {
+	data, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		EndToEnd []struct {
+			Name   string `json:"name"`
+			Better string `json:"better"`
+		} `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(data, &decl); err != nil {
+		t.Fatal(err)
+	}
+	if len(decl.EndToEnd) == 0 {
+		t.Fatal("BENCHMARK.json declares no end-to-end metrics")
+	}
+	for _, m := range decl.EndToEnd {
+		_, higher, ok := metricLeaf(m.Name)
+		if !ok {
+			t.Errorf("%s: bench-diff does not compare it", m.Name)
+			continue
+		}
+		if got := map[bool]string{true: "higher", false: "lower"}[higher]; got != m.Better {
+			t.Errorf("%s: bench-diff takes %s as better, BENCHMARK.json %s", m.Name, got, m.Better)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"transit/internal/expr"
@@ -46,8 +47,43 @@ type Table3Row struct {
 	SMTQueries int64
 	Conflicts  int64
 	Enumerated int64
-	TimedOut   bool
-	Skipped    bool
+	// Stop is why a row stopped without an answer: one of synth's stop
+	// reasons (ErrExprBudget, ErrTimeout, ErrSizeBound, ErrIterBudget),
+	// nil when the row found one.
+	Stop    error
+	Skipped bool
+}
+
+// stopNames names the stop reasons FormatTable3 prints.
+var stopNames = []struct {
+	err  error
+	name string
+}{
+	{synth.ErrExprBudget, "candidate budget"},
+	{synth.ErrTimeout, "timeout"},
+	{synth.ErrSizeBound, "size bound"},
+	{synth.ErrIterBudget, "iteration budget"},
+}
+
+// stopReason returns the stop reason err wraps, or synth.ErrNoExpression
+// itself when it wraps none of them.
+func stopReason(err error) error {
+	for _, s := range stopNames {
+		if errors.Is(err, s.err) {
+			return s.err
+		}
+	}
+	return synth.ErrNoExpression
+}
+
+// StopName names a Table3Row's stop reason.
+func StopName(stop error) string {
+	for _, s := range stopNames {
+		if stop == s.err {
+			return s.name
+		}
+	}
+	return "no expression"
 }
 
 // intProblem builds a Problem over Int variables with the full coherence
@@ -240,7 +276,9 @@ type Table3Options struct {
 	// Timeout per benchmark; 0 means 30s for short rows and 30min for
 	// long ones (the paper's timeout).
 	Timeout time.Duration
-	// MaxExprs caps enumeration per SolveConcrete call.
+	// MaxExprs caps enumeration per SolveConcrete call. 0 means
+	// synth.DefaultMaxExprs for short rows and no cap for long ones, whose
+	// only budget is then the timeout.
 	MaxExprs int64
 }
 
@@ -279,6 +317,9 @@ func Table3Ctx(ctx context.Context, opts Table3Options) ([]Table3Row, error) {
 		prob, exs := b.Build(u)
 		row.Constraints = len(exs)
 		limits := synth.Limits{MaxSize: b.ExpectedSize + 2, Timeout: timeout, MaxExprs: opts.MaxExprs}
+		if b.Long && limits.MaxExprs == 0 {
+			limits.MaxExprs = math.MaxInt64
+		}
 		// Per-row metrics registry: the SMT/conflict columns read the same
 		// counters the observability layer aggregates, isolated per row.
 		reg := obs.NewRegistry()
@@ -292,7 +333,7 @@ func Table3Ctx(ctx context.Context, opts Table3Options) ([]Table3Row, error) {
 		row.Enumerated = stats.Concrete.Enumerated
 		if err != nil {
 			if errors.Is(err, synth.ErrNoExpression) {
-				row.TimedOut = true
+				row.Stop = stopReason(err)
 				rows = append(rows, row)
 				continue
 			}

@@ -3,6 +3,7 @@ package synth
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -100,5 +101,74 @@ func TestSolveConcreteCtxCancelled(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+// max3Problem is Table 3's max-of-three row: every round of its CEGIS run
+// grows the pools, and the rounds from the eighth on take seconds.
+func max3Problem(t *testing.T) (Problem, []ConcolicExample) {
+	t.Helper()
+	u, err := expr.NewUniverseWidth(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voc := expr.CoherenceVocabulary(u, expr.CoherenceOptions{})
+	a, b, c := expr.V("a", expr.IntType), expr.V("b", expr.IntType), expr.V("c", expr.IntType)
+	o := expr.V("o", expr.IntType)
+	return Problem{U: u, Vocab: voc, Vars: []*expr.Var{a, b, c}, Output: o}, []ConcolicExample{{
+		Pre: expr.True(),
+		Post: expr.And(expr.Ge(o, a), expr.Ge(o, b), expr.Ge(o, c),
+			expr.Or(expr.Eq(o, a), expr.Eq(o, b), expr.Eq(o, c))),
+	}}
+}
+
+// TestTimeoutBoundsWholeCall pins that Limits.Timeout bounds the whole
+// SolveConcolic call, every CEGIS round included, and that running out of
+// it is a typed ErrTimeout. A clock that restarts with every round lets
+// max3 run each round for up to the whole timeout, so the call overran
+// by the time of all its earlier rounds, and a round could start after
+// the timeout had passed.
+func TestTimeoutBoundsWholeCall(t *testing.T) {
+	p, exs := max3Problem(t)
+	const timeout = 2 * time.Second
+	limits := Limits{MaxSize: 18, MaxExprs: math.MaxInt64, Timeout: timeout}
+	start := time.Now()
+	_, st, err := SolveConcolicCtx(context.Background(), p, exs, limits)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, ErrNoExpression) {
+		t.Fatalf("err = %v, want ErrTimeout wrapping ErrNoExpression", err)
+	}
+	if elapsed > timeout+400*time.Millisecond {
+		t.Errorf("a %v timeout returned after %v, in round %d", timeout, elapsed, st.Iterations)
+	}
+
+	// A deadline already past starts no round, although max3's first
+	// rounds enumerate too few candidates to look at the clock.
+	limits.Timeout = time.Nanosecond
+	_, st, err = SolveConcolicCtx(context.Background(), p, exs, limits)
+	if !errors.Is(err, ErrTimeout) || st.Iterations != 0 {
+		t.Errorf("a 1ns timeout: err = %v after %d rounds, want ErrTimeout before the first", err, st.Iterations)
+	}
+}
+
+// TestStopReasons pins the typed stop reason of each budget: every one
+// wraps ErrNoExpression, so callers that only test for it are unchanged.
+func TestStopReasons(t *testing.T) {
+	ctx := context.Background()
+	p, exs := maxConcrete(t)
+	for _, c := range []struct {
+		limits Limits
+		want   error
+	}{
+		{Limits{MaxSize: 8, MaxExprs: 10}, ErrExprBudget},
+		{Limits{MaxSize: 3}, ErrSizeBound},
+	} {
+		if _, _, err := SolveConcreteCtx(ctx, p, exs, c.limits); !errors.Is(err, c.want) || !errors.Is(err, ErrNoExpression) {
+			t.Errorf("limits %+v: err = %v, want %v", c.limits, err, c.want)
+		}
+	}
+	prob, spec := maxProblem()
+	if _, _, err := SolveConcolicCtx(ctx, prob, spec, Limits{MaxSize: 8, MaxIters: 2}); !errors.Is(err, ErrIterBudget) {
+		t.Errorf("two rounds: err = %v, want ErrIterBudget", err)
 	}
 }
