@@ -31,6 +31,10 @@ func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample
 	return e, stats, err
 }
 
+// errAltFirst stands for a resumed walk whose winner altWinsFirst
+// rejected; the fallback replaces it.
+var errAltFirst = fmt.Errorf("%w (a split class wins first)", ErrSizeBound)
+
 // deadlineOf starts a call's Limits.Timeout clock: the zero time when
 // there is no timeout.
 func deadlineOf(l Limits) time.Time {
@@ -110,6 +114,11 @@ func solveConcrete(ctx context.Context, sc *schema, p Problem, examples []Concre
 	res, err := en.run()
 	if resume && afterResumedRound != nil {
 		afterResumedRound(en)
+	}
+	if resume && err == nil && en.altWinsFirst() {
+		// The walk won after a composition its pools cannot build: its
+		// answer is not the fresh search's, so it counts as exhausted.
+		res, err, en.exhausted = nil, errAltFirst, true
 	}
 	stats := en.stats
 	if stale {
@@ -300,6 +309,9 @@ type enumerator struct {
 	resumeSize int
 	resumeSkip int64
 	resumeCap  int
+	// doomSize is the size of the smallest goal-matching alt composition
+	// when it capped the walk (0: none); see altWinsFirst.
+	doomSize int
 
 	// Winner cursor, recorded for the bank when the search succeeds:
 	// the winner was candidate curIdx (1-based, tier-local) of tier
