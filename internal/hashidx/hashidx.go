@@ -71,8 +71,5 @@ func (ix *Index) Reset() {
 	ix.n = 0
 }
 
-// Len is the number of ids recorded.
-func (ix *Index) Len() int { return ix.n }
-
 // Slots is the number of slots the index has grown to.
 func (ix *Index) Slots() int { return len(ix.slots) }

@@ -207,8 +207,7 @@ func interpProbes(p Problem) []expr.Env {
 }
 
 // maxAlts bounds the alts carried per bank. Beyond it, further splits go
-// undetected by the adopt-time probe and fall to the exhaustion-restart
-// fallback — slower, never wrong.
+// undetected by the adopt-time probe, like any split no shadow saw.
 const maxAlts = 96
 
 // maxShadows bounds the shadow store per solve. Beyond it, new
