@@ -42,7 +42,7 @@ func TestTable3ShortRows(t *testing.T) {
 		case r.Skipped:
 			skipped++
 		case r.Stop != nil:
-			t.Errorf("%s stopped: %s", r.Name, StopName(r.Stop))
+			t.Errorf("%s stopped: %s", r.Name, stopName(r.Stop))
 		default:
 			solved++
 			if r.Found == "" {

@@ -36,7 +36,7 @@ func FormatTable3(rows []Table3Row) string {
 			fmt.Fprintf(&sb, "%-24s %-52s %5d %5d %12s %6d %5d %9d\n",
 				r.Name, r.Description, r.ExpectedSize, r.Constraints,
 				r.Time.Round(1000*1000), r.Iterations, r.SMTQueries, r.Conflicts)
-			fmt.Fprintf(&sb, "%-24s   stopped: %s after %d candidates\n", "", StopName(r.Stop), r.Enumerated)
+			fmt.Fprintf(&sb, "%-24s   stopped: %s after %d candidates\n", "", stopName(r.Stop), r.Enumerated)
 		default:
 			fmt.Fprintf(&sb, "%-24s %-52s %5d %5d %12s %6d %5d %9d\n",
 				r.Name, r.Description, r.FoundSize, r.Constraints,

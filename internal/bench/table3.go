@@ -76,8 +76,8 @@ func stopReason(err error) error {
 	return synth.ErrNoExpression
 }
 
-// StopName names a Table3Row's stop reason.
-func StopName(stop error) string {
+// stopName names a Table3Row's stop reason.
+func stopName(stop error) string {
 	for _, s := range stopNames {
 		if stop == s.err {
 			return s.name

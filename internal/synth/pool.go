@@ -110,8 +110,8 @@ type op struct {
 // per coordinate, laid out [shadow probes..., probes..., examples...]; its
 // key, the bytes pruning compares, is everything after the shadow probes.
 // Example coordinates come last, so a new concretization appends to every
-// row. The shadow-probe fields of an entry above shadowTrackMaxSize are
-// never written or read.
+// row. The shadow-probe fields of an entry above shadowTrackMaxSize hold
+// stale bytes and are never read.
 type store struct {
 	field
 	stride int
