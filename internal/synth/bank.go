@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -450,27 +451,24 @@ func (en *enumerator) compPrecedes(o uint16, args []ref, w ref) bool {
 	if wo := st.op[w.r]; o != wo {
 		return o < wo
 	}
-	wa := en.ops[o].params
+	params := en.ops[o].params
 	kids := st.kidsOf(w.r)
-	return en.argsPrecede(args, func(j int) ref { return ref{wa[j], kids[j]} })
+	return en.compareArgs(args, func(j int) ref { return ref{params[j], kids[j]} }) < 0
 }
 
-// precedes reports whether entry x comes before entry y in enumeration
-// order: smaller first; within a size, by op (atoms: variables, then
-// arity-0 functions, in order; compositions: functions in vocabulary
+// compare orders entries x and y as the enumeration meets them, returning
+// -1, 0 or +1: smaller first; within a size, by op (atoms: variables,
+// then arity-0 functions, in order; compositions: functions in vocabulary
 // order), then by the split of sizes among the arguments, then by the
 // arguments themselves, leftmost first — the order of a tier's units and
-// of each unit's odometer.
-func (en *enumerator) precedes(x, y ref) bool {
-	if x == y {
-		return false
-	}
+// of each unit's odometer. Entries that denote one expression compare 0.
+func (en *enumerator) compare(x, y ref) int {
 	if xs, ys := en.exprSize(x.s, x.r), en.exprSize(y.s, y.r); xs != ys {
-		return xs < ys
+		return cmp.Compare(xs, ys)
 	}
 	sx, sy := &en.stores[x.s], &en.stores[y.s]
 	if xo, yo := sx.op[x.r], sy.op[y.r]; xo != yo {
-		return xo < yo
+		return cmp.Compare(xo, yo)
 	}
 	params := en.ops[sx.op[x.r]].params
 	xk, yk := sx.kidsOf(x.r), sy.kidsOf(y.r)
@@ -478,23 +476,23 @@ func (en *enumerator) precedes(x, y ref) bool {
 	for j, k := range xk {
 		args[j] = ref{params[j], k}
 	}
-	return en.argsPrecede(args, func(j int) ref { return ref{params[j], yk[j]} })
+	return en.compareArgs(args, func(j int) ref { return ref{params[j], yk[j]} })
 }
 
-// argsPrecede compares two argument lists of one op: first their size
+// compareArgs compares two argument lists of one op: first their size
 // splits, then the arguments leftmost first.
-func (en *enumerator) argsPrecede(xs []ref, y func(int) ref) bool {
+func (en *enumerator) compareArgs(xs []ref, y func(int) ref) int {
 	for j, x := range xs {
 		if a, b := en.exprSize(x.s, x.r), en.exprSize(y(j).s, y(j).r); a != b {
-			return a < b
+			return cmp.Compare(a, b)
 		}
 	}
 	for j, x := range xs {
-		if yj := y(j); x != yj {
-			return en.precedes(x, yj)
+		if c := en.compare(x, y(j)); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // resumeCapSlack bounds how many size tiers past the previous winner a
