@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"cmp"
 	"context"
 	"time"
 
@@ -237,7 +236,6 @@ func (en *enumerator) adoptShadows(bk *bank) bool {
 			if s < en.resumeCap {
 				en.resumeCap = s
 			}
-			en.doomSize = s
 		}
 	}
 	// Rebuild the full index over tracked pooled representatives and
@@ -362,137 +360,6 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 		}
 	}
 	return best, best != 0
-}
-
-// altWinsFirst reports whether the resumed walk's winner comes after a
-// goal-matching alt composition in enumeration order. A walk capped by a
-// doom composition of size s (adoptShadows) can still win in tier s
-// itself, and a win there that follows such a composition is not the
-// fresh search's, which stops at or before the composition; the caller
-// then falls back to the fresh search. Like shallowAltDoom, the check
-// spends at most shallowAltDoomBudget example evaluations and, past it,
-// keeps the walk's winner.
-func (en *enumerator) altWinsFirst() bool {
-	if en.doomSize == 0 || en.curSize != en.doomSize {
-		return false
-	}
-	atoms := en.pools[1]
-	n := len(en.examples)
-	first := en.nProbe + len(en.probes)
-	budget := shallowAltDoomBudget
-	args := make([]ref, 0, 8)
-	argv := make([]expr.Value, 0, 8)
-	var try func(o uint16, size int, hasAlt bool) bool
-	try = func(o uint16, size int, hasAlt bool) bool {
-		a := &en.ops[o]
-		slot := len(args)
-		if slot == len(a.params) {
-			if !hasAlt || size != en.doomSize || budget < n {
-				return false
-			}
-			budget -= n
-			for k := 0; k < n; k++ {
-				argv = argv[:0]
-				for _, x := range args {
-					st := &en.stores[x.s]
-					argv = append(argv, st.get(st.row(x.r)[(first+k)*st.w:]))
-				}
-				if a.f.Apply(en.p.U, argv) != en.examples[k].Out {
-					return false
-				}
-			}
-			return en.compPrecedes(o, args, en.win)
-		}
-		if size+len(a.params)-slot > en.doomSize {
-			return false
-		}
-		t := a.params[slot]
-		for _, r := range atoms[t] {
-			args = append(args, ref{t, r})
-			hit := try(o, size+1, hasAlt)
-			args = args[:slot]
-			if hit {
-				return true
-			}
-		}
-		for _, al := range en.alts {
-			if al.s != t {
-				continue
-			}
-			args = append(args, al)
-			hit := try(o, size+en.exprSize(al.s, al.r), true)
-			args = args[:slot]
-			if hit {
-				return true
-			}
-		}
-		return false
-	}
-	for fi := range en.p.Vocab.Funcs() {
-		o := en.funcOp(fi)
-		if a := &en.ops[o]; len(a.params) > 0 && len(a.params) <= cap(args) && a.ret == en.outStore && try(o, 1, false) {
-			return true
-		}
-	}
-	return false
-}
-
-// compPrecedes reports whether the composition o(args) comes before entry w
-// in enumeration order.
-func (en *enumerator) compPrecedes(o uint16, args []ref, w ref) bool {
-	size := 1
-	for _, x := range args {
-		size += en.exprSize(x.s, x.r)
-	}
-	if ws := en.exprSize(w.s, w.r); size != ws {
-		return size < ws
-	}
-	st := &en.stores[w.s]
-	if wo := st.op[w.r]; o != wo {
-		return o < wo
-	}
-	params := en.ops[o].params
-	kids := st.kidsOf(w.r)
-	return en.compareArgs(args, func(j int) ref { return ref{params[j], kids[j]} }) < 0
-}
-
-// compare orders entries x and y as the enumeration meets them, returning
-// -1, 0 or +1: smaller first; within a size, by op (atoms: variables,
-// then arity-0 functions, in order; compositions: functions in vocabulary
-// order), then by the split of sizes among the arguments, then by the
-// arguments themselves, leftmost first — the order of a tier's units and
-// of each unit's odometer. Entries that denote one expression compare 0.
-func (en *enumerator) compare(x, y ref) int {
-	if xs, ys := en.exprSize(x.s, x.r), en.exprSize(y.s, y.r); xs != ys {
-		return cmp.Compare(xs, ys)
-	}
-	sx, sy := &en.stores[x.s], &en.stores[y.s]
-	if xo, yo := sx.op[x.r], sy.op[y.r]; xo != yo {
-		return cmp.Compare(xo, yo)
-	}
-	params := en.ops[sx.op[x.r]].params
-	xk, yk := sx.kidsOf(x.r), sy.kidsOf(y.r)
-	args := make([]ref, len(xk))
-	for j, k := range xk {
-		args[j] = ref{params[j], k}
-	}
-	return en.compareArgs(args, func(j int) ref { return ref{params[j], yk[j]} })
-}
-
-// compareArgs compares two argument lists of one op: first their size
-// splits, then the arguments leftmost first.
-func (en *enumerator) compareArgs(xs []ref, y func(int) ref) int {
-	for j, x := range xs {
-		if a, b := en.exprSize(x.s, x.r), en.exprSize(y(j).s, y(j).r); a != b {
-			return cmp.Compare(a, b)
-		}
-	}
-	for j, x := range xs {
-		if c := en.compare(x, y(j)); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // resumeCapSlack bounds how many size tiers past the previous winner a

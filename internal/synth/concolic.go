@@ -67,7 +67,7 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 		if err := ctx.Err(); err != nil {
 			return nil, stats, fmt.Errorf("synth: CEGIS aborted: %w", err)
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if expired(deadline) {
 			return nil, stats, fmt.Errorf("%w (%v, before round %d)", ErrTimeout, limits.Timeout, iter)
 		}
 		stats.Iterations = iter

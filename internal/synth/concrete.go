@@ -31,9 +31,9 @@ func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample
 	return e, stats, err
 }
 
-// errAltFirst stands for a resumed walk whose winner altWinsFirst
-// rejected; the fallback replaces it.
-var errAltFirst = fmt.Errorf("%w (a split class wins first)", ErrSizeBound)
+// now is the clock Limits.Timeout is read on: deadlineOf starts it and
+// expired polls it. Tests replace it to count the polls.
+var now = time.Now
 
 // deadlineOf starts a call's Limits.Timeout clock: the zero time when
 // there is no timeout.
@@ -41,7 +41,12 @@ func deadlineOf(l Limits) time.Time {
 	if l.Timeout <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(l.Timeout)
+	return now().Add(l.Timeout)
+}
+
+// expired polls deadline; the zero time never expires.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && now().After(deadline)
 }
 
 // afterResumedRound, when set, sees every resumed enumerator once its walk
@@ -114,11 +119,6 @@ func solveConcrete(ctx context.Context, sc *schema, p Problem, examples []Concre
 	res, err := en.run()
 	if resume && afterResumedRound != nil {
 		afterResumedRound(en)
-	}
-	if resume && err == nil && en.altWinsFirst() {
-		// The walk won after a composition its pools cannot build: its
-		// answer is not the fresh search's, so it counts as exhausted.
-		res, err, en.exhausted = nil, errAltFirst, true
 	}
 	stats := en.stats
 	if stale {
@@ -308,9 +308,6 @@ type enumerator struct {
 	resumeSize int
 	resumeSkip int64
 	resumeCap  int
-	// doomSize is the size of the smallest goal-matching alt composition
-	// when it capped the walk (0: none); see altWinsFirst.
-	doomSize int
 
 	// Winner cursor, recorded for the bank when the search succeeds:
 	// the winner was candidate curIdx (1-based, tier-local) of tier
@@ -406,6 +403,12 @@ func (en *enumerator) initScratch() {
 }
 
 func (en *enumerator) run() (expr.Expr, error) {
+	// A resumed round extends its pools and probes its shadows before
+	// the walk, and the walk's first poll is 4096 candidates in, so the
+	// deadline is polled here too.
+	if err := en.pastDeadline(); err != nil {
+		return nil, err
+	}
 	startSize := 1
 	maxSize := en.limits.MaxSize
 	if en.resumeSize > 0 {
@@ -686,10 +689,17 @@ func (en *enumerator) charge() error {
 			en.stats.Elapsed = time.Since(en.start)
 			return fmt.Errorf("synth: enumeration aborted: %w", err)
 		}
-		if !en.deadline.IsZero() && time.Now().After(en.deadline) {
-			en.stats.Elapsed = time.Since(en.start)
-			return fmt.Errorf("%w (%v)", ErrTimeout, en.limits.Timeout)
-		}
+		return en.pastDeadline()
 	}
 	return nil
+}
+
+// pastDeadline polls the call's deadline and, once it has passed, stops
+// the enumerator with ErrTimeout.
+func (en *enumerator) pastDeadline() error {
+	if !expired(en.deadline) {
+		return nil
+	}
+	en.stats.Elapsed = time.Since(en.start)
+	return fmt.Errorf("%w (%v)", ErrTimeout, en.limits.Timeout)
 }

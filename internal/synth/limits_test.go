@@ -124,30 +124,51 @@ func max3Problem(t *testing.T) (Problem, []ConcolicExample) {
 
 // TestTimeoutBoundsWholeCall pins that Limits.Timeout bounds the whole
 // SolveConcolic call, every CEGIS round included, and that running out of
-// it is a typed ErrTimeout. A clock that restarts with every round lets
-// max3 run each round for up to the whole timeout, so the call overran
-// by the time of all its earlier rounds, and a round could start after
-// the timeout had passed.
+// it is a typed ErrTimeout. The clock is replaced by one that moves a
+// fixed step at every read, so the test counts deadline polls instead of
+// timing the call: the call must end at the first poll that finds the
+// deadline passed, wherever that poll is (before a round, before a walk,
+// or inside one). A clock that restarts with every round lets max3 poll
+// on through round after round.
 func TestTimeoutBoundsWholeCall(t *testing.T) {
 	p, exs := max3Problem(t)
-	const timeout = 2 * time.Second
-	limits := Limits{MaxSize: 18, MaxExprs: math.MaxInt64, Timeout: timeout}
-	start := time.Now()
-	_, st, err := SolveConcolicCtx(context.Background(), p, exs, limits)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrTimeout) || !errors.Is(err, ErrNoExpression) {
-		t.Fatalf("err = %v, want ErrTimeout wrapping ErrNoExpression", err)
+	const step = time.Millisecond
+	reads := 0
+	t0 := time.Now()
+	defer func(real func() time.Time) { now = real }(now)
+	now = func() time.Time {
+		reads++
+		return t0.Add(time.Duration(reads-1) * step)
 	}
-	if elapsed > timeout+400*time.Millisecond {
-		t.Errorf("a %v timeout returned after %v, in round %d", timeout, elapsed, st.Iterations)
-	}
-
-	// A deadline already past starts no round, although max3's first
-	// rounds enumerate too few candidates to look at the clock.
-	limits.Timeout = time.Nanosecond
-	_, st, err = SolveConcolicCtx(context.Background(), p, exs, limits)
-	if !errors.Is(err, ErrTimeout) || st.Iterations != 0 {
-		t.Errorf("a 1ns timeout: err = %v after %d rounds, want ErrTimeout before the first", err, st.Iterations)
+	for _, c := range []struct {
+		timeout   time.Duration
+		minRounds int
+	}{
+		// The deadline passes some way into max3's rounds, which poll
+		// every 4096 candidates.
+		{300 * step, 8},
+		// A deadline past at the first poll starts no round, although
+		// max3's first rounds enumerate too few candidates to poll.
+		{step / 2, 0},
+	} {
+		reads = 0
+		limits := Limits{MaxSize: 18, MaxExprs: math.MaxInt64, Timeout: c.timeout}
+		_, st, err := SolveConcolicCtx(context.Background(), p, exs, limits)
+		if !errors.Is(err, ErrTimeout) || !errors.Is(err, ErrNoExpression) {
+			t.Fatalf("timeout %v: err = %v, want ErrTimeout wrapping ErrNoExpression", c.timeout, err)
+		}
+		// Read 1 starts the clock and read k returns t0 + (k-1)·step, so
+		// the first read past the deadline is read timeout/step + 2.
+		if want := int(c.timeout/step) + 2; reads != want {
+			t.Errorf("timeout %v: the clock was read %d times, want %d: the call ran on past the first poll after its deadline (round %d)",
+				c.timeout, reads, want, st.Iterations)
+		}
+		if c.minRounds == 0 && st.Iterations != 0 {
+			t.Errorf("timeout %v: %d rounds started, want none", c.timeout, st.Iterations)
+		}
+		if st.Iterations < c.minRounds {
+			t.Errorf("timeout %v: stopped in round %d, want at least %d", c.timeout, st.Iterations, c.minRounds)
+		}
 	}
 }
 

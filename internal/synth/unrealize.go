@@ -82,7 +82,7 @@ func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExampl
 	al.Timeout = unrealizableTimeout
 	// The check spends at most unrealizableTimeout, and never runs past
 	// the call's own deadline.
-	atlasDeadline := time.Now().Add(unrealizableTimeout)
+	atlasDeadline := deadlineOf(al)
 	if !deadline.IsZero() && deadline.Before(atlasDeadline) {
 		atlasDeadline = deadline
 	}
