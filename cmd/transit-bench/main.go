@@ -14,13 +14,8 @@
 //	transit-bench -mc [-mc-n N] [-mc-states S] [-mc-workers W] [-mc-out F]
 //	                               model-checker scaling: plain vs.
 //	                               symmetry-reduced parallel frontier
-//	transit-bench -serve-url URL [-clients N] [-serve-requests N] [-serve-out F]
-//	                               client load against a running
-//	                               `transit serve` instance: cold vs.
-//	                               warm-cache latency and throughput
-//	transit-bench -all             everything (short variants; -serve-url
-//	                               and -mc are separate — one needs a live
-//	                               server, the other runs for minutes)
+//	transit-bench -all             everything (short variants; -mc is
+//	                               separate, it runs for minutes)
 //
 // Observability flags apply to whichever benchmarks run: -trace out.json
 // writes a Chrome trace-event file (open at ui.perfetto.dev),
@@ -70,10 +65,6 @@ func main() {
 		mcWorkers  = flag.Int("mc-workers", runtime.NumCPU(), "frontier worker count for the model checker (-table4, -table5, -mc)")
 		noSymmetry = flag.Bool("no-symmetry", false, "disable PID-symmetry reduction in -table4/-table5 model checking (-mc always compares both modes)")
 		mcOut      = flag.String("mc-out", "BENCH_mc.json", "JSON artifact path for -mc (empty = none)")
-		serveURL   = flag.String("serve-url", "", "client mode: load-test a running `transit serve` at this URL (e.g. http://localhost:7878)")
-		clients    = flag.Int("clients", 4, "concurrent clients for -serve-url")
-		serveReqs  = flag.Int("serve-requests", 8, "distinct solve requests per pass for -serve-url")
-		serveOut   = flag.String("serve-out", "BENCH_serve.json", "JSON artifact path for -serve-url (empty = none)")
 
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
 		statsSummary = flag.Bool("stats-summary", false, "print an end-of-run span tree and metrics table to stderr")
@@ -88,7 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "transit-bench: warning: GOMAXPROCS=1 (NumCPU=%d): worker pools timeshare one CPU, so -engine and -mc parallel speedups measure algorithmic savings only\n",
 			runtime.NumCPU())
 	}
-	if !*table2 && !*table3 && !*fig5 && !*table4 && !*table5 && !*eng && !*enum && !*mcBench && !*all && *serveURL == "" {
+	if !*table2 && !*table3 && !*fig5 && !*table4 && !*table5 && !*eng && !*enum && !*mcBench && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -199,15 +190,6 @@ func main() {
 		if *mcOut != "" {
 			fail(bench.WriteMCArtifact(*mcOut, *mcWorkers, res))
 			fmt.Printf("wrote %s\n", *mcOut)
-		}
-	}
-	if *serveURL != "" {
-		res, err := bench.ServeBenchCtx(ctx, *serveURL, *clients, *serveReqs)
-		fail(err)
-		fmt.Println(bench.FormatServe(res))
-		if *serveOut != "" {
-			fail(bench.WriteServeArtifact(*serveOut, res))
-			fmt.Printf("wrote %s\n", *serveOut)
 		}
 	}
 	check(sess.Close())

@@ -190,23 +190,6 @@ func parseSpec(src string) (*spec, error) {
 	return sp, nil
 }
 
-func typeByName(u *expr.Universe, name string) (expr.Type, error) {
-	switch name {
-	case "Bool":
-		return expr.BoolType, nil
-	case "Int":
-		return expr.IntType, nil
-	case "PID":
-		return expr.PIDType, nil
-	case "Set":
-		return expr.SetType, nil
-	}
-	if e, ok := u.Enum(name); ok {
-		return expr.EnumOf(e), nil
-	}
-	return expr.Type{}, fmt.Errorf("unknown type %s", name)
-}
-
 func run(src string, opts inferOptions) error {
 	sp, err := parseSpec(src)
 	if err != nil {
@@ -224,14 +207,14 @@ func run(src string, opts inferOptions) error {
 	scope := lang.ExprScope{U: u, Vars: map[string]expr.Type{}, Enums: enums}
 	var vars []*transit.Var
 	for _, d := range sp.vars {
-		t, err := typeByName(u, d.typ)
+		t, err := lang.TypeByName(u, d.typ)
 		if err != nil {
 			return err
 		}
 		vars = append(vars, transit.NewVar(d.name, t))
 		scope.Vars[d.name] = t
 	}
-	outType, err := typeByName(u, sp.output.typ)
+	outType, err := lang.TypeByName(u, sp.output.typ)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -97,5 +98,14 @@ example true ==> (o >= a) & (o >= b) & ((o = a) | (o = b));
 	}
 	if !json.Valid(raw) {
 		t.Fatal("trace is not valid JSON")
+	}
+}
+
+// TestRunUnknownType checks a declaration of an undeclared type fails
+// with the shared type-name parser's error.
+func TestRunUnknownType(t *testing.T) {
+	err := run("var a: Quux; output o: Int; example true ==> o = 0;", inferOptions{maxSize: 4})
+	if err == nil || !strings.Contains(err.Error(), `unknown type "Quux"`) {
+		t.Fatalf("run with an unknown type: error = %v", err)
 	}
 }

@@ -73,6 +73,7 @@ import (
 	"transit/internal/obs"
 	"transit/internal/obs/provenance"
 	"transit/internal/obs/serve"
+	"transit/internal/protocols"
 )
 
 func main() {
@@ -98,7 +99,7 @@ func main() {
 	flag.BoolVar(&opts.dump, "dump", false, "print the completed transitions")
 	flag.BoolVar(&opts.msc, "msc", false, "render violations as a message-sequence chart")
 	flag.StringVar(&opts.murphiOut, "murphi", "", "write the completed protocol as a Murphi model to this file")
-	flag.StringVar(&opts.builtin, "builtin", "", "run a built-in protocol: vi, msi, mesi, origin, origin-buggy")
+	flag.StringVar(&opts.builtin, "builtin", "", "run a built-in protocol: "+protocols.BuiltinNames)
 	flag.IntVar(&opts.workers, "workers", 1, "inference worker pool size (1 = sequential)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "overall synthesis deadline (0 = none)")
 	flag.BoolVar(&opts.stats, "stats", false, "stream trace spans and marks as JSON lines to stderr")
@@ -363,20 +364,7 @@ func run(opts options) (int, error) {
 func loadProtocol(opts options) (*transit.Protocol, error) {
 	switch {
 	case opts.builtin != "":
-		switch opts.builtin {
-		case "vi":
-			return transit.VI(opts.numCaches), nil
-		case "msi":
-			return transit.MSI(opts.numCaches), nil
-		case "mesi":
-			return transit.MESI(opts.numCaches), nil
-		case "origin":
-			return transit.Origin(opts.numCaches, true), nil
-		case "origin-buggy":
-			return transit.Origin(opts.numCaches, false), nil
-		default:
-			return nil, fmt.Errorf("unknown builtin %q", opts.builtin)
-		}
+		return protocols.Builtin(opts.builtin, opts.numCaches)
 	case len(opts.args) == 1:
 		src, err := os.ReadFile(opts.args[0])
 		if err != nil {

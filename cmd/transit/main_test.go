@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"transit/internal/protocols"
 )
 
 func TestRunBuiltinVI(t *testing.T) {
@@ -138,5 +141,15 @@ func TestRunErrors(t *testing.T) {
 	missing.args = []string{"/does/not/exist.tr"}
 	if _, err := run(missing); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestRunUnknownBuiltin checks the CLI resolves -builtin through the one
+// protocol table, whose error lists the known names.
+func TestRunUnknownBuiltin(t *testing.T) {
+	_, err := run(options{numCaches: 2, maxSize: 8, maxStates: 1000, builtin: "nope"})
+	if err == nil || !strings.Contains(err.Error(), `unknown builtin "nope"`) ||
+		!strings.Contains(err.Error(), protocols.BuiltinNames) {
+		t.Fatalf("run(-builtin nope) error = %v", err)
 	}
 }

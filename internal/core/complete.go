@@ -82,10 +82,6 @@ type Report struct {
 	CacheHits   int
 	CacheMisses int
 	DiskHits    int
-	// CacheWait / SolveWait split the jobs' wall time between cache
-	// lookups and actual synthesis (summed across jobs in plan order).
-	CacheWait time.Duration
-	SolveWait time.Duration
 	// Utilization is busy-time / (wall-time × workers) for the engine
 	// phase of the run.
 	Utilization float64
@@ -172,8 +168,9 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 	return rep, nil
 }
 
-// aggregate folds per-job counters into the Report in plan order, so the
-// counters are independent of scheduling.
+// aggregate folds the jobs' times and outcomes and the holes' captured
+// counters into the Report in plan order, so the counters are independent
+// of scheduling.
 func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 	rep.Workers = stats.Workers
 	rep.Jobs = stats.Jobs
@@ -181,31 +178,35 @@ func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 	for _, j := range p.jobs {
 		switch j.Kind {
 		case "guard":
-			rep.GuardExprsTried += j.Candidates
-			rep.SMTQueries += j.SMTQueries
 			rep.GuardTime += j.Duration
 			if j.Err == nil {
 				rep.GuardsSynthesized++
 			}
 		case "update":
-			rep.UpdateExprsTried += j.Candidates
-			rep.SMTQueries += j.SMTQueries
 			rep.UpdateTime += j.Duration
 			if j.Err == nil {
 				rep.UpdatesSynthesized++
 			}
 		}
-		if j.Kind == "guard" || j.Kind == "update" {
-			if j.CacheHit {
-				rep.CacheHits++
-				if j.DiskHit {
-					rep.DiskHits++
-				}
-			} else if j.Err == nil {
-				rep.CacheMisses++
+	}
+	for _, c := range p.caps {
+		if !c.ran {
+			continue
+		}
+		if c.kind == "guard" {
+			rep.GuardExprsTried += c.stats.Concrete.Enumerated
+		} else {
+			rep.UpdateExprsTried += c.stats.Concrete.Enumerated
+		}
+		rep.SMTQueries += c.stats.SMTQueries
+		switch {
+		case c.tier == engine.TierMem || c.tier == engine.TierDisk:
+			rep.CacheHits++
+			if c.tier == engine.TierDisk {
+				rep.DiskHits++
 			}
-			rep.CacheWait += j.CacheWait
-			rep.SolveWait += j.SolveWait
+		case c.err == nil:
+			rep.CacheMisses++
 		}
 	}
 }
@@ -380,7 +381,7 @@ func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
 			job.Deps = []*engine.Job{prev}
 		}
 		job.Run = func(jctx context.Context) error {
-			guard, err := p.inferGuard(jctx, job, g, inferable, j, gp, cap)
+			guard, err := p.inferGuard(jctx, g, inferable, j, gp, cap)
 			if err != nil {
 				return fmt.Errorf("%s: block %s: %w", gp.ctx, b.key, err)
 			}
@@ -525,7 +526,7 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 			cap.ran = true
 			o := expr.V(efsm.Prime(target), vt)
 			prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: gp.scopeVars, Output: o}
-			rhs, err := p.solve(jctx, job, cap, prob, exs)
+			rhs, err := p.solve(jctx, cap, prob, exs)
 			if err != nil {
 				return fmt.Errorf("%s: block %s: update inference for %s: %w", gp.ctx, b.key, target, err)
 			}
@@ -555,7 +556,7 @@ func (p *planner) planFailure(gp *groupPlan, b *block, err error) error {
 // preconditions holds (ConcolicExs2), and false whenever a later block's
 // precondition holds (ConcolicExs3). Earlier blocks' guards are read at
 // job-execution time — the chain dependency guarantees they are solved.
-func (p *planner) inferGuard(ctx context.Context, job *engine.Job, g *group, blocks []*block, j int, gp *groupPlan, cap *holeCapture) (expr.Expr, error) {
+func (p *planner) inferGuard(ctx context.Context, g *group, blocks []*block, j int, gp *groupPlan, cap *holeCapture) (expr.Expr, error) {
 	scopeVars := gp.scopeVars
 	o := expr.V(guardVar, expr.BoolType)
 	var exs []synth.ConcolicExample
@@ -590,29 +591,25 @@ func (p *planner) inferGuard(ctx context.Context, job *engine.Job, g *group, blo
 	}
 	cap.exs, cap.meta, cap.ran = exs, meta, true
 	prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: scopeVars, Output: o}
-	guard, err := p.solve(ctx, job, cap, prob, exs)
+	guard, err := p.solve(ctx, cap, prob, exs)
 	if err != nil {
 		return nil, fmt.Errorf("guard inference: %w", err)
 	}
 	return guard, nil
 }
 
-// solve infers one hole through the engine's memo cache. It copies the
-// solve's cache outcome and work counters onto the job, where aggregate
-// and the engine.job span read them, and its answer onto the hole's
-// provenance capture.
-func (p *planner) solve(ctx context.Context, job *engine.Job, cap *holeCapture, prob synth.Problem, exs []synth.ConcolicExample) (expr.Expr, error) {
+// solve infers one hole through the engine's memo cache. It records the
+// solve's cache outcome and work counters on the job's engine.job span
+// (ctx carries it), and the answer, its tier and its stats on the hole's
+// capture, from which aggregate and the provenance ledger read them.
+func (p *planner) solve(ctx context.Context, cap *holeCapture, prob synth.Problem, exs []synth.ConcolicExample) (expr.Expr, error) {
 	res, stats, out, err := p.eng.SolveConcolic(ctx, engine.SolveSpec{
 		Problem: prob, Examples: exs, Limits: p.opts.Limits,
 	})
-	job.CacheHit = out.Cached
-	job.DiskHit = out.Tier == engine.TierDisk
-	job.CacheWait = out.CacheWait
-	job.SolveWait = out.SolveWait
-	job.Candidates = stats.Concrete.Enumerated
-	job.SMTQueries = stats.SMTQueries
-	job.Iterations = stats.Iterations
-	cap.expr, cap.stats, cap.err = res, stats, err
+	obs.SpanFrom(ctx).SetAttr(obs.Bool("cache_hit", out.Cached),
+		obs.Int64("candidates", stats.Concrete.Enumerated),
+		obs.Int("smt_queries", stats.SMTQueries), obs.Int("cegis_iterations", stats.Iterations))
+	cap.expr, cap.stats, cap.tier, cap.err = res, stats, out.Tier, err
 	return res, err
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"transit/internal/engine"
 	"transit/internal/expr"
 	"transit/internal/obs/provenance"
 	"transit/internal/synth"
@@ -12,8 +13,8 @@ import (
 // captures are created at plan time (one per inference job) and each
 // job's Run closure fills only its own capture, so there is no sharing
 // to race on; the ledger itself is assembled single-threaded, in plan
-// order, after the engine run — the same discipline aggregate() uses to
-// keep the Report worker-count-deterministic. Everything recorded comes
+// order, after the engine run — as is the Report, which aggregate()
+// builds from the same captures. Everything recorded comes
 // from deterministic sources (the example lists built by the planner and
 // synth.Stats.Trace, which the memo cache replays on both tiers), so the
 // ledger is byte-identical across worker counts and cache temperature.
@@ -45,6 +46,7 @@ type holeCapture struct {
 	ran   bool
 	expr  expr.Expr
 	stats synth.Stats
+	tier  engine.Tier
 	err   error
 }
 

@@ -27,12 +27,10 @@ type SolveSpec struct {
 // is the enumeration order), the input variables in order, the output
 // variable, the concolic examples (pre ⇒ post in canonical String form),
 // and the limits after default resolution (so Limits{} and the explicit
-// defaults share an entry). Only the answer-affecting limits participate:
-// Limits.NoBankReuse and Limits.NoInterpReduction steer how the search
-// runs, not what it returns (the restart fallback and the
-// interpretation-reduction partition are output-identical by
-// construction; DESIGN.md §10 and §15), so they are deliberately
-// excluded.
+// defaults share an entry). Limits.NoBankReuse and
+// Limits.NoInterpReduction can change which consistent expression the
+// search returns (ROADMAP item 2), so each is appended when set; a spec
+// with neither keeps the key it always had.
 func (s SolveSpec) Key() string {
 	var b strings.Builder
 	u := s.Problem.U
@@ -57,6 +55,12 @@ func (s SolveSpec) Key() string {
 	lim := s.Limits.WithDefaults()
 	fmt.Fprintf(&b, "lim:%d/%d/%d/%d/%d/%v", lim.MaxSize, lim.MaxExprs, lim.MaxIters,
 		int64(lim.Timeout), lim.SMTConflicts, lim.NoPrune)
+	if lim.NoBankReuse {
+		b.WriteString("/nobank")
+	}
+	if lim.NoInterpReduction {
+		b.WriteString("/nointerp")
+	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
 }

@@ -2,8 +2,8 @@
 // of expression-inference jobs (the per-primed-variable and per-guard
 // sub-problems that §5 skeleton completion decomposes into) on a bounded
 // worker pool, with cooperative cancellation and cross-job memoization.
-// Its telemetry is its spans: one engine.run per Run, one engine.job per
-// executed job carrying the job's counters, and one engine.cache per
+// Its telemetry is its spans: one engine.run per Run and one engine.job
+// per executed job, each opened by a start mark, and one engine.cache per
 // memo-cache lookup.
 //
 // Scheduling is deterministic by construction: jobs are identified by
@@ -39,28 +39,10 @@ type Job struct {
 	// Deps are jobs that must complete before this one starts. Every dep
 	// must appear earlier than the job itself in the slice given to Run.
 	Deps []*Job
-	// Run does the work. It must honor ctx cancellation. It may write the
-	// counter fields below on its own job (the engine reads them only
-	// after Run returns).
+	// Run does the work. It must honor ctx cancellation. ctx carries the
+	// job's engine.job span (obs.SpanFrom), where Run may record the
+	// job's counters as attributes.
 	Run func(ctx context.Context) error
-
-	// Counter fields, set by Run before returning.
-
-	// CacheHit records that the job's result came from the memo cache.
-	CacheHit bool
-	// DiskHit records that the hit was served by the persistent backend
-	// rather than the in-memory tier.
-	DiskHit bool
-	// CacheWait is the wall time the job spent in cache lookups.
-	CacheWait time.Duration
-	// SolveWait is the wall time the job spent in the synthesizer.
-	SolveWait time.Duration
-	// Candidates is the number of candidate expressions enumerated.
-	Candidates int64
-	// SMTQueries is the number of SMT queries issued.
-	SMTQueries int
-	// Iterations is the number of CEGIS iterations taken.
-	Iterations int
 
 	// Results, set by the engine.
 
@@ -125,7 +107,6 @@ type RunStats struct {
 	Jobs        int           `json:"jobs"`
 	Failed      int           `json:"failed"`
 	Skipped     int           `json:"skipped"`
-	CacheHits   int           `json:"cache_hits"`
 	Wall        time.Duration `json:"-"`
 	Busy        time.Duration `json:"-"`
 	WallMS      float64       `json:"wall_ms"`
@@ -174,17 +155,16 @@ func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 	}
 	e.mu.Unlock()
 
-	ctx, runSpan := obs.Start(ctx, "engine.run",
-		obs.Int("workers", e.cfg.Workers), obs.Int("jobs", len(jobs)))
-	rs := registerRun(e.cfg.Workers, len(jobs))
-	defer rs.unregister()
+	runAttrs := []obs.Attr{obs.Int("workers", e.cfg.Workers), obs.Int("jobs", len(jobs))}
+	ctx, runSpan := obs.Start(ctx, "engine.run", runAttrs...)
+	runSpan.Mark("engine.run.start", runAttrs...)
 
 	var wg sync.WaitGroup
 	for w := 0; w < e.cfg.Workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			e.work(ctx, cancel, worker, rs)
+			e.work(ctx, cancel, worker)
 		}(w)
 	}
 	wg.Wait()
@@ -197,9 +177,6 @@ func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 	}
 	var first, firstAny error
 	for _, j := range jobs {
-		if j.CacheHit {
-			stats.CacheHits++
-		}
 		if j.Err == nil {
 			continue
 		}
@@ -220,22 +197,19 @@ func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 		err = firstAny
 	}
 	runSpan.SetAttr(obs.Int("failed", stats.Failed), obs.Int("skipped", stats.Skipped),
-		obs.Int("cache_hits", stats.CacheHits), obs.Float("utilization", stats.Utilization))
+		obs.Float("utilization", stats.Utilization))
 	if err != nil {
 		runSpan.SetAttr(obs.Str("error", err.Error()))
 	}
 	runSpan.End()
-	if reg := obs.MetricsFrom(ctx); reg != nil {
-		reg.Counter("engine.jobs").Add(int64(stats.Jobs))
-		reg.Counter("engine.cache_hits").Add(int64(stats.CacheHits))
-	}
+	obs.MetricsFrom(ctx).Counter("engine.jobs").Add(int64(stats.Jobs))
 	return stats, err
 }
 
 // work is one worker's loop: pop the lowest-id ready job, execute it (or
 // skip it when a dependency failed / the run is cancelled), release its
 // dependents.
-func (e *Engine) work(ctx context.Context, cancel context.CancelFunc, worker int, rs *runState) {
+func (e *Engine) work(ctx context.Context, cancel context.CancelFunc, worker int) {
 	for {
 		e.mu.Lock()
 		for len(e.ready) == 0 && e.remaining > 0 {
@@ -249,9 +223,7 @@ func (e *Engine) work(ctx context.Context, cancel context.CancelFunc, worker int
 		j := heap.Pop(&e.ready).(*Job)
 		e.mu.Unlock()
 
-		rs.jobStarted(j, worker+1)
 		j.Err = e.execute(ctx, j, worker)
-		rs.jobEnded(j, j.Err != nil)
 		if j.Err != nil {
 			cancel() // fail fast: stop in-flight siblings
 		}
@@ -271,7 +243,9 @@ func (e *Engine) work(ctx context.Context, cancel context.CancelFunc, worker int
 }
 
 // execute runs one job, honoring skip markers and cancellation, under an
-// engine.job span that carries the job's counters.
+// engine.job span. The span's start mark names the job and its run (the
+// enclosing engine.run span), so a live view can list the job while it
+// runs; Run records the job's counters on the span itself.
 func (e *Engine) execute(ctx context.Context, j *Job, worker int) error {
 	for _, d := range j.Deps {
 		if d.Err != nil {
@@ -283,14 +257,15 @@ func (e *Engine) execute(ctx context.Context, j *Job, worker int) error {
 	}
 	// Each worker gets its own display track, so concurrent jobs render
 	// as parallel rows in Perfetto and never overlap within a row.
+	run := obs.SpanFrom(ctx)
 	jctx := obs.WithTrack(ctx, worker+1)
 	jctx, span := obs.Start(jctx, "engine.job",
 		obs.Str("job", j.Label), obs.Str("kind", j.Kind), obs.Int("worker", worker+1))
+	span.Mark("engine.job.start", obs.Str("job", j.Label), obs.Str("kind", j.Kind),
+		obs.Int64("run", int64(run.ID())))
 	start := time.Now()
 	err := j.Run(jctx)
 	j.Duration = time.Since(start)
-	span.SetAttr(obs.Bool("cache_hit", j.CacheHit), obs.Int64("candidates", j.Candidates),
-		obs.Int("smt_queries", j.SMTQueries), obs.Int("cegis_iterations", j.Iterations))
 	if err != nil {
 		span.SetAttr(obs.Str("error", err.Error()))
 	}

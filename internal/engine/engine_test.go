@@ -222,8 +222,9 @@ func TestRunTelemetryEvents(t *testing.T) {
 	var jobs []*Job
 	for i := 0; i < 9; i++ {
 		j := &Job{Label: fmt.Sprintf("j%d", i), Kind: "test"}
-		j.Run = func(context.Context) error {
-			j.Candidates, j.SMTQueries, j.Iterations, j.CacheHit = int64(10*i), i, i+1, i%2 == 0
+		j.Run = func(ctx context.Context) error {
+			obs.SpanFrom(ctx).SetAttr(obs.Bool("cache_hit", i%2 == 0), obs.Int64("candidates", int64(10*i)),
+				obs.Int("smt_queries", i), obs.Int("cegis_iterations", i+1))
 			return nil
 		}
 		if i >= 3 {
@@ -255,6 +256,53 @@ func TestRunTelemetryEvents(t *testing.T) {
 			a["cegis_iterations"] != int64(i+1) || a["cache_hit"] != (i%2 == 0) {
 			t.Errorf("%s: attrs = %v", label, a)
 		}
+	}
+}
+
+// TestRunStartMarks checks the marks that open the engine's spans: one
+// engine.run.start on the run span with the plan's size, and one
+// engine.job.start per job on its job span, on the job's track, naming
+// the job, its kind and its run. A live view builds its list of running
+// jobs from these alone.
+func TestRunStartMarks(t *testing.T) {
+	col := obs.NewCollect()
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	logs := map[string]*[]string{"a": {}, "b": {}, "c": {}}
+	jobs := chainJobs(logs)
+	if _, err := New(Config{Workers: 2}).Run(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[uint64]obs.SpanData{}
+	var run obs.SpanData
+	for _, d := range col.Spans() {
+		spans[d.ID] = d
+		if d.Name == "engine.run" {
+			run = d
+		}
+	}
+	runMarks, jobMarks := 0, 0
+	for _, m := range col.Marks() {
+		a := spanAttrs(m)
+		switch m.Name {
+		case "engine.run.start":
+			runMarks++
+			if m.Parent != run.ID || a["jobs"] != int64(len(jobs)) || a["workers"] != int64(2) {
+				t.Errorf("engine.run.start = parent %d attrs %v, want parent %d jobs=%d workers=2",
+					m.Parent, a, run.ID, len(jobs))
+			}
+		case "engine.job.start":
+			jobMarks++
+			job := spans[m.Parent]
+			ja := spanAttrs(job)
+			if job.Name != "engine.job" || m.Track != job.Track || a["job"] != ja["job"] ||
+				a["kind"] != "test" || a["run"] != int64(run.ID) {
+				t.Errorf("engine.job.start = track %d attrs %v on %s %v, want the job's own track, label and run %d",
+					m.Track, a, job.Name, ja, run.ID)
+			}
+		}
+	}
+	if runMarks != 1 || jobMarks != len(jobs) {
+		t.Errorf("%d run and %d job start marks, want 1 and %d", runMarks, jobMarks, len(jobs))
 	}
 }
 

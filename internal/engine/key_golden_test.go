@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"transit/internal/expr"
 	"transit/internal/synth"
@@ -57,5 +59,71 @@ func TestSolveSpecKeyGolden(t *testing.T) {
 func TestSolveSpecKeyStableAcrossInstances(t *testing.T) {
 	if a, b := goldenSpec(t).Key(), goldenSpec(t).Key(); a != b {
 		t.Fatalf("key not a pure function of the spec: %s vs %s", a, b)
+	}
+}
+
+// TestSolveSpecKeySeparatesBankFlags replays the first bank-divergence
+// input of ROADMAP item 2 (pointwise max on a=1 b=32, a=1 b=14, a=14
+// b=9, taken modulo the 4-bit Int domain), where the default search
+// and the restart-per-round search (NoBankReuse, NoInterpReduction)
+// return different consistent expressions. One shared cache serves both
+// calls, so the flags must be part of the key: the second call has to
+// solve afresh and return the restart-per-round answer.
+func TestSolveSpecKeySeparatesBankFlags(t *testing.T) {
+	u, err := expr.NewUniverseWidth(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voc := expr.CoherenceVocabulary(u, expr.CoherenceOptions{})
+	a, b := expr.V("a", expr.IntType), expr.V("b", expr.IntType)
+	o := expr.V("o", expr.IntType)
+	dom := int64(u.DomainSize(expr.IntType))
+	c := func(v int64) expr.Expr { return expr.NewConst(expr.IntVal(u, v%dom)) }
+	var exs []synth.ConcolicExample
+	for _, p := range [][2]int64{{1, 32}, {1, 14}, {14, 9}} {
+		exs = append(exs, synth.ConcolicExample{
+			Pre:  expr.And(expr.Eq(a, c(p[0])), expr.Eq(b, c(p[1]))),
+			Post: expr.Eq(o, c(max(p[0]%dom, p[1]%dom))),
+		})
+	}
+	spec := SolveSpec{
+		Problem:  synth.Problem{U: u, Vocab: voc, Vars: []*expr.Var{a, b}, Output: o},
+		Examples: exs,
+		Limits:   synth.Limits{MaxSize: 7, Timeout: time.Minute},
+	}
+	restart := spec
+	restart.Limits.NoBankReuse, restart.Limits.NoInterpReduction = true, true
+
+	ctx := context.Background()
+	want, _, err := synth.SolveConcolicCtx(ctx, restart.Problem, restart.Examples, restart.Limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Cache: NewCache()})
+	def, _, _, err := eng.SolveConcolic(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, out, err := eng.SolveConcolic(ctx, restart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cached {
+		t.Fatalf("restart-per-round solve answered from the default solve's entry (%s)", def)
+	}
+	if !expr.Equal(got, want) {
+		t.Fatalf("restart-per-round solve through the cache = %s, want %s", got, want)
+	}
+
+	// Either flag alone keys apart too.
+	bankOnly, probesOnly := spec, spec
+	bankOnly.Limits.NoInterpReduction = true
+	probesOnly.Limits.NoBankReuse = true
+	keys := map[string]bool{}
+	for _, s := range []SolveSpec{spec, restart, bankOnly, probesOnly} {
+		keys[s.Key()] = true
+	}
+	if len(keys) != 4 {
+		t.Errorf("the four flag settings share keys: %d distinct", len(keys))
 	}
 }

@@ -10,21 +10,15 @@ import (
 )
 
 // SolveOutcome describes how one SolveConcolic call got its answer: which
-// cache tier served it (TierNone when memoization is disabled), and the
-// wall-clock split between the cache lookup and the actual solving.
-// CacheWait + SolveWait is the call's full wall time, which is what lets
-// the serving path's access log reconcile a job's latency breakdown
-// against its observed elapsed time.
+// cache tier served it (TierNone when memoization is disabled). Where the
+// call's time went is in its spans: the engine.cache lookup and, on a
+// miss, the synth.cegis solve.
 type SolveOutcome struct {
 	// Cached reports whether the cache supplied the answer (Tier is then
 	// TierMem or TierDisk).
 	Cached bool
 	// Tier is the cache tier that answered the lookup.
 	Tier Tier
-	// CacheWait is the time spent in the two-tier cache lookup.
-	CacheWait time.Duration
-	// SolveWait is the time spent in the synthesizer.
-	SolveWait time.Duration
 }
 
 // SolveConcolic is the engine's memoized front door to
@@ -34,10 +28,9 @@ type SolveOutcome struct {
 // synth.ErrUnrealizable, reach the caller unchanged and are not cached.
 //
 // The returned Stats are the solve's work (or the replayed stats on a
-// hit); the SolveOutcome carries the cache tier and the cache/solve
-// wall-time split. The cache lookup runs under an "engine.cache" span
-// (tier recorded as an attribute) and feeds the
-// engine.cache.{mem_hits,disk_hits,misses} counters and the
+// hit); the SolveOutcome carries the cache tier. The cache lookup runs
+// under an "engine.cache" span (tier recorded as an attribute) and feeds
+// the engine.cache.{mem_hits,disk_hits,misses} counters and the
 // engine.cache.lookup_ms histogram when ctx carries a metrics registry.
 func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Expr, stats synth.Stats, out SolveOutcome, err error) {
 	out.Tier = TierNone
@@ -49,7 +42,7 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 		_, cacheSpan := obs.Start(ctx, "engine.cache")
 		lookupStart := time.Now()
 		re, st, k, tier, ok := e.cfg.Cache.Fetch(spec)
-		out.CacheWait = time.Since(lookupStart)
+		lookup := time.Since(lookupStart)
 		out.Tier = tier
 		cacheSpan.SetAttr(obs.Str("tier", string(tier)))
 		cacheSpan.End()
@@ -62,7 +55,7 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 			default:
 				reg.Counter("engine.cache.misses").Inc()
 			}
-			reg.Histogram("engine.cache.lookup_ms").Observe(out.CacheWait)
+			reg.Histogram("engine.cache.lookup_ms").Observe(lookup)
 		}
 		if ok {
 			out.Cached = true
@@ -70,8 +63,6 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 		}
 		key = k
 	}
-	solveStart := time.Now()
-	defer func() { out.SolveWait = time.Since(solveStart) }()
 	res, stats, err = synth.SolveConcolicCtx(ctx, spec.Problem, spec.Examples, spec.Limits)
 	if err != nil {
 		return nil, stats, out, err

@@ -183,7 +183,17 @@ func (b *builder) build(numCaches int) (*Protocol, error) {
 }
 
 func (b *builder) typeOf(ref TypeRef) (expr.Type, error) {
-	switch ref.Name {
+	t, err := TypeByName(b.u, ref.Name)
+	if err != nil {
+		return expr.Type{}, errf(ref.Pos, "%v", err)
+	}
+	return t, nil
+}
+
+// TypeByName resolves a surface type name: Bool, Int, PID, Set, or an
+// enum declared in u.
+func TypeByName(u *expr.Universe, name string) (expr.Type, error) {
+	switch name {
 	case "Bool":
 		return expr.BoolType, nil
 	case "Int":
@@ -193,10 +203,10 @@ func (b *builder) typeOf(ref TypeRef) (expr.Type, error) {
 	case "Set":
 		return expr.SetType, nil
 	}
-	if e, ok := b.enums[ref.Name]; ok {
+	if e, ok := u.Enum(name); ok {
 		return expr.EnumOf(e), nil
 	}
-	return expr.Type{}, errf(ref.Pos, "unknown type %s", ref.Name)
+	return expr.Type{}, fmt.Errorf("unknown type %q", name)
 }
 
 // scope is the typing environment for one transition's expressions.

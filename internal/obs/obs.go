@@ -23,7 +23,9 @@
 // Span taxonomy (parent → child):
 //
 //	engine.run                  one synthesis engine Run
+//	  engine.run.start (mark)   the run's plan size, as it starts
 //	  engine.job                one inference job (track = worker)
+//	    engine.job.start (mark) the job's label, kind and run, as it starts
 //	    synth.cegis             one SolveConcolic call
 //	      synth.iteration       one CEGIS iteration
 //	        synth.enumerate     one SolveConcrete call
@@ -37,9 +39,8 @@
 // Metric taxonomy: counters synth.solves, synth.cegis_iterations,
 // synth.candidates, synth.kept, smt.queries, smt.sat, smt.unsat,
 // smt.unknown, smt.sat_vars, smt.clauses, sat.conflicts, sat.decisions,
-// sat.propagations, mc.runs, mc.states, mc.transitions, engine.jobs,
-// engine.cache_hits; histograms synth.solve_ms, smt.solve_ms,
-// mc.check_ms.
+// sat.propagations, mc.runs, mc.states, mc.transitions, engine.jobs;
+// histograms synth.solve_ms, smt.solve_ms, mc.check_ms.
 package obs
 
 import (

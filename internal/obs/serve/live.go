@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -39,20 +40,61 @@ type SynthLive struct {
 	UpdatedMS        float64 `json:"updated_ms"`
 }
 
+// RunLive is one in-flight engine Run, opened by its engine.run.start
+// mark and retired when its engine.run span closes: the jobs planned,
+// the jobs whose engine.job span closed so far (Failed of them with an
+// error), and the jobs executing now. Skipped jobs never start, so they
+// never count as done.
+type RunLive struct {
+	Run       uint64    `json:"run"`
+	Workers   int64     `json:"workers"`
+	Jobs      int64     `json:"jobs"`
+	Done      int64     `json:"done"`
+	Failed    int64     `json:"failed"`
+	ElapsedMS float64   `json:"elapsed_ms"`
+	Active    []JobLive `json:"active,omitempty"`
+}
+
+// JobLive is one executing engine job, opened by its engine.job.start
+// mark: label, kind, display track (the worker) and time since it
+// started.
+type JobLive struct {
+	Job       string  `json:"job"`
+	Kind      string  `json:"kind"`
+	Track     int     `json:"track"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+}
+
+// runEntry and jobEntry are the aggregator's open runs and jobs, keyed by
+// their span IDs.
+type runEntry struct {
+	RunLive
+	started time.Time
+}
+
+type jobEntry struct {
+	JobLive
+	run     uint64
+	started time.Time
+}
+
 // Live aggregates the instant marks and span closes that matter for the
 // /runs view into a point-in-time gauge set. It implements obs.Exporter
-// and keeps O(workers) state: per-track synthesis gauges plus one model
-// checker entry.
+// and keeps state proportional to what is running: the open engine runs
+// and jobs, per-track synthesis gauges, and one model checker entry.
 type Live struct {
 	mu     sync.Mutex
 	epoch  time.Time
 	mc     *MCLive
 	tracks map[int]*SynthLive
+	runs   map[uint64]*runEntry
+	jobs   map[uint64]*jobEntry
 }
 
 // NewLive builds an empty aggregator.
 func NewLive() *Live {
-	return &Live{epoch: time.Now(), tracks: map[int]*SynthLive{}}
+	return &Live{epoch: time.Now(), tracks: map[int]*SynthLive{},
+		runs: map[uint64]*runEntry{}, jobs: map[uint64]*jobEntry{}}
 }
 
 // SetEpoch aligns UpdatedMS timestamps with the tracer's clock.
@@ -67,6 +109,17 @@ func attrInt(attrs []obs.Attr, key string) (int64, bool) {
 		}
 	}
 	return 0, false
+}
+
+func attrStr(attrs []obs.Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			if v, ok := a.Value.(string); ok {
+				return v
+			}
+		}
+	}
+	return ""
 }
 
 func attrFloat(attrs []obs.Attr, key string) (float64, bool) {
@@ -93,10 +146,27 @@ func (l *Live) now(start time.Time) float64 {
 	return float64(start.Sub(l.epoch)) / float64(time.Millisecond)
 }
 
-// Mark implements obs.Exporter: mc.progress feeds the model-checker
-// gauges, synth.round and synth.tier the per-track synthesis gauges.
+// Mark implements obs.Exporter: engine.run.start and engine.job.start
+// open a run and a job (each names its span by the mark's parent),
+// mc.progress feeds the model-checker gauges, synth.round and synth.tier
+// the per-track synthesis gauges.
 func (l *Live) Mark(d obs.SpanData) {
 	switch d.Name {
+	case "engine.run.start":
+		r := &runEntry{RunLive: RunLive{Run: d.Parent}, started: d.Start}
+		r.Workers, _ = attrInt(d.Attrs, "workers")
+		r.Jobs, _ = attrInt(d.Attrs, "jobs")
+		l.mu.Lock()
+		l.runs[d.Parent] = r
+		l.mu.Unlock()
+	case "engine.job.start":
+		j := &jobEntry{JobLive: JobLive{Job: attrStr(d.Attrs, "job"), Kind: attrStr(d.Attrs, "kind"),
+			Track: d.Track}, started: d.Start}
+		run, _ := attrInt(d.Attrs, "run")
+		j.run = uint64(run)
+		l.mu.Lock()
+		l.jobs[d.Parent] = j
+		l.mu.Unlock()
 	case "mc.progress":
 		l.mu.Lock()
 		mc := &MCLive{UpdatedMS: l.now(d.Start)}
@@ -126,13 +196,28 @@ func (l *Live) Mark(d obs.SpanData) {
 	}
 }
 
-// Span implements obs.Exporter: a closing engine.job retires its track's
-// gauges, a closing mc.bfs marks the checker done with final totals.
+// Span implements obs.Exporter: a closing engine.job retires the job and
+// its track's gauges and counts it done (failed with an error attribute)
+// on its run, a closing engine.run retires the run, and a closing mc.bfs
+// marks the checker done with final totals.
 func (l *Live) Span(d obs.SpanData) {
 	switch d.Name {
 	case "engine.job":
 		l.mu.Lock()
 		delete(l.tracks, d.Track)
+		if j := l.jobs[d.ID]; j != nil {
+			delete(l.jobs, d.ID)
+			if r := l.runs[j.run]; r != nil {
+				r.Done++
+				if attrStr(d.Attrs, "error") != "" {
+					r.Failed++
+				}
+			}
+		}
+		l.mu.Unlock()
+	case "engine.run":
+		l.mu.Lock()
+		delete(l.runs, d.ID)
 		l.mu.Unlock()
 	case "mc.bfs":
 		l.mu.Lock()
@@ -166,10 +251,33 @@ func (l *Live) Snapshot() (*MCLive, []SynthLive) {
 	for _, t := range l.tracks {
 		tracks = append(tracks, *t)
 	}
-	for i := 1; i < len(tracks); i++ {
-		for j := i; j > 0 && tracks[j-1].Track > tracks[j].Track; j-- {
-			tracks[j-1], tracks[j] = tracks[j], tracks[j-1]
-		}
-	}
+	sort.Slice(tracks, func(i, j int) bool { return tracks[i].Track < tracks[j].Track })
 	return mc, tracks
 }
+
+// Runs copies the in-flight engine runs, oldest first, each with its
+// executing jobs sorted by track; an empty (non-nil) slice when no engine
+// is running.
+func (l *Live) Runs() []RunLive {
+	now := time.Now()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	runs := make([]RunLive, 0, len(l.runs))
+	for _, r := range l.runs {
+		st := r.RunLive
+		st.ElapsedMS = msSince(r.started, now)
+		for _, j := range l.jobs {
+			if j.run == r.Run {
+				jl := j.JobLive
+				jl.ElapsedMS = msSince(j.started, now)
+				st.Active = append(st.Active, jl)
+			}
+		}
+		sort.Slice(st.Active, func(a, b int) bool { return st.Active[a].Track < st.Active[b].Track })
+		runs = append(runs, st)
+	}
+	sort.Slice(runs, func(a, b int) bool { return runs[a].Run < runs[b].Run })
+	return runs
+}
+
+func msSince(t, now time.Time) float64 { return float64(now.Sub(t)) / float64(time.Millisecond) }

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"transit/internal/engine"
 	"transit/internal/obs"
 )
 
@@ -181,24 +180,20 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// RunsSnapshot is the /runs response: the engine's in-flight runs with
-// their active jobs, the model checker's latest heartbeat, the
-// per-worker live synthesis gauges, and (under a job server) the per-job
-// provenance summaries.
+// RunsSnapshot is the /runs response, read from the span stream: the
+// engine's in-flight runs with their active jobs, the model checker's
+// latest heartbeat, the per-worker live synthesis gauges, and (under a
+// job server) the per-job provenance summaries.
 type RunsSnapshot struct {
-	Engine     []engine.RunStatus `json:"engine"`
-	MC         *MCLive            `json:"mc,omitempty"`
-	Synth      []SynthLive        `json:"synth,omitempty"`
-	Provenance any                `json:"provenance,omitempty"`
+	Engine     []RunLive   `json:"engine"`
+	MC         *MCLive     `json:"mc,omitempty"`
+	Synth      []SynthLive `json:"synth,omitempty"`
+	Provenance any         `json:"provenance,omitempty"`
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	mc, tracks := s.live.Snapshot()
-	runs := engine.ActiveRuns()
-	if runs == nil {
-		runs = []engine.RunStatus{}
-	}
-	snap := RunsSnapshot{Engine: runs, MC: mc, Synth: tracks}
+	snap := RunsSnapshot{Engine: s.live.Runs(), MC: mc, Synth: tracks}
 	if s.Provenance != nil {
 		snap.Provenance = s.Provenance()
 	}

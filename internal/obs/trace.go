@@ -119,6 +119,15 @@ type Span struct {
 	ended  atomic.Bool
 }
 
+// ID returns the span's ID, unique within its tracer family; 0 for a nil
+// span. Marks and child spans name their parent by it.
+func (s *Span) ID() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.id
+}
+
 // SetAttr attaches attributes to the span; exporters see them on End.
 // Typical use is recording work counters (conflicts, candidates) known
 // only when the region finishes.

@@ -12,6 +12,7 @@ import (
 
 	"transit/internal/efsm"
 	"transit/internal/expr"
+	"transit/internal/lang"
 	"transit/internal/mc"
 )
 
@@ -29,6 +30,38 @@ type Spec struct {
 	// tests.
 	Cache *efsm.ProcDef
 	Dir   *efsm.ProcDef
+}
+
+// Protocol adapts the spec to the form the synthesis and checking
+// entry points take.
+func (s *Spec) Protocol() *lang.Protocol {
+	return &lang.Protocol{Name: s.Name, Sys: s.Sys, Vocab: s.Vocab,
+		Snippets: s.Snippets, Invariants: s.Invariants}
+}
+
+// BuiltinNames lists the names Builtin accepts.
+const BuiltinNames = "vi, msi, mesi, origin, origin-buggy"
+
+// Builtin returns the built-in protocol of that name at numCaches caches:
+// vi, msi, mesi, origin, or origin-buggy (Origin without the Figure 2
+// fix).
+func Builtin(name string, numCaches int) (*lang.Protocol, error) {
+	var s *Spec
+	switch name {
+	case "vi":
+		s = VI(numCaches)
+	case "msi":
+		s = MSI(numCaches)
+	case "mesi":
+		s = MESI(numCaches)
+	case "origin":
+		s = Origin(numCaches, true)
+	case "origin-buggy":
+		s = Origin(numCaches, false)
+	default:
+		return nil, fmt.Errorf("unknown builtin %q (want one of %s)", name, BuiltinNames)
+	}
+	return s.Protocol(), nil
 }
 
 // snip is a fluent snippet builder used by the protocol constructors; it

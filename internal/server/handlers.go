@@ -56,9 +56,9 @@ func (j *job) envelope(deduped bool) JobEnvelope {
 		CacheTier:   string(j.cache.Tier),
 		CacheHits:   j.cache.Hits,
 		CacheMisses: j.cache.Misses,
-		CacheWaitMS: ms(j.cache.CacheWait),
-		SolveWaitMS: ms(j.cache.SolveWait),
 	}
+	cacheWait, solveWait := j.spans.wait()
+	env.CacheWaitMS, env.SolveWaitMS = ms(cacheWait), ms(solveWait)
 	if !j.started.IsZero() {
 		t := j.started
 		env.StartedAt = &t

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"transit/internal/engine"
@@ -68,10 +69,10 @@ type Config struct {
 	// flight recorder and solver counters reach /metrics.
 	BaseContext context.Context
 	// NoTrace disables per-job tracing: no trace IDs are assigned, no
-	// per-job span rings are kept, and GET /v1/jobs/{id}/trace returns
-	// 404. The engine then runs on obs's nil-span fast path, which is
-	// allocation-free (pinned by BenchmarkDisabledTracePath in
-	// internal/obs).
+	// per-job span rings are kept, a job's event stream carries no span
+	// lines, and GET /v1/jobs/{id}/trace returns 404. It saves the rings'
+	// memory only: every job still runs under a tracer, whose spans give
+	// its cache/solve latency split.
 	NoTrace bool
 	// TraceEvents sizes each job's span ring (0 = 256 events). The ring
 	// bounds per-job trace memory; spans beyond it surface as a dropped
@@ -121,11 +122,13 @@ type job struct {
 
 	// Trace correlation, fixed at admission: the job's trace ID (client-
 	// supplied or generated), the client key, the HTTP arrival time, and
-	// the per-job span ring (nil under Config.NoTrace).
+	// the per-job span ring (nil under Config.NoTrace). spans is the
+	// exporter every job's tracer carries.
 	traceID  string
 	client   string
 	admitted time.Time
 	ring     *obs.Recorder
+	spans    *engineSpans
 
 	mu        sync.Mutex
 	state     jobState
@@ -144,17 +147,14 @@ type job struct {
 	done   chan struct{}
 }
 
-// jobCache records how the memo cache served a job: lookup counts, the
-// dominant tier (for a solve job, the tier of its one lookup; for a
-// completion job, the worst tier any sub-solve hit), and the wall-time
-// split between cache lookups and actual synthesis.
+// jobCache records how the memo cache served a job: lookup counts and
+// the dominant tier (for a solve job, the tier of its one lookup; for a
+// completion job, the worst tier any sub-solve hit).
 type jobCache struct {
-	Hits      int64
-	Misses    int64
-	DiskHits  int64
-	Tier      engine.Tier
-	CacheWait time.Duration
-	SolveWait time.Duration
+	Hits     int64
+	Misses   int64
+	DiskHits int64
+	Tier     engine.Tier
 }
 
 // publish marshals one event of the given type, stamped with the job id
@@ -184,17 +184,36 @@ func (j *job) publishLine(line []byte) {
 	j.mu.Unlock()
 }
 
-// engineSpans is the per-job exporter behind the span lines of a job's
-// SSE stream. It publishes the close of each engine.* span (engine.run,
-// engine.job, engine.cache) in the obs.MarshalRecord schema with the job
-// id added, timestamped from the job's admission like its trace. Every
-// other span is left to the job's trace ring, which keeps the stream near
-// two lines per engine job.
-type engineSpans struct{ j *job }
+// engineSpans is the per-job exporter on every job's tracer. It sums the
+// durations of the job's engine.cache and synth.cegis closes, which are
+// the cache/solve latency split of the job envelope and the access log.
+// With stream set (tracing on) it also publishes the close of each
+// engine.* span (engine.run, engine.job, engine.cache) on the job's SSE
+// stream, in the obs.MarshalRecord schema with the job id added,
+// timestamped from the job's admission like its trace. Every other span
+// is left to the job's trace ring, which keeps the stream near two lines
+// per engine job.
+type engineSpans struct {
+	j      *job
+	stream bool
+	// cache and solve are the summed durations, in nanoseconds.
+	cache, solve atomic.Int64
+}
+
+// wait reports the summed engine.cache and synth.cegis durations.
+func (e *engineSpans) wait() (cache, solve time.Duration) {
+	return time.Duration(e.cache.Load()), time.Duration(e.solve.Load())
+}
 
 // Span implements obs.Exporter.
-func (e engineSpans) Span(d obs.SpanData) {
-	if !strings.HasPrefix(d.Name, "engine.") {
+func (e *engineSpans) Span(d obs.SpanData) {
+	switch d.Name {
+	case "engine.cache":
+		e.cache.Add(int64(d.Duration))
+	case "synth.cegis":
+		e.solve.Add(int64(d.Duration))
+	}
+	if !e.stream || !strings.HasPrefix(d.Name, "engine.") {
 		return
 	}
 	rec, err := obs.MarshalRecord("span", d, e.j.admitted)
@@ -206,10 +225,10 @@ func (e engineSpans) Span(d obs.SpanData) {
 }
 
 // Mark implements obs.Exporter; marks stay in the job's trace ring.
-func (engineSpans) Mark(obs.SpanData) {}
+func (*engineSpans) Mark(obs.SpanData) {}
 
 // Flush implements obs.Exporter (lines are published eagerly).
-func (engineSpans) Flush() error { return nil }
+func (*engineSpans) Flush() error { return nil }
 
 // snapshotEvents returns the replay history and a live subscription,
 // atomically with respect to publish, so SSE consumers see every event
@@ -420,6 +439,7 @@ func (s *Server) submit(req *JobRequest, client, traceID string, admitted time.T
 		bus:       serve.NewBroadcast(),
 		done:      make(chan struct{}),
 	}
+	j.spans = &engineSpans{j: j, stream: !s.cfg.NoTrace}
 	if !s.cfg.NoTrace {
 		if traceID == "" {
 			traceID = obs.NewTraceID()
@@ -496,7 +516,7 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	// Engine-level counters (cache tiers, lookup latency) ride the context
 	// registry; point it at the server's when the base context brings none,
-	// so /metrics and /v1/stats see them on any wiring.
+	// so /metrics sees them on any wiring.
 	if obs.MetricsFrom(ctx) == nil {
 		ctx = obs.WithMetrics(ctx, s.reg)
 	}
@@ -506,18 +526,24 @@ func (s *Server) runJob(j *job) {
 	defer busy.Dec()
 	j.publish("job.state", map[string]any{"state": string(JobRunning)})
 
-	// Per-job tracing: a child tracer tees this job's spans into its ring
-	// and its engine spans onto its event stream (the session exporters
-	// keep seeing them too), rooted at a server.job span. The phases that elapsed before this tracer existed — HTTP
-	// admission and the queue wait — are emitted as pre-timed child spans,
-	// so the trace covers the job's whole lifetime, not just its run.
+	// Per-job tracing: a child tracer (the session exporters keep seeing
+	// its spans) feeds the job's latency split and, with tracing on, tees
+	// the spans into the job's ring and its engine spans onto its event
+	// stream, rooted at a server.job span. The phases that elapsed before
+	// this tracer existed — HTTP admission and the queue wait — are
+	// emitted as pre-timed child spans, so the trace covers the job's
+	// whole lifetime, not just its run.
+	exps := []obs.Exporter{j.spans}
+	if j.ring != nil {
+		exps = append(exps, j.ring)
+	}
+	tr := obs.TracerFrom(ctx).Child(exps...)
+	if tr == nil {
+		tr = obs.NewTracer(exps...)
+	}
+	ctx = obs.WithTracer(ctx, tr)
 	var root *obs.Span
 	if j.ring != nil {
-		tr := obs.TracerFrom(ctx).Child(j.ring, engineSpans{j})
-		if tr == nil {
-			tr = obs.NewTracer(j.ring, engineSpans{j})
-		}
-		ctx = obs.WithTracer(ctx, tr)
 		ctx, root = obs.Start(ctx, "server.job",
 			obs.Str("job", j.id), obs.Str("kind", j.kind), obs.Str("trace", j.traceID))
 		root.Emit("server.admission", j.admitted, j.submitted.Sub(j.admitted))
@@ -574,6 +600,7 @@ func (s *Server) runJob(j *job) {
 	s.reg.Counter("server.cache_misses").Add(cinfo.Misses)
 	s.reg.Histogram("server.job_ms").Observe(elapsed)
 
+	cacheWait, solveWait := j.spans.wait()
 	s.cfg.AccessLog.Log(AccessRecord{
 		Time:    accessTime(finished),
 		Job:     j.id,
@@ -585,8 +612,8 @@ func (s *Server) runJob(j *job) {
 		Tier:    string(cinfo.Tier),
 		Dedups:  dedups,
 		QueueMS: ms(queueWait),
-		CacheMS: ms(cinfo.CacheWait),
-		SolveMS: ms(cinfo.SolveWait),
+		CacheMS: ms(cacheWait),
+		SolveMS: ms(solveWait),
 		TotalMS: ms(finished.Sub(j.submitted)),
 		Error:   errMsg,
 	})
@@ -649,14 +676,6 @@ func (s *Server) cancelJob(j *job) bool {
 	}
 }
 
-// LatencySummary is one histogram's quantile digest in /v1/stats.
-type LatencySummary struct {
-	Count int64   `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	MaxMS float64 `json:"max_ms"`
-}
-
 // StatsSnapshot is the /v1/stats response.
 type StatsSnapshot struct {
 	Draining    bool    `json:"draining"`
@@ -670,10 +689,6 @@ type StatsSnapshot struct {
 	DiskHits    int64   `json:"cache_disk_hits"`
 	CacheLen    int     `json:"cache_entries"`
 	HitRate     float64 `json:"cache_hit_rate"`
-
-	// Latency digests every non-empty histogram in the registry — queue
-	// wait, service time, cache lookups — keyed by histogram name.
-	Latency map[string]LatencySummary `json:"latency,omitempty"`
 
 	// Disk is present when the cache has a diskcache backend.
 	Disk *diskcache.Stats `json:"disk,omitempty"`
@@ -706,15 +721,6 @@ func (s *Server) stats() StatsSnapshot {
 	snap.DiskHits = s.cache.DiskHits()
 	snap.CacheLen = s.cache.Len()
 	snap.HitRate = s.cache.HitRate()
-	if hists := s.reg.Snapshot().Histograms; len(hists) > 0 {
-		snap.Latency = make(map[string]LatencySummary, len(hists))
-		for _, h := range hists {
-			if h.Count == 0 {
-				continue
-			}
-			snap.Latency[h.Name] = LatencySummary{Count: h.Count, P50MS: h.P50MS, P95MS: h.P95MS, MaxMS: h.MaxMS}
-		}
-	}
 	if store, ok := s.cache.Backend().(*diskcache.Store); ok {
 		st := store.Stats()
 		snap.Disk = &st

@@ -539,3 +539,34 @@ func TestPersistentCacheAcrossServers(t *testing.T) {
 		t.Fatalf("stats missing disk backend: %+v", stats)
 	}
 }
+
+// TestUnknownNamesRejected checks an unknown builtin and an unknown type
+// are refused with the shared protocol table's and type-name parser's
+// errors.
+func TestUnknownNamesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for want, req := range map[string]*JobRequest{
+		`unknown builtin \"nope\"`: {Kind: "complete", Complete: &CompleteRequest{Builtin: "nope"}},
+		`unknown type \"Quux\"`: {Kind: "solve", Solve: &SolveRequest{
+			NumCaches: 3,
+			Vars:      []VarDecl{{Name: "a", Type: "Quux"}},
+			Output:    VarDecl{Name: "o", Type: "Int"},
+			Examples:  []ExampleDecl{{Post: "true"}},
+		}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), want) {
+			t.Errorf("status %d body %q, want 400 with %s", resp.StatusCode, msg.String(), want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -261,33 +262,85 @@ func TestTracePerfettoFormat(t *testing.T) {
 	}
 }
 
-// TestStatsLatencyBreakdown: /v1/stats carries p50/p95 digests for the
-// serving histograms once jobs have run.
-func TestStatsLatencyBreakdown(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	_, env := post(t, ts, maxReq(), nil)
-	await(t, ts, env.ID)
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats StatsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers == 0 {
-		t.Errorf("workers missing: %+v", stats)
-	}
-	for _, name := range []string{"server.job_ms", "server.queue.wait_ms", "engine.cache.lookup_ms"} {
-		d, ok := stats.Latency[name]
-		if !ok || d.Count == 0 {
-			t.Errorf("latency digest %s missing (%+v)", name, stats.Latency)
-			continue
+// TestLatencySplitFromSpans runs one solve job and one completion job
+// under a base context whose tracer collects every span. Each job's
+// cache_wait_ms and solve_wait_ms must be the summed durations of its own
+// engine.cache and synth.cegis spans, and its access-log line must carry
+// the same split as its envelope.
+func TestLatencySplitFromSpans(t *testing.T) {
+	col := obs.NewCollect()
+	var logBuf bytes.Buffer
+	base := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	s, ts := newTestServer(t, Config{BaseContext: base, Workers: 2, AccessLog: NewAccessLogWriter(&logBuf)})
+	_, solveEnv := post(t, ts, maxReq(), nil)
+	_, completeEnv := post(t, ts, &JobRequest{
+		Kind:     "complete",
+		Complete: &CompleteRequest{Builtin: "vi", NumCaches: 2},
+	}, nil)
+	envs := map[string]JobEnvelope{}
+	for _, id := range []string{solveEnv.ID, completeEnv.ID} {
+		env := await(t, ts, id)
+		if env.Status != string(JobDone) {
+			t.Fatalf("job %s: %s %s", id, env.Status, env.Error)
 		}
-		if d.P95MS < d.P50MS || d.MaxMS < d.P95MS {
-			t.Errorf("%s quantiles disordered: %+v", name, d)
+		envs[id] = env
+		if j, ok := s.get(id); ok {
+			<-j.done // the access line is written before done closes
+		}
+	}
+
+	// Sum each job's spans, attributing a span to the job named by the
+	// server.job span at the root of its ancestry.
+	spans := col.Spans()
+	byID := map[uint64]obs.SpanData{}
+	for _, d := range spans {
+		byID[d.ID] = d
+	}
+	jobOf := func(d obs.SpanData) string {
+		for ok := true; ok; d, ok = byID[d.Parent] {
+			if d.Name == "server.job" {
+				for _, a := range d.Attrs {
+					if a.Key == "job" {
+						return a.Value.(string)
+					}
+				}
+			}
+		}
+		return ""
+	}
+	cacheSum, solveSum := map[string]time.Duration{}, map[string]time.Duration{}
+	for _, d := range spans {
+		switch d.Name {
+		case "engine.cache":
+			cacheSum[jobOf(d)] += d.Duration
+		case "synth.cegis":
+			solveSum[jobOf(d)] += d.Duration
+		}
+	}
+
+	recs := map[string]AccessRecord{}
+	for _, line := range bytes.Split(bytes.TrimSpace(logBuf.Bytes()), []byte("\n")) {
+		var rec AccessRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("access log line %q: %v", line, err)
+		}
+		recs[rec.Job] = rec
+	}
+	for id, env := range envs {
+		if cacheSum[id] == 0 || solveSum[id] == 0 {
+			t.Fatalf("job %s: no engine.cache or synth.cegis spans collected", id)
+		}
+		if env.CacheWaitMS != ms(cacheSum[id]) || env.SolveWaitMS != ms(solveSum[id]) {
+			t.Errorf("job %s: envelope cache/solve = %v/%v ms, span sums %v/%v ms",
+				id, env.CacheWaitMS, env.SolveWaitMS, ms(cacheSum[id]), ms(solveSum[id]))
+		}
+		rec, ok := recs[id]
+		if !ok {
+			t.Fatalf("job %s: no access-log line", id)
+		}
+		if rec.CacheMS != env.CacheWaitMS || rec.SolveMS != env.SolveWaitMS {
+			t.Errorf("job %s: access log cache/solve = %v/%v ms, envelope %v/%v ms",
+				id, rec.CacheMS, rec.SolveMS, env.CacheWaitMS, env.SolveWaitMS)
 		}
 	}
 }

@@ -162,24 +162,6 @@ func (s *Server) prepare(req *JobRequest) (string, func(context.Context, *job) (
 	}
 }
 
-// typeByName resolves a wire type name against a universe.
-func typeByName(u *expr.Universe, name string) (expr.Type, error) {
-	switch name {
-	case "Bool":
-		return expr.BoolType, nil
-	case "Int":
-		return expr.IntType, nil
-	case "PID":
-		return expr.PIDType, nil
-	case "Set":
-		return expr.SetType, nil
-	}
-	if et, ok := u.Enum(name); ok {
-		return expr.EnumOf(et), nil
-	}
-	return expr.Type{}, fmt.Errorf("unknown type %q", name)
-}
-
 // buildSolveSpec elaborates a wire solve request into an engine spec.
 func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 	var zero engine.SolveSpec
@@ -216,7 +198,7 @@ func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 	scope := lang.ExprScope{U: u, Vars: map[string]expr.Type{}, Enums: enums}
 	vars := make([]*expr.Var, 0, len(req.Vars))
 	for _, d := range req.Vars {
-		t, err := typeByName(u, d.Type)
+		t, err := lang.TypeByName(u, d.Type)
 		if err != nil {
 			return zero, fmt.Errorf("var %s: %w", d.Name, err)
 		}
@@ -226,7 +208,7 @@ func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 		vars = append(vars, expr.V(d.Name, t))
 		scope.Vars[d.Name] = t
 	}
-	ot, err := typeByName(u, req.Output.Type)
+	ot, err := lang.TypeByName(u, req.Output.Type)
 	if err != nil {
 		return zero, fmt.Errorf("output %s: %w", req.Output.Name, err)
 	}
@@ -271,7 +253,7 @@ func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 // runSolve executes a solve job through the shared cache.
 func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (json.RawMessage, jobCache, error) {
 	res, st, out, err := engine.New(engine.Config{Cache: s.cache}).SolveConcolic(ctx, spec)
-	cinfo := jobCache{Tier: out.Tier, CacheWait: out.CacheWait, SolveWait: out.SolveWait}
+	cinfo := jobCache{Tier: out.Tier}
 	if out.Cached {
 		cinfo.Hits = 1
 		if out.Tier == engine.TierDisk {
@@ -340,28 +322,7 @@ func loadProtocol(req *CompleteRequest) (*lang.Protocol, error) {
 	if req.Source != "" {
 		return lang.Build(req.Source, req.NumCaches)
 	}
-	var spec *protocols.Spec
-	switch req.Builtin {
-	case "vi":
-		spec = protocols.VI(req.NumCaches)
-	case "msi":
-		spec = protocols.MSI(req.NumCaches)
-	case "mesi":
-		spec = protocols.MESI(req.NumCaches)
-	case "origin":
-		spec = protocols.Origin(req.NumCaches, true)
-	case "origin-buggy":
-		spec = protocols.Origin(req.NumCaches, false)
-	default:
-		return nil, fmt.Errorf("unknown builtin %q", req.Builtin)
-	}
-	return &lang.Protocol{
-		Name:       spec.Name,
-		Sys:        spec.Sys,
-		Vocab:      spec.Vocab,
-		Snippets:   spec.Snippets,
-		Invariants: spec.Invariants,
-	}, nil
+	return protocols.Builtin(req.Builtin, req.NumCaches)
 }
 
 // runComplete executes a skeleton-completion job through the shared
@@ -382,12 +343,10 @@ func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, 
 		return nil, jobCache{}, err
 	}
 	cinfo := jobCache{
-		Hits:      int64(rep.CacheHits),
-		Misses:    int64(rep.CacheMisses),
-		DiskHits:  int64(rep.DiskHits),
-		Tier:      completionTier(rep),
-		CacheWait: rep.CacheWait,
-		SolveWait: rep.SolveWait,
+		Hits:     int64(rep.CacheHits),
+		Misses:   int64(rep.CacheMisses),
+		DiskHits: int64(rep.DiskHits),
+		Tier:     completionTier(rep),
 	}
 	out := CompleteResult{
 		Protocol:           proto.Name,

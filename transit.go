@@ -317,29 +317,18 @@ func RunCaseStudy(cs CaseStudy) (*CaseStudyResult, error) {
 	return core.RunCaseStudy(cs)
 }
 
-// fromSpec adapts a built-in protocol spec to the Protocol facade.
-func fromSpec(s *protocols.Spec) *Protocol {
-	return &Protocol{
-		Name:       s.Name,
-		Sys:        s.Sys,
-		Vocab:      s.Vocab,
-		Snippets:   s.Snippets,
-		Invariants: s.Invariants,
-	}
-}
-
 // VI returns the built-in VI protocol (the simpler GEMS transcription of
 // Table 4): Valid/Invalid caching with a blocking recall directory.
-func VI(numCaches int) *Protocol { return fromSpec(protocols.VI(numCaches)) }
+func VI(numCaches int) *Protocol { return protocols.VI(numCaches).Protocol() }
 
 // MSI returns the built-in MSI directory protocol (Table 4 / case study
 // A): a three-state invalidation protocol with directory transient states,
 // sharer tracking, and invalidation-acknowledgement counting.
-func MSI(numCaches int) *Protocol { return fromSpec(protocols.MSI(numCaches)) }
+func MSI(numCaches int) *Protocol { return protocols.MSI(numCaches).Protocol() }
 
 // MESI returns the built-in MESI protocol (case study B): MSI extended
 // with the Exclusive optimization.
-func MESI(numCaches int) *Protocol { return fromSpec(protocols.MESI(numCaches)) }
+func MESI(numCaches int) *Protocol { return protocols.MESI(numCaches).Protocol() }
 
 // Origin returns the built-in SGI-Origin-style protocol (case study C).
 // With fixed=false the read-to-exclusive Sharers update carries only the
@@ -348,7 +337,7 @@ func MESI(numCaches int) *Protocol { return fromSpec(protocols.MESI(numCaches)) 
 // coherence violation. With fixed=true the concrete bug-fix snippet is
 // included and the protocol verifies.
 func Origin(numCaches int, fixed bool) *Protocol {
-	return fromSpec(protocols.Origin(numCaches, fixed))
+	return protocols.Origin(numCaches, fixed).Protocol()
 }
 
 // Case studies of §6, scripted for mechanical replay (Table 5).
