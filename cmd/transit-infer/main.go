@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"transit"
-	"transit/internal/expr"
 	"transit/internal/lang"
 	"transit/internal/obs"
 	"transit/internal/obs/serve"
@@ -90,31 +89,13 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-type spec struct {
-	numCaches int
-	enums     []enumDecl
-	vars      []varDecl
-	output    *varDecl
-	examples  []exampleDecl
-}
-
-type enumDecl struct {
-	name   string
-	values []string
-}
-
-type varDecl struct {
-	name, typ string
-}
-
-type exampleDecl struct {
-	pre, post string
-}
-
-// parseSpec splits the statement-oriented input; expressions are parsed by
-// the TRANSIT language package.
-func parseSpec(src string) (*spec, error) {
-	sp := &spec{numCaches: 3}
+// parseSpec splits the statement-oriented input into a problem
+// declaration; lang.SolveDecl.Elab elaborates it, as it does the job
+// server's solve requests. The vocabulary is fixed: enum constants and set
+// literals on, enum-valued ite off.
+func parseSpec(src string) (*lang.SolveDecl, error) {
+	sp := &lang.SolveDecl{NumCaches: 3,
+		Vocab: lang.SolveVocab{EnumConstants: true, SetLiterals: true, WithoutEnumIte: true}}
 	// Strip // comments.
 	var lines []string
 	for _, ln := range strings.Split(src, "\n") {
@@ -138,7 +119,7 @@ func parseSpec(src string) (*spec, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp.numCaches = n
+			sp.NumCaches = n
 		case "enum":
 			body := strings.TrimSpace(strings.TrimPrefix(stmt, "enum"))
 			open := strings.Index(body, "{")
@@ -151,21 +132,21 @@ func parseSpec(src string) (*spec, error) {
 			for _, v := range strings.Split(body[open+1:close], ",") {
 				values = append(values, strings.TrimSpace(v))
 			}
-			sp.enums = append(sp.enums, enumDecl{name: name, values: values})
+			sp.Enums = append(sp.Enums, lang.SolveEnum{Name: name, Values: values})
 		case "var", "output":
 			rest := strings.TrimSpace(strings.TrimPrefix(stmt, fields[0]))
 			parts := strings.SplitN(rest, ":", 2)
 			if len(parts) != 2 {
 				return nil, fmt.Errorf("malformed declaration: %q", stmt)
 			}
-			d := varDecl{name: strings.TrimSpace(parts[0]), typ: strings.TrimSpace(parts[1])}
+			d := lang.SolveVar{Name: strings.TrimSpace(parts[0]), Type: strings.TrimSpace(parts[1])}
 			if fields[0] == "var" {
-				sp.vars = append(sp.vars, d)
+				sp.Vars = append(sp.Vars, d)
 			} else {
-				if sp.output != nil {
+				if sp.Output != (lang.SolveVar{}) {
 					return nil, fmt.Errorf("multiple output declarations")
 				}
-				sp.output = &d
+				sp.Output = d
 			}
 		case "example":
 			rest := strings.TrimSpace(strings.TrimPrefix(stmt, "example"))
@@ -173,18 +154,18 @@ func parseSpec(src string) (*spec, error) {
 			if len(parts) != 2 {
 				return nil, fmt.Errorf("example wants 'pre ==> post': %q", stmt)
 			}
-			sp.examples = append(sp.examples, exampleDecl{
-				pre:  strings.TrimSpace(parts[0]),
-				post: strings.TrimSpace(parts[1]),
+			sp.Examples = append(sp.Examples, lang.SolveExample{
+				Pre:  strings.TrimSpace(parts[0]),
+				Post: strings.TrimSpace(parts[1]),
 			})
 		default:
 			return nil, fmt.Errorf("unknown statement %q", fields[0])
 		}
 	}
-	if sp.output == nil {
+	if sp.Output == (lang.SolveVar{}) {
 		return nil, fmt.Errorf("no output declaration")
 	}
-	if len(sp.examples) == 0 {
+	if len(sp.Examples) == 0 {
 		return nil, fmt.Errorf("no examples")
 	}
 	return sp, nil
@@ -195,49 +176,10 @@ func run(src string, opts inferOptions) error {
 	if err != nil {
 		return err
 	}
-	u := transit.NewUniverse(sp.numCaches)
-	var enums []*expr.EnumType
-	for _, e := range sp.enums {
-		et, err := u.DeclareEnum(e.name, e.values...)
-		if err != nil {
-			return err
-		}
-		enums = append(enums, et)
-	}
-	scope := lang.ExprScope{U: u, Vars: map[string]expr.Type{}, Enums: enums}
-	var vars []*transit.Var
-	for _, d := range sp.vars {
-		t, err := lang.TypeByName(u, d.typ)
-		if err != nil {
-			return err
-		}
-		vars = append(vars, transit.NewVar(d.name, t))
-		scope.Vars[d.name] = t
-	}
-	outType, err := lang.TypeByName(u, sp.output.typ)
+	prob, examples, err := sp.Elab()
 	if err != nil {
 		return err
 	}
-	// The output variable is visible inside posts.
-	scope.Vars[sp.output.name] = outType
-
-	var examples []transit.ConcolicExample
-	for _, ex := range sp.examples {
-		pre, err := lang.ParseAndElabExpr(ex.pre, scope)
-		if err != nil {
-			return fmt.Errorf("pre %q: %w", ex.pre, err)
-		}
-		post, err := lang.ParseAndElabExpr(ex.post, scope)
-		if err != nil {
-			return fmt.Errorf("post %q: %w", ex.post, err)
-		}
-		examples = append(examples, transit.ConcolicExample{Pre: pre, Post: post})
-	}
-
-	voc := transit.CoherenceVocabulary(u, transit.VocabOptions{
-		Enums: enums, WithEnumConstants: true, WithSetLiterals: true, WithoutEnumIte: true,
-	})
-	prob := transit.Problem{U: u, Vocab: voc, Vars: vars, Output: transit.NewVar(sp.output.name, outType)}
 
 	var ndjson, summary io.Writer
 	if opts.stats {

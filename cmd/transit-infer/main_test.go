@@ -21,20 +21,20 @@ example a > 0 ==> o = a;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.numCaches != 4 {
-		t.Errorf("numCaches = %d", sp.numCaches)
+	if sp.NumCaches != 4 {
+		t.Errorf("NumCaches = %d", sp.NumCaches)
 	}
-	if len(sp.enums) != 1 || sp.enums[0].name != "E" || len(sp.enums[0].values) != 2 {
-		t.Errorf("enums = %+v", sp.enums)
+	if len(sp.Enums) != 1 || sp.Enums[0].Name != "E" || len(sp.Enums[0].Values) != 2 {
+		t.Errorf("enums = %+v", sp.Enums)
 	}
-	if len(sp.vars) != 2 || sp.vars[1].typ != "Set" {
-		t.Errorf("vars = %+v", sp.vars)
+	if len(sp.Vars) != 2 || sp.Vars[1].Type != "Set" {
+		t.Errorf("vars = %+v", sp.Vars)
 	}
-	if sp.output == nil || sp.output.name != "o" {
-		t.Errorf("output = %+v", sp.output)
+	if sp.Output.Name != "o" {
+		t.Errorf("output = %+v", sp.Output)
 	}
-	if len(sp.examples) != 2 || sp.examples[1].pre != "a > 0" {
-		t.Errorf("examples = %+v", sp.examples)
+	if len(sp.Examples) != 2 || sp.Examples[1].Pre != "a > 0" {
+		t.Errorf("examples = %+v", sp.Examples)
 	}
 }
 
@@ -98,6 +98,21 @@ example true ==> (o >= a) & (o >= b) & ((o = a) | (o = b));
 	}
 	if !json.Valid(raw) {
 		t.Fatal("trace is not valid JSON")
+	}
+}
+
+// TestRunShadowedInput checks an output named like an input fails with
+// the shared elaborator's error before any synthesis runs, and so does a
+// duplicated input.
+func TestRunShadowedInput(t *testing.T) {
+	for src, want := range map[string]string{
+		"var a: Int; output a: Int; example true ==> a = 0;":             `output "a" shadows an input variable`,
+		"var a: Int; var a: Int; output o: Int; example true ==> o = a;": `duplicate variable "a"`,
+	} {
+		err := run(src, inferOptions{maxSize: 4})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%q) error = %v, want %s", src, err, want)
+		}
 	}
 }
 

@@ -37,21 +37,21 @@
 //
 // Subcommands:
 //
-//	transit obs report FILE   render a flight dump or -stats NDJSON capture
-//	                          as the -stats-summary tree and metrics table
-//	transit obs report -job   render a job trace (the JSON body of GET
-//	                          /v1/jobs/{id}/trace, from a file or stdin)
-//	                          as an indented span tree with durations
+//	transit obs report [FILE] render a flight dump, a job trace (GET
+//	                          /v1/jobs/{id}/trace) or a -stats NDJSON
+//	                          capture, from FILE or stdin, as the
+//	                          -stats-summary tree and metrics table
 //	transit serve [flags]     run the synthesis job server: POST /v1/jobs
 //	                          (solve and complete requests), GET
-//	                          /v1/jobs/{id}, SSE at /v1/jobs/{id}/events,
-//	                          per-job traces at /v1/jobs/{id}/trace,
-//	                          /v1/stats, plus the introspection endpoints,
-//	                          all on one address; -cache-dir persists the
-//	                          memo cache across restarts, -access-log
-//	                          writes per-job NDJSON latency lines (see
-//	                          `transit serve -h` and the README's Serving
-//	                          section)
+//	                          /v1/jobs/{id} (the job's envelope), SSE at
+//	                          /v1/jobs/{id}/events, per-job flight-dump
+//	                          traces at /v1/jobs/{id}/trace, /v1/stats,
+//	                          plus the introspection endpoints, all on one
+//	                          address; -cache-dir persists the memo cache
+//	                          across restarts, -access-log writes each
+//	                          finished job's envelope as an NDJSON line
+//	                          (see `transit serve -h` and the README's
+//	                          Serving section)
 package main
 
 import (
@@ -153,7 +153,7 @@ type options struct {
 
 // runObs handles the "transit obs" subcommand family.
 func runObs(args []string) error {
-	usage := fmt.Errorf("usage: transit obs report [-job] <file, or stdin with -job> | transit obs explain [-hole H] [-violation] <ledger> | transit obs bench-diff [-threshold PCT] OLD.json NEW.json")
+	usage := fmt.Errorf("usage: transit obs report [file, default stdin] | transit obs explain [-hole H] [-violation] <ledger> | transit obs bench-diff [-threshold PCT] OLD.json NEW.json")
 	if len(args) < 1 {
 		return usage
 	}
@@ -166,22 +166,13 @@ func runObs(args []string) error {
 	default:
 		return usage
 	}
-	fs := flag.NewFlagSet("obs report", flag.ExitOnError)
-	jobTrace := fs.Bool("job", false, "input is a GET /v1/jobs/{id}/trace JSON document; render its span tree")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
+	// With no file the stream is read from stdin, so a job trace pipes
+	// straight in: curl .../v1/jobs/{id}/trace | transit obs report.
 	var in io.Reader = os.Stdin
-	switch fs.NArg() {
-	case 0:
-		// Reading a job trace from a pipe (curl .../trace | transit obs
-		// report -job) is the documented flow; the NDJSON reports keep
-		// requiring a file argument.
-		if !*jobTrace {
-			return usage
-		}
+	switch len(args) {
 	case 1:
-		f, err := os.Open(fs.Arg(0))
+	case 2:
+		f, err := os.Open(args[1])
 		if err != nil {
 			return err
 		}
@@ -189,9 +180,6 @@ func runObs(args []string) error {
 		in = f
 	default:
 		return usage
-	}
-	if *jobTrace {
-		return obs.ReportJobTrace(in, os.Stdout)
 	}
 	return obs.Report(in, os.Stdout)
 }

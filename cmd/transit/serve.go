@@ -40,7 +40,6 @@ func runServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
 	flightPath := fs.String("flight", "", "flight-recorder dump path (default transit-flight-<pid>.ndjson)")
 	noTrace := fs.Bool("no-trace", false, "disable per-job tracing: no trace IDs, no /v1/jobs/{id}/trace")
-	traceEvents := fs.Int("trace-events", 0, "per-job trace ring capacity in spans (0 = 256)")
 	accessLogPath := fs.String("access-log", "", "write one NDJSON access line per finished job to this file ('-' = stderr)")
 	accessLogMax := fs.Int64("access-log-max-bytes", 0, "access-log rotation threshold in bytes (0 = 64 MiB)")
 	if err := fs.Parse(args); err != nil {
@@ -118,7 +117,6 @@ func runServe(args []string) error {
 		Metrics:     sess.Metrics,
 		BaseContext: sess.Context(context.Background()),
 		NoTrace:     *noTrace,
-		TraceEvents: *traceEvents,
 		AccessLog:   accessLog,
 	})
 	// Flight dumps taken while serving carry the queue/worker/rate-limiter

@@ -93,7 +93,6 @@ func EnumBenchCtx(ctx context.Context, trials int) (*EnumBenchResult, error) {
 		defLimits := synth.Limits{MaxSize: b.ExpectedSize + 2, Timeout: 2 * time.Minute}
 		baseLimits := defLimits
 		baseLimits.NoBankReuse = true
-		baseLimits.NoInterpReduction = true
 
 		row := EnumRow{Name: b.Name, Constraints: len(exs)}
 		run := func(limits synth.Limits) (EnumModeStats, string, error) {

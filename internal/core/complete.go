@@ -77,11 +77,9 @@ type Report struct {
 	Workers int
 	Jobs    int
 	// CacheHits / CacheMisses count memoization lookups by inference
-	// jobs during this run; DiskHits is the subset of hits served by the
-	// persistent backend.
+	// jobs during this run.
 	CacheHits   int
 	CacheMisses int
-	DiskHits    int
 	// Utilization is busy-time / (wall-time × workers) for the engine
 	// phase of the run.
 	Utilization float64
@@ -202,9 +200,6 @@ func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 		switch {
 		case c.tier == engine.TierMem || c.tier == engine.TierDisk:
 			rep.CacheHits++
-			if c.tier == engine.TierDisk {
-				rep.DiskHits++
-			}
 		case c.err == nil:
 			rep.CacheMisses++
 		}

@@ -14,6 +14,7 @@ import (
 	"transit/internal/efsm"
 	"transit/internal/engine"
 	"transit/internal/engine/diskcache"
+	"transit/internal/obs"
 	"transit/internal/obs/provenance"
 	"transit/internal/protocols"
 	"transit/internal/synth"
@@ -104,9 +105,10 @@ func TestWorkerCountParity(t *testing.T) {
 // well-typed EFSM with a 100% job hit rate.
 func TestSharedCacheAcrossRebuilds(t *testing.T) {
 	cache := engine.NewCache()
+	reg := obs.NewRegistry()
 	complete := func() string {
 		spec := protocols.VI(2)
-		_, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
+		_, err := core.CompleteCtx(obs.WithMetrics(context.Background(), reg), spec.Sys, spec.Vocab, spec.Snippets,
 			core.Options{Limits: synth.Limits{MaxSize: 12}, Workers: 2, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
@@ -114,12 +116,12 @@ func TestSharedCacheAcrossRebuilds(t *testing.T) {
 		return renderSystem(spec.Sys)
 	}
 	cold := complete()
-	hits0, _ := cache.Counters()
+	hits0 := reg.Get("engine.cache.mem_hits")
 	warm := complete()
 	if warm != cold {
 		t.Errorf("warm-cache rebuild differs:\n--- cold\n%s\n--- warm\n%s", cold, warm)
 	}
-	hits1, _ := cache.Counters()
+	hits1 := reg.Get("engine.cache.mem_hits")
 	if hits1 <= hits0 {
 		t.Errorf("warm rebuild produced no cache hits (%d -> %d)", hits0, hits1)
 	}

@@ -27,10 +27,9 @@ type SolveSpec struct {
 // is the enumeration order), the input variables in order, the output
 // variable, the concolic examples (pre ⇒ post in canonical String form),
 // and the limits after default resolution (so Limits{} and the explicit
-// defaults share an entry). Limits.NoBankReuse and
-// Limits.NoInterpReduction can change which consistent expression the
-// search returns (ROADMAP item 2), so each is appended when set; a spec
-// with neither keeps the key it always had.
+// defaults share an entry). Limits.NoBankReuse can change which
+// consistent expression the search returns (ROADMAP item 2), so it is
+// appended when set; a spec without it keeps the key it always had.
 func (s SolveSpec) Key() string {
 	var b strings.Builder
 	u := s.Problem.U
@@ -57,9 +56,6 @@ func (s SolveSpec) Key() string {
 		int64(lim.Timeout), lim.SMTConflicts, lim.NoPrune)
 	if lim.NoBankReuse {
 		b.WriteString("/nobank")
-	}
-	if lim.NoInterpReduction {
-		b.WriteString("/nointerp")
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
@@ -116,11 +112,9 @@ type CacheBackend interface {
 // writes through, so entries survive process restarts and are shared by
 // every front-end on the same backend.
 type Cache struct {
-	mu           sync.Mutex
-	m            map[string]CacheEntry
-	backend      CacheBackend
-	hits, misses int64
-	diskHits     int64
+	mu      sync.Mutex
+	m       map[string]CacheEntry
+	backend CacheBackend
 }
 
 // NewCache creates an empty cache with no backend.
@@ -136,28 +130,15 @@ func NewCacheWithBackend(b CacheBackend) *Cache {
 // Backend reports the attached backend (nil without one).
 func (c *Cache) Backend() CacheBackend { return c.backend }
 
-// Get looks up a key in the in-memory tier only, counting a hit or miss.
-// Spec-aware callers use Fetch, which also consults the backend.
-func (c *Cache) Get(key string) (CacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return ent, ok
-}
-
 // Fetch is the spec-aware two-tier lookup: it derives the canonical key,
 // consults the in-memory table (rehydrating the entry into spec's world,
 // exactly as SolveConcolic always has), then falls through to the backend,
 // whose entries decode directly against the spec. Backend hits are
-// promoted into memory so the decode cost is paid once per process. One
-// hit or miss is counted per call; an entry that cannot be rebound (a key
-// collision or stale vocabulary) counts as a miss and is re-solved. The
-// returned tier says which layer answered (TierMem, TierDisk, TierMiss).
+// promoted into memory so the decode cost is paid once per process. An
+// entry that cannot be rebound (a key collision or stale vocabulary) is a
+// miss and is re-solved. The returned tier says which layer answered
+// (TierMem, TierDisk, TierMiss); the cache keeps no counters of its own,
+// its caller counts lookups by tier (SolveConcolic's engine.cache span).
 func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key string, tier Tier, ok bool) {
 	key = spec.Key()
 	c.mu.Lock()
@@ -166,7 +147,6 @@ func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key str
 	c.mu.Unlock()
 	if inMem {
 		if re, rok := spec.rehydrate(ent.Expr); rok {
-			c.count(true, false)
 			return re, ent.Stats, key, TierMem, true
 		}
 	}
@@ -176,26 +156,11 @@ func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key str
 				c.mu.Lock()
 				c.m[key] = dec
 				c.mu.Unlock()
-				c.count(true, true)
 				return dec.Expr, dec.Stats, key, TierDisk, true
 			}
 		}
 	}
-	c.count(false, false)
 	return nil, synth.Stats{}, key, TierMiss, false
-}
-
-func (c *Cache) count(hit, disk bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hit {
-		c.hits++
-		if disk {
-			c.diskHits++
-		}
-	} else {
-		c.misses++
-	}
 }
 
 // Put stores a successful solve in memory and, when a backend is
@@ -220,28 +185,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Counters reports lookup hits and misses so far.
-func (c *Cache) Counters() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// DiskHits reports how many of the hits were served by the backend (a
-// subset of Counters' hits; 0 without a backend).
-func (c *Cache) DiskHits() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.diskHits
-}
-
-// HitRate is hits / lookups, or 0 before any lookup.
-func (c *Cache) HitRate() float64 {
-	hits, misses := c.Counters()
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }

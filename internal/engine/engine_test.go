@@ -343,18 +343,19 @@ func maxSpec(u *expr.Universe) SolveSpec {
 }
 
 func TestSolveConcolicCacheReturnsIdenticalExpression(t *testing.T) {
-	cache := NewCache()
-	eng := New(Config{Cache: cache})
+	eng := New(Config{Cache: NewCache()})
 	spec := maxSpec(expr.NewUniverse(3))
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
 
-	e1, st1, out1, err := eng.SolveConcolic(context.Background(), spec)
+	e1, st1, out1, err := eng.SolveConcolic(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out1.Cached || out1.Tier != TierMiss {
 		t.Fatal("first solve must miss")
 	}
-	e2, st2, out2, err := eng.SolveConcolic(context.Background(), spec)
+	e2, st2, out2, err := eng.SolveConcolic(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +370,8 @@ func TestSolveConcolicCacheReturnsIdenticalExpression(t *testing.T) {
 		st1.Concrete.Enumerated != st2.Concrete.Enumerated {
 		t.Errorf("replayed stats differ: %+v vs %+v", st1, st2)
 	}
-	if hits, misses := cache.Counters(); hits != 1 || misses != 1 {
-		t.Errorf("counters = %d hits / %d misses, want 1/1", hits, misses)
+	if hits, misses := reg.Get("engine.cache.mem_hits"), reg.Get("engine.cache.misses"); hits != 1 || misses != 1 {
+		t.Errorf("engine.cache counters = %d mem hits / %d misses, want 1/1", hits, misses)
 	}
 }
 

@@ -3,19 +3,14 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 	"strings"
-	"time"
 )
 
-// This file is the job-trace layer the serving path builds on: W3C-style
-// trace IDs parsed from request headers (or generated), a span tree
-// assembled from a per-job flight-recorder ring, the JSON wire form
-// served by GET /v1/jobs/{id}/trace, its Perfetto rendering, and the
-// offline `transit obs report -job` renderer.
+// This file holds the trace IDs the serving path stamps on jobs: W3C-style
+// IDs parsed from request headers (or generated) and rendered back as
+// traceparent values. A job's trace itself is its flight-recorder ring,
+// served as a Recorder.Dump.
 
 // NewTraceID returns a fresh random 16-byte trace ID as 32 lowercase hex
 // characters — the W3C trace-context trace-id format.
@@ -78,179 +73,4 @@ func FormatTraceparent(traceID string, rootSpan uint64) string {
 		traceID = strings.Repeat("0", 32-len(traceID)) + traceID
 	}
 	return fmt.Sprintf("00-%s-%016x-01", traceID, rootSpan)
-}
-
-// TraceSpan is one node of a job's span tree: a completed span or an
-// instant mark, with children nested by parent span ID.
-type TraceSpan struct {
-	ID         uint64         `json:"span"`
-	Kind       string         `json:"kind"` // "span" or "mark"
-	Name       string         `json:"name"`
-	Track      int            `json:"track,omitempty"`
-	StartMS    float64        `json:"t_ms"`
-	DurationMS float64        `json:"duration_ms,omitempty"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []*TraceSpan   `json:"children,omitempty"`
-}
-
-// JobTrace is the wire form of GET /v1/jobs/{id}/trace: the job's trace
-// ID, ring accounting, and the span tree rooted at the server.job span.
-// Spans whose parent fell out of the bounded ring (or has not closed
-// yet) surface as additional roots rather than being dropped.
-type JobTrace struct {
-	TraceID  string       `json:"trace_id"`
-	JobID    string       `json:"job_id"`
-	Recorded uint64       `json:"recorded"`
-	Dropped  uint64       `json:"dropped"`
-	Spans    []*TraceSpan `json:"spans"`
-}
-
-// BuildJobTrace assembles the span tree from a per-job recorder ring.
-// Events arrive in ring order (span closes, so children before parents);
-// linking is by span ID, and both roots and children are sorted by start
-// time (ID breaking ties) so the tree reads chronologically.
-func BuildJobTrace(traceID, jobID string, events []RingEvent, total uint64, epoch time.Time) JobTrace {
-	tr := JobTrace{TraceID: traceID, JobID: jobID, Recorded: total}
-	if n := uint64(len(events)); total > n {
-		tr.Dropped = total - n
-	}
-	nodes := make(map[uint64]*TraceSpan, len(events))
-	order := make([]*TraceSpan, 0, len(events))
-	parents := make(map[uint64]uint64, len(events))
-	for _, e := range events {
-		d := e.Data
-		n := &TraceSpan{
-			ID:      d.ID,
-			Kind:    e.Kind,
-			Name:    d.Name,
-			Track:   d.Track,
-			StartMS: float64(d.Start.Sub(epoch)) / float64(time.Millisecond),
-			Attrs:   attrMap(d.Attrs),
-		}
-		if d.Duration > 0 {
-			n.DurationMS = float64(d.Duration) / float64(time.Millisecond)
-		}
-		nodes[d.ID] = n
-		order = append(order, n)
-		parents[d.ID] = d.Parent
-	}
-	for _, n := range order {
-		if p := nodes[parents[n.ID]]; p != nil && p != n {
-			p.Children = append(p.Children, n)
-		} else {
-			tr.Spans = append(tr.Spans, n)
-		}
-	}
-	byStart := func(s []*TraceSpan) {
-		sort.SliceStable(s, func(i, j int) bool {
-			if s[i].StartMS != s[j].StartMS {
-				return s[i].StartMS < s[j].StartMS
-			}
-			return s[i].ID < s[j].ID
-		})
-	}
-	byStart(tr.Spans)
-	for _, n := range order {
-		byStart(n.Children)
-	}
-	return tr
-}
-
-// WritePerfetto renders the trace as a Chrome trace-event JSON document
-// loadable at https://ui.perfetto.dev, reusing the session exporter's
-// event schema so job traces and whole-run -trace captures look alike.
-func (tr JobTrace) WritePerfetto(w io.Writer) error {
-	ch := NewChrome(w)
-	ch.SetEpoch(time.Time{})
-	var walk func(n *TraceSpan)
-	walk = func(n *TraceSpan) {
-		d := SpanData{
-			ID:       n.ID,
-			Name:     n.Name,
-			Track:    n.Track,
-			Start:    time.Time{}.Add(time.Duration(n.StartMS * float64(time.Millisecond))),
-			Duration: time.Duration(n.DurationMS * float64(time.Millisecond)),
-		}
-		for k, v := range n.Attrs {
-			d.Attrs = append(d.Attrs, Attr{Key: k, Value: v})
-		}
-		sort.Slice(d.Attrs, func(i, j int) bool { return d.Attrs[i].Key < d.Attrs[j].Key })
-		if n.Kind == "mark" {
-			ch.Mark(d)
-		} else {
-			ch.Span(d)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, n := range tr.Spans {
-		walk(n)
-	}
-	return ch.Flush()
-}
-
-// ReportJobTrace reads a JobTrace JSON document (the body of
-// GET /v1/jobs/{id}/trace) and renders it as an indented chronological
-// span tree with durations and attributes — the offline renderer behind
-// `transit obs report -job`.
-func ReportJobTrace(r io.Reader, w io.Writer) error {
-	var tr JobTrace
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tr); err != nil {
-		return fmt.Errorf("obs: job trace report: %w", err)
-	}
-	fmt.Fprintf(w, "job %s trace %s: %d events recorded, %d dropped\n",
-		tr.JobID, tr.TraceID, tr.Recorded, tr.Dropped)
-	if len(tr.Spans) == 0 {
-		fmt.Fprintf(w, "no spans (job still queued, or ring evicted everything)\n")
-		return nil
-	}
-	width := 0
-	var measure func(n *TraceSpan, depth int)
-	measure = func(n *TraceSpan, depth int) {
-		if l := 2*depth + len(n.Name); l > width {
-			width = l
-		}
-		for _, c := range n.Children {
-			measure(c, depth+1)
-		}
-	}
-	for _, n := range tr.Spans {
-		measure(n, 0)
-	}
-	var walk func(n *TraceSpan, depth int)
-	walk = func(n *TraceSpan, depth int) {
-		name := strings.Repeat("  ", depth) + n.Name
-		dur := "-"
-		if n.Kind != "mark" {
-			dur = (time.Duration(n.DurationMS * float64(time.Millisecond))).Round(time.Microsecond).String()
-		}
-		fmt.Fprintf(w, "  %-*s %12s%s\n", width, name, dur, formatAttrs(n.Attrs))
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	for _, n := range tr.Spans {
-		walk(n, 0)
-	}
-	return nil
-}
-
-// formatAttrs renders attributes as "  k=v k=v" sorted by key, or "".
-func formatAttrs(attrs map[string]any) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString(" ")
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "  %s=%v", k, attrs[k])
-	}
-	return sb.String()
 }

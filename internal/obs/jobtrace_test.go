@@ -128,103 +128,110 @@ func TestSpanEmit(t *testing.T) {
 	nilSpan.Emit("noop", time.Now(), time.Second) // must not panic
 }
 
-// TestBuildJobTrace builds a tree from a per-job ring fed through a child
-// tracer, as the serving path does, and checks nesting and ordering.
-func TestBuildJobTrace(t *testing.T) {
+// TestJobRingDumpReport feeds a per-job ring through a child tracer, as
+// the serving path does, and checks its dump is the job's trace: a
+// flight header, every span linked to the server.job root by parent ID,
+// and a report that renders the nesting.
+func TestJobRingDumpReport(t *testing.T) {
 	ring := NewRecorder(64)
 	sess := NewTracer()
 	tr := sess.Child(ring)
 	ring.SetEpoch(tr.Epoch)
 
-	ctx, root := Start(WithTracer(context.Background(), tr), "server.job")
+	ctx, root := Start(WithTracer(context.Background(), tr), "server.job", Str("trace", "feedface"))
 	root.Emit("server.admission", tr.Epoch, time.Millisecond)
-	cctx, cache := Start(ctx, "engine.cache", Str("tier", "mem"))
+	_, cache := Start(ctx, "engine.cache", Str("tier", "mem"))
 	cache.Mark("cache.probe")
 	cache.End()
 	_, solve := Start(ctx, "synth.cegis")
 	solve.End()
-	_ = cctx
 	root.End()
 
-	evs, total := ring.Events()
-	jt := BuildJobTrace("feedface", "j1", evs, total, ring.Epoch())
-	if jt.TraceID != "feedface" || jt.JobID != "j1" || jt.Dropped != 0 {
-		t.Fatalf("header wrong: %+v", jt)
-	}
-	if len(jt.Spans) != 1 {
-		t.Fatalf("got %d roots, want 1: %+v", len(jt.Spans), jt.Spans)
-	}
-	r := jt.Spans[0]
-	if r.Name != "server.job" || len(r.Children) != 3 {
-		t.Fatalf("root %q has %d children, want server.job with 3", r.Name, len(r.Children))
-	}
-	names := []string{r.Children[0].Name, r.Children[1].Name, r.Children[2].Name}
-	if names[0] != "server.admission" || names[1] != "engine.cache" || names[2] != "synth.cegis" {
-		t.Fatalf("children out of order: %v", names)
-	}
-	cacheNode := r.Children[1]
-	if len(cacheNode.Children) != 1 || cacheNode.Children[0].Kind != "mark" {
-		t.Fatalf("engine.cache should contain the probe mark, got %+v", cacheNode.Children)
-	}
-	if cacheNode.Attrs["tier"] != "mem" {
-		t.Fatalf("tier attr lost: %v", cacheNode.Attrs)
-	}
-
-	// Round-trip through JSON (the wire format) and render it.
-	raw, err := json.Marshal(jt)
-	if err != nil {
+	var dump bytes.Buffer
+	if err := ring.Dump(&dump, "job j1"); err != nil {
 		t.Fatal(err)
 	}
+	type line struct {
+		Type     string         `json:"type"`
+		Name     string         `json:"name"`
+		Span     uint64         `json:"span"`
+		Parent   uint64         `json:"parent"`
+		Recorded uint64         `json:"recorded"`
+		Dropped  uint64         `json:"dropped"`
+		Attrs    map[string]any `json:"attrs"`
+	}
+	var lines []line
+	for _, raw := range bytes.Split(bytes.TrimSpace(dump.Bytes()), []byte("\n")) {
+		var l line
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatalf("dump line %q: %v", raw, err)
+		}
+		lines = append(lines, l)
+	}
+	if len(lines) != 6 || lines[0].Type != "flight" || lines[0].Recorded != 5 || lines[0].Dropped != 0 {
+		t.Fatalf("want a flight header and 5 events, got %+v", lines)
+	}
+	byName := map[string]line{}
+	for _, l := range lines[1:] {
+		byName[l.Name] = l
+	}
+	rootID := byName["server.job"].Span
+	if rootID == 0 || byName["server.job"].Attrs["trace"] != "feedface" {
+		t.Fatalf("server.job line: %+v", byName["server.job"])
+	}
+	for _, name := range []string{"server.admission", "engine.cache", "synth.cegis"} {
+		if byName[name].Parent != rootID {
+			t.Errorf("%s parent = %d, want server.job's %d", name, byName[name].Parent, rootID)
+		}
+	}
+	if l := byName["cache.probe"]; l.Type != "mark" || l.Parent != byName["engine.cache"].Span {
+		t.Errorf("cache.probe should be a mark under engine.cache, got %+v", l)
+	}
+	if byName["engine.cache"].Attrs["tier"] != "mem" {
+		t.Errorf("tier attr lost: %v", byName["engine.cache"].Attrs)
+	}
+
 	var out bytes.Buffer
-	if err := ReportJobTrace(bytes.NewReader(raw), &out); err != nil {
+	if err := Report(&dump, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"job j1 trace feedface", "server.job", "  engine.cache", "tier=mem"} {
+	for _, want := range []string{`flight dump: reason "job j1"`, "5 events recorded, 0 dropped",
+		"\nserver.job ", "\n  engine.cache ", "\n  synth.cegis ", "server.job/engine.cache/cache.probe ×1"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
 		}
 	}
-
-	// Perfetto rendering must be valid trace-event JSON with every event.
-	var perf bytes.Buffer
-	if err := jt.WritePerfetto(&perf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(perf.Bytes(), &doc); err != nil {
-		t.Fatalf("perfetto output is not JSON: %v", err)
-	}
-	var complete, instant int
-	for _, ev := range doc.TraceEvents {
-		switch ev["ph"] {
-		case "X":
-			complete++
-		case "i":
-			instant++
-		}
-	}
-	if complete != 4 || instant != 1 {
-		t.Fatalf("perfetto has %d complete + %d instant events, want 4 + 1", complete, instant)
-	}
 }
 
-// TestBuildJobTraceOrphan checks that spans whose parent is missing from
-// the ring become extra roots instead of vanishing.
-func TestBuildJobTraceOrphan(t *testing.T) {
+// TestReportOrphanSpan checks that a span whose parent fell out of the
+// ring reports as a root of its own instead of vanishing, and that the
+// header counts the evicted events.
+func TestReportOrphanSpan(t *testing.T) {
 	epoch := time.Now()
-	evs := []RingEvent{
-		{Seq: 1, Kind: "span", Data: SpanData{ID: 5, Parent: 99, Name: "orphan", Start: epoch, Duration: time.Millisecond}},
-		{Seq: 2, Kind: "span", Data: SpanData{ID: 6, Parent: 0, Name: "root", Start: epoch, Duration: time.Millisecond}},
+	ring := NewRecorder(2)
+	ring.SetEpoch(epoch)
+	ring.Span(SpanData{ID: 99, Name: "evicted", Start: epoch, Duration: time.Millisecond})
+	for i := uint64(1); i <= 7; i++ {
+		ring.Span(SpanData{ID: 100 + i, Name: "filler", Start: epoch, Duration: time.Millisecond})
 	}
-	jt := BuildJobTrace("t", "j", evs, 10, epoch)
-	if len(jt.Spans) != 2 {
-		t.Fatalf("got %d roots, want 2 (orphan + root): %+v", len(jt.Spans), jt.Spans)
+	ring.Span(SpanData{ID: 5, Parent: 99, Name: "orphan", Start: epoch, Duration: time.Millisecond})
+	ring.Span(SpanData{ID: 6, Name: "root", Start: epoch, Duration: time.Millisecond})
+	var dump, out bytes.Buffer
+	if err := ring.Dump(&dump, "test"); err != nil {
+		t.Fatal(err)
 	}
-	if jt.Dropped != 8 {
-		t.Fatalf("dropped = %d, want 8", jt.Dropped)
+	if err := Report(&dump, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{"10 events recorded, 8 dropped", "\norphan ", "\nroot "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("report missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "evicted") || strings.Contains(text, "filler") {
+		t.Errorf("report shows evicted spans:\n%s", text)
 	}
 }
 

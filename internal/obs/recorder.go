@@ -148,8 +148,9 @@ type RingEvent struct {
 
 // Events copies the ring's current contents in recording order (oldest
 // first) and reports the total number of events ever recorded; dropped
-// events are total minus len(events). The job server reads per-job rings
-// through this to build /v1/jobs/{id}/trace responses.
+// events are total minus len(events). The job server replays a job's
+// ring through this into the Chrome exporter for
+// /v1/jobs/{id}/trace?format=perfetto.
 func (r *Recorder) Events() ([]RingEvent, uint64) {
 	evs, total := r.events()
 	out := make([]RingEvent, len(evs))

@@ -6,37 +6,17 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // defaultAccessLogMaxBytes is the rotation threshold when the caller does
 // not pick one: 64 MiB keeps roughly a million access lines on disk.
 const defaultAccessLogMaxBytes = 64 << 20
 
-// AccessRecord is one NDJSON access-log line: the full latency breakdown
-// of one finished job. QueueMS + CacheMS + SolveMS accounts for the job's
-// wall time up to scheduling slack and marshaling overhead, so a log line
-// alone answers "where did this job's time go".
-type AccessRecord struct {
-	Time    string  `json:"time"`
-	Job     string  `json:"job"`
-	Kind    string  `json:"kind"`
-	Key     string  `json:"key"`
-	Client  string  `json:"client,omitempty"`
-	TraceID string  `json:"trace_id,omitempty"`
-	Outcome string  `json:"outcome"`
-	Tier    string  `json:"cache_tier,omitempty"`
-	Dedups  int     `json:"dedup_joins,omitempty"`
-	QueueMS float64 `json:"queue_ms"`
-	CacheMS float64 `json:"cache_ms"`
-	SolveMS float64 `json:"solve_ms"`
-	TotalMS float64 `json:"total_ms"`
-	Error   string  `json:"error,omitempty"`
-}
-
-// AccessLog writes one AccessRecord per finished job as NDJSON, with
-// size-based rotation when file-backed: once the current file would
-// exceed maxBytes, it is renamed to <path>.1 (replacing any previous
+// AccessLog writes one line per finished job as NDJSON: the job's
+// envelope without its result, plus the client key. Its cache_wait_ms and
+// solve_wait_ms account for the job's elapsed_ms up to scheduling slack,
+// so a log line alone answers "where did this job's time go". File-backed
+// logs rotate by size: once the current file would exceed maxBytes, it is renamed to <path>.1 (replacing any previous
 // rotation) and a fresh file is started. A nil *AccessLog is a valid
 // no-op receiver, so the server logs unconditionally.
 type AccessLog struct {
@@ -72,13 +52,16 @@ func NewAccessLogWriter(w io.Writer) *AccessLog {
 	return &AccessLog{w: w}
 }
 
-// Log appends one record. Errors are dropped: access logging is
+// Log appends one job's line. Errors are dropped: access logging is
 // best-effort and must never fail a job.
-func (l *AccessLog) Log(rec AccessRecord) {
+func (l *AccessLog) Log(env JobEnvelope, client string) {
 	if l == nil {
 		return
 	}
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(struct {
+		JobEnvelope
+		Client string `json:"client,omitempty"`
+	}{env, client})
 	if err != nil {
 		return
 	}
@@ -137,6 +120,3 @@ func (l *AccessLog) Close() error {
 	l.f = nil
 	return err
 }
-
-// now is the access log's timestamp format helper.
-func accessTime(t time.Time) string { return t.Format(time.RFC3339Nano) }

@@ -12,10 +12,13 @@ import (
 	"transit/internal/obs/serve"
 )
 
-// JobEnvelope is the job's wire representation: lifecycle, cache info,
-// and — once done — the result payload. Everything nondeterministic
-// (timestamps, latency, cache traffic) lives here; Result itself is a
-// pure function of the request, byte-identical cold or warm.
+// JobEnvelope is the job's one status record: lifecycle, latency split,
+// cache traffic and, once done, the result payload. Without Result it is
+// also every job.state event, every access-log line (plus the client
+// key) and each live job in a flight snapshot. Everything
+// nondeterministic (timestamps, latency, cache traffic) lives here;
+// Result itself is a pure function of the request, byte-identical cold
+// or warm.
 type JobEnvelope struct {
 	ID          string          `json:"id"`
 	Kind        string          `json:"kind"`
@@ -38,8 +41,10 @@ type JobEnvelope struct {
 	Result      json.RawMessage `json:"result,omitempty"`
 }
 
-// envelope snapshots a job for the wire.
-func (j *job) envelope(deduped bool) JobEnvelope {
+// envelope snapshots a job, with its result payload when withResult is
+// set. The cache fields count the job's engine.cache spans so far; a
+// job that has not started has no tier.
+func (j *job) envelope(withResult bool) JobEnvelope {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	env := JobEnvelope{
@@ -48,14 +53,14 @@ func (j *job) envelope(deduped bool) JobEnvelope {
 		Key:         j.key,
 		Status:      string(j.state),
 		TraceID:     j.traceID,
-		Deduped:     deduped,
 		DedupJoins:  j.dedups,
 		SubmittedAt: j.submitted,
 		Error:       j.err,
-		Result:      j.result,
-		CacheTier:   string(j.cache.Tier),
-		CacheHits:   j.cache.Hits,
-		CacheMisses: j.cache.Misses,
+		CacheHits:   j.spans.hits.Load(),
+		CacheMisses: j.spans.misses.Load(),
+	}
+	if withResult {
+		env.Result = j.result
 	}
 	cacheWait, solveWait := j.spans.wait()
 	env.CacheWaitMS, env.SolveWaitMS = ms(cacheWait), ms(solveWait)
@@ -63,11 +68,14 @@ func (j *job) envelope(deduped bool) JobEnvelope {
 		t := j.started
 		env.StartedAt = &t
 		env.QueueMS = ms(j.started.Sub(j.submitted))
+		env.CacheTier = string(j.spans.tier())
 	}
 	if !j.finished.IsZero() {
 		t := j.finished
 		env.FinishedAt = &t
-		env.ElapsedMS = float64(j.finished.Sub(j.started)) / float64(time.Millisecond)
+		if !j.started.IsZero() {
+			env.ElapsedMS = ms(j.finished.Sub(j.started))
+		}
 	}
 	return env
 }
@@ -183,13 +191,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if deduped {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, j.envelope(deduped))
+	env := j.envelope(true)
+	env.Deduped = deduped
+	writeJSON(w, status, env)
 }
 
-// handleTrace serves a job's span tree, assembled on demand from its
-// bounded per-job ring: JSON by default, Chrome trace-event JSON with
-// ?format=perfetto (loadable at ui.perfetto.dev, renderable offline with
-// `transit obs report -job`).
+// handleTrace serves a job's bounded span ring as a flight dump: NDJSON
+// by default (render it with `transit obs report`), Chrome trace-event
+// JSON with ?format=perfetto (loadable at ui.perfetto.dev).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.get(r.PathValue("id"))
 	if !ok {
@@ -200,17 +209,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "tracing disabled on this server")
 		return
 	}
-	events, total := j.ring.Events()
-	tr := obs.BuildJobTrace(j.traceID, j.id, events, total, j.ring.Epoch())
 	w.Header().Set("X-Transit-Trace", j.traceID)
 	if r.URL.Query().Get("format") == "perfetto" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := tr.WritePerfetto(w); err != nil {
-			httpError(w, http.StatusInternalServerError, "render trace: %v", err)
+		ch := obs.NewChrome(w)
+		ch.SetEpoch(j.ring.Epoch())
+		events, _ := j.ring.Events()
+		for _, e := range events {
+			if e.Kind == "mark" {
+				ch.Mark(e.Data)
+			} else {
+				ch.Span(e.Data)
+			}
 		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = ch.Flush()
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	_ = j.ring.Dump(w, "job "+j.id)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +236,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	envs := make([]JobEnvelope, 0, len(ids))
 	for _, id := range ids {
 		if j, ok := s.get(id); ok {
-			envs = append(envs, j.envelope(false))
+			envs = append(envs, j.envelope(true))
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": envs})
@@ -232,7 +248,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.envelope(false))
+	writeJSON(w, http.StatusOK, j.envelope(true))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -245,7 +261,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job already finished")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.envelope(false))
+	writeJSON(w, http.StatusOK, j.envelope(true))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

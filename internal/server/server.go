@@ -61,8 +61,9 @@ type Config struct {
 	// execution detail: excluded from dedup keys, invisible in results.
 	Workers int
 	// Metrics, when non-nil, receives the server counters (submissions,
-	// dedup hits, rejections, cache hits), the queue-depth and worker
-	// gauges, and the queue-wait/service-time histograms.
+	// dedup hits, rejections), the queue-depth and worker gauges, the
+	// queue-wait/service-time histograms and, unless BaseContext brings
+	// its own registry, the engine.cache.* lookup counters.
 	Metrics *obs.Registry
 	// BaseContext, when non-nil, parents every job context. cmd/transit
 	// threads the observability session through it, so job spans reach the
@@ -72,21 +73,17 @@ type Config struct {
 	// per-job span rings are kept, a job's event stream carries no span
 	// lines, and GET /v1/jobs/{id}/trace returns 404. It saves the rings'
 	// memory only: every job still runs under a tracer, whose spans give
-	// its cache/solve latency split.
+	// its cache traffic and cache/solve latency split.
 	NoTrace bool
-	// TraceEvents sizes each job's span ring (0 = 256 events). The ring
-	// bounds per-job trace memory; spans beyond it surface as a dropped
-	// count in the trace response.
-	TraceEvents int
-	// AccessLog, when non-nil, receives one NDJSON record per finished
-	// job with its full latency breakdown.
+	// AccessLog, when non-nil, receives each finished job's envelope as
+	// one NDJSON line.
 	AccessLog *AccessLog
 }
 
-// defaultTraceEvents is the per-job ring capacity when Config.TraceEvents
-// is zero: enough for every serving-path span of a typical job plus the
-// tail of its CEGIS iterations.
-const defaultTraceEvents = 256
+// jobRingEvents is each job's span-ring capacity: enough for every
+// serving-path span of a typical job plus the tail of its CEGIS
+// iterations. Spans beyond it surface as the trace's dropped count.
+const jobRingEvents = 256
 
 // jobState is a job's position in its lifecycle.
 type jobState string
@@ -118,12 +115,13 @@ type job struct {
 	id   string
 	kind string
 	key  string
-	run  func(ctx context.Context, j *job) (json.RawMessage, jobCache, error)
+	run  func(ctx context.Context, j *job) (json.RawMessage, error)
 
 	// Trace correlation, fixed at admission: the job's trace ID (client-
 	// supplied or generated), the client key, the HTTP arrival time, and
 	// the per-job span ring (nil under Config.NoTrace). spans is the
-	// exporter every job's tracer carries.
+	// exporter every job's tracer carries; it counts the job's cache
+	// traffic and sums its latency split.
 	traceID  string
 	client   string
 	admitted time.Time
@@ -137,7 +135,6 @@ type job struct {
 	finished  time.Time
 	err       string
 	result    json.RawMessage
-	cache     jobCache
 	cancel    context.CancelFunc
 	dedups    int
 	prov      *ProvSummary
@@ -147,25 +144,13 @@ type job struct {
 	done   chan struct{}
 }
 
-// jobCache records how the memo cache served a job: lookup counts and
-// the dominant tier (for a solve job, the tier of its one lookup; for a
-// completion job, the worst tier any sub-solve hit).
-type jobCache struct {
-	Hits     int64
-	Misses   int64
-	DiskHits int64
-	Tier     engine.Tier
-}
-
-// publish marshals one event of the given type, stamped with the job id
-// and the wall clock, and publishes it. The payload map must be
-// JSON-marshalable.
-func (j *job) publish(typ string, fields map[string]any) {
-	rec := map[string]any{"type": typ, "job": j.id, "t": time.Now().UnixMilli()}
-	for k, v := range fields {
-		rec[k] = v
-	}
-	line, err := json.Marshal(rec)
+// publishState publishes a job.state event: the job's envelope without
+// its result, the record GET /v1/jobs/{id} and the access log carry.
+func (j *job) publishState(env JobEnvelope) {
+	line, err := json.Marshal(struct {
+		Type string `json:"type"`
+		JobEnvelope
+	}{"job.state", env})
 	if err != nil {
 		return
 	}
@@ -184,20 +169,23 @@ func (j *job) publishLine(line []byte) {
 	j.mu.Unlock()
 }
 
-// engineSpans is the per-job exporter on every job's tracer. It sums the
-// durations of the job's engine.cache and synth.cegis closes, which are
-// the cache/solve latency split of the job envelope and the access log.
-// With stream set (tracing on) it also publishes the close of each
-// engine.* span (engine.run, engine.job, engine.cache) on the job's SSE
-// stream, in the obs.MarshalRecord schema with the job id added,
-// timestamped from the job's admission like its trace. Every other span
-// is left to the job's trace ring, which keeps the stream near two lines
-// per engine job.
+// engineSpans is the per-job exporter on every job's tracer. It counts
+// the job's engine.cache closes by their tier attribute and sums their
+// durations and those of its synth.cegis closes: the cache traffic and
+// the cache/solve latency split of the job envelope. With stream set
+// (tracing on) it also publishes the close of each engine.* span
+// (engine.run, engine.job, engine.cache) on the job's SSE stream, in the
+// obs.MarshalRecord schema with the job id added, timestamped from the
+// job's admission like its trace. Every other span is left to the job's
+// trace ring, which keeps the stream near two lines per engine job.
 type engineSpans struct {
 	j      *job
 	stream bool
 	// cache and solve are the summed durations, in nanoseconds.
 	cache, solve atomic.Int64
+	// hits, disk and misses count lookups by tier; disk is the subset of
+	// hits the persistent store answered.
+	hits, disk, misses atomic.Int64
 }
 
 // wait reports the summed engine.cache and synth.cegis durations.
@@ -205,11 +193,42 @@ func (e *engineSpans) wait() (cache, solve time.Duration) {
 	return time.Duration(e.cache.Load()), time.Duration(e.solve.Load())
 }
 
+// tier collapses the job's lookups into one tier: any miss means real
+// synthesis ran, else any disk hit means the persistent store was
+// needed, else memory answered; no lookup is "none". A solve job's one
+// lookup gives its own tier.
+func (e *engineSpans) tier() engine.Tier {
+	switch {
+	case e.misses.Load() > 0:
+		return engine.TierMiss
+	case e.disk.Load() > 0:
+		return engine.TierDisk
+	case e.hits.Load() > 0:
+		return engine.TierMem
+	default:
+		return engine.TierNone
+	}
+}
+
 // Span implements obs.Exporter.
 func (e *engineSpans) Span(d obs.SpanData) {
 	switch d.Name {
 	case "engine.cache":
 		e.cache.Add(int64(d.Duration))
+		for _, a := range d.Attrs {
+			if a.Key != "tier" {
+				continue
+			}
+			switch a.Value {
+			case string(engine.TierMem):
+				e.hits.Add(1)
+			case string(engine.TierDisk):
+				e.hits.Add(1)
+				e.disk.Add(1)
+			case string(engine.TierMiss):
+				e.misses.Add(1)
+			}
+		}
 	case "synth.cegis":
 		e.solve.Add(int64(d.Duration))
 	}
@@ -256,7 +275,6 @@ type Server struct {
 	queue    chan *job
 	draining bool
 	nextID   int
-	diskSeen int64 // last Cache.DiskHits synced into the registry
 
 	wg sync.WaitGroup
 
@@ -294,9 +312,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Cache exposes the shared memo cache (for stats and tests).
-func (s *Server) Cache() *engine.Cache { return s.cache }
 
 // Metrics exposes the registry the server counts into.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
@@ -445,22 +460,14 @@ func (s *Server) submit(req *JobRequest, client, traceID string, admitted time.T
 			traceID = obs.NewTraceID()
 		}
 		j.traceID = traceID
-		n := s.cfg.TraceEvents
-		if n <= 0 {
-			n = defaultTraceEvents
-		}
-		j.ring = obs.NewRecorder(n)
+		j.ring = obs.NewRecorder(jobRingEvents)
 		// The ring's clock starts at HTTP arrival so the admission span
 		// sits at t_ms = 0 in the job trace.
 		j.ring.SetEpoch(admitted)
 	}
 	// The queued line goes first: once the job is on the queue a worker
 	// may publish its running line at any moment.
-	fields := map[string]any{"state": string(JobQueued), "key": key}
-	if j.traceID != "" {
-		fields["trace_id"] = j.traceID
-	}
-	j.publish("job.state", fields)
+	j.publishState(j.envelope(false))
 	select {
 	case s.queue <- j:
 	default:
@@ -524,7 +531,7 @@ func (s *Server) runJob(j *job) {
 	busy := s.reg.Gauge("server.workers.busy")
 	busy.Inc()
 	defer busy.Dec()
-	j.publish("job.state", map[string]any{"state": string(JobRunning)})
+	j.publishState(j.envelope(false))
 
 	// Per-job tracing: a child tracer (the session exporters keep seeing
 	// its spans) feeds the job's latency split and, with tracing on, tees
@@ -550,11 +557,17 @@ func (s *Server) runJob(j *job) {
 		root.Emit("server.queue_wait", j.submitted, queueWait)
 	}
 
-	result, cinfo, err := j.run(ctx, j)
+	result, err := j.run(ctx, j)
 
+	// Out of the dedup index first, so no submission joins the job once
+	// its status record is final.
+	s.mu.Lock()
+	if s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
+	}
+	s.mu.Unlock()
 	j.mu.Lock()
 	j.finished = s.now()
-	j.cache = cinfo
 	switch {
 	case j.state == JobCanceled || errors.Is(err, context.Canceled):
 		j.state = JobCanceled
@@ -566,27 +579,12 @@ func (s *Server) runJob(j *job) {
 		j.state = JobDone
 		j.result = result
 	}
-	state, errMsg := j.state, j.err
-	finished, dedups := j.finished, j.dedups
+	state := j.state
 	elapsed := j.finished.Sub(j.started)
 	j.mu.Unlock()
 
-	if root != nil {
-		root.SetAttr(obs.Str("tier", string(cinfo.Tier)), obs.Str("outcome", string(state)))
-		root.End()
-	}
-
-	s.mu.Lock()
-	if s.byKey[j.key] == j {
-		delete(s.byKey, j.key)
-	}
-	// Fold the cache's disk-hit counter into the registry as a delta, so
-	// /metrics shows persistent-cache traffic without double counting.
-	if d := s.cache.DiskHits(); d > s.diskSeen {
-		s.reg.Counter("server.cache_disk_hits").Add(d - s.diskSeen)
-		s.diskSeen = d
-	}
-	s.mu.Unlock()
+	root.SetAttr(obs.Str("tier", string(j.spans.tier())), obs.Str("outcome", string(state)))
+	root.End()
 
 	switch state {
 	case JobDone:
@@ -596,33 +594,17 @@ func (s *Server) runJob(j *job) {
 	case JobCanceled:
 		s.reg.Counter("server.jobs_canceled").Inc()
 	}
-	s.reg.Counter("server.cache_hits").Add(cinfo.Hits)
-	s.reg.Counter("server.cache_misses").Add(cinfo.Misses)
 	s.reg.Histogram("server.job_ms").Observe(elapsed)
+	s.finish(j)
+}
 
-	cacheWait, solveWait := j.spans.wait()
-	s.cfg.AccessLog.Log(AccessRecord{
-		Time:    accessTime(finished),
-		Job:     j.id,
-		Kind:    j.kind,
-		Key:     j.key,
-		Client:  j.client,
-		TraceID: j.traceID,
-		Outcome: string(state),
-		Tier:    string(cinfo.Tier),
-		Dedups:  dedups,
-		QueueMS: ms(queueWait),
-		CacheMS: ms(cacheWait),
-		SolveMS: ms(solveWait),
-		TotalMS: ms(finished.Sub(j.submitted)),
-		Error:   errMsg,
-	})
-
-	fields := map[string]any{"state": string(state)}
-	if errMsg != "" {
-		fields["error"] = errMsg
-	}
-	j.publish("job.state", fields)
+// finish emits a terminal job's status record, one envelope snapshot
+// written to the access log and published as the last job.state event,
+// and then ends its event stream.
+func (s *Server) finish(j *job) {
+	env := j.envelope(false)
+	s.cfg.AccessLog.Log(env, j.client)
+	j.publishState(env)
 	close(j.done)
 }
 
@@ -640,7 +622,6 @@ func (s *Server) cancelJob(j *job) bool {
 		j.state = JobCanceled
 		j.err = "canceled"
 		j.finished = s.now()
-		finished := j.finished
 		j.mu.Unlock()
 		s.mu.Lock()
 		if s.byKey[j.key] == j {
@@ -648,19 +629,7 @@ func (s *Server) cancelJob(j *job) bool {
 		}
 		s.mu.Unlock()
 		s.reg.Counter("server.jobs_canceled").Inc()
-		s.cfg.AccessLog.Log(AccessRecord{
-			Time:    accessTime(finished),
-			Job:     j.id,
-			Kind:    j.kind,
-			Key:     j.key,
-			Client:  j.client,
-			TraceID: j.traceID,
-			Outcome: string(JobCanceled),
-			QueueMS: ms(finished.Sub(j.submitted)),
-			TotalMS: ms(finished.Sub(j.submitted)),
-		})
-		j.publish("job.state", map[string]any{"state": string(JobCanceled)})
-		close(j.done)
+		s.finish(j)
 		return true
 	case JobRunning:
 		j.state = JobCanceled
@@ -684,11 +653,7 @@ type StatsSnapshot struct {
 	Workers     int     `json:"workers"`
 	Utilization float64 `json:"worker_utilization"`
 	Jobs        int     `json:"jobs"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	DiskHits    int64   `json:"cache_disk_hits"`
 	CacheLen    int     `json:"cache_entries"`
-	HitRate     float64 `json:"cache_hit_rate"`
 
 	// Disk is present when the cache has a diskcache backend.
 	Disk *diskcache.Stats `json:"disk,omitempty"`
@@ -717,10 +682,7 @@ func (s *Server) stats() StatsSnapshot {
 	}
 	s.mu.Unlock()
 	snap.Utilization = float64(running) / float64(s.cfg.MaxInflight)
-	snap.CacheHits, snap.CacheMisses = s.cache.Counters()
-	snap.DiskHits = s.cache.DiskHits()
 	snap.CacheLen = s.cache.Len()
-	snap.HitRate = s.cache.HitRate()
 	if store, ok := s.cache.Backend().(*diskcache.Store); ok {
 		st := store.Stats()
 		snap.Disk = &st
@@ -728,26 +690,17 @@ func (s *Server) stats() StatsSnapshot {
 	return snap
 }
 
-// FlightJob is one non-terminal job's identity in a flight snapshot.
-type FlightJob struct {
-	ID      string  `json:"id"`
-	Kind    string  `json:"kind"`
-	State   string  `json:"state"`
-	TraceID string  `json:"trace_id,omitempty"`
-	AgeMS   float64 `json:"age_ms"`
-}
-
 // FlightState is the server section of a flight-recorder dump: the
-// queue/worker picture and every live job at the moment the dump was
-// taken, so a post-mortem of a dead serve process shows what it was
-// working on, not just the span tail.
+// queue/worker picture and the envelope of every live job at the moment
+// the dump was taken, so a post-mortem of a dead serve process shows what
+// it was working on, not just the span tail.
 type FlightState struct {
 	Draining    bool             `json:"draining"`
 	QueueDepth  int              `json:"queue_depth"`
 	QueueCap    int              `json:"queue_cap"`
 	Workers     int              `json:"workers"`
 	WorkersBusy int64            `json:"workers_busy"`
-	Jobs        []FlightJob      `json:"jobs,omitempty"`
+	Jobs        []JobEnvelope    `json:"jobs,omitempty"`
 	RateLimiter *limiterSnapshot `json:"rate_limiter,omitempty"`
 }
 
@@ -755,12 +708,11 @@ type FlightState struct {
 // it on the session recorder (Recorder.AddSnapshot) so every flight dump
 // taken while serving carries it. Safe to call from any goroutine.
 func (s *Server) FlightSnapshot() any {
-	now := s.now()
 	st := FlightState{
 		QueueCap:    s.cfg.QueueDepth,
 		Workers:     s.cfg.MaxInflight,
 		WorkersBusy: s.reg.Gauge("server.workers.busy").Value(),
-		RateLimiter: s.rl.snapshot(now),
+		RateLimiter: s.rl.snapshot(s.now()),
 	}
 	s.mu.Lock()
 	st.Draining = s.draining
@@ -771,17 +723,9 @@ func (s *Server) FlightSnapshot() any {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		j.mu.Lock()
-		if !j.state.terminal() {
-			st.Jobs = append(st.Jobs, FlightJob{
-				ID:      j.id,
-				Kind:    j.kind,
-				State:   string(j.state),
-				TraceID: j.traceID,
-				AgeMS:   ms(now.Sub(j.submitted)),
-			})
+		if env := j.envelope(false); !jobState(env.Status).terminal() {
+			st.Jobs = append(st.Jobs, env)
 		}
-		j.mu.Unlock()
 	}
 	return st
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"transit/internal/engine"
 	"transit/internal/engine/diskcache"
+	"transit/internal/lang"
 )
 
 // maxReq is the standing test problem: max(a, b) from one concolic
@@ -22,11 +24,11 @@ import (
 func maxReq() *JobRequest {
 	return &JobRequest{
 		Kind: "solve",
-		Solve: &SolveRequest{
+		Solve: &lang.SolveDecl{
 			NumCaches: 3,
-			Vars:      []VarDecl{{Name: "a", Type: "Int"}, {Name: "b", Type: "Int"}},
-			Output:    VarDecl{Name: "o", Type: "Int"},
-			Examples: []ExampleDecl{{
+			Vars:      []lang.SolveVar{{Name: "a", Type: "Int"}, {Name: "b", Type: "Int"}},
+			Output:    lang.SolveVar{Name: "o", Type: "Int"},
+			Examples: []lang.SolveExample{{
 				Pre:  "true",
 				Post: "o >= a & o >= b & (o = a | o = b)",
 			}},
@@ -141,11 +143,10 @@ func TestSolveJobEndToEnd(t *testing.T) {
 	if !bytes.Equal(done.Result, done2.Result) {
 		t.Fatalf("warm result differs:\n%s\n%s", done.Result, done2.Result)
 	}
-	if hits, _ := s.Cache().Counters(); hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
-	}
-	if got := s.Metrics().Get("server.cache_hits"); got != 1 {
-		t.Fatalf("metrics cache_hits = %d", got)
+	// Without a base context the engine's lookup counters land in the
+	// server's registry: one cold miss, one warm memory hit.
+	if hits, misses := s.Metrics().Get("engine.cache.mem_hits"), s.Metrics().Get("engine.cache.misses"); hits != 1 || misses != 1 {
+		t.Fatalf("engine.cache mem_hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 }
 
@@ -286,9 +287,11 @@ func TestDrainRejectsLateSubmissions(t *testing.T) {
 }
 
 // streamEvents reads a finished job's whole SSE stream and returns its
-// job.state states and the names of its span lines, checking that every
-// line is valid JSON carrying the job's id.
-func streamEvents(t *testing.T, ts *httptest.Server, id string) (states, spans []string) {
+// job.state statuses, its last job.state line decoded as an envelope,
+// and the names of its span lines, checking that every line is valid
+// JSON carrying the job's id: a job.state line is the job's envelope, a
+// span line the record schema with a job field.
+func streamEvents(t *testing.T, ts *httptest.Server, id string) (states []string, last JobEnvelope, spans []string) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
@@ -306,23 +309,35 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) (states, spans [
 			continue
 		}
 		var rec struct {
-			Type  string   `json:"type"`
-			Job   string   `json:"job"`
-			State string   `json:"state"`
-			Name  string   `json:"name"`
-			Span  uint64   `json:"span"`
-			TMS   *float64 `json:"t_ms"`
+			Type   string   `json:"type"`
+			ID     string   `json:"id"`
+			Job    string   `json:"job"`
+			Status string   `json:"status"`
+			Name   string   `json:"name"`
+			Span   uint64   `json:"span"`
+			TMS    *float64 `json:"t_ms"`
 		}
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &rec); err != nil {
+		data := []byte(line[len("data: "):])
+		if err := json.Unmarshal(data, &rec); err != nil {
 			t.Fatalf("bad event line %q: %v", line, err)
 		}
-		if rec.Job != id {
+		if rec.ID != id && rec.Job != id {
 			t.Fatalf("foreign job in stream: %+v", rec)
 		}
 		switch rec.Type {
 		case "job.state":
-			states = append(states, rec.State)
+			if rec.ID != id {
+				t.Fatalf("job.state line without the job's envelope id: %q", line)
+			}
+			states = append(states, rec.Status)
+			last = JobEnvelope{}
+			if err := json.Unmarshal(data, &last); err != nil {
+				t.Fatal(err)
+			}
 		case "span":
+			if rec.Job != id {
+				t.Fatalf("span line without the job's id: %q", line)
+			}
 			if rec.Span == 0 || rec.TMS == nil {
 				t.Fatalf("span line lacks the record schema: %q", line)
 			}
@@ -331,7 +346,7 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) (states, spans [
 			t.Fatalf("unexpected line type %q: %q", rec.Type, line)
 		}
 	}
-	return states, spans
+	return states, last, spans
 }
 
 func TestEventsStreamReplaysHistory(t *testing.T) {
@@ -339,7 +354,7 @@ func TestEventsStreamReplaysHistory(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	_, env := post(t, ts, maxReq(), nil)
 	await(t, ts, env.ID)
-	states, spans := streamEvents(t, ts, env.ID)
+	states, _, spans := streamEvents(t, ts, env.ID)
 	want := []string{"queued", "running", "done"}
 	if fmt.Sprint(states) != fmt.Sprint(want) {
 		t.Fatalf("states %v, want %v", states, want)
@@ -351,7 +366,7 @@ func TestEventsStreamReplaysHistory(t *testing.T) {
 
 	_, env = post(t, ts, &JobRequest{Kind: "complete", Complete: &CompleteRequest{Builtin: "vi", NumCaches: 2}}, nil)
 	await(t, ts, env.ID)
-	states, spans = streamEvents(t, ts, env.ID)
+	states, _, spans = streamEvents(t, ts, env.ID)
 	if fmt.Sprint(states) != fmt.Sprint(want) {
 		t.Fatalf("complete job states %v, want %v", states, want)
 	}
@@ -371,9 +386,76 @@ func TestEventsStreamWithoutTracing(t *testing.T) {
 	_, ts := newTestServer(t, Config{NoTrace: true})
 	_, env := post(t, ts, maxReq(), nil)
 	await(t, ts, env.ID)
-	states, spans := streamEvents(t, ts, env.ID)
+	states, _, spans := streamEvents(t, ts, env.ID)
 	if fmt.Sprint(states) != "[queued running done]" || len(spans) != 0 {
 		t.Fatalf("states %v, spans %v; want the three states and no span lines", states, spans)
+	}
+}
+
+// TestJobRecordsAgree pins the one status record: for a solve job and a
+// completion job, the terminal job.state event, GET /v1/jobs/{id}
+// without its result, and the access-log line without its client decode
+// to equal envelopes. The solve job counts one miss cold and, resubmitted,
+// one memory hit.
+func TestJobRecordsAgree(t *testing.T) {
+	var logBuf bytes.Buffer
+	s, ts := newTestServer(t, Config{Workers: 2, AccessLog: NewAccessLogWriter(&logBuf)})
+	client := map[string]string{"X-Transit-Client": "alice"}
+	reqs := []*JobRequest{
+		maxReq(),
+		{Kind: "complete", Complete: &CompleteRequest{Builtin: "vi", NumCaches: 2}},
+		maxReq(),
+	}
+	var envs []JobEnvelope
+	for _, req := range reqs {
+		_, env := post(t, ts, req, client)
+		done := await(t, ts, env.ID)
+		if done.Status != string(JobDone) {
+			t.Fatalf("job %s: %s %s", env.ID, done.Status, done.Error)
+		}
+		if j, ok := s.get(env.ID); ok {
+			<-j.done // the access line is written before done closes
+		}
+		envs = append(envs, done)
+	}
+
+	type accessLine struct {
+		JobEnvelope
+		Client string `json:"client"`
+	}
+	access := map[string]accessLine{}
+	for _, line := range bytes.Split(bytes.TrimSpace(logBuf.Bytes()), []byte("\n")) {
+		var rec accessLine
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("access log line %q: %v", line, err)
+		}
+		access[rec.ID] = rec
+	}
+	for _, env := range envs {
+		got := env
+		got.Result = nil
+		_, sse, _ := streamEvents(t, ts, env.ID)
+		if !reflect.DeepEqual(sse, got) {
+			t.Errorf("job %s: terminal job.state event\n%+v\ndiffers from GET\n%+v", env.ID, sse, got)
+		}
+		line, ok := access[env.ID]
+		if !ok || line.Client != "alice" {
+			t.Fatalf("job %s: access line %+v, want one with client alice", env.ID, line)
+		}
+		if !reflect.DeepEqual(line.JobEnvelope, got) {
+			t.Errorf("job %s: access-log line\n%+v\ndiffers from GET\n%+v", env.ID, line.JobEnvelope, got)
+		}
+	}
+
+	cold, complete, warm := envs[0], envs[1], envs[2]
+	if cold.CacheMisses != 1 || cold.CacheHits != 0 || cold.CacheTier != "miss" {
+		t.Errorf("cold solve cache fields: %+v", cold)
+	}
+	if warm.CacheHits != 1 || warm.CacheMisses != 0 || warm.CacheTier != "mem" {
+		t.Errorf("warm solve cache fields: %+v", warm)
+	}
+	if complete.CacheMisses == 0 || complete.CacheTier != "miss" {
+		t.Errorf("cold completion cache fields: %+v", complete)
 	}
 }
 
@@ -424,21 +506,21 @@ func TestBadRequests(t *testing.T) {
 	for name, req := range map[string]*JobRequest{
 		"unknown kind":    {Kind: "frobnicate"},
 		"missing payload": {Kind: "solve"},
-		"bad type": {Kind: "solve", Solve: &SolveRequest{
+		"bad type": {Kind: "solve", Solve: &lang.SolveDecl{
 			NumCaches: 3,
-			Vars:      []VarDecl{{Name: "a", Type: "Quux"}},
-			Output:    VarDecl{Name: "o", Type: "Int"},
-			Examples:  []ExampleDecl{{Post: "true"}},
+			Vars:      []lang.SolveVar{{Name: "a", Type: "Quux"}},
+			Output:    lang.SolveVar{Name: "o", Type: "Int"},
+			Examples:  []lang.SolveExample{{Post: "true"}},
 		}},
-		"bad syntax": {Kind: "solve", Solve: &SolveRequest{
+		"bad syntax": {Kind: "solve", Solve: &lang.SolveDecl{
 			NumCaches: 3,
-			Vars:      []VarDecl{{Name: "a", Type: "Int"}},
-			Output:    VarDecl{Name: "o", Type: "Int"},
-			Examples:  []ExampleDecl{{Post: "o = ) a"}},
+			Vars:      []lang.SolveVar{{Name: "a", Type: "Int"}},
+			Output:    lang.SolveVar{Name: "o", Type: "Int"},
+			Examples:  []lang.SolveExample{{Post: "o = ) a"}},
 		}},
-		"no examples": {Kind: "solve", Solve: &SolveRequest{
+		"no examples": {Kind: "solve", Solve: &lang.SolveDecl{
 			NumCaches: 3,
-			Output:    VarDecl{Name: "o", Type: "Int"},
+			Output:    lang.SolveVar{Name: "o", Type: "Int"},
 		}},
 		"both sources": {Kind: "complete", Complete: &CompleteRequest{Source: "x", Builtin: "vi"}},
 		"bad builtin":  {Kind: "complete", Complete: &CompleteRequest{Builtin: "nope"}},
@@ -471,8 +553,9 @@ func TestCompleteBuiltinJob(t *testing.T) {
 
 // TestPersistentCacheAcrossServers is the PR's e2e acceptance test: two
 // sequential server processes share a -cache-dir; the second answers the
-// same request from the persistent cache — verified by the Counters()
-// hit delta and a DiskHits count — with a byte-identical result.
+// same request from the persistent cache — verified by the job's disk
+// tier and the engine.cache.disk_hits counter — with a byte-identical
+// result.
 func TestPersistentCacheAcrossServers(t *testing.T) {
 	dir := t.TempDir()
 
@@ -502,28 +585,20 @@ func TestPersistentCacheAcrossServers(t *testing.T) {
 	// Second server lifetime over the same directory.
 	s2, ts2, store2 := openServer()
 	defer func() { ts2.Close(); s2.Drain(5 * time.Second); store2.Close() }()
-	preHits, _ := s2.Cache().Counters()
 	_, env2 := post(t, ts2, maxReq(), nil)
 	warm := await(t, ts2, env2.ID)
 	if warm.Status != string(JobDone) {
 		t.Fatalf("warm run: %+v", warm)
 	}
-	if warm.CacheHits != 1 || warm.CacheMisses != 0 {
-		t.Fatalf("warm run not served from cache: %+v", warm)
-	}
-	postHits, _ := s2.Cache().Counters()
-	if postHits-preHits != 1 {
-		t.Fatalf("Counters() hit delta = %d, want 1", postHits-preHits)
-	}
-	if s2.Cache().DiskHits() != 1 {
-		t.Fatalf("DiskHits = %d, want 1", s2.Cache().DiskHits())
+	if warm.CacheHits != 1 || warm.CacheMisses != 0 || warm.CacheTier != "disk" {
+		t.Fatalf("warm run not served from the disk tier: %+v", warm)
 	}
 	if !bytes.Equal(cold.Result, warm.Result) {
 		t.Fatalf("results differ across restart:\ncold %s\nwarm %s", cold.Result, warm.Result)
 	}
 	// The hit surfaced in /metrics via the registry.
-	if got := s2.Metrics().Get("server.cache_disk_hits"); got != 1 {
-		t.Fatalf("cache_disk_hits metric = %d", got)
+	if got := s2.Metrics().Get("engine.cache.disk_hits"); got != 1 {
+		t.Fatalf("engine.cache.disk_hits = %d, want 1", got)
 	}
 
 	var stats StatsSnapshot
@@ -547,11 +622,11 @@ func TestUnknownNamesRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for want, req := range map[string]*JobRequest{
 		`unknown builtin \"nope\"`: {Kind: "complete", Complete: &CompleteRequest{Builtin: "nope"}},
-		`unknown type \"Quux\"`: {Kind: "solve", Solve: &SolveRequest{
+		`unknown type \"Quux\"`: {Kind: "solve", Solve: &lang.SolveDecl{
 			NumCaches: 3,
-			Vars:      []VarDecl{{Name: "a", Type: "Quux"}},
-			Output:    VarDecl{Name: "o", Type: "Int"},
-			Examples:  []ExampleDecl{{Post: "true"}},
+			Vars:      []lang.SolveVar{{Name: "a", Type: "Quux"}},
+			Output:    lang.SolveVar{Name: "o", Type: "Int"},
+			Examples:  []lang.SolveExample{{Post: "true"}},
 		}},
 	} {
 		body, err := json.Marshal(req)

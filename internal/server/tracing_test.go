@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,42 +28,65 @@ func newUnstartedHTTP(t *testing.T, s *Server) *httptest.Server {
 // clientTraceID is the W3C example trace ID used across these tests.
 const clientTraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 
-// getTrace fetches and decodes GET /v1/jobs/{id}/trace.
-func getTrace(t *testing.T, url string) (obs.JobTrace, *http.Response) {
+// traceLine is one line of a job trace (a flight dump): the header or a
+// span or mark record.
+type traceLine struct {
+	Type     string         `json:"type"`
+	Name     string         `json:"name"`
+	Span     uint64         `json:"span"`
+	Parent   uint64         `json:"parent"`
+	Recorded uint64         `json:"recorded"`
+	Attrs    map[string]any `json:"attrs"`
+}
+
+// jobTrace is a fetched job trace: its raw NDJSON body and its lines.
+type jobTrace struct {
+	raw   []byte
+	lines []traceLine
+}
+
+// span returns the trace's first span or mark with the given name.
+func (tr jobTrace) span(name string) (traceLine, bool) {
+	for _, l := range tr.lines {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return traceLine{}, false
+}
+
+// getTrace fetches GET /v1/jobs/{id}/trace and decodes its NDJSON lines.
+func getTrace(t *testing.T, url string) (jobTrace, *http.Response) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var tr obs.JobTrace
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-			t.Fatal(err)
+	var tr jobTrace
+	if resp.StatusCode != http.StatusOK {
+		return tr, resp
+	}
+	if tr.raw, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range bytes.Split(bytes.TrimSpace(tr.raw), []byte("\n")) {
+		var l traceLine
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatalf("trace line %q: %v", raw, err)
 		}
+		tr.lines = append(tr.lines, l)
 	}
 	return tr, resp
 }
 
-// findSpan walks a span tree for the first node with the given name.
-func findSpan(spans []*obs.TraceSpan, name string) *obs.TraceSpan {
-	for _, sp := range spans {
-		if sp.Name == name {
-			return sp
-		}
-		if hit := findSpan(sp.Children, name); hit != nil {
-			return hit
-		}
-	}
-	return nil
-}
-
 // TestJobTraceEndToEnd is the PR's acceptance test: a job submitted with
 // a client-supplied trace ID returns, via GET /v1/jobs/{id}/trace, a
-// single span tree containing the admission, queue-wait, cache-tier, and
-// solve spans under that trace ID — and the same run's access-log line
-// carries a queue/cache/solve breakdown that sums (up to scheduling
-// slack) to the job's observed wall time.
+// flight dump whose server.job span carries that trace ID and parents
+// the admission, queue-wait, cache-tier, and solve spans, and which
+// `transit obs report` renders — and the same run's access-log line
+// carries a cache/solve split that sums (up to scheduling slack) to the
+// job's observed run time.
 func TestJobTraceEndToEnd(t *testing.T) {
 	var logBuf bytes.Buffer
 	s, ts := newTestServer(t, Config{AccessLog: NewAccessLogWriter(&logBuf)})
@@ -87,50 +111,61 @@ func TestJobTraceEndToEnd(t *testing.T) {
 	if done.SolveWaitMS <= 0 {
 		t.Fatalf("solve wait missing from envelope: %+v", done)
 	}
+	// The envelope turns terminal before the server.job root closes and
+	// the access line is written; done closes after both.
+	if j, ok := s.get(env.ID); ok {
+		<-j.done
+	}
 
 	tr, tresp := getTrace(t, ts.URL+"/v1/jobs/"+env.ID+"/trace")
 	if tresp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d", tresp.StatusCode)
 	}
-	if tr.TraceID != clientTraceID || tr.JobID != env.ID {
-		t.Fatalf("trace identity: %q %q", tr.TraceID, tr.JobID)
+	if ct := tresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("trace content type %q", ct)
 	}
-	if len(tr.Spans) != 1 || tr.Spans[0].Name != "server.job" {
-		t.Fatalf("want a single server.job root, got %d roots", len(tr.Spans))
+	if len(tr.lines) == 0 || tr.lines[0].Type != "flight" || tr.lines[0].Recorded == 0 {
+		t.Fatalf("trace does not open with a flight header: %s", tr.raw)
 	}
-	root := tr.Spans[0]
-	if root.Attrs["trace"] != clientTraceID || root.Attrs["outcome"] != "done" {
+	root, ok := tr.span("server.job")
+	if !ok || root.Parent != 0 {
+		t.Fatalf("no server.job root in the trace: %s", tr.raw)
+	}
+	if root.Attrs["job"] != env.ID || root.Attrs["trace"] != clientTraceID ||
+		root.Attrs["outcome"] != "done" || root.Attrs["tier"] != "miss" {
 		t.Fatalf("root attrs: %v", root.Attrs)
 	}
 	for _, name := range []string{"server.admission", "server.queue_wait", "engine.cache", "synth.cegis"} {
-		if findSpan(tr.Spans, name) == nil {
-			t.Errorf("span %s missing from job trace", name)
+		if sp, ok := tr.span(name); !ok || sp.Parent != root.Span {
+			t.Errorf("span %s missing from job trace or not under server.job: %+v", name, sp)
 		}
 	}
-	if tier := findSpan(tr.Spans, "engine.cache").Attrs["tier"]; tier != "miss" {
-		t.Errorf("engine.cache tier attr = %v, want miss", tier)
+	if sp, _ := tr.span("engine.cache"); sp.Attrs["tier"] != "miss" {
+		t.Errorf("engine.cache tier attr = %v, want miss", sp.Attrs["tier"])
+	}
+	var report bytes.Buffer
+	if err := obs.Report(bytes.NewReader(tr.raw), &report); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report.String(), "server.job") {
+		t.Errorf("report of the job trace lacks server.job:\n%s", report.String())
 	}
 
 	// The access-log line for the same run: identity matches, and the
-	// queue + cache + solve breakdown reconciles with the wall time. The
-	// envelope turns terminal before the line is written; done closes
-	// after it.
-	if j, ok := s.get(env.ID); ok {
-		<-j.done
-	}
-	var rec AccessRecord
+	// cache + solve split reconciles with the run time.
+	var rec JobEnvelope
 	if err := json.Unmarshal(bytes.TrimSpace(logBuf.Bytes()), &rec); err != nil {
 		t.Fatalf("access log line: %v (%q)", err, logBuf.String())
 	}
-	if rec.Job != env.ID || rec.TraceID != clientTraceID || rec.Outcome != "done" || rec.Tier != "miss" {
+	if rec.ID != env.ID || rec.TraceID != clientTraceID || rec.Status != "done" || rec.CacheTier != "miss" {
 		t.Fatalf("access record identity: %+v", rec)
 	}
-	sum := rec.QueueMS + rec.CacheMS + rec.SolveMS
-	if sum > rec.TotalMS+1 {
-		t.Errorf("breakdown %v ms exceeds wall time %v ms", sum, rec.TotalMS)
+	sum := rec.CacheWaitMS + rec.SolveWaitMS
+	if sum > rec.ElapsedMS+1 {
+		t.Errorf("split %v ms exceeds run time %v ms", sum, rec.ElapsedMS)
 	}
-	if rec.TotalMS-sum > 250 {
-		t.Errorf("breakdown %v ms unaccounted against wall time %v ms", rec.TotalMS-sum, rec.TotalMS)
+	if rec.ElapsedMS-sum > 250 {
+		t.Errorf("split %v ms unaccounted against run time %v ms", rec.ElapsedMS-sum, rec.ElapsedMS)
 	}
 
 	// The warm resubmission's trace shows the cache tier instead of a
@@ -143,11 +178,14 @@ func TestJobTraceEndToEnd(t *testing.T) {
 	if warm.CacheTier != "mem" {
 		t.Fatalf("warm job cache tier = %q", warm.CacheTier)
 	}
-	tr2, _ := getTrace(t, ts.URL+"/v1/jobs/"+env2.ID+"/trace")
-	if tier := findSpan(tr2.Spans, "engine.cache").Attrs["tier"]; tier != "mem" {
-		t.Errorf("warm engine.cache tier attr = %v", tier)
+	if j, ok := s.get(env2.ID); ok {
+		<-j.done
 	}
-	if findSpan(tr2.Spans, "synth.cegis") != nil {
+	tr2, _ := getTrace(t, ts.URL+"/v1/jobs/"+env2.ID+"/trace")
+	if sp, _ := tr2.span("engine.cache"); sp.Attrs["tier"] != "mem" {
+		t.Errorf("warm engine.cache tier attr = %v", sp.Attrs["tier"])
+	}
+	if _, ok := tr2.span("synth.cegis"); ok {
 		t.Error("warm job traced a solve span")
 	}
 
@@ -234,9 +272,12 @@ func TestNoTraceDisablesRing(t *testing.T) {
 // TestTracePerfettoFormat checks the ?format=perfetto rendering is a
 // Chrome trace-event document containing the job's spans.
 func TestTracePerfettoFormat(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	_, env := post(t, ts, maxReq(), nil)
 	await(t, ts, env.ID)
+	if j, ok := s.get(env.ID); ok {
+		<-j.done // the server.job root closes before done does
+	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + env.ID + "/trace?format=perfetto")
 	if err != nil {
 		t.Fatal(err)
@@ -318,13 +359,13 @@ func TestLatencySplitFromSpans(t *testing.T) {
 		}
 	}
 
-	recs := map[string]AccessRecord{}
+	recs := map[string]JobEnvelope{}
 	for _, line := range bytes.Split(bytes.TrimSpace(logBuf.Bytes()), []byte("\n")) {
-		var rec AccessRecord
+		var rec JobEnvelope
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("access log line %q: %v", line, err)
 		}
-		recs[rec.Job] = rec
+		recs[rec.ID] = rec
 	}
 	for id, env := range envs {
 		if cacheSum[id] == 0 || solveSum[id] == 0 {
@@ -338,9 +379,9 @@ func TestLatencySplitFromSpans(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s: no access-log line", id)
 		}
-		if rec.CacheMS != env.CacheWaitMS || rec.SolveMS != env.SolveWaitMS {
+		if rec.CacheWaitMS != env.CacheWaitMS || rec.SolveWaitMS != env.SolveWaitMS {
 			t.Errorf("job %s: access log cache/solve = %v/%v ms, envelope %v/%v ms",
-				id, rec.CacheMS, rec.SolveMS, env.CacheWaitMS, env.SolveWaitMS)
+				id, rec.CacheWaitMS, rec.SolveWaitMS, env.CacheWaitMS, env.SolveWaitMS)
 		}
 	}
 }
@@ -354,10 +395,10 @@ func TestAccessLogRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := AccessRecord{Time: accessTime(time.Unix(0, 0)), Job: "j-000001", Kind: "solve",
-		Key: strings.Repeat("k", 64), Outcome: "done", TotalMS: 1}
+	rec := JobEnvelope{ID: "j-000001", Kind: "solve", Key: strings.Repeat("k", 64),
+		Status: "done", SubmittedAt: time.Unix(0, 0), ElapsedMS: 1}
 	for i := 0; i < 64; i++ {
-		l.Log(rec)
+		l.Log(rec, "client")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -379,14 +420,14 @@ func TestAccessLogRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		var got AccessRecord
+		var got JobEnvelope
 		if err := json.Unmarshal(line, &got); err != nil {
 			t.Fatalf("bad line %q: %v", line, err)
 		}
 	}
 	// A nil log is a no-op.
 	var nilLog *AccessLog
-	nilLog.Log(rec)
+	nilLog.Log(rec, "client")
 	if err := nilLog.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +447,7 @@ func TestFlightSnapshot(t *testing.T) {
 	if st.QueueDepth != 1 || st.QueueCap != 8 {
 		t.Fatalf("queue picture: %+v", st)
 	}
-	if len(st.Jobs) != 1 || st.Jobs[0].ID != env.ID || st.Jobs[0].State != string(JobQueued) {
+	if len(st.Jobs) != 1 || st.Jobs[0].ID != env.ID || st.Jobs[0].Status != string(JobQueued) {
 		t.Fatalf("jobs picture: %+v", st.Jobs)
 	}
 	if st.RateLimiter == nil || st.RateLimiter.Rate != 5 || st.RateLimiter.Clients != 1 {

@@ -20,52 +20,8 @@ type JobRequest struct {
 	// Kind is "solve" (one SolveConcolic call) or "complete" (a whole
 	// protocol skeleton completion).
 	Kind     string           `json:"kind"`
-	Solve    *SolveRequest    `json:"solve,omitempty"`
+	Solve    *lang.SolveDecl  `json:"solve,omitempty"`
 	Complete *CompleteRequest `json:"complete,omitempty"`
-}
-
-// EnumDecl declares one enumerated type for a solve request.
-type EnumDecl struct {
-	Name   string   `json:"name"`
-	Values []string `json:"values"`
-}
-
-// VarDecl declares one typed variable. Type is Bool, Int, PID, Set, or a
-// declared enum name.
-type VarDecl struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-}
-
-// VocabOptions selects the vocabulary variant searched by the solver.
-type VocabOptions struct {
-	EnumConstants  bool `json:"enum_constants,omitempty"`
-	PIDConstants   bool `json:"pid_constants,omitempty"`
-	SetLiterals    bool `json:"set_literals,omitempty"`
-	WithoutEnumIte bool `json:"without_enum_ite,omitempty"`
-}
-
-// ExampleDecl is one concolic example; Pre and Post are expressions in
-// TRANSIT surface syntax over the declared variables and the output.
-type ExampleDecl struct {
-	Pre  string `json:"pre"`
-	Post string `json:"post"`
-}
-
-// SolveRequest wire-encodes one SolveConcolic problem.
-type SolveRequest struct {
-	NumCaches int        `json:"num_caches"`
-	IntWidth  uint       `json:"int_width,omitempty"` // 0 = default 8
-	Enums     []EnumDecl `json:"enums,omitempty"`
-
-	Vocab    VocabOptions  `json:"vocab"`
-	Vars     []VarDecl     `json:"vars"`
-	Output   VarDecl       `json:"output"`
-	Examples []ExampleDecl `json:"examples"`
-
-	MaxSize  int   `json:"max_size,omitempty"`
-	MaxIters int   `json:"max_iters,omitempty"`
-	MaxExprs int64 `json:"max_exprs,omitempty"`
 }
 
 // SolveStats is the deterministic subset of the solver's work counters:
@@ -125,18 +81,23 @@ type CompleteResult struct {
 // the runner executing it. Validation work (parsing source, elaborating
 // expressions) happens here, on the submission path, so malformed
 // requests fail with 400 instead of occupying a worker.
-func (s *Server) prepare(req *JobRequest) (string, func(context.Context, *job) (json.RawMessage, jobCache, error), error) {
+func (s *Server) prepare(req *JobRequest) (string, func(context.Context, *job) (json.RawMessage, error), error) {
 	switch req.Kind {
 	case "solve":
 		if req.Solve == nil {
 			return "", nil, fmt.Errorf(`kind "solve" needs a "solve" payload`)
 		}
-		spec, err := buildSolveSpec(req.Solve)
+		prob, exs, err := req.Solve.Elab()
 		if err != nil {
 			return "", nil, err
 		}
+		spec := engine.SolveSpec{Problem: prob, Examples: exs, Limits: synth.Limits{
+			MaxSize:  req.Solve.MaxSize,
+			MaxIters: req.Solve.MaxIters,
+			MaxExprs: req.Solve.MaxExprs,
+		}}
 		key := "solve:" + spec.Key()
-		return key, func(ctx context.Context, j *job) (json.RawMessage, jobCache, error) {
+		return key, func(ctx context.Context, j *job) (json.RawMessage, error) {
 			return s.runSolve(ctx, j, spec)
 		}, nil
 	case "complete":
@@ -154,7 +115,7 @@ func (s *Server) prepare(req *JobRequest) (string, func(context.Context, *job) (
 		if err != nil {
 			return "", nil, err
 		}
-		return completeKey(&c), func(ctx context.Context, j *job) (json.RawMessage, jobCache, error) {
+		return completeKey(&c), func(ctx context.Context, j *job) (json.RawMessage, error) {
 			return s.runComplete(ctx, j, proto, &c)
 		}, nil
 	default:
@@ -162,108 +123,11 @@ func (s *Server) prepare(req *JobRequest) (string, func(context.Context, *job) (
 	}
 }
 
-// buildSolveSpec elaborates a wire solve request into an engine spec.
-func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
-	var zero engine.SolveSpec
-	if req.NumCaches <= 0 {
-		return zero, fmt.Errorf("num_caches must be positive")
-	}
-	width := req.IntWidth
-	if width == 0 {
-		width = 8
-	}
-	u, err := expr.NewUniverseWidth(req.NumCaches, width)
-	if err != nil {
-		return zero, err
-	}
-	enums := make([]*expr.EnumType, 0, len(req.Enums))
-	for _, d := range req.Enums {
-		et, err := u.DeclareEnum(d.Name, d.Values...)
-		if err != nil {
-			return zero, err
-		}
-		enums = append(enums, et)
-	}
-	voc := expr.CoherenceVocabulary(u, expr.CoherenceOptions{
-		Enums:             enums,
-		WithEnumConstants: req.Vocab.EnumConstants,
-		WithPIDConstants:  req.Vocab.PIDConstants,
-		WithSetLiterals:   req.Vocab.SetLiterals,
-		WithoutEnumIte:    req.Vocab.WithoutEnumIte,
-	})
-
-	if req.Output.Name == "" {
-		return zero, fmt.Errorf("output variable is required")
-	}
-	scope := lang.ExprScope{U: u, Vars: map[string]expr.Type{}, Enums: enums}
-	vars := make([]*expr.Var, 0, len(req.Vars))
-	for _, d := range req.Vars {
-		t, err := lang.TypeByName(u, d.Type)
-		if err != nil {
-			return zero, fmt.Errorf("var %s: %w", d.Name, err)
-		}
-		if _, dup := scope.Vars[d.Name]; dup {
-			return zero, fmt.Errorf("duplicate variable %q", d.Name)
-		}
-		vars = append(vars, expr.V(d.Name, t))
-		scope.Vars[d.Name] = t
-	}
-	ot, err := lang.TypeByName(u, req.Output.Type)
-	if err != nil {
-		return zero, fmt.Errorf("output %s: %w", req.Output.Name, err)
-	}
-	if _, dup := scope.Vars[req.Output.Name]; dup {
-		return zero, fmt.Errorf("output %q shadows an input variable", req.Output.Name)
-	}
-	out := expr.V(req.Output.Name, ot)
-	scope.Vars[req.Output.Name] = ot
-
-	if len(req.Examples) == 0 {
-		return zero, fmt.Errorf("at least one example is required")
-	}
-	examples := make([]synth.ConcolicExample, 0, len(req.Examples))
-	for i, ex := range req.Examples {
-		pre := expr.True()
-		if ex.Pre != "" {
-			if pre, err = lang.ParseAndElabExpr(ex.Pre, scope); err != nil {
-				return zero, fmt.Errorf("example %d pre: %w", i, err)
-			}
-		}
-		post, err := lang.ParseAndElabExpr(ex.Post, scope)
-		if err != nil {
-			return zero, fmt.Errorf("example %d post: %w", i, err)
-		}
-		if pre.Type() != expr.BoolType || post.Type() != expr.BoolType {
-			return zero, fmt.Errorf("example %d: pre and post must be Bool", i)
-		}
-		examples = append(examples, synth.ConcolicExample{Pre: pre, Post: post})
-	}
-
-	return engine.SolveSpec{
-		Problem:  synth.Problem{U: u, Vocab: voc, Vars: vars, Output: out},
-		Examples: examples,
-		Limits: synth.Limits{
-			MaxSize:  req.MaxSize,
-			MaxIters: req.MaxIters,
-			MaxExprs: req.MaxExprs,
-		},
-	}, nil
-}
-
 // runSolve executes a solve job through the shared cache.
-func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (json.RawMessage, jobCache, error) {
-	res, st, out, err := engine.New(engine.Config{Cache: s.cache}).SolveConcolic(ctx, spec)
-	cinfo := jobCache{Tier: out.Tier}
-	if out.Cached {
-		cinfo.Hits = 1
-		if out.Tier == engine.TierDisk {
-			cinfo.DiskHits = 1
-		}
-	} else {
-		cinfo.Misses = 1
-	}
+func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (json.RawMessage, error) {
+	res, st, _, err := engine.New(engine.Config{Cache: s.cache}).SolveConcolic(ctx, spec)
 	if err != nil {
-		return nil, cinfo, err
+		return nil, err
 	}
 	result := SolveResult{
 		Expr: expr.Pretty(res),
@@ -275,13 +139,13 @@ func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (j
 			SMTQueries:  st.SMTQueries,
 			SMTClauses:  st.SMTClauses,
 		},
-		Provenance: solveProvenance(spec, res, st, out),
+		Provenance: solveProvenance(spec, res, st),
 	}
 	raw, err := json.Marshal(result)
 	if err == nil {
 		j.setProvenance(provSummary(result.Provenance, nil))
 	}
-	return raw, cinfo, err
+	return raw, err
 }
 
 // solveProvenance builds the one-hole causal record for a direct solve
@@ -289,7 +153,7 @@ func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (j
 // trace. It must be a pure function of the problem: the job-server CI
 // smoke test diffs result bytes between a cold job and its warm
 // resubmission.
-func solveProvenance(spec engine.SolveSpec, res expr.Expr, st synth.Stats, out engine.SolveOutcome) *provenance.HoleRecord {
+func solveProvenance(spec engine.SolveSpec, res expr.Expr, st synth.Stats) *provenance.HoleRecord {
 	h := &provenance.HoleRecord{
 		Label:  "solve " + spec.Problem.Output.Name,
 		Kind:   "solve",
@@ -327,7 +191,7 @@ func loadProtocol(req *CompleteRequest) (*lang.Protocol, error) {
 
 // runComplete executes a skeleton-completion job through the shared
 // cache.
-func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, req *CompleteRequest) (json.RawMessage, jobCache, error) {
+func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, req *CompleteRequest) (json.RawMessage, error) {
 	// Each completion job gets its own recorder; the core layer fills it
 	// in plan order, so the resulting ledger — and with it the whole
 	// result payload — is byte-identical across worker counts and cache
@@ -340,13 +204,7 @@ func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, 
 		Cache:   s.cache,
 	})
 	if err != nil {
-		return nil, jobCache{}, err
-	}
-	cinfo := jobCache{
-		Hits:     int64(rep.CacheHits),
-		Misses:   int64(rep.CacheMisses),
-		DiskHits: int64(rep.DiskHits),
-		Tier:     completionTier(rep),
+		return nil, err
 	}
 	out := CompleteResult{
 		Protocol:           proto.Name,
@@ -364,24 +222,7 @@ func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, 
 	if err == nil {
 		j.setProvenance(provSummary(nil, out.Provenance))
 	}
-	return raw, cinfo, err
-}
-
-// completionTier collapses a completion run's many sub-solve lookups into
-// one job-level tier: any miss means real synthesis happened ("miss"),
-// otherwise any disk hit means the persistent store was needed ("disk"),
-// otherwise pure memory hits ("mem"); a run with no lookups is "none".
-func completionTier(rep *core.Report) engine.Tier {
-	switch {
-	case rep.CacheMisses > 0:
-		return engine.TierMiss
-	case rep.DiskHits > 0:
-		return engine.TierDisk
-	case rep.CacheHits > 0:
-		return engine.TierMem
-	default:
-		return engine.TierNone
-	}
+	return raw, err
 }
 
 // renderTransitions renders every completed transition in the CLI dump

@@ -166,11 +166,6 @@ func solveConcrete(ctx context.Context, sc *schema, p Problem, examples []Concre
 	return res, stats, nbk, resume, err
 }
 
-// interpReduced reports whether interpretation-indexed pruning is active:
-// it layers on the signature table, so NoPrune disables it along with the
-// table itself.
-func interpReduced(l Limits) bool { return !l.NoPrune && !l.NoInterpReduction }
-
 // interpProbes builds the deterministic probe interpretations the shadow
 // store indexes full signatures by (and the unrealizability atlas seeds
 // its class enumeration with). The set is fixed by the problem alone —
@@ -325,9 +320,9 @@ type enumerator struct {
 // newEnumerator builds an enumerator without pools; initFresh or
 // resumeEnumerator installs them. Shadow tracking rides on the signature
 // table and only pays off when a later round can consult the shadows, so
-// it needs track (a bank will be built) and at least one example: a
-// zero-example round has a degenerate partition (one class per type)
-// whose bank is never resumed. The probe valuations deliberately do NOT
+// it needs track (a bank will be built, so pruning and bank reuse are on)
+// and at least one example: a zero-example round has a degenerate
+// partition (one class per type) whose bank is never resumed. The probe valuations deliberately do NOT
 // join the main signature: the candidate stream, pruning, and goal test
 // stay example-keyed, so answers are identical to the unreduced search by
 // construction.
@@ -335,7 +330,7 @@ func newEnumerator(ctx context.Context, sc *schema, p Problem, examples []Concre
 	deadline time.Time, track bool) *enumerator {
 	en := &enumerator{ctx: ctx, p: p, examples: examples, limits: limits,
 		deadline: deadline, start: time.Now(), ops: sc.ops, outStore: sc.out, stores: sc.newStores()}
-	if track && interpReduced(limits) && !limits.NoBankReuse && len(examples) > 0 {
+	if track && len(examples) > 0 {
 		en.shadowProbes = interpProbes(p)
 		en.nProbe = len(en.shadowProbes)
 	}

@@ -196,8 +196,7 @@ func TestInterpReductionParity(t *testing.T) {
 		name string
 		mut  func(*Limits)
 	}{
-		{"baseline", func(l *Limits) { l.NoBankReuse = true; l.NoInterpReduction = true }},
-		{"bank-only", func(l *Limits) { l.NoInterpReduction = true }},
+		{"baseline", func(l *Limits) { l.NoBankReuse = true }},
 		{"bank+reduction", func(l *Limits) {}},
 	}
 	for _, b := range reductionBenches() {
@@ -261,10 +260,11 @@ func TestUnrealizableHole(t *testing.T) {
 }
 
 // TestUnrealizableInconclusiveKeepsNoExpression pins the atlas's
-// conservative side: when reduction is disabled the check never runs, so
-// an exhausted search keeps its plain retryable ErrNoExpression.
+// conservative side: two 8-bit Ints give 65,536 input valuations, past
+// the atlas's 512-valuation domain cap, so the check gives up and an
+// exhausted search keeps its plain retryable ErrNoExpression.
 func TestUnrealizableInconclusiveKeepsNoExpression(t *testing.T) {
-	u, err := expr.NewUniverseWidth(3, 4)
+	u, err := expr.NewUniverseWidth(3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +276,13 @@ func TestUnrealizableInconclusiveKeepsNoExpression(t *testing.T) {
 		Post: expr.And(expr.Ge(o, a), expr.Ge(o, b),
 			expr.Or(expr.Eq(o, a), expr.Eq(o, b))),
 	}}
-	limits := Limits{MaxSize: 4, Timeout: 30 * time.Second, NoInterpReduction: true}
+	limits := Limits{MaxSize: 4, Timeout: 30 * time.Second}
 	_, stats, err := SolveConcolicCtx(context.Background(), p, exs, limits)
 	if !errors.Is(err, ErrNoExpression) {
 		t.Fatalf("error = %v, want ErrNoExpression", err)
 	}
 	if errors.Is(err, ErrUnrealizable) || stats.Unrealizable {
-		t.Fatal("unrealizability must not be asserted with the atlas disabled")
+		t.Fatal("unrealizability must not be asserted past the atlas's domain cap")
 	}
 }
 
@@ -329,7 +329,6 @@ func FuzzInterpReductionParity(f *testing.F) {
 		limits := Limits{MaxSize: 7, Timeout: time.Minute}
 		base := limits
 		base.NoBankReuse = true
-		base.NoInterpReduction = true
 		eRef, _, errRef := SolveConcolicCtx(context.Background(), p, exs, base)
 		eRed, _, errRed := SolveConcolicCtx(context.Background(), p, exs, limits)
 		if (errRef == nil) != (errRed == nil) {

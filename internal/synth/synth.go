@@ -87,28 +87,18 @@ type Limits struct {
 	// NoBankReuse makes SolveConcolic rebuild the expression bank from
 	// size 1 on every CEGIS round instead of extending the previous
 	// round's bank with the new concretization and resuming enumeration
-	// at the previous winner's position. Reuse never yields an expression
-	// inconsistent with the examples (every answer still passes the full
-	// SMT consistency check) and falls back to a full restart when the
-	// resumed search exhausts the size bound. The restart-per-round search
-	// the flag selects is the reference path: the parity tests and the
-	// transit-bench -enum baseline compare the default search against it.
-	// Ignored (reuse disabled) under NoPrune.
+	// at the previous winner's position. Without a bank there is nothing
+	// for the probe-keyed shadows of interpretation reduction (DESIGN.md
+	// §15) to keep fresh, so the flag turns them off too. Reuse never
+	// yields an expression inconsistent with the examples (every answer
+	// still passes the full SMT consistency check) and falls back to a
+	// full restart when the resumed search exhausts the size bound, but
+	// it can return a different consistent expression (ROADMAP item 2).
+	// The restart-per-round search the flag selects is the reference
+	// path: the parity tests and the transit-bench -enum baseline compare
+	// the default search against it. Ignored (reuse disabled) under
+	// NoPrune.
 	NoBankReuse bool
-	// NoInterpReduction disables interpretation-indexed pruning: by
-	// default (and only when pruning is on at all, i.e. not under
-	// NoPrune) signature classes are keyed by the candidate's values on a
-	// small deterministic set of probe interpretations in addition to the
-	// concrete examples, so the partition carried across CEGIS rounds is
-	// finer from round one and rarely goes stale when a new
-	// concretization arrives. The finer partition is answer-invariant —
-	// the first candidate matching the goal on the example coordinates is
-	// the same expression either way (DESIGN.md §15) — so, like
-	// NoBankReuse, the flag selects the reference path for the parity
-	// tests and the -enum baseline and is excluded from the engine's
-	// memoization key. It also disables the unrealizability check, which
-	// needs the interpretation-indexed class structure.
-	NoInterpReduction bool
 }
 
 // Default limits, applied by Limits.WithDefaults.

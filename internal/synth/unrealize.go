@@ -61,7 +61,7 @@ const (
 // force. A nil return therefore never asserts realizability.
 func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits,
 	deadline time.Time, stats *Stats) error {
-	if !interpReduced(limits) || len(examples) == 0 {
+	if limits.NoPrune || len(examples) == 0 {
 		return nil
 	}
 	envs := inputValuations(p)
