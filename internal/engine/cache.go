@@ -29,35 +29,36 @@ type SolveSpec struct {
 // and the limits after default resolution (so Limits{} and the explicit
 // defaults share an entry). Limits.NoBankReuse can change which
 // consistent expression the search returns (ROADMAP item 2), so it is
-// appended when set; a spec without it keeps the key it always had.
+// appended when set; a spec without it keeps the key it always had. The
+// key text is built in one buffer and hashed once, with the vocabulary's
+// signatures as expr.Vocabulary rendered them in Add.
 func (s SolveSpec) Key() string {
-	var b strings.Builder
+	b := make([]byte, 0, 4096)
 	u := s.Problem.U
-	fmt.Fprintf(&b, "u:%d/%d;", u.NumCaches(), u.IntWidth())
+	b = fmt.Appendf(b, "u:%d/%d;", u.NumCaches(), u.IntWidth())
 	for _, e := range u.Enums() {
-		fmt.Fprintf(&b, "enum:%s=%s;", e.Name, strings.Join(e.Values, ","))
+		b = fmt.Appendf(b, "enum:%s=%s;", e.Name, strings.Join(e.Values, ","))
 	}
-	b.WriteString("vocab:")
-	for _, f := range s.Problem.Vocab.Funcs() {
-		b.WriteString(f.String())
-		b.WriteByte(';')
+	b = append(b, "vocab:"...)
+	for _, sig := range s.Problem.Vocab.Sigs() {
+		b = append(append(b, sig...), ';')
 	}
-	b.WriteString("vars:")
+	b = append(b, "vars:"...)
 	for _, v := range s.Problem.Vars {
-		fmt.Fprintf(&b, "%s:%s;", v.Name, v.VT)
+		b = fmt.Appendf(b, "%s:%s;", v.Name, v.VT)
 	}
-	fmt.Fprintf(&b, "out:%s:%s;", s.Problem.Output.Name, s.Problem.Output.VT)
-	b.WriteString("exs:")
+	b = fmt.Appendf(b, "out:%s:%s;", s.Problem.Output.Name, s.Problem.Output.VT)
+	b = append(b, "exs:"...)
 	for _, ex := range s.Examples {
-		fmt.Fprintf(&b, "%s==>%s;", ex.Pre, ex.Post)
+		b = fmt.Appendf(b, "%s==>%s;", ex.Pre, ex.Post)
 	}
 	lim := s.Limits.WithDefaults()
-	fmt.Fprintf(&b, "lim:%d/%d/%d/%d/%d/%v", lim.MaxSize, lim.MaxExprs, lim.MaxIters,
+	b = fmt.Appendf(b, "lim:%d/%d/%d/%d/%d/%v", lim.MaxSize, lim.MaxExprs, lim.MaxIters,
 		int64(lim.Timeout), lim.SMTConflicts, lim.NoPrune)
 	if lim.NoBankReuse {
-		b.WriteString("/nobank")
+		b = append(b, "/nobank"...)
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 

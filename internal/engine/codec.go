@@ -277,7 +277,7 @@ func (r *rehydrator) decode(we *wireExpr) (expr.Expr, bool) {
 	case we.Const != nil:
 		return r.decodeValue(we.Const)
 	case we.Fn != "":
-		fn, ok := r.funcs[we.Fn]
+		fn, ok := r.vocab.BySig(we.Fn)
 		if !ok {
 			return nil, false
 		}

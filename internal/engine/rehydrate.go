@@ -12,24 +12,21 @@ import (
 // expression verbatim would evaluate correctly (the carriers are equal by
 // construction of the key) but fail every pointer-identity type check
 // downstream. rehydrate translates a cached expression into the target
-// spec's world: functions are re-bound by signature, variables by name,
-// and enum types/ordinals by name. When the entry already belongs to the
-// target universe the original nodes are returned unchanged (no
-// allocation on the hot within-run path).
+// spec's world: functions are re-bound by signature (the target
+// vocabulary's BySig), variables by name, and enum types/ordinals by name.
+// When the entry already belongs to the target universe the original
+// nodes are returned unchanged (no allocation on the hot within-run path).
 type rehydrator struct {
 	u     *expr.Universe
-	funcs map[string]*expr.Func
+	vocab *expr.Vocabulary
 	vars  map[string]*expr.Var
 }
 
 func newRehydrator(spec SolveSpec) *rehydrator {
 	r := &rehydrator{
 		u:     spec.Problem.U,
-		funcs: make(map[string]*expr.Func),
+		vocab: spec.Problem.Vocab,
 		vars:  make(map[string]*expr.Var),
-	}
-	for _, f := range spec.Problem.Vocab.Funcs() {
-		r.funcs[f.String()] = f
 	}
 	for _, v := range spec.Problem.Vars {
 		r.vars[v.Name] = v
@@ -77,7 +74,7 @@ func (r *rehydrator) walk(e expr.Expr) (expr.Expr, bool) {
 		}
 		return expr.NewConst(expr.EnumVal(te, ord)), true
 	case *expr.Apply:
-		fn, ok := r.funcs[n.Fn.String()]
+		fn, ok := r.vocab.BySig(n.Fn.String())
 		if !ok {
 			return nil, false
 		}

@@ -33,15 +33,18 @@ func (f *Func) String() string {
 }
 
 // Vocabulary is the finite set of typed function symbols available to the
-// synthesizer.
+// synthesizer. Each symbol's signature (Func.String) is rendered once, in
+// Add: the memo cache keys and rebinds expressions by signature.
 type Vocabulary struct {
 	funcs  []*Func
+	sigs   []string // sigs[i] is funcs[i].String()
 	byName map[string][]*Func
+	bySig  map[string]*Func
 }
 
 // NewVocabulary builds a vocabulary from function symbols.
 func NewVocabulary(funcs ...*Func) *Vocabulary {
-	v := &Vocabulary{byName: make(map[string][]*Func)}
+	v := &Vocabulary{byName: make(map[string][]*Func), bySig: make(map[string]*Func)}
 	for _, f := range funcs {
 		v.Add(f)
 	}
@@ -50,12 +53,26 @@ func NewVocabulary(funcs ...*Func) *Vocabulary {
 
 // Add appends a function symbol.
 func (v *Vocabulary) Add(f *Func) {
+	sig := f.String()
 	v.funcs = append(v.funcs, f)
+	v.sigs = append(v.sigs, sig)
 	v.byName[f.Name] = append(v.byName[f.Name], f)
+	v.bySig[sig] = f
 }
 
 // Funcs returns all function symbols in insertion order.
 func (v *Vocabulary) Funcs() []*Func { return v.funcs }
+
+// Sigs returns every function symbol's signature (Func.String), in
+// insertion order.
+func (v *Vocabulary) Sigs() []string { return v.sigs }
+
+// BySig returns the function symbol with the given signature; of several
+// with the same signature, the one added last.
+func (v *Vocabulary) BySig(sig string) (*Func, bool) {
+	f, ok := v.bySig[sig]
+	return f, ok
+}
 
 // Fn returns the unique function with the given name, or an error if the
 // name is absent or overloaded (equals/ite are overloaded per type; resolve

@@ -9,9 +9,18 @@
 // two are interchangeable, and the SAT instances produced by protocol
 // synthesis are small (thousands of variables), so no clause-database
 // reduction is implemented.
+//
+// Every clause, problem and learnt alike, lives in one []Lit arena and is
+// addressed by an int32 ref; reasons and watch lists hold refs, and
+// propagation compacts each watch list in place. Reset empties a solver
+// but keeps that storage, so a solver reused across queries (internal/smt
+// pools them) stops allocating once it has seen its largest query.
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Lit is a literal: variable index v encodes to 2v (positive) or 2v+1
 // (negated).
@@ -75,23 +84,24 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-}
+// cref addresses a clause in the solver's arena: arena[r] holds the
+// clause's length and arena[r+1:r+1+length] its literals.
+type cref int32
+
+// crefUndef is the reason of decisions and level-0 units.
+const crefUndef cref = -1
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
 // New. Variables are created with NewVar and clauses added with AddClause
 // before calling Solve. Solvers are not safe for concurrent use.
 type Solver struct {
-	ok       bool // false once an empty clause is derived at level 0
-	clauses  []*clause
-	learnts  []*clause
-	watches  [][]*clause // indexed by Lit
-	assigns  []lbool     // indexed by var
-	phase    []bool      // saved polarity per var
-	level    []int       // decision level per var
-	reason   []*clause   // antecedent clause per var
+	ok       bool     // false once an empty clause is derived at level 0
+	arena    []Lit    // every clause of two or more literals, by cref
+	watches  [][]cref // indexed by Lit: the clauses watching its negation
+	assigns  []lbool  // indexed by var
+	phase    []bool   // saved polarity per var
+	level    []int    // decision level per var
+	reason   []cref   // antecedent clause per var
 	trail    []Lit
 	trailLim []int // trail index per decision level
 	qhead    int
@@ -99,6 +109,7 @@ type Solver struct {
 	varInc   float64
 	order    *varHeap
 	seen     []bool // scratch for analyze
+	tmp      []Lit  // scratch: AddClause's normalised clause, analyze's learnt one
 
 	assumptions []Lit // current Solve call's assumptions
 	budgetEnd   int64 // Stats.Conflicts bound for the current Solve; 0 = none
@@ -131,6 +142,32 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to the state New gives it: no variables or
+// clauses, zero Stats, no MaxConflicts and no Interrupt. It keeps the
+// capacity of the arena, the watch lists and the per-variable slices, so
+// the search after Reset is the one a New solver makes, without the
+// allocations.
+func (s *Solver) Reset() {
+	order := s.order
+	order.heap, order.indices = order.heap[:0], order.indices[:0]
+	*s = Solver{
+		ok:       true,
+		arena:    s.arena[:0],
+		watches:  s.watches[:0],
+		assigns:  s.assigns[:0],
+		phase:    s.phase[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		activity: s.activity[:0],
+		varInc:   1.0,
+		order:    order,
+		seen:     s.seen[:0],
+		tmp:      s.tmp[:0],
+	}
+}
+
 // NumVars reports the number of variables created.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
@@ -140,10 +177,16 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// A Reset solver: reuse the lists the earlier variables had.
+		s.watches = s.watches[:n+2]
+		s.watches[n], s.watches[n+1] = s.watches[n][:0], s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.order.push(v)
 	return v
 }
@@ -173,8 +216,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// Incremental use: drop any model state from a previous Solve.
 	s.cancelUntil(0)
-	// Normalize: sort-free dedup and tautology/false-literal removal.
-	out := lits[:0:0]
+	// Normalize: sort-free dedup and tautology/false-literal removal, into
+	// the scratch buffer (sized up front, so out never reallocates).
+	if cap(s.tmp) < len(lits) {
+		s.tmp = make([]Lit, 0, len(lits))
+	}
+	out := s.tmp[:0]
 	for _, l := range lits {
 		if l.Var() >= s.NumVars() || l < 0 {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
@@ -208,27 +255,44 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.enqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	s.watch(s.alloc(out))
 	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+// alloc copies a clause into the arena and returns its ref.
+func (s *Solver) alloc(lits []Lit) cref {
+	r := len(s.arena)
+	if r+1+len(lits) > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 literals")
+	}
+	s.arena = append(s.arena, Lit(len(lits)))
+	s.arena = append(s.arena, lits...)
+	return cref(r)
+}
+
+// lits returns the literals of clause r, aliasing the arena: writes
+// reorder the stored clause.
+func (s *Solver) lits(r cref) []Lit {
+	n := int(s.arena[r])
+	return s.arena[r+1 : int(r)+1+n]
+}
+
+func (s *Solver) watch(r cref) {
+	c := s.lits(r)
+	s.watches[c[0].Not()] = append(s.watches[c[0].Not()], r)
+	s.watches[c[1].Not()] = append(s.watches[c[1].Not()], r)
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) enqueue(l Lit, from *clause) {
+func (s *Solver) enqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assigns[v] = lFalse
@@ -241,32 +305,36 @@ func (s *Solver) enqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef. Each watch list is compacted in place (i reads, j writes), so
+// the watchers that stay keep their order. A moved watch never lands on
+// the list being compacted: its new literal is not false, and that list
+// holds the watchers of ¬p, which is.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
 		s.Stats.Propagations++
 		ws := s.watches[p]
-		s.watches[p] = ws[:0:0] // rebuilt below; keep surviving watchers
-		kept := s.watches[p]
+		j := 0
 		for i := 0; i < len(ws); i++ {
-			c := ws[i]
+			r := ws[i]
+			c := s.lits(r)
 			// Ensure the falsified literal (¬p) sits at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if c[0] == p.Not() {
+				c[0], c[1] = c[1], c[0]
 			}
 			// If the other watch is already true, the clause is fine.
-			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, c)
+			if s.value(c[0]) == lTrue {
+				ws[j] = r
+				j++
 				continue
 			}
 			// Search for a new literal to watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+			for k := 2; k < len(c); k++ {
+				if s.value(c[k]) != lFalse {
+					c[1], c[k] = c[k], c[1]
+					s.watches[c[1].Not()] = append(s.watches[c[1].Not()], r)
 					moved = true
 					break
 				}
@@ -275,31 +343,33 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, c)
-			if s.value(c.lits[0]) == lFalse {
-				// Conflict: restore remaining watchers and bail.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = kept
+			ws[j] = r
+			j++
+			if s.value(c[0]) == lFalse {
+				// Conflict: keep the remaining watchers and bail.
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				return c
+				return r
 			}
-			s.enqueue(c.lits[0], c)
+			s.enqueue(c[0], r)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (with the asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{litUndef}
+// (with the asserting literal first) and the backjump level. The clause is
+// built in the scratch buffer, valid until the next AddClause or analyze.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.tmp[:0], litUndef)
 	counter := 0
 	p := litUndef
 	index := len(s.trail) - 1
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if q == p {
 				continue
 			}
@@ -341,6 +411,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, l := range learnt[1:] {
 		s.seen[l.Var()] = false
 	}
+	s.tmp = learnt
 	return learnt, bt
 }
 
@@ -371,7 +442,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := l.Var()
 		s.phase[v] = !l.Neg() // phase saving
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:limit]
@@ -429,7 +500,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat
 	}
@@ -488,7 +559,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 			return Unknown
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -498,13 +569,12 @@ func (s *Solver) search(conflictBudget int64) Status {
 			learnt, bt := s.analyze(confl)
 			s.cancelUntil(bt)
 			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
+				s.enqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
+				r := s.alloc(learnt)
 				s.Stats.Learnt++
-				s.watch(c)
-				s.enqueue(learnt[0], c)
+				s.watch(r)
+				s.enqueue(learnt[0], r)
 			}
 			s.decayActivities()
 			if conflictBudget > 0 && conflicts >= conflictBudget {
@@ -546,7 +616,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 			next = MkLit(v, !s.phase[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(next, nil)
+		s.enqueue(next, crefUndef)
 	}
 }
 
@@ -554,12 +624,15 @@ func (s *Solver) search(conflictBudget int64) Status {
 func (s *Solver) ValueOf(v int) bool { return s.assigns[v] == lTrue }
 
 // Model returns a copy of the model after Sat.
-func (s *Solver) Model() []bool {
-	m := make([]bool, s.NumVars())
-	for v := range m {
-		m[v] = s.assigns[v] == lTrue
+func (s *Solver) Model() []bool { return s.AppendModel(nil) }
+
+// AppendModel appends the model after Sat, one value per variable, to dst
+// and returns the extended slice.
+func (s *Solver) AppendModel(dst []bool) []bool {
+	for _, a := range s.assigns {
+		dst = append(dst, a == lTrue)
 	}
-	return m
+	return dst
 }
 
 // varHeap is a max-heap of variables ordered by activity, with lazy

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"sync"
 
 	"transit/internal/expr"
 	"transit/internal/sat"
@@ -12,14 +13,26 @@ import (
 // Bool = 1 bit, Int = W bits (two's complement), PID = ceil(log2 n) bits
 // (range-constrained), Set = n bits, Enum = ceil(log2 k) bits
 // (range-constrained).
+//
+// Encoders are pooled: newEncoder takes one from the pool and release
+// empties it and puts it back. A pooled encoder keeps storage — its
+// solver's arena and lists, its maps' buckets, its bit-vector slab and
+// canonicalize's buffers — and no state: every query starts from what a
+// fresh encoder holds.
 type encoder struct {
 	u          *expr.Universe
 	s          *sat.Solver
 	numClauses int64
 	trueLit    sat.Lit
 	vars       map[string]encVar
-	order      []string
 	cache      map[expr.Expr][]sat.Lit
+	slab       []sat.Lit // backing array of the bit vectors; see vec
+
+	// canonicalize's buffers.
+	order    []int     // indices into the query's vars, highest name first
+	fixed    []sat.Lit // bits fixed so far, as assumptions
+	snap     []bool    // the last Sat model
+	patterns []uint64  // per var of the query, its canonical bit pattern
 }
 
 type encVar struct {
@@ -27,29 +40,67 @@ type encVar struct {
 	bits []sat.Lit
 }
 
-func newEncoder(u *expr.Universe, vars []*expr.Var) (*encoder, error) {
-	e := &encoder{
-		u:     u,
+var encoders = sync.Pool{New: func() any {
+	return &encoder{
 		s:     sat.New(),
-		vars:  make(map[string]encVar, len(vars)),
+		vars:  make(map[string]encVar),
 		cache: make(map[expr.Expr][]sat.Lit),
 	}
+}}
+
+func newEncoder(u *expr.Universe, vars []*expr.Var) (*encoder, error) {
+	e := encoders.Get().(*encoder)
+	e.u = u
 	// A dedicated always-true literal anchors constants.
 	e.trueLit = e.fresh()
 	e.addClause(e.trueLit)
 	for _, v := range vars {
 		if _, dup := e.vars[v.Name]; dup {
+			e.release()
 			return nil, fmt.Errorf("smt: duplicate variable %s", v.Name)
 		}
-		bits := make([]sat.Lit, e.widthOf(v.VT))
+		bits := e.vec(e.widthOf(v.VT))
 		for i := range bits {
 			bits[i] = e.fresh()
 		}
 		e.vars[v.Name] = encVar{t: v.VT, bits: bits}
-		e.order = append(e.order, v.Name)
 		e.constrainDomain(v.VT, bits)
 	}
 	return e, nil
+}
+
+// release empties the encoder and returns it to the pool. The solver's
+// Reset drops its clauses, its Interrupt and its conflict budget; the
+// maps are cleared, so the pool pins no expr.Expr and no name.
+func (e *encoder) release() {
+	e.s.Reset()
+	clear(e.vars)
+	clear(e.cache)
+	e.u = nil
+	e.numClauses = 0
+	e.trueLit = 0
+	e.slab = e.slab[:0]
+	e.order, e.fixed, e.snap, e.patterns = e.order[:0], e.fixed[:0], e.snap[:0], e.patterns[:0]
+	encoders.Put(e)
+}
+
+// vec returns a vector of n literals carved from the slab; the caller
+// sets every bit. A full slab is replaced rather than grown, so vectors
+// handed out earlier keep their backing array until release.
+func (e *encoder) vec(n int) []sat.Lit {
+	if len(e.slab)+n > cap(e.slab) {
+		e.slab = make([]sat.Lit, 0, max(2*cap(e.slab), n, 256))
+	}
+	at := len(e.slab)
+	e.slab = e.slab[:at+n]
+	return e.slab[at : at+n : at+n]
+}
+
+// one returns the 1-bit vector holding l.
+func (e *encoder) one(l sat.Lit) []sat.Lit {
+	v := e.vec(1)
+	v[0] = l
+	return v
 }
 
 func (e *encoder) addClause(lits ...sat.Lit) {
@@ -102,8 +153,8 @@ func (e *encoder) constrainDomain(t expr.Type, bits []sat.Lit) {
 	default:
 		return
 	}
+	clause := e.vec(len(bits))
 	for v := n; v < (1 << uint(len(bits))); v++ {
-		clause := make([]sat.Lit, len(bits))
 		for i, b := range bits {
 			if v&(1<<uint(i)) != 0 {
 				clause[i] = b.Not()
@@ -204,7 +255,7 @@ func (e *encoder) orN(lits []sat.Lit) sat.Lit {
 
 // constBits encodes an unsigned pattern into width literals.
 func (e *encoder) constBits(pattern uint64, width int) []sat.Lit {
-	bits := make([]sat.Lit, width)
+	bits := e.vec(width)
 	for i := range bits {
 		if pattern&(1<<uint(i)) != 0 {
 			bits[i] = e.trueLit
@@ -218,7 +269,7 @@ func (e *encoder) constBits(pattern uint64, width int) []sat.Lit {
 // addBits is a ripple-carry adder with carry-in; the result wraps at the
 // operand width.
 func (e *encoder) addBits(a, b []sat.Lit, carryIn sat.Lit) []sat.Lit {
-	out := make([]sat.Lit, len(a))
+	out := e.vec(len(a))
 	c := carryIn
 	for i := range a {
 		axb := e.xor2(a[i], b[i])
@@ -228,8 +279,8 @@ func (e *encoder) addBits(a, b []sat.Lit, carryIn sat.Lit) []sat.Lit {
 	return out
 }
 
-func notAll(bits []sat.Lit) []sat.Lit {
-	out := make([]sat.Lit, len(bits))
+func (e *encoder) notAll(bits []sat.Lit) []sat.Lit {
+	out := e.vec(len(bits))
 	for i, b := range bits {
 		out[i] = b.Not()
 	}
@@ -238,7 +289,7 @@ func notAll(bits []sat.Lit) []sat.Lit {
 
 // subBits is a - b via a + ~b + 1.
 func (e *encoder) subBits(a, b []sat.Lit) []sat.Lit {
-	return e.addBits(a, notAll(b), e.trueLit)
+	return e.addBits(a, e.notAll(b), e.trueLit)
 }
 
 // eqBits is bitwise equality (empty vectors are equal).
@@ -264,8 +315,9 @@ func (e *encoder) cmpUnsigned(a, b []sat.Lit) (gt, ge sat.Lit) {
 // cmpSigned returns (a > b, a >= b) for two's-complement vectors, by
 // flipping the sign bits and comparing unsigned.
 func (e *encoder) cmpSigned(a, b []sat.Lit) (gt, ge sat.Lit) {
-	fa := append([]sat.Lit(nil), a...)
-	fb := append([]sat.Lit(nil), b...)
+	fa, fb := e.vec(len(a)), e.vec(len(b))
+	copy(fa, a)
+	copy(fb, b)
 	fa[len(fa)-1] = fa[len(fa)-1].Not()
 	fb[len(fb)-1] = fb[len(fb)-1].Not()
 	return e.cmpUnsigned(fa, fb)
@@ -275,7 +327,7 @@ func (e *encoder) cmpSigned(a, b []sat.Lit) (gt, ge sat.Lit) {
 func (e *encoder) popcount(bits []sat.Lit) []sat.Lit {
 	w := int(e.u.IntWidth())
 	total := e.constBits(0, w)
-	one := make([]sat.Lit, w)
+	one := e.vec(w)
 	for _, b := range bits {
 		for i := range one {
 			one[i] = e.falseLit()
@@ -296,9 +348,9 @@ func (e *encoder) valueBits(v expr.Value) ([]sat.Lit, error) {
 	switch v.Type().Kind {
 	case expr.KindBool:
 		if v.Bool() {
-			return []sat.Lit{e.trueLit}, nil
+			return e.one(e.trueLit), nil
 		}
-		return []sat.Lit{e.falseLit()}, nil
+		return e.one(e.falseLit()), nil
 	case expr.KindInt:
 		w := int(e.u.IntWidth())
 		mask := uint64(1)<<uint(w) - 1
@@ -357,15 +409,15 @@ func (e *encoder) encodeApply(a *expr.Apply) ([]sat.Lit, error) {
 	if a.Fn.Arity() == 0 {
 		return e.valueBits(a.Fn.Apply(e.u, nil))
 	}
-	args := make([][]sat.Lit, len(a.Args))
-	for i, arg := range a.Args {
+	var argBuf [3][]sat.Lit
+	args := argBuf[:0]
+	for _, arg := range a.Args {
 		bits, err := e.encode(arg)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = bits
+		args = append(args, bits)
 	}
-	one := func(l sat.Lit) []sat.Lit { return []sat.Lit{l} }
 	switch a.Fn.Name {
 	case "add":
 		return e.addBits(args[0], args[1], e.falseLit()), nil
@@ -376,54 +428,54 @@ func (e *encoder) encodeApply(a *expr.Apply) ([]sat.Lit, error) {
 	case "dec":
 		return e.subBits(args[0], e.constBits(1, len(args[0]))), nil
 	case "and":
-		return one(e.and2(args[0][0], args[1][0])), nil
+		return e.one(e.and2(args[0][0], args[1][0])), nil
 	case "or":
-		return one(e.or2(args[0][0], args[1][0])), nil
+		return e.one(e.or2(args[0][0], args[1][0])), nil
 	case "not":
-		return one(args[0][0].Not()), nil
+		return e.one(args[0][0].Not()), nil
 	case "iszero":
-		return one(e.orN(args[0]).Not()), nil
+		return e.one(e.orN(args[0]).Not()), nil
 	case "ge":
 		_, ge := e.cmpSigned(args[0], args[1])
-		return one(ge), nil
+		return e.one(ge), nil
 	case "gt":
 		gt, _ := e.cmpSigned(args[0], args[1])
-		return one(gt), nil
+		return e.one(gt), nil
 	case "equals":
-		return one(e.eqBits(args[0], args[1])), nil
+		return e.one(e.eqBits(args[0], args[1])), nil
 	case "ite":
 		sel := args[0][0]
-		out := make([]sat.Lit, len(args[1]))
+		out := e.vec(len(args[1]))
 		for i := range out {
 			out[i] = e.mux(sel, args[1][i], args[2][i])
 		}
 		return out, nil
 	case "setunion":
-		out := make([]sat.Lit, len(args[0]))
+		out := e.vec(len(args[0]))
 		for i := range out {
 			out[i] = e.or2(args[0][i], args[1][i])
 		}
 		return out, nil
 	case "setinter":
-		out := make([]sat.Lit, len(args[0]))
+		out := e.vec(len(args[0]))
 		for i := range out {
 			out[i] = e.and2(args[0][i], args[1][i])
 		}
 		return out, nil
 	case "setminus":
-		out := make([]sat.Lit, len(args[0]))
+		out := e.vec(len(args[0]))
 		for i := range out {
 			out[i] = e.and2(args[0][i], args[1][i].Not())
 		}
 		return out, nil
 	case "setof":
-		out := make([]sat.Lit, e.u.NumCaches())
+		out := e.vec(e.u.NumCaches())
 		for i := range out {
 			out[i] = e.pidEq(args[0], i)
 		}
 		return out, nil
 	case "setadd":
-		out := make([]sat.Lit, len(args[0]))
+		out := e.vec(len(args[0]))
 		for i := range out {
 			out[i] = e.or2(args[0][i], e.pidEq(args[1], i))
 		}
@@ -433,7 +485,7 @@ func (e *encoder) encodeApply(a *expr.Apply) ([]sat.Lit, error) {
 		for i, sbit := range args[0] {
 			hit = e.or2(hit, e.and2(sbit, e.pidEq(args[1], i)))
 		}
-		return one(hit), nil
+		return e.one(hit), nil
 	case "setsize":
 		return e.popcount(args[0]), nil
 	}

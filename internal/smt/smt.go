@@ -17,8 +17,11 @@ package smt
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"transit/internal/expr"
@@ -43,10 +46,17 @@ type Result struct {
 	Model  expr.Env
 }
 
+// ErrConflictBudget reports a query that exhausted Options.MaxConflicts
+// before reaching a verdict. Solve and its variants return Status Unknown
+// instead; ValidOptCtx, which has no Unknown to return, wraps this error,
+// and so do the synth callers that turn Unknown into an error.
+var ErrConflictBudget = errors.New("smt: conflict budget exhausted")
+
 // Options tunes a query.
 type Options struct {
-	// MaxConflicts bounds the SAT search; 0 means unlimited. Exhausting it
-	// yields Status Unknown.
+	// MaxConflicts bounds the SAT conflicts of the whole query — the
+	// search and every canonicalization probe together; 0 means
+	// unlimited. Exhausting it yields Status Unknown.
 	MaxConflicts int64
 	// Hint biases the canonical model toward the given values: for each
 	// hinted variable every bit's preferred polarity is the hint's bit, so
@@ -101,16 +111,18 @@ func SolveStats(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Opti
 // registry on the context (when present) accumulates query and search
 // counters.
 //
-// Every call encodes the formula into a fresh encoder and SAT solver.
-// Sat answers carry a canonical model: the lexicographically least
-// satisfying assignment, taking variables from the highest name to the
-// lowest with each domain in expr.ValuesOf order. That is exactly the
-// first assignment SolveBrute's odometer visits, so the model is a pure
-// function of the formula — independent of encoding layout and search
-// history — and cross-validates against the brute-force reference
-// directly. Options.Hint shifts the preference toward given values (the
-// model closest to the hint), keeping the same purity: the model is then
-// a function of (formula, hint).
+// Every call encodes the formula into an empty encoder and SAT solver,
+// taken from a pool and emptied again when the call returns: no state
+// survives the call, only allocations do. Sat answers carry a canonical
+// model: the lexicographically least satisfying assignment, taking
+// variables from the highest name to the lowest with each domain in
+// expr.ValuesOf order. That is exactly the first assignment SolveBrute's
+// odometer visits, so the model is a pure function of the formula —
+// independent of encoding layout and search history — and
+// cross-validates against the brute-force reference directly.
+// Options.Hint shifts the preference toward given values (the model
+// closest to the hint), keeping the same purity: the model is then a
+// function of (formula, hint).
 func SolveStatsCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (res Result, stats Stats, err error) {
 	ctx, span := obs.Start(ctx, "smt.solve", obs.Int("vars", len(vars)))
 	start := time.Now()
@@ -150,6 +162,7 @@ func SolveStatsCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, form
 	_, encSpan := obs.Start(ctx, "smt.encode")
 	enc, err := newEncoder(u, vars)
 	if err == nil {
+		defer enc.release()
 		var root []sat.Lit
 		if root, err = enc.encode(formula); err == nil {
 			enc.addClause(root[0])
@@ -174,12 +187,12 @@ func SolveStatsCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, form
 	st := sv.Solve()
 	var model expr.Env
 	if st == sat.Sat {
-		var patterns map[string]uint64
-		patterns, st = canonicalize(enc, vars, opts.Hint)
+		var patterns []uint64
+		patterns, st = canonicalize(enc, vars, opts.Hint, opts.MaxConflicts)
 		if st == sat.Sat {
 			model = make(expr.Env, len(vars))
-			for _, v := range vars {
-				model[v.Name] = enc.patternValue(v.VT, patterns[v.Name])
+			for i, v := range vars {
+				model[v.Name] = enc.patternValue(v.VT, patterns[i])
 			}
 		}
 	}
@@ -240,7 +253,7 @@ func ValidOptCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formul
 	case Sat:
 		return false, res.Model, nil
 	default:
-		return false, nil, fmt.Errorf("smt: validity check exhausted conflict budget")
+		return false, nil, fmt.Errorf("smt: validity check: %w", ErrConflictBudget)
 	}
 }
 
@@ -287,24 +300,35 @@ func SolveBrute(u *expr.Universe, vars []*expr.Var, formula expr.Expr, maxAssign
 	}
 }
 
-// canonicalize shrinks the solver's current model to the canonical one.
-// Variables are processed from the highest name down, each bit from the
-// most significant down, preferring — for hinted variables — the hint's
-// bit, and otherwise the polarity that comes first in expr.ValuesOf order
-// (0, except the Int sign bit, where the negative half precedes). With no
-// hint this is the lexicographically least satisfying assignment; with a
-// hint, the satisfying assignment closest to it. When the solver's model
-// already agrees with the preferred polarity the bit is fixed for free;
-// otherwise a single assumption probe decides it — Sat adopts the improved
-// model, Unsat proves every remaining model takes the other polarity.
-func canonicalize(enc *encoder, vars []*expr.Var, hint expr.Env) (map[string]uint64, sat.Status) {
-	minOrder := append([]*expr.Var(nil), vars...)
-	sort.Slice(minOrder, func(i, j int) bool { return minOrder[i].Name > minOrder[j].Name })
+// canonicalize shrinks the solver's current model to the canonical one
+// and returns each var's bit pattern, indexed like vars (valid until the
+// encoder's release). Variables are processed from the highest name down,
+// each bit from the most significant down, preferring — for hinted
+// variables — the hint's bit, and otherwise the polarity that comes first
+// in expr.ValuesOf order (0, except the Int sign bit, where the negative
+// half precedes). With no hint this is the lexicographically least
+// satisfying assignment; with a hint, the satisfying assignment closest
+// to it. When the solver's model already agrees with the preferred
+// polarity the bit is fixed for free; otherwise a single assumption probe
+// decides it — Sat adopts the improved model, Unsat proves every
+// remaining model takes the other polarity. With a conflict budget, each
+// probe gets what the earlier calls left of it, so the query as a whole
+// stays within budget conflicts.
+func canonicalize(enc *encoder, vars []*expr.Var, hint expr.Env, budget int64) ([]uint64, sat.Status) {
+	enc.order = enc.order[:0]
+	for i := range vars {
+		enc.order = append(enc.order, i)
+	}
+	slices.SortFunc(enc.order, func(i, j int) int { return strings.Compare(vars[j].Name, vars[i].Name) })
 	sv := enc.s
-	var fixed []sat.Lit
-	snap := sv.Model()
-	patterns := make(map[string]uint64, len(minOrder))
-	for _, v := range minOrder {
+	enc.fixed = enc.fixed[:0]
+	enc.snap = sv.AppendModel(enc.snap[:0])
+	if cap(enc.patterns) < len(vars) {
+		enc.patterns = make([]uint64, len(vars))
+	}
+	enc.patterns = enc.patterns[:len(vars)]
+	for _, vi := range enc.order {
+		v := vars[vi]
 		ev := enc.vars[v.Name]
 		w := len(ev.bits)
 		hintPat, hinted := uint64(0), false
@@ -327,11 +351,20 @@ func canonicalize(enc *encoder, vars []*expr.Var, hint expr.Env) (map[string]uin
 			}
 			// Current model's polarity for this bit (constant-folded bits
 			// alias trueLit and decode like any other literal).
-			has := snap[bit.Var()] != bit.Neg()
+			has := enc.snap[bit.Var()] != bit.Neg()
 			if has != wantOne {
-				switch sv.Solve(append(fixed, prefer)...) {
+				if budget > 0 {
+					// The probe gets what the query has left; a left of
+					// 0 must not reach the solver, where 0 is unlimited.
+					left := budget - sv.Stats.Conflicts
+					if left <= 0 {
+						return nil, sat.Unknown
+					}
+					sv.MaxConflicts = left
+				}
+				switch sv.Solve(append(enc.fixed, prefer)...) {
 				case sat.Sat:
-					snap = sv.Model()
+					enc.snap = sv.AppendModel(enc.snap[:0])
 				case sat.Unsat:
 					prefer = prefer.Not()
 					wantOne = !wantOne
@@ -339,12 +372,12 @@ func canonicalize(enc *encoder, vars []*expr.Var, hint expr.Env) (map[string]uin
 					return nil, sat.Unknown
 				}
 			}
-			fixed = append(fixed, prefer)
+			enc.fixed = append(enc.fixed, prefer)
 			if wantOne {
 				pattern |= uint64(1) << uint(i)
 			}
 		}
-		patterns[v.Name] = pattern
+		enc.patterns[vi] = pattern
 	}
-	return patterns, sat.Sat
+	return enc.patterns, sat.Sat
 }

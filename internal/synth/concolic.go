@@ -28,7 +28,7 @@ func SolveConcolic(p Problem, examples []ConcolicExample, limits Limits) (expr.E
 // observability plumbing: a "synth.cegis" span brackets the call with
 // one "synth.iteration" child per CEGIS round, and the metrics registry
 // (when present) accumulates the solve counters. Every SMT query is a
-// fresh one-shot smt.SolveStatsCtx call.
+// one-shot smt.SolveStatsCtx call; no query sees another's state.
 func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits) (expr.Expr, Stats, error) {
 	limits = limits.withDefaults()
 	stats := Stats{}
@@ -227,7 +227,7 @@ func (be *smtBackend) checkExample(ctx context.Context, i int, candidate expr.Ex
 	case smt.Unsat:
 		return nil, nil
 	case smt.Unknown:
-		return nil, fmt.Errorf("synth: consistency query exhausted SMT budget")
+		return nil, fmt.Errorf("synth: consistency query: %w", smt.ErrConflictBudget)
 	}
 	// The witness is the model's projection onto the input variables.
 	S := make(expr.Env, len(be.p.Vars))
@@ -274,6 +274,6 @@ func (be *smtBackend) concretize(ctx context.Context, S expr.Env, stats *Stats) 
 		return expr.Value{}, fmt.Errorf("%w: no output value satisfies post-condition under %v",
 			ErrInconsistent, S)
 	default:
-		return expr.Value{}, fmt.Errorf("synth: output concretization exhausted SMT budget")
+		return expr.Value{}, fmt.Errorf("synth: output concretization: %w", smt.ErrConflictBudget)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"transit/internal/expr"
+	"transit/internal/smt"
 )
 
 func maxProblem() (Problem, []ConcolicExample) {
@@ -84,6 +85,20 @@ func TestSolveConcolicCtxCancelled(t *testing.T) {
 	}
 	if errors.Is(err, ErrNoExpression) {
 		t.Error("cancellation must not be reported as search exhaustion")
+	}
+}
+
+// TestSMTConflictBudgetTyped: a solve whose SMT query runs out of
+// conflicts fails with an error wrapping smt.ErrConflictBudget, and not as
+// a search that found no expression.
+func TestSMTConflictBudgetTyped(t *testing.T) {
+	prob, spec := maxProblem()
+	_, _, err := SolveConcolic(prob, spec, Limits{MaxSize: 8, SMTConflicts: 1})
+	if !errors.Is(err, smt.ErrConflictBudget) {
+		t.Fatalf("err = %v, want wrapped smt.ErrConflictBudget", err)
+	}
+	if errors.Is(err, ErrNoExpression) {
+		t.Error("an exhausted SMT budget must not be reported as search exhaustion")
 	}
 }
 

@@ -79,7 +79,10 @@ type Limits struct {
 	// Timeout caps wall-clock time for the whole call, every CEGIS
 	// round and restart of SolveConcolic included; 0 means none.
 	Timeout time.Duration
-	// SMTConflicts bounds each SMT query; 0 means unlimited.
+	// SMTConflicts bounds the SAT conflicts of each SMT query, its
+	// canonicalization probes included; 0 means unlimited. A query that
+	// exhausts it fails the call with an error wrapping
+	// smt.ErrConflictBudget.
 	SMTConflicts int64
 	// NoPrune disables indistinguishability pruning (the paper's
 	// "Exhaustive" variant, used as the Figure 5 baseline).
