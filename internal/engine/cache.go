@@ -93,7 +93,7 @@ type CacheEntry struct {
 // disk-backed and shared across processes. Implementations must be safe
 // for concurrent use; Put is best-effort (a backend that cannot persist
 // an entry simply forfeits the future hit). The engine/diskcache package
-// provides the content-addressed segment-file implementation.
+// provides the content-addressed one-file-per-entry implementation.
 type CacheBackend interface {
 	// Get returns the encoded entry stored for key, if any.
 	Get(key string) ([]byte, bool)
@@ -136,8 +136,9 @@ func (c *Cache) Backend() CacheBackend { return c.backend }
 // exactly as SolveConcolic always has), then falls through to the backend,
 // whose entries decode directly against the spec. Backend hits are
 // promoted into memory so the decode cost is paid once per process. An
-// entry that cannot be rebound (a key collision or stale vocabulary) is a
-// miss and is re-solved. The returned tier says which layer answered
+// entry that cannot be rebound (a key collision or stale vocabulary) or
+// whose expression is not of the hole's output type is a miss and is
+// re-solved. The returned tier says which layer answered
 // (TierMem, TierDisk, TierMiss); the cache keeps no counters of its own,
 // its caller counts lookups by tier (SolveConcolic's engine.cache span).
 func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key string, tier Tier, ok bool) {
@@ -146,14 +147,15 @@ func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key str
 	ent, inMem := c.m[key]
 	backend := c.backend
 	c.mu.Unlock()
+	out := spec.Problem.Output.VT
 	if inMem {
-		if re, rok := spec.rehydrate(ent.Expr); rok {
+		if re, rok := spec.rehydrate(ent.Expr); rok && re.Type() == out {
 			return re, ent.Stats, key, TierMem, true
 		}
 	}
 	if backend != nil {
 		if raw, bok := backend.Get(key); bok {
-			if dec, dok := DecodeEntry(raw, spec); dok {
+			if dec, dok := DecodeEntry(raw, spec); dok && dec.Expr.Type() == out {
 				c.mu.Lock()
 				c.m[key] = dec
 				c.mu.Unlock()

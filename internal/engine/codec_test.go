@@ -203,7 +203,7 @@ func TestCacheBackendReadThrough(t *testing.T) {
 // concurrent-sharing safety test for the whole stack.
 func TestTwoFrontEndsSharedStoreRace(t *testing.T) {
 	dir := t.TempDir()
-	store, err := diskcache.Open(dir, diskcache.Options{SegmentBytes: 4096})
+	store, err := diskcache.Open(dir, diskcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +221,8 @@ func TestTwoFrontEndsSharedStoreRace(t *testing.T) {
 		// Distinguish further by MaxSize so all 24 keys differ.
 		specs[i].Limits.MaxSize = 6 + i/8
 	}
-	entryFor := func(spec SolveSpec) CacheEntry {
-		return CacheEntry{Expr: spec.Examples[0].Post, Stats: synth.Stats{SMTQueries: 1}}
-	}
+	// The answer to o = (a >= k) is its right-hand side, a >= k.
+	answer := func(spec SolveSpec) expr.Expr { return spec.Examples[0].Post.(*expr.Apply).Args[1] }
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -237,12 +236,12 @@ func TestTwoFrontEndsSharedStoreRace(t *testing.T) {
 			for round := 0; round < 30; round++ {
 				spec := specs[(w+round)%len(specs)]
 				if re, _, key, _, ok := front.Fetch(spec); ok {
-					if re.String() != spec.Examples[0].Post.String() {
+					if re.String() != answer(spec).String() {
 						t.Errorf("worker %d: wrong entry for %s", w, key)
 						return
 					}
 				} else {
-					front.Put(key, entryFor(spec))
+					front.Put(key, CacheEntry{Expr: answer(spec), Stats: synth.Stats{SMTQueries: 1}})
 				}
 			}
 		}(w)
@@ -262,6 +261,36 @@ func TestTwoFrontEndsSharedStoreRace(t *testing.T) {
 	}
 	if store.Len() == 0 {
 		t.Fatal("store empty after race")
+	}
+}
+
+// TestFetchRejectsEntriesThatDoNotFitTheHole stores two entries no solve
+// returns for the Bool hole o — the Int constant 1, and o itself — on
+// each tier, and checks that Fetch reads both as misses.
+func TestFetchRejectsEntriesThatDoNotFitTheHole(t *testing.T) {
+	spec := codecSpec(func(o, a *expr.Var, st *expr.EnumType) expr.Expr {
+		return expr.Eq(o, expr.Ge(a, a))
+	})
+	entries := map[string]expr.Expr{
+		fmt.Sprintf(`{"version":%d,"expr":{"const":{"k":"int","n":1}},"stats":{}}`, wireVersion): expr.IntC(spec.Problem.U, 1),
+		fmt.Sprintf(`{"version":%d,"expr":{"var":"o","vt":"Bool"},"stats":{}}`, wireVersion):     spec.Problem.Output,
+	}
+	for raw, e := range entries {
+		mem := NewCache()
+		mem.Put(spec.Key(), CacheEntry{Expr: e})
+		if got, _, _, tier, ok := mem.Fetch(spec); ok {
+			t.Errorf("memory tier answers the Bool hole with %s (%s)", got, tier)
+		}
+
+		store, err := diskcache.Open(t.TempDir(), diskcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Put(spec.Key(), []byte(raw))
+		if got, _, _, tier, ok := NewCacheWithBackend(store).Fetch(spec); ok {
+			t.Errorf("disk tier answers the Bool hole with %s (%s) from %s", got, tier, raw)
+		}
+		store.Close()
 	}
 }
 

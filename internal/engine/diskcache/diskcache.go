@@ -2,407 +2,192 @@
 // cache: a content-addressed, disk-backed key-value store of wire-encoded
 // solve results, shared across engine runs and across process restarts.
 //
-// Layout: the directory holds numbered NDJSON segment files
-// (seg-000001.ndjson, …). Each record is one line
+// Layout: one file per entry, named by its key (the 64-hex
+// engine.SolveSpec.Key). A file holds the value's CRC-32C as 8 lowercase
+// hex digits, a newline, then the value. Put writes the file under a
+// temporary name and renames it into place, so a reader sees a whole
+// entry or none; Get re-checks the checksum, and a file that fails it is
+// deleted and reads as a miss. Keys are content hashes of the
+// sub-problem, so racing writers of one key carry equivalent payloads.
 //
-//	{"key":"<hex sha-256>","crc":"<crc32c of val>","val":{…}}
-//
-// appended to the active segment in a single write. Appends are
-// crash-safe by construction: a record is visible only if its line parses
-// and its checksum matches, so a torn final write is detected on reopen
-// and the file is truncated back to the last good record. Keys are
-// content hashes of the sub-problem (engine.SolveSpec.Key), which makes
-// the store content-addressed: racing or repeated writers of one key
-// always carry byte-equivalent payloads, and last-write-wins replay at
-// recovery is sound.
-//
-// The in-memory index (key → segment/offset/length) is rebuilt by
-// scanning the segments at Open; an index file written on clean Close
-// short-circuits the scan when the segment files are provably unchanged.
-// Total live bytes are capped: inserting past the cap evicts
-// least-recently-used entries (eviction only drops index entries — the
-// bytes die in place), and a sealed segment more than half dead is
-// compacted by re-appending its live records to the active segment and
-// deleting the file.
+// Total entry bytes are capped: past the cap the least-recently-used
+// files are deleted. A hit refreshes its file's mtime, and Open orders
+// the entries by mtime, so recency survives a restart.
 package diskcache
 
 import (
-	"bufio"
+	"bytes"
 	"container/list"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"transit/internal/obs"
 )
 
-// Defaults for Options zero fields.
-const (
-	DefaultMaxBytes     = 256 << 20
-	DefaultSegmentBytes = 4 << 20
-)
+// DefaultMaxBytes is the entry-byte cap when Options.MaxBytes is zero.
+const DefaultMaxBytes = 256 << 20
 
-const (
-	segPrefix = "seg-"
-	segSuffix = ".ndjson"
-	indexName = "index.json"
-)
+// tmpPrefix names files that are not entries yet: a Put's file before
+// its rename, and the Writable probe. Open deletes leftovers.
+const tmpPrefix = ".tmp-"
+
+// headerLen is the length of an entry file's checksum line.
+const headerLen = 9
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Store.
 type Options struct {
-	// MaxBytes caps live (indexed) bytes; 0 means DefaultMaxBytes.
+	// MaxBytes caps the bytes of all entry files; 0 means DefaultMaxBytes.
 	MaxBytes int64
-	// SegmentBytes is the rotation threshold for the active segment;
-	// 0 means DefaultSegmentBytes.
-	SegmentBytes int64
-	// Sync fsyncs every append. Off by default: the cache is a cache —
-	// losing the tail of the log on power failure costs re-solving, not
-	// correctness — and the checksum scan keeps a torn tail harmless.
+	// Sync fsyncs every entry file before its rename. Off by default: the
+	// cache is a cache — losing an entry on power failure costs re-solving,
+	// not correctness — and the checksum makes a torn file a miss.
 	Sync bool
 	// Metrics, when non-nil, receives the store's counters (diskcache.hits,
-	// diskcache.misses, diskcache.puts, diskcache.evictions,
-	// diskcache.compactions, diskcache.recovered_records,
-	// diskcache.torn_tails), latency histograms (diskcache.lookup_ms,
-	// diskcache.append_ms — append includes the fsync under Sync), and
-	// size gauges (diskcache.entries, diskcache.live_bytes,
-	// diskcache.file_bytes, diskcache.segments). Nil disables recording at
-	// the cost of a nil check per site.
+	// .misses, .puts, .evictions), latency histograms (diskcache.lookup_ms,
+	// .write_ms — the write includes the fsync under Sync), and size gauges
+	// (diskcache.entries, .live_bytes). Nil disables recording.
 	Metrics *obs.Registry
 }
 
 // storeMetrics holds the hoisted metric handles; every field is nil (a
 // no-op recorder) when Options.Metrics is nil.
 type storeMetrics struct {
-	hits, misses, puts          *obs.Counter
-	evictions, compactions      *obs.Counter
-	recoveredRecords, tornTails *obs.Counter
-	lookupMS, appendMS          *obs.Histogram
-	entries, liveBytes          *obs.Gauge
-	fileBytes, segments         *obs.Gauge
+	hits, misses, puts, evictions *obs.Counter
+	lookupMS, writeMS             *obs.Histogram
+	entries, liveBytes            *obs.Gauge
 }
 
 func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	return storeMetrics{
-		hits:             reg.Counter("diskcache.hits"),
-		misses:           reg.Counter("diskcache.misses"),
-		puts:             reg.Counter("diskcache.puts"),
-		evictions:        reg.Counter("diskcache.evictions"),
-		compactions:      reg.Counter("diskcache.compactions"),
-		recoveredRecords: reg.Counter("diskcache.recovered_records"),
-		tornTails:        reg.Counter("diskcache.torn_tails"),
-		lookupMS:         reg.Histogram("diskcache.lookup_ms"),
-		appendMS:         reg.Histogram("diskcache.append_ms"),
-		entries:          reg.Gauge("diskcache.entries"),
-		liveBytes:        reg.Gauge("diskcache.live_bytes"),
-		fileBytes:        reg.Gauge("diskcache.file_bytes"),
-		segments:         reg.Gauge("diskcache.segments"),
+		hits:      reg.Counter("diskcache.hits"),
+		misses:    reg.Counter("diskcache.misses"),
+		puts:      reg.Counter("diskcache.puts"),
+		evictions: reg.Counter("diskcache.evictions"),
+		lookupMS:  reg.Histogram("diskcache.lookup_ms"),
+		writeMS:   reg.Histogram("diskcache.write_ms"),
+		entries:   reg.Gauge("diskcache.entries"),
+		liveBytes: reg.Gauge("diskcache.live_bytes"),
 	}
 }
 
-// record is the wire form of one NDJSON line.
-type record struct {
-	Key string          `json:"key"`
-	CRC string          `json:"crc"`
-	Val json.RawMessage `json:"val"`
-}
-
-// segment is one on-disk file.
-type segment struct {
-	id   int
-	path string
-	f    *os.File
-	size int64 // file bytes
-	live int64 // bytes of lines still referenced by the index
-}
-
-// entry is one index slot.
+// entry is one LRU slot: an entry file's key and its size in bytes.
 type entry struct {
-	seg  *segment
-	off  int64
-	n    int64 // line length including trailing newline
-	elem *list.Element
+	key string
+	n   int64
 }
 
 // Stats is a point-in-time summary of the store.
 type Stats struct {
-	Entries     int   `json:"entries"`
-	LiveBytes   int64 `json:"live_bytes"`
-	FileBytes   int64 `json:"file_bytes"`
-	Segments    int   `json:"segments"`
-	Evictions   int64 `json:"evictions"`
-	Compactions int64 `json:"compactions"`
+	Entries   int   `json:"entries"`
+	LiveBytes int64 `json:"live_bytes"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Store is the disk-backed cache. It implements engine.CacheBackend and
 // is safe for concurrent use by any number of front-ends in one process.
-// Cross-process sharing is sequential: one writing process at a time owns
-// a directory (the TRANSIT serve workflow — a daemon restart picks up the
-// previous daemon's entries).
+// Processes share a directory one at a time: a restarted serve daemon
+// picks up its predecessor's entries.
 type Store struct {
 	dir  string
 	opts Options
 
-	mu          sync.Mutex
-	index       map[string]*entry
-	lru         *list.List // front = most recently used; values are keys
-	segs        map[int]*segment
-	active      *segment
-	liveBytes   int64
-	evictions   int64
-	compactions int64
-	closed      bool
+	mu        sync.Mutex
+	index     map[string]*list.Element // key → slot in lru
+	lru       *list.List               // front = most recently used; values are *entry
+	liveBytes int64
+	evictions int64
+	closed    bool
 
 	met storeMetrics
 }
 
-// Open opens (creating if needed) the store in dir.
+// Open opens (creating if needed) the store in dir. It deletes leftover
+// temporary files, indexes every entry file by its mtime (oldest least
+// recently used), and evicts down to the byte cap. Files whose names are
+// not keys are ignored.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
 	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("diskcache: %w", err)
+	}
+	type found struct {
+		entry
+		mtime time.Time
+	}
+	var files []found
+	for _, de := range des {
+		name := de.Name()
+		if strings.HasPrefix(name, tmpPrefix) {
+			// A Put or probe that died before its rename or removal. A
+			// failed removal leaves the file for the next Open.
+			_ = os.Remove(filepath.Join(dir, name))
+			continue
+		}
+		if !validKey(name) || !de.Type().IsRegular() {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			continue // removed since the listing
+		}
+		files = append(files, found{entry{name, info.Size()}, info.ModTime()})
+	}
+	// ReadDir lists by name, so equal mtimes keep key order.
+	sort.SliceStable(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		index: make(map[string]*entry),
+		index: make(map[string]*list.Element, len(files)),
 		lru:   list.New(),
-		segs:  make(map[int]*segment),
 		met:   newStoreMetrics(opts.Metrics),
 	}
-	if err := s.load(); err != nil {
-		s.closeFiles()
-		return nil, err
-	}
 	s.mu.Lock()
-	s.updateGaugesLocked()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	for _, f := range files {
+		s.index[f.key] = s.lru.PushFront(&entry{f.key, f.n})
+		s.liveBytes += f.n
+	}
+	s.evictLocked()
+	s.publishLocked()
 	return s, nil
 }
 
-// updateGaugesLocked publishes the store's current sizes to the gauges.
-func (s *Store) updateGaugesLocked() {
+// validKey reports whether key is 64 lowercase hex digits, the only
+// names the store reads or writes.
+func validKey(key string) bool {
+	return len(key) == 64 && strings.Trim(key, "0123456789abcdef") == ""
+}
+
+func (s *Store) path(key string) string { return filepath.Join(s.dir, key) }
+
+// appendHeader appends val's checksum line to b.
+func appendHeader(b, val []byte) []byte {
+	return fmt.Appendf(b, "%08x\n", crc32.Checksum(val, castagnoli))
+}
+
+// publishLocked publishes the store's current sizes to the gauges.
+func (s *Store) publishLocked() {
 	s.met.entries.Set(int64(len(s.index)))
 	s.met.liveBytes.Set(s.liveBytes)
-	var file int64
-	for _, seg := range s.segs {
-		file += seg.size
-	}
-	s.met.fileBytes.Set(file)
-	s.met.segments.Set(int64(len(s.segs)))
 }
 
-// load opens every segment, recovers their records, and prepares the
-// active segment for appends.
-func (s *Store) load() error {
-	names, err := filepath.Glob(filepath.Join(s.dir, segPrefix+"*"+segSuffix))
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	ids := make([]int, 0, len(names))
-	for _, name := range names {
-		base := filepath.Base(name)
-		var id int
-		if _, err := fmt.Sscanf(base, segPrefix+"%d"+segSuffix, &id); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	idx := s.loadIndexFile(ids)
-	for _, id := range ids {
-		seg, err := s.openSegment(id)
-		if err != nil {
-			return err
-		}
-		s.segs[id] = seg
-		if idx != nil {
-			continue // index file vouches for this segment's layout
-		}
-		if err := s.recoverSegment(seg); err != nil {
-			return err
-		}
-	}
-	if idx != nil {
-		s.installIndex(idx)
-	}
-	// The highest existing segment continues as the active one; with none,
-	// the first append creates seg-000001.
-	if len(ids) > 0 {
-		s.active = s.segs[ids[len(ids)-1]]
-	}
-	// The index file is only trusted once: any crash between now and the
-	// next clean Close must force a scan.
-	_ = os.Remove(filepath.Join(s.dir, indexName))
-	return nil
-}
-
-func (s *Store) openSegment(id int) (*segment, error) {
-	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("diskcache: %w", err)
-	}
-	return &segment{id: id, path: path, f: f, size: st.Size()}, nil
-}
-
-func (s *Store) segPath(id int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", segPrefix, id, segSuffix))
-}
-
-// recoverSegment scans one segment, indexing every valid record
-// (later records override earlier ones — compaction and racing writers
-// both rely on last-write-wins). The scan stops at the first malformed or
-// checksum-failing line; everything from there on is a torn tail from a
-// crash, and the file is truncated back to the last good record so the
-// next append starts clean.
-func (s *Store) recoverSegment(seg *segment) error {
-	if _, err := seg.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	r := bufio.NewReaderSize(seg.f, 1<<16)
-	var off int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 && err == nil {
-			var rec record
-			if jerr := json.Unmarshal(line, &rec); jerr != nil || !rec.valid() {
-				break
-			}
-			s.indexRecord(rec.Key, seg, off, int64(len(line)))
-			s.met.recoveredRecords.Inc()
-			off += int64(len(line))
-			continue
-		}
-		// EOF with a partial line (no trailing newline) is a torn write;
-		// EOF with nothing left is a clean end.
-		break
-	}
-	if off < seg.size {
-		if err := seg.f.Truncate(off); err != nil {
-			return fmt.Errorf("diskcache: truncating torn tail of %s: %w", seg.path, err)
-		}
-		seg.size = off
-		s.met.tornTails.Inc()
-	}
-	return nil
-}
-
-// valid checks the record's checksum.
-func (r record) valid() bool {
-	return r.Key != "" && r.CRC == crcHex(r.Val)
-}
-
-func crcHex(b []byte) string {
-	return fmt.Sprintf("%08x", crc32.Checksum(b, castagnoli))
-}
-
-// indexRecord installs one recovered record, displacing any earlier
-// version of the key.
-func (s *Store) indexRecord(key string, seg *segment, off, n int64) {
-	if old, ok := s.index[key]; ok {
-		old.seg.live -= old.n
-		s.liveBytes -= old.n
-		s.lru.Remove(old.elem)
-	}
-	e := &entry{seg: seg, off: off, n: n}
-	e.elem = s.lru.PushFront(key)
-	s.index[key] = e
-	seg.live += n
-	s.liveBytes += n
-}
-
-// indexFile is the clean-shutdown fast path: the index plus the segment
-// sizes it describes. A reopen whose directory matches the recorded sizes
-// exactly can trust the offsets without scanning.
-type indexFile struct {
-	Version  int              `json:"version"`
-	SegSizes map[string]int64 `json:"seg_sizes"` // id (decimal) → file size
-	Entries  []indexFileEntry `json:"entries"`   // in LRU order, oldest first
-}
-
-type indexFileEntry struct {
-	Key string `json:"key"`
-	Seg int    `json:"seg"`
-	Off int64  `json:"off"`
-	N   int64  `json:"n"`
-}
-
-// loadIndexFile reads and validates the index file against the discovered
-// segment ids; nil means "scan instead".
-func (s *Store) loadIndexFile(ids []int) *indexFile {
-	data, err := os.ReadFile(filepath.Join(s.dir, indexName))
-	if err != nil {
-		return nil
-	}
-	var idx indexFile
-	if json.Unmarshal(data, &idx) != nil || idx.Version != 1 {
-		return nil
-	}
-	if len(idx.SegSizes) != len(ids) {
-		return nil
-	}
-	for _, id := range ids {
-		st, err := os.Stat(s.segPath(id))
-		if err != nil || idx.SegSizes[fmt.Sprint(id)] != st.Size() {
-			return nil
-		}
-	}
-	return &idx
-}
-
-// installIndex replays a validated index file into the in-memory maps.
-func (s *Store) installIndex(idx *indexFile) {
-	for _, e := range idx.Entries {
-		seg, ok := s.segs[e.Seg]
-		if !ok || e.Off+e.N > seg.size {
-			continue
-		}
-		s.indexRecord(e.Key, seg, e.Off, e.N)
-	}
-}
-
-// writeIndexFile persists the current index for the clean-reopen fast
-// path. Failures are ignored: the scan path recovers everything.
-func (s *Store) writeIndexFile() {
-	idx := indexFile{Version: 1, SegSizes: map[string]int64{}}
-	for id, seg := range s.segs {
-		idx.SegSizes[fmt.Sprint(id)] = seg.size
-	}
-	for elem := s.lru.Back(); elem != nil; elem = elem.Prev() {
-		key := elem.Value.(string)
-		e := s.index[key]
-		idx.Entries = append(idx.Entries, indexFileEntry{Key: key, Seg: e.seg.id, Off: e.off, N: e.n})
-	}
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(s.dir, indexName+".tmp")
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		_ = os.Rename(tmp, filepath.Join(s.dir, indexName))
-	}
-}
-
-// Get returns the encoded entry for key, if present and intact. A record
-// that fails re-validation (bit rot, foreign truncation) is dropped from
-// the index and reported as a miss.
+// Get returns the value stored for key, if present and intact. A file
+// that cannot be read or fails its checksum is dropped from the index,
+// deleted, and reported as a miss. A hit refreshes the file's mtime.
 func (s *Store) Get(key string) ([]byte, bool) {
 	start := time.Now()
 	s.mu.Lock()
@@ -410,173 +195,109 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.mu.Unlock()
 		s.met.lookupMS.Observe(time.Since(start))
 	}()
-	e, ok := s.index[key]
+	elem, ok := s.index[key]
 	if !ok || s.closed {
 		s.met.misses.Inc()
 		return nil, false
 	}
-	buf := make([]byte, e.n)
-	if _, err := e.seg.f.ReadAt(buf, e.off); err != nil {
-		s.dropLocked(key, e)
-		s.updateGaugesLocked()
+	path := s.path(key)
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < headerLen ||
+		!bytes.Equal(data[:headerLen], appendHeader(nil, data[headerLen:])) {
+		// A failed removal leaves the file for Open to index again; the
+		// next Get of it fails the same check.
+		_ = os.Remove(path)
+		s.dropLocked(elem)
+		s.publishLocked()
 		s.met.misses.Inc()
 		return nil, false
 	}
-	var rec record
-	if json.Unmarshal(buf, &rec) != nil || rec.Key != key || !rec.valid() {
-		s.dropLocked(key, e)
-		s.updateGaugesLocked()
-		s.met.misses.Inc()
-		return nil, false
-	}
-	s.lru.MoveToFront(e.elem)
+	s.lru.MoveToFront(elem)
+	// The mtime only orders entries at the next Open; failing to set it
+	// costs recency, not data.
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
 	s.met.hits.Inc()
-	return rec.Val, true
+	return data[headerLen:], true
 }
 
-// Put appends the encoded entry for key. The store is content-addressed,
-// so a key already present is only touched in the LRU order; persistence
-// failures are swallowed (the entry just stays memory-only upstream).
+// Put stores val under key, replacing any entry the key has (a stored
+// entry the caller could not decode is overwritten by its re-solve).
+// Keys that are not 64 lowercase hex digits are refused. Persistence
+// failures are swallowed: the entry just stays memory-only upstream.
 func (s *Store) Put(key string, val []byte) {
+	if !validKey(key) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	if e, ok := s.index[key]; ok {
-		s.lru.MoveToFront(e.elem)
-		return
-	}
 	start := time.Now()
-	seg, off, n, err := s.appendLocked(key, val)
-	s.met.appendMS.Observe(time.Since(start))
+	n, err := s.writeLocked(key, val)
+	s.met.writeMS.Observe(time.Since(start))
 	if err != nil {
 		return
 	}
 	s.met.puts.Inc()
-	s.indexRecord(key, seg, off, n)
+	if elem, ok := s.index[key]; ok {
+		s.dropLocked(elem)
+	}
+	s.index[key] = s.lru.PushFront(&entry{key, n})
+	s.liveBytes += n
 	s.evictLocked()
-	s.compactLocked()
-	s.updateGaugesLocked()
+	s.publishLocked()
 }
 
-// appendLocked writes one record line to the active segment, rotating
-// first when the line would overflow it.
-func (s *Store) appendLocked(key string, val []byte) (*segment, int64, int64, error) {
-	line, err := json.Marshal(record{Key: key, CRC: crcHex(val), Val: val})
+// writeLocked writes key's entry file: a temporary file, fsynced under
+// Options.Sync, renamed into place. It returns the file's size.
+func (s *Store) writeLocked(key string, val []byte) (int64, error) {
+	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, err
 	}
-	line = append(line, '\n')
-	if s.active == nil || (s.active.size > 0 && s.active.size+int64(len(line)) > s.opts.SegmentBytes) {
-		if err := s.rotateLocked(); err != nil {
-			return nil, 0, 0, err
-		}
+	tmp := f.Name()
+	data := append(appendHeader(make([]byte, 0, headerLen+len(val)), val), val...)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
-	seg := s.active
-	off := seg.size
-	if _, err := seg.f.WriteAt(line, off); err != nil {
-		// A partial write leaves a torn tail; truncate back so the next
-		// append does not interleave with garbage.
-		_ = seg.f.Truncate(off)
-		return nil, 0, 0, err
+	if err == nil && s.opts.Sync {
+		err = f.Sync()
 	}
-	if s.opts.Sync {
-		_ = seg.f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	seg.size += int64(len(line))
-	return seg, off, int64(len(line)), nil
-}
-
-func (s *Store) rotateLocked() error {
-	next := 1
-	if s.active != nil {
-		next = s.active.id + 1
+	if err == nil {
+		err = os.Rename(tmp, s.path(key))
 	}
-	seg, err := s.openSegment(next)
 	if err != nil {
-		return err
+		_ = os.Remove(tmp)
+		return 0, err
 	}
-	s.segs[next] = seg
-	s.active = seg
-	return nil
+	return int64(len(data)), nil
 }
 
-// evictLocked enforces the live-byte cap by dropping least-recently-used
-// entries. The bytes stay in their segments until compaction reclaims
-// them.
+// evictLocked enforces the byte cap by deleting least-recently-used
+// entry files, always keeping the newest entry.
 func (s *Store) evictLocked() {
 	for s.liveBytes > s.opts.MaxBytes && s.lru.Len() > 1 {
 		elem := s.lru.Back()
-		key := elem.Value.(string)
-		s.dropLocked(key, s.index[key])
+		// A failed removal leaves the file for the next Open, which
+		// evicts it again if the store is still over its cap.
+		_ = os.Remove(s.path(elem.Value.(*entry).key))
+		s.dropLocked(elem)
 		s.evictions++
 		s.met.evictions.Inc()
 	}
 }
 
-func (s *Store) dropLocked(key string, e *entry) {
-	delete(s.index, key)
-	s.lru.Remove(e.elem)
-	e.seg.live -= e.n
+// dropLocked removes elem's entry from the index and the byte count.
+func (s *Store) dropLocked(elem *list.Element) {
+	e := s.lru.Remove(elem).(*entry)
+	delete(s.index, e.key)
 	s.liveBytes -= e.n
-}
-
-// compactLocked rewrites sealed segments that are more than half dead:
-// their live records are re-appended to the active segment (keeping their
-// index slots and LRU positions) and the file is deleted.
-func (s *Store) compactLocked() {
-	for id, seg := range s.segs {
-		if seg == s.active || seg.live*2 >= seg.size {
-			continue
-		}
-		if seg.live > 0 {
-			s.rewriteLocked(seg)
-		}
-		if seg.live == 0 {
-			seg.f.Close()
-			_ = os.Remove(seg.path)
-			delete(s.segs, id)
-			s.compactions++
-			s.met.compactions.Inc()
-		}
-	}
-}
-
-// rewriteLocked moves every live record of seg into the active segment.
-func (s *Store) rewriteLocked(seg *segment) {
-	// Collect this segment's live keys first: indexRecord mutates the
-	// index while we move them.
-	var keys []string
-	for key, e := range s.index {
-		if e.seg == seg {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys) // deterministic rewrite order
-	for _, key := range keys {
-		e := s.index[key]
-		buf := make([]byte, e.n)
-		if _, err := e.seg.f.ReadAt(buf, e.off); err != nil {
-			s.dropLocked(key, e)
-			continue
-		}
-		var rec record
-		if json.Unmarshal(buf, &rec) != nil || !rec.valid() {
-			s.dropLocked(key, e)
-			continue
-		}
-		nseg, off, n, err := s.appendLocked(key, rec.Val)
-		if err != nil {
-			return // keep the old record; the segment stays until it works
-		}
-		// Move the slot without disturbing its LRU position.
-		e.seg.live -= e.n
-		s.liveBytes -= e.n
-		e.seg, e.off, e.n = nseg, off, n
-		nseg.live += n
-		s.liveBytes += n
-	}
 }
 
 // Len reports the number of live entries.
@@ -597,7 +318,7 @@ func (s *Store) Writable() error {
 	if closed {
 		return fmt.Errorf("diskcache: store is closed")
 	}
-	f, err := os.CreateTemp(dir, ".writable-*")
+	f, err := os.CreateTemp(dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("diskcache: %s not writable: %w", dir, err)
 	}
@@ -616,37 +337,14 @@ func (s *Store) Writable() error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
-		Entries:     len(s.index),
-		LiveBytes:   s.liveBytes,
-		Segments:    len(s.segs),
-		Evictions:   s.evictions,
-		Compactions: s.compactions,
-	}
-	for _, seg := range s.segs {
-		st.FileBytes += seg.size
-	}
-	return st
+	return Stats{Entries: len(s.index), LiveBytes: s.liveBytes, Evictions: s.evictions}
 }
 
-// Close writes the reopen index and releases every file. The store
-// rejects use after Close.
+// Close marks the store closed: later lookups miss and later Puts are
+// dropped. The entry files stay for the next Open.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	s.writeIndexFile()
-	s.closeFiles()
 	return nil
-}
-
-func (s *Store) closeFiles() {
-	for _, seg := range s.segs {
-		if seg.f != nil {
-			seg.f.Close()
-		}
-	}
 }

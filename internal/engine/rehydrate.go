@@ -28,10 +28,11 @@ func newRehydrator(spec SolveSpec) *rehydrator {
 		vocab: spec.Problem.Vocab,
 		vars:  make(map[string]*expr.Var),
 	}
+	// Only the inputs: an answer naming the hole's own output variable is
+	// not an answer.
 	for _, v := range spec.Problem.Vars {
 		r.vars[v.Name] = v
 	}
-	r.vars[spec.Problem.Output.Name] = spec.Problem.Output
 	return r
 }
 

@@ -18,8 +18,7 @@ func Parse(src string) (*File, error) {
 	return p.file()
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) bump() token {
 	t := p.toks[p.i]

@@ -114,7 +114,6 @@ func (e *encoder) falseLit() sat.Lit { return e.trueLit.Not() }
 
 func (e *encoder) isTrue(l sat.Lit) bool  { return l == e.trueLit }
 func (e *encoder) isFalse(l sat.Lit) bool { return l == e.trueLit.Not() }
-func (e *encoder) isConst(l sat.Lit) bool { return e.isTrue(l) || e.isFalse(l) }
 
 // widthOf reports the number of bits used for a type.
 func (e *encoder) widthOf(t expr.Type) int {

@@ -132,7 +132,7 @@ func (en *enumerator) extend(bk *bank) {
 		st.rows = rows
 	}
 	en.initScratch()
-	first := en.nProbe + len(en.probes) + bk.nExamples
+	first := en.nProbe + bk.nExamples
 	for s := range en.pools {
 		for t, pool := range en.pools[s] {
 			for _, r := range pool {
@@ -171,7 +171,7 @@ func (en *enumerator) extendEntry(t int, r uint32, first int) {
 	end := en.nProbe + en.nSig
 	if a.atom != nil {
 		for c := first; c < end; c++ {
-			st.put(row[c*st.w:], a.atom.Eval(en.p.U, en.examples[c-en.nProbe-len(en.probes)].S))
+			st.put(row[c*st.w:], a.atom.Eval(en.p.U, en.examples[c-en.nProbe].S))
 		}
 		return
 	}
@@ -291,7 +291,7 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 	}
 	atoms := en.pools[1]
 	n := len(en.examples)
-	first := en.nProbe + len(en.probes)
+	first := en.nProbe
 	budget := shallowAltDoomBudget
 	best := 0
 	var argv []expr.Value

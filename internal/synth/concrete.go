@@ -167,8 +167,7 @@ func solveConcrete(ctx context.Context, sc *schema, p Problem, examples []Concre
 }
 
 // interpProbes builds the deterministic probe interpretations the shadow
-// store indexes full signatures by (and the unrealizability atlas seeds
-// its class enumeration with). The set is fixed by the problem alone —
+// store indexes full signatures by. The set is fixed by the problem alone —
 // (universe, input variables) — so every round of one CEGIS solve keys
 // shadow classes by the same probe prefix, which is what lets a bank
 // carry shadows across rounds.
@@ -244,19 +243,13 @@ type enumerator struct {
 	outStore int
 	pools    [][][]uint32
 
-	// probes are extra valuations folded into the main signature: key
-	// coordinates are laid out [probe evaluations..., example
-	// evaluations...], so the goal test is a fixed-offset suffix
-	// comparison (goal at byte offset goalOff of an output-typed key).
-	// Normal solves leave probes empty — the stream partition must stay
-	// example-keyed for answer identity — and only the unrealizability
-	// atlas installs a probe set (with noGoal, which suppresses the goal
-	// test: the atlas enumerates classes, it does not search for a winner).
-	probes  []expr.Env
-	nSig    int
-	goal    []byte
-	goalOff int
-	noGoal  bool
+	// nSig is the key's coordinate count, one per example; goal is the
+	// packed example outputs an output-typed key must equal. noGoal
+	// suppresses the goal test: the unrealizability atlas enumerates
+	// classes over examples whose outputs are never compared.
+	nSig   int
+	goal   []byte
+	noGoal bool
 
 	// Shadow-class state (interpretation reduction, DESIGN.md §15). The
 	// shadowProbes valuations refine the example partition on the side:
@@ -334,23 +327,13 @@ func newEnumerator(ctx context.Context, sc *schema, p Problem, examples []Concre
 		en.shadowProbes = interpProbes(p)
 		en.nProbe = len(en.shadowProbes)
 	}
-	en.initSigLayout()
-	return en
-}
-
-// initSigLayout derives the key layout from the installed probe and
-// example sets: the key's coordinate count, the goal (the packed example
-// outputs), and its fixed byte offset within an output-typed key. Split
-// out of newEnumerator so the unrealizability atlas can install a custom
-// probe set and re-derive.
-func (en *enumerator) initSigLayout() {
-	en.nSig = len(en.probes) + len(en.examples)
+	en.nSig = len(examples)
 	out := &en.stores[en.outStore]
-	en.goal = make([]byte, out.w*len(en.examples))
-	for k, c := range en.examples {
+	en.goal = make([]byte, out.w*len(examples))
+	for k, c := range examples {
 		out.put(en.goal[k*out.w:], c.Out)
 	}
-	en.goalOff = out.w * len(en.probes)
+	return en
 }
 
 // goalHit reports whether a candidate of store s whose key is key matches
@@ -361,7 +344,7 @@ func (en *enumerator) initSigLayout() {
 // first key-suffix match in enumeration order is the same expression
 // either way; DESIGN.md §15).
 func (en *enumerator) goalHit(s int, key []byte) bool {
-	return !en.noGoal && s == en.outStore && bytes.Equal(key[en.goalOff:], en.goal)
+	return !en.noGoal && s == en.outStore && bytes.Equal(key, en.goal)
 }
 
 // initFresh sizes empty stores and pools for a from-scratch search
@@ -583,14 +566,8 @@ func (en *enumerator) considerAtom(o uint16) (bool, error) {
 	a := &en.ops[o]
 	st := &en.stores[a.ret]
 	row := en.rowBuf[:st.stride]
-	c := en.nProbe
-	for _, env := range en.probes {
-		st.put(row[c*st.w:], a.atom.Eval(en.p.U, env))
-		c++
-	}
-	for _, ex := range en.examples {
-		st.put(row[c*st.w:], a.atom.Eval(en.p.U, ex.S))
-		c++
+	for k, ex := range en.examples {
+		st.put(row[(en.nProbe+k)*st.w:], a.atom.Eval(en.p.U, ex.S))
 	}
 	return en.settle(o, nil, row, 1)
 }

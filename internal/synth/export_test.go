@@ -74,7 +74,7 @@ func (en *enumerator) checkEntry(t int, r uint32, size int, probes bool) error {
 		return fmt.Errorf("%s entry %d is %s, of type %s and size %d", st.t, r, e, e.Type(), e.Size())
 	}
 	row := st.row(r)
-	first := en.nProbe + len(en.probes)
+	first := en.nProbe
 	for k, ex := range en.examples {
 		if got, want := st.get(row[(first+k)*st.w:]), e.Eval(en.p.U, ex.S); got != want {
 			return fmt.Errorf("%s on example %d of %d: packed %v, Eval %v", e, k, len(en.examples), got, want)

@@ -16,10 +16,10 @@ import (
 // retry with larger limits could ever succeed.
 //
 // The check builds a semantic atlas of the vocabulary: it reruns the
-// signature-table enumerator with the probe set replaced by EVERY
-// valuation of the input variables, so two expressions share a signature
-// class iff they denote the same function. Enumeration then has a sound
-// fixpoint: once every tier up to maxArity·K+1 is complete — K being the
+// signature-table enumerator with EVERY valuation of the input variables
+// as its examples, so two expressions share a signature class iff they
+// denote the same function. Enumeration then has a sound fixpoint: once
+// every tier up to maxArity·K+1 is complete — K being the
 // largest tier that retained a new class — any expressible function
 // already has a representative (replace each subterm of a witness
 // expression by its class representative, inductively; the result is
@@ -86,10 +86,14 @@ func checkUnrealizable(ctx context.Context, p Problem, examples []ConcolicExampl
 	if !deadline.IsZero() && deadline.Before(atlasDeadline) {
 		atlasDeadline = deadline
 	}
-	en := newEnumerator(ctx, newSchema(p), p, nil, al, atlasDeadline, false)
-	en.probes = envs
+	// The valuations are the atlas's examples; their outputs are never
+	// compared (noGoal), so any value of the output type serves.
+	exs := make([]ConcreteExample, len(envs))
+	for i, env := range envs {
+		exs[i] = ConcreteExample{S: env, Out: expr.ZeroOf(p.Output.VT)}
+	}
+	en := newEnumerator(ctx, newSchema(p), p, exs, al, atlasDeadline, false)
 	en.noGoal = true
-	en.initSigLayout()
 	en.initFresh()
 
 	maxArity := 0
