@@ -27,7 +27,7 @@ import (
 // walk-through: max(a, b) from the functional specification.
 func BenchmarkTable2MaxConcolic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := bench.Table2(); err != nil {
+		if _, _, err := bench.Table2(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -133,9 +133,9 @@ func main() {
 	ctx := sess.Context(sigCtx)
 
 	if *table2 {
-		rows, final, stats, err := bench.Table2Ctx(ctx)
+		final, stats, err := bench.Table2Ctx(ctx)
 		fail(err)
-		fmt.Println(bench.FormatTable2(rows, final))
+		fmt.Println(bench.FormatTable2(stats.Trace, final))
 		fmt.Printf("(%d iterations, %d SMT queries, %s)\n\n", stats.Iterations, stats.SMTQueries,
 			stats.Elapsed.Round(1000*1000))
 	}

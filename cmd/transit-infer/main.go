@@ -236,12 +236,12 @@ func run(src string, opts inferOptions) error {
 		return err
 	}
 	if opts.cegisTrace {
-		for i, rec := range st.Trace {
-			if rec.Witness == nil {
-				fmt.Printf("iter %d: %-30s accepted\n", i+1, rec.Candidate)
+		for _, rec := range st.Trace {
+			if rec.Accepted {
+				fmt.Printf("iter %d: %-30s accepted\n", rec.Round, rec.Candidate)
 			} else {
-				fmt.Printf("iter %d: %-30s refuted at %v; new example out=%v\n",
-					i+1, rec.Candidate, rec.Witness, rec.NewExample.Out)
+				fmt.Printf("iter %d: %-30s refuted at %s; new example out=%s\n",
+					rec.Round, rec.Candidate, rec.Witness, rec.CounterOut)
 			}
 		}
 	}

@@ -30,11 +30,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("max(a, b) from  true ==> o>=a & o>=b & (o=a | o=b):")
-	for i, rec := range stats.Trace {
-		if rec.Witness == nil {
-			fmt.Printf("  iteration %d: %-28s accepted\n", i+1, rec.Candidate)
+	for _, rec := range stats.Trace {
+		if rec.Accepted {
+			fmt.Printf("  iteration %d: %-28s accepted\n", rec.Round, rec.Candidate)
 		} else {
-			fmt.Printf("  iteration %d: %-28s refuted by %v\n", i+1, rec.Candidate, rec.Witness)
+			fmt.Printf("  iteration %d: %-28s refuted by %s\n", rec.Round, rec.Candidate, rec.Witness)
 		}
 	}
 	fmt.Printf("  => %s   (%d CEGIS iterations, %d SMT queries)\n\n",

@@ -19,24 +19,17 @@ import (
 	"transit/internal/synth"
 )
 
-// Table2Row is one CEGIS iteration of the max(a, b) walk-through.
-type Table2Row struct {
-	Iter       int
-	Candidate  string
-	Witness    string // empty when accepted
-	NewExample string // empty when accepted
-}
-
 // Table2 reruns the paper's Table 2: SolveConcolic on
 // true ⇒ (o ≥ a ∧ o ≥ b ∧ (o = a ∨ o = b)) with the coherence vocabulary,
-// returning the per-iteration trace and the final expression.
-func Table2() ([]Table2Row, string, synth.Stats, error) {
+// returning the final expression and the solve's stats, whose Trace is
+// the table (FormatTable2 renders it).
+func Table2() (string, synth.Stats, error) {
 	return Table2Ctx(context.Background())
 }
 
 // Table2Ctx is Table2 under a context (cancellation plus observability
 // threading; see the obs package).
-func Table2Ctx(ctx context.Context) ([]Table2Row, string, synth.Stats, error) {
+func Table2Ctx(ctx context.Context) (string, synth.Stats, error) {
 	u := expr.NewUniverse(3)
 	voc := expr.CoherenceVocabulary(u, expr.CoherenceOptions{})
 	a, b := expr.V("a", expr.IntType), expr.V("b", expr.IntType)
@@ -49,18 +42,9 @@ func Table2Ctx(ctx context.Context) ([]Table2Row, string, synth.Stats, error) {
 	}}
 	e, stats, err := synth.SolveConcolicCtx(ctx, prob, spec, synth.Limits{MaxSize: 8})
 	if err != nil {
-		return nil, "", stats, err
+		return "", stats, err
 	}
-	rows := make([]Table2Row, 0, len(stats.Trace))
-	for i, rec := range stats.Trace {
-		row := Table2Row{Iter: i + 1, Candidate: rec.Candidate.String()}
-		if rec.Witness != nil {
-			row.Witness = fmt.Sprint(rec.Witness)
-			row.NewExample = fmt.Sprintf("(%v, o:%v)", rec.NewExample.S, rec.NewExample.Out)
-		}
-		rows = append(rows, row)
-	}
-	return rows, e.String(), stats, nil
+	return e.String(), stats, nil
 }
 
 // Table4Row is one protocol's snippet-based-design throughput record.

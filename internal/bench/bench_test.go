@@ -10,15 +10,16 @@ import (
 )
 
 func TestTable2Shape(t *testing.T) {
-	rows, final, stats, err := Table2()
+	final, stats, err := Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := stats.Trace
 	if len(rows) < 2 || len(rows) > 10 {
 		t.Errorf("expected a few CEGIS iterations, got %d", len(rows))
 	}
 	last := rows[len(rows)-1]
-	if last.Witness != "" {
+	if !last.Accepted || last.Witness != "" {
 		t.Error("final row must be accepted (no witness)")
 	}
 	if final == "" || stats.SMTQueries == 0 {
@@ -27,6 +28,10 @@ func TestTable2Shape(t *testing.T) {
 	out := FormatTable2(rows, final)
 	if !strings.Contains(out, "Final expression") {
 		t.Error("formatter output incomplete")
+	}
+	// Witnesses read as the ledger writes them, not as Go maps.
+	if w := rows[0].Witness; !strings.Contains(out, w) || strings.Contains(out, "map[") {
+		t.Errorf("witness %q not rendered as k=v pairs:\n%s", w, out)
 	}
 	t.Logf("\n%s", out)
 }

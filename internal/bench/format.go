@@ -3,19 +3,22 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"transit/internal/synth"
 )
 
-// FormatTable2 renders the CEGIS trace like the paper's Table 2.
-func FormatTable2(rows []Table2Row, final string) string {
+// FormatTable2 renders a CEGIS trace like the paper's Table 2, with
+// witnesses written as the provenance ledger writes them.
+func FormatTable2(trace []synth.IterRecord, final string) string {
 	var sb strings.Builder
 	sb.WriteString("Table 2: SolveConcolic trace for max(a, b)\n")
 	fmt.Fprintf(&sb, "%-5s %-32s %-44s %s\n", "Iter", "Expression checked", "Witness", "Concrete example inferred")
-	for _, r := range rows {
-		witness, ex := r.Witness, r.NewExample
-		if witness == "" {
-			witness, ex = "-- (consistent)", "--"
+	for _, r := range trace {
+		witness, ex := "-- (consistent)", "--"
+		if !r.Accepted {
+			witness, ex = r.Witness, fmt.Sprintf("(%s, o=%s)", r.Witness, r.CounterOut)
 		}
-		fmt.Fprintf(&sb, "%-5d %-32s %-44s %s\n", r.Iter, r.Candidate, witness, ex)
+		fmt.Fprintf(&sb, "%-5d %-32s %-44s %s\n", r.Round, r.Candidate, witness, ex)
 	}
 	fmt.Fprintf(&sb, "Final expression: %s\n", final)
 	return sb.String()

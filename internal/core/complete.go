@@ -601,7 +601,8 @@ func (p *planner) solve(ctx context.Context, cap *holeCapture, prob synth.Proble
 	res, stats, out, err := p.eng.SolveConcolic(ctx, engine.SolveSpec{
 		Problem: prob, Examples: exs, Limits: p.opts.Limits,
 	})
-	obs.SpanFrom(ctx).SetAttr(obs.Bool("cache_hit", out.Cached),
+	hit := out.Tier == engine.TierMem || out.Tier == engine.TierDisk
+	obs.SpanFrom(ctx).SetAttr(obs.Bool("cache_hit", hit),
 		obs.Int64("candidates", stats.Concrete.Enumerated),
 		obs.Int("smt_queries", stats.SMTQueries), obs.Int("cegis_iterations", stats.Iterations))
 	cap.expr, cap.stats, cap.tier, cap.err = res, stats, out.Tier, err

@@ -90,7 +90,7 @@ func recordProvenance(rec *provenance.Recorder, p *planner) {
 			}
 			h.Examples = append(h.Examples, er)
 		}
-		h.Iterations = provenance.TraceIterations(cap.stats.Trace)
+		h.Iterations = cap.stats.Trace
 		switch {
 		case cap.err != nil:
 			switch {

@@ -3,6 +3,7 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -111,55 +112,53 @@ type CacheBackend interface {
 // attached, the in-memory table becomes the first tier of a two-tier
 // store: Fetch falls through to the backend on a memory miss, and Put
 // writes through, so entries survive process restarts and are shared by
-// every front-end on the same backend.
+// every front-end on the same backend. Both tiers hold the one entry
+// form of codec.go, in memory as it is and in the backend JSON-encoded.
 type Cache struct {
 	mu      sync.Mutex
-	m       map[string]CacheEntry
+	m       map[string]*wireEntry
 	backend CacheBackend
 }
 
 // NewCache creates an empty cache with no backend.
-func NewCache() *Cache { return &Cache{m: make(map[string]CacheEntry)} }
+func NewCache() *Cache { return &Cache{m: make(map[string]*wireEntry)} }
 
 // NewCacheWithBackend creates an empty cache reading through to (and
 // writing through to) the given backend. The caller retains ownership of
 // the backend and closes it after the cache's last use.
 func NewCacheWithBackend(b CacheBackend) *Cache {
-	return &Cache{m: make(map[string]CacheEntry), backend: b}
+	return &Cache{m: make(map[string]*wireEntry), backend: b}
 }
 
 // Backend reports the attached backend (nil without one).
 func (c *Cache) Backend() CacheBackend { return c.backend }
 
 // Fetch is the spec-aware two-tier lookup: it derives the canonical key,
-// consults the in-memory table (rehydrating the entry into spec's world,
-// exactly as SolveConcolic always has), then falls through to the backend,
-// whose entries decode directly against the spec. Backend hits are
-// promoted into memory so the decode cost is paid once per process. An
-// entry that cannot be rebound (a key collision or stale vocabulary) or
-// whose expression is not of the hole's output type is a miss and is
-// re-solved. The returned tier says which layer answered
-// (TierMem, TierDisk, TierMiss); the cache keeps no counters of its own,
-// its caller counts lookups by tier (SolveConcolic's engine.cache span).
+// consults the in-memory table, then falls through to the backend. A
+// backend entry is parsed once and promoted into memory in the same form,
+// so later hits stay in-process. Either tier's entry answers through the
+// same bind: rebound into spec's world, of the hole's output type, with a
+// trace of the right shape, or else a miss that is re-solved. The
+// returned tier says which layer answered (TierMem, TierDisk, TierMiss);
+// the cache keeps no counters of its own, its caller counts lookups by
+// tier (SolveConcolic's engine.cache span).
 func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key string, tier Tier, ok bool) {
 	key = spec.Key()
 	c.mu.Lock()
-	ent, inMem := c.m[key]
+	we := c.m[key]
 	backend := c.backend
 	c.mu.Unlock()
-	out := spec.Problem.Output.VT
-	if inMem {
-		if re, rok := spec.rehydrate(ent.Expr); rok && re.Type() == out {
-			return re, ent.Stats, key, TierMem, true
-		}
+	if ent, ok := we.bind(spec); ok {
+		return ent.Expr, ent.Stats, key, TierMem, true
 	}
 	if backend != nil {
-		if raw, bok := backend.Get(key); bok {
-			if dec, dok := DecodeEntry(raw, spec); dok && dec.Expr.Type() == out {
+		if raw, ok := backend.Get(key); ok {
+			we := parseEntry(raw)
+			if ent, ok := we.bind(spec); ok {
 				c.mu.Lock()
-				c.m[key] = dec
+				c.m[key] = we
 				c.mu.Unlock()
-				return dec.Expr, dec.Stats, key, TierDisk, true
+				return ent.Expr, ent.Stats, key, TierDisk, true
 			}
 		}
 	}
@@ -169,15 +168,19 @@ func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key str
 // Put stores a successful solve in memory and, when a backend is
 // attached, writes the encoded entry through to it. Concurrent writers
 // racing on one key store identical entries (the solver is
-// deterministic), so last-write-wins is safe. Entries whose expressions
-// cannot be encoded (never the case for solver output) stay memory-only.
+// deterministic), so last-write-wins is safe. An entry whose expression
+// cannot be encoded (never the case for solver output) is not stored.
 func (c *Cache) Put(key string, ent CacheEntry) {
+	we, err := toWire(ent)
+	if err != nil {
+		return
+	}
 	c.mu.Lock()
-	c.m[key] = ent
+	c.m[key] = we
 	backend := c.backend
 	c.mu.Unlock()
 	if backend != nil {
-		if raw, err := EncodeEntry(ent); err == nil {
+		if raw, err := json.Marshal(we); err == nil {
 			backend.Put(key, raw)
 		}
 	}

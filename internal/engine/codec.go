@@ -3,33 +3,32 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"transit/internal/expr"
 	"transit/internal/synth"
 )
 
-// This file is the cache's wire codec: the translation between in-memory
-// CacheEntry values (whose expressions carry pointer identities — enum
-// types, vocabulary *Funcs, typed variables) and a self-describing JSON
-// form a CacheBackend can persist. Encoding needs no context: every node
-// is written by name and signature. Decoding is rehydration in disguise —
-// symbols are re-bound into the *requesting* spec's world (functions by
-// signature, variables by name, enum types and ordinals by name), exactly
-// as the cross-universe rehydrator does for in-memory hits, so an entry
-// written by one process revives correctly in another. A decode that
-// cannot bind (key collision, vocabulary drift) reports failure and the
-// caller treats the lookup as a miss; a stale disk entry must never
+// This file is the memo cache's one entry form and its codec. An entry
+// is held universe-free: the answer as a wire expression, every node
+// written by name and signature; the solve's counters; and its CEGIS
+// trace, which is already text (synth.IterRecord). The memory tier holds
+// these entries as they are and the backend holds them JSON-encoded, so
+// both tiers answer a hit the same way: bind re-binds the expression
+// into the requesting spec's world (functions by signature, variables by
+// name and declared type, enum types and ordinals by name) and checks
+// that the entry fits the hole. An entry written against one universe,
+// or by another process, thus revives in this one; one that cannot be
+// bound or does not fit (a key collision, vocabulary drift, damaged
+// bytes) is a miss and the hole is re-solved. A stale entry must never
 // poison a solve.
 
 // wireVersion is bumped on any incompatible change to the wire structs;
-// decoders reject other versions (the entry is then a cache miss and the
-// sub-problem is re-solved and re-written). v2 added the per-iteration
-// CEGIS trace so disk hits replay provenance; v3 stopped counting a
-// round whose bank was proven stale as a bank reuse, so older entries'
-// BankReuses and Resumed no longer match a fresh solve.
-const wireVersion = 3
+// an entry of another version is a miss, and the hole is re-solved and
+// re-written. v2 added the per-iteration CEGIS trace so disk hits replay
+// provenance; v3 stopped counting a round whose bank was proven stale as
+// a bank reuse; v4 stores the trace as the ledger's iteration records.
+const wireVersion = 4
 
 // wireValue is a typed constant on the wire.
 type wireValue struct {
@@ -51,32 +50,9 @@ type wireExpr struct {
 	Args  []*wireExpr `json:"args,omitempty"`
 }
 
-// wireBinding is one name→value pair of a witness valuation, stored as a
-// sorted slice so the encoded bytes are deterministic.
-type wireBinding struct {
-	Name string     `json:"n"`
-	Val  *wireValue `json:"v"`
-}
-
-// wireIter is one CEGIS round of the trace. The witness valuation is
-// stored once: the round's NewExample shares it (ex.S == rec.Witness by
-// construction in cegisIteration), so decode re-establishes the sharing.
-type wireIter struct {
-	Candidate  *wireExpr     `json:"c"`
-	Witness    []wireBinding `json:"w,omitempty"`
-	Out        *wireValue    `json:"o,omitempty"` // concretized output; nil when accepted
-	KilledBy   int           `json:"kb"`
-	Enumerated int64         `json:"en"`
-	Kept       int64         `json:"kp"`
-	Resumed    bool          `json:"r,omitempty"`
-	Restarted  bool          `json:"rs,omitempty"`
-}
-
-// wireStats mirrors the numeric fields of synth.Stats plus, since wire
-// v2, the per-iteration Trace: the provenance ledger replays it on warm
-// answers so a memo hit stays as explainable as a fresh solve. Counter
-// replay — the property that keeps aggregate reports identical whether
-// or not the cache intervened — is unchanged.
+// wireStats mirrors the numeric fields of synth.Stats. Replaying them on
+// a hit keeps aggregate reports identical whether or not the cache
+// intervened.
 type wireStats struct {
 	Enumerated  int64 `json:"enumerated"`
 	Kept        int64 `json:"kept"`
@@ -90,29 +66,26 @@ type wireStats struct {
 	ElapsedNS   int64 `json:"elapsed_ns"`
 }
 
-// wireEntry is one persisted cache entry.
+// wireEntry is one memo-cache entry, on either tier. Trace is shared with
+// the solve that wrote it and with every hit, and is never written to.
 type wireEntry struct {
-	Version int        `json:"version"`
-	Expr    *wireExpr  `json:"expr"`
-	Stats   wireStats  `json:"stats"`
-	Trace   []wireIter `json:"trace,omitempty"`
+	Version int                `json:"version"`
+	Expr    *wireExpr          `json:"expr"`
+	Stats   wireStats          `json:"stats"`
+	Trace   []synth.IterRecord `json:"trace,omitempty"`
 }
 
-// EncodeEntry renders a cache entry in the persistent wire form.
-func EncodeEntry(ent CacheEntry) ([]byte, error) {
+// toWire puts a solve's result in entry form.
+func toWire(ent CacheEntry) (*wireEntry, error) {
 	we, err := encodeExpr(ent.Expr)
 	if err != nil {
 		return nil, err
 	}
 	st := ent.Stats
-	trace, err := encodeTrace(st.Trace)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(wireEntry{
+	return &wireEntry{
 		Version: wireVersion,
 		Expr:    we,
-		Trace:   trace,
+		Trace:   st.Trace,
 		Stats: wireStats{
 			Enumerated:  st.Concrete.Enumerated,
 			Kept:        st.Concrete.Kept,
@@ -125,7 +98,16 @@ func EncodeEntry(ent CacheEntry) ([]byte, error) {
 			Iterations:  st.Iterations,
 			ElapsedNS:   int64(st.Elapsed),
 		},
-	})
+	}, nil
+}
+
+// EncodeEntry renders a cache entry in the persistent wire form.
+func EncodeEntry(ent CacheEntry) ([]byte, error) {
+	we, err := toWire(ent)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(we)
 }
 
 func encodeExpr(e expr.Expr) (*wireExpr, error) {
@@ -174,116 +156,110 @@ func encodeValue(v expr.Value) (*wireValue, error) {
 	return nil, fmt.Errorf("engine: cannot encode value of type %s", v.Type())
 }
 
-// encodeTrace renders the per-iteration CEGIS trace; witness valuations
-// are flattened to name-sorted binding lists for byte determinism.
-func encodeTrace(trace []synth.IterRecord) ([]wireIter, error) {
-	if len(trace) == 0 {
-		return nil, nil
-	}
-	out := make([]wireIter, 0, len(trace))
-	for _, rec := range trace {
-		wc, err := encodeExpr(rec.Candidate)
-		if err != nil {
-			return nil, err
-		}
-		wi := wireIter{
-			Candidate:  wc,
-			KilledBy:   rec.KilledBy,
-			Enumerated: rec.Enumerated,
-			Kept:       rec.Kept,
-			Resumed:    rec.Resumed,
-			Restarted:  rec.Restarted,
-		}
-		if rec.Witness != nil {
-			names := make([]string, 0, len(rec.Witness))
-			for name := range rec.Witness {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				wv, err := encodeValue(rec.Witness[name])
-				if err != nil {
-					return nil, err
-				}
-				wi.Witness = append(wi.Witness, wireBinding{Name: name, Val: wv})
-			}
-		}
-		if rec.NewExample != nil {
-			wv, err := encodeValue(rec.NewExample.Out)
-			if err != nil {
-				return nil, err
-			}
-			wi.Out = wv
-		}
-		out = append(out, wi)
-	}
-	return out, nil
-}
-
-// DecodeEntry parses a wire entry and binds its expression into spec's
-// world. ok is false when the bytes are malformed, the version is foreign,
-// or some symbol has no counterpart in the spec — all treated as a cache
-// miss by the caller.
-func DecodeEntry(data []byte, spec SolveSpec) (ent CacheEntry, ok bool) {
+// parseEntry reads an entry from its persistent bytes: nil when they are
+// malformed or of a foreign version.
+func parseEntry(data []byte) *wireEntry {
 	var we wireEntry
 	if err := json.Unmarshal(data, &we); err != nil || we.Version != wireVersion || we.Expr == nil {
+		return nil
+	}
+	return &we
+}
+
+// DecodeEntry parses a wire entry and binds it into spec's world, as a
+// disk hit does. ok is false when the bytes are malformed, the version is
+// foreign, or the entry does not fit the hole (see bind) — all treated as
+// a cache miss by the caller.
+func DecodeEntry(data []byte, spec SolveSpec) (CacheEntry, bool) {
+	return parseEntry(data).bind(spec)
+}
+
+// bind answers spec's hole from the entry, on a hit on either tier. The
+// answer is decoded into spec's world and must have the hole's output
+// type; the trace must have the shape of the solve that wrote it (see
+// traceFits). Anything else, a nil entry included, is a miss.
+func (we *wireEntry) bind(spec SolveSpec) (ent CacheEntry, ok bool) {
+	if we == nil {
 		return CacheEntry{}, false
 	}
-	// NewApply type-checks with panics; demote any rebuild panic to a miss
-	// like the in-memory rehydrator does.
+	// NewApply type-checks with panics; a rebuild panic is a miss too: a
+	// stale entry must never kill a worker.
 	defer func() {
 		if recover() != nil {
 			ent, ok = CacheEntry{}, false
 		}
 	}()
-	r := newRehydrator(spec)
-	e, ok := r.decode(we.Expr)
-	if !ok {
+	p := &spec.Problem
+	e, ok := decode(p, we.Expr)
+	if !ok || e.Type() != p.Output.VT || !traceFits(we.Trace, we.Stats.Iterations, len(spec.Examples)) {
 		return CacheEntry{}, false
 	}
-	trace, ok := r.decodeTrace(we.Trace)
-	if !ok {
-		return CacheEntry{}, false
-	}
+	st := we.Stats
 	return CacheEntry{
 		Expr: e,
 		Stats: synth.Stats{
-			Trace: trace,
+			Trace: we.Trace,
 			Concrete: synth.ConcreteStats{
-				Enumerated:  we.Stats.Enumerated,
-				Kept:        we.Stats.Kept,
-				MaxSizeSeen: we.Stats.MaxSizeSeen,
-				Restarts:    we.Stats.Restarts,
-				Elapsed:     time.Duration(we.Stats.ConcreteNS),
+				Enumerated:  st.Enumerated,
+				Kept:        st.Kept,
+				MaxSizeSeen: st.MaxSizeSeen,
+				Restarts:    st.Restarts,
+				Elapsed:     time.Duration(st.ConcreteNS),
 			},
-			BankReuses: we.Stats.BankReuses,
-			SMTQueries: we.Stats.SMTQueries,
-			SMTClauses: we.Stats.SMTClauses,
-			Iterations: we.Stats.Iterations,
-			Elapsed:    time.Duration(we.Stats.ElapsedNS),
+			BankReuses: st.BankReuses,
+			SMTQueries: st.SMTQueries,
+			SMTClauses: st.SMTClauses,
+			Iterations: st.Iterations,
+			Elapsed:    time.Duration(st.ElapsedNS),
 		},
 	}, true
 }
 
-// decode binds one wire node into the rehydrator's world.
-func (r *rehydrator) decode(we *wireExpr) (expr.Expr, bool) {
+// traceFits reports whether trace has the shape of a successful solve of
+// the given number of rounds over the given number of concolic examples:
+// rounds numbered 1..rounds, every round but the last refuted by one of
+// the examples, and the last accepted.
+func traceFits(trace []synth.IterRecord, rounds, examples int) bool {
+	if len(trace) != rounds {
+		return false
+	}
+	for i, it := range trace {
+		fits := it.Accepted && it.KilledBy == -1
+		if i < len(trace)-1 {
+			fits = !it.Accepted && it.KilledBy >= 0 && it.KilledBy < examples
+		}
+		if it.Round != i+1 || !fits {
+			return false
+		}
+	}
+	return true
+}
+
+// decode binds one wire node into p's world. Variables bind to p's
+// inputs only: an answer naming the hole's own output is not an answer.
+func decode(p *synth.Problem, we *wireExpr) (expr.Expr, bool) {
 	switch {
 	case we.Var != "":
-		tv, ok := r.vars[we.Var]
-		if !ok || tv.VT.String() != we.VarT {
+		for _, v := range p.Vars {
+			if v.Name == we.Var {
+				return v, v.VT.String() == we.VarT
+			}
+		}
+		return nil, false
+	case we.Const != nil:
+		v, ok := decodeVal(p.U, we.Const)
+		if !ok {
 			return nil, false
 		}
-		return tv, true
-	case we.Const != nil:
-		return r.decodeValue(we.Const)
+		return expr.NewConst(v), true
 	case we.Fn != "":
-		fn, ok := r.vocab.BySig(we.Fn)
+		fn, ok := p.Vocab.BySig(we.Fn)
 		if !ok {
 			return nil, false
 		}
 		args := make([]expr.Expr, len(we.Args))
 		for i, wa := range we.Args {
-			a, ok := r.decode(wa)
+			a, ok := decode(p, wa)
 			if !ok {
 				return nil, false
 			}
@@ -294,35 +270,27 @@ func (r *rehydrator) decode(we *wireExpr) (expr.Expr, bool) {
 	return nil, false
 }
 
-func (r *rehydrator) decodeValue(wv *wireValue) (expr.Expr, bool) {
-	v, ok := r.decodeVal(wv)
-	if !ok {
-		return nil, false
-	}
-	return expr.NewConst(v), true
-}
-
-// decodeVal binds one wire value into the rehydrator's universe.
-func (r *rehydrator) decodeVal(wv *wireValue) (expr.Value, bool) {
+// decodeVal binds one wire value into universe u.
+func decodeVal(u *expr.Universe, wv *wireValue) (expr.Value, bool) {
 	switch wv.Kind {
 	case "bool":
 		return expr.BoolVal(wv.N != 0), true
 	case "int":
 		// The key pins the integer width, so the stored payload is already
 		// in this universe's wrapped range; WrapInt is then the identity.
-		return expr.IntVal(r.u, wv.N), true
+		return expr.IntVal(u, wv.N), true
 	case "pid":
-		if wv.N < 0 || wv.N >= int64(r.u.NumCaches()) {
+		if wv.N < 0 || wv.N >= int64(u.NumCaches()) {
 			return expr.Value{}, false
 		}
 		return expr.PIDVal(int(wv.N)), true
 	case "set":
-		if wv.Mask&^r.u.SetMask() != 0 {
+		if wv.Mask&^u.SetMask() != 0 {
 			return expr.Value{}, false
 		}
 		return expr.SetVal(wv.Mask), true
 	case "enum":
-		et, ok := r.u.Enum(wv.Enum)
+		et, ok := u.Enum(wv.Enum)
 		if !ok {
 			return expr.Value{}, false
 		}
@@ -333,50 +301,4 @@ func (r *rehydrator) decodeVal(wv *wireValue) (expr.Value, bool) {
 		return expr.EnumVal(et, ord), true
 	}
 	return expr.Value{}, false
-}
-
-// decodeTrace rebinds a persisted CEGIS trace into spec's world. Any
-// unbindable symbol fails the whole decode (the caller then treats the
-// entry as a miss), keeping the all-or-nothing contract of DecodeEntry.
-func (r *rehydrator) decodeTrace(wis []wireIter) ([]synth.IterRecord, bool) {
-	if len(wis) == 0 {
-		return nil, true
-	}
-	out := make([]synth.IterRecord, 0, len(wis))
-	for _, wi := range wis {
-		cand, ok := r.decode(wi.Candidate)
-		if !ok {
-			return nil, false
-		}
-		rec := synth.IterRecord{
-			Candidate:  cand,
-			KilledBy:   wi.KilledBy,
-			Enumerated: wi.Enumerated,
-			Kept:       wi.Kept,
-			Resumed:    wi.Resumed,
-			Restarted:  wi.Restarted,
-		}
-		if len(wi.Witness) > 0 {
-			env := make(expr.Env, len(wi.Witness))
-			for _, b := range wi.Witness {
-				v, ok := r.decodeVal(b.Val)
-				if !ok {
-					return nil, false
-				}
-				env[b.Name] = v
-			}
-			rec.Witness = env
-			if wi.Out != nil {
-				out2, ok := r.decodeVal(wi.Out)
-				if !ok {
-					return nil, false
-				}
-				// The round's concretization shares the witness valuation,
-				// exactly as cegisIteration built it.
-				rec.NewExample = &synth.ConcreteExample{S: env, Out: out2}
-			}
-		}
-		out = append(out, rec)
-	}
-	return out, true
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,21 +37,25 @@ func TestEncodeDecodeEntryRoundTrip(t *testing.T) {
 	u := spec.Problem.U
 	st, _ := u.Enum("State")
 
-	// An expression exercising vars, applies, and every constant kind.
+	// Answers to the Bool hole exercising vars, applies, and every
+	// constant kind, each with a two-round trace.
 	cases := []expr.Expr{
-		spec.Problem.Vars[0],
 		expr.Ge(spec.Problem.Vars[0], expr.IntC(u, 3)),
 		expr.And(expr.True(), expr.Not(expr.False())),
 		expr.Eq(expr.NewConst(expr.EnumVal(st, 2)), expr.NewConst(expr.EnumVal(st, 2))),
 		expr.SetContains(expr.NewConst(expr.SetOf(0, 2)), expr.NewConst(expr.PIDVal(1))),
 	}
+	trace := []synth.IterRecord{
+		{Round: 1, Candidate: "true()", KilledBy: 0, Witness: "a=1", CounterOut: "false", Enumerated: 5, Kept: 2},
+		{Round: 2, Candidate: "ge(a, 3)", Accepted: true, KilledBy: -1, Enumerated: 37, Kept: 5, Resumed: true},
+	}
 	for i, e := range cases {
-		if e.Type() != expr.BoolType && e.Type() != expr.IntType {
+		if e.Type() != expr.BoolType {
 			t.Fatalf("case %d: unexpected type setup", i)
 		}
 		ent := CacheEntry{Expr: e, Stats: synth.Stats{
 			Concrete:   synth.ConcreteStats{Enumerated: 42, Kept: 7, MaxSizeSeen: 5},
-			SMTQueries: 3, Iterations: 2, SMTClauses: 99, BankReuses: 1,
+			SMTQueries: 3, Iterations: 2, SMTClauses: 99, BankReuses: 1, Trace: trace,
 		}}
 		raw, err := EncodeEntry(ent)
 		if err != nil {
@@ -66,6 +71,9 @@ func TestEncodeDecodeEntryRoundTrip(t *testing.T) {
 		if dec.Stats.Concrete.Enumerated != 42 || dec.Stats.SMTQueries != 3 ||
 			dec.Stats.SMTClauses != 99 || dec.Stats.BankReuses != 1 {
 			t.Fatalf("case %d: stats mangled: %+v", i, dec.Stats)
+		}
+		if !slices.Equal(dec.Stats.Trace, trace) {
+			t.Fatalf("case %d: trace mangled: %+v", i, dec.Stats.Trace)
 		}
 	}
 }
@@ -120,20 +128,33 @@ func TestDecodeBindsToTargetUniverse(t *testing.T) {
 }
 
 // TestDecodeRejectsDrift checks the miss-not-poison property: entries
-// whose symbols do not exist in the target spec decode to a miss.
+// whose symbols do not exist in the target spec decode to a miss. The
+// hole is an Int, so that an entry naming the Int input a fits it and
+// only the bind's own checks can turn the drifted entries away; the
+// control entry must decode.
 func TestDecodeRejectsDrift(t *testing.T) {
 	spec := codecSpec(func(o, a *expr.Var, st *expr.EnumType) expr.Expr {
 		return expr.Eq(o, expr.Eq(a, a))
 	})
+	o := expr.V("o", expr.IntType)
+	spec.Problem.Output = o
+	spec.Examples = []synth.ConcolicExample{{Pre: expr.True(), Post: expr.Eq(o, spec.Problem.Vars[0])}}
+	entry := func(e string) string { return fmt.Sprintf(`{"version":%d,"expr":%s}`, wireVersion, e) }
+
+	if _, ok := DecodeEntry([]byte(entry(`{"var":"a","vt":"Int"}`)), spec); !ok {
+		t.Fatal("control entry a: Int does not decode")
+	}
 	for _, raw := range []string{
 		`not json`,
-		`{"version":99,"expr":{"var":"a","vt":"Int"}}`,                           // foreign version
-		`{"version":1,"expr":{"var":"zz","vt":"Int"}}`,                           // unknown variable
-		`{"version":1,"expr":{"var":"a","vt":"Bool"}}`,                           // type drift
-		`{"version":1,"expr":{"fn":"frobnicate(Int) -> Int","args":[]}}`,         // unknown function
-		`{"version":1,"expr":{"const":{"k":"enum","e":"Nope","n":0,"en":"X"}}}`,  // unknown enum
-		`{"version":1,"expr":{"const":{"k":"enum","e":"State","n":9,"en":"X"}}}`, // ordinal range
-		`{"version":1,"expr":{"const":{"k":"pid","n":77}}}`,                      // pid range
+		`{"version":99,"expr":{"var":"a","vt":"Int"}}`,                    // foreign version
+		entry(`{"var":"zz","vt":"Int"}`),                                  // unknown variable
+		entry(`{"var":"a","vt":"Bool"}`),                                  // type drift
+		entry(`{"fn":"frobnicate(Int) -> Int","args":[]}`),                // unknown function
+		entry(`{"const":{"k":"enum","e":"Nope","n":0,"en":"X"}}`),         // unknown enum
+		entry(`{"const":{"k":"enum","e":"State","n":9,"en":"X"}}`),        // ordinal range
+		entry(`{"const":{"k":"enum","e":"State","n":1,"en":"MODIFIED"}}`), // ordinal renamed
+		entry(`{"const":{"k":"pid","n":77}}`),                             // pid range
+		entry(`{"const":{"k":"set","m":255}}`),                            // set beyond the caches
 	} {
 		if _, ok := DecodeEntry([]byte(raw), spec); ok {
 			t.Fatalf("drifted entry decoded: %s", raw)
@@ -159,7 +180,7 @@ func TestCacheBackendReadThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1.Cached {
+	if out1.Tier != TierMiss {
 		t.Fatal("first solve must miss")
 	}
 	if err := store.Close(); err != nil {
@@ -178,7 +199,7 @@ func TestCacheBackendReadThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out2.Cached || out2.Tier != TierDisk {
+	if out2.Tier != TierDisk {
 		t.Fatal("fresh front-end over a populated store must hit on disk")
 	}
 	if !expr.Equal(e1, e2) {
@@ -363,5 +384,53 @@ func TestWireFormatExample(t *testing.T) {
 	}
 	if dec.Stats.SMTQueries != 5 {
 		t.Fatalf("stats lost: %+v", dec.Stats)
+	}
+}
+
+// TestBindRejectsMisshapenTraces stores a fitting answer with traces no
+// solve of the hole writes, on each tier, and checks that every one is a
+// miss, while the well-shaped trace is a hit on both.
+func TestBindRejectsMisshapenTraces(t *testing.T) {
+	spec := codecSpec(func(o, a *expr.Var, st *expr.EnumType) expr.Expr {
+		return expr.Eq(o, expr.Ge(a, a))
+	})
+	answer := expr.Ge(spec.Problem.Vars[0], spec.Problem.Vars[0])
+	refuted := synth.IterRecord{Round: 1, Candidate: "false()", KilledBy: 0, Witness: "a=0", CounterOut: "true"}
+	accepted := synth.IterRecord{Round: 2, Candidate: "ge(a, a)", Accepted: true, KilledBy: -1}
+	with := func(rec synth.IterRecord, edit func(*synth.IterRecord)) synth.IterRecord {
+		edit(&rec)
+		return rec
+	}
+	fetch := func(trace []synth.IterRecord, iterations int) (mem, disk bool) {
+		ent := CacheEntry{Expr: answer, Stats: synth.Stats{Iterations: iterations, Trace: trace}}
+		c := NewCache()
+		c.Put(spec.Key(), ent)
+		_, _, _, _, mem = c.Fetch(spec)
+		raw, err := EncodeEntry(ent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, disk = DecodeEntry(raw, spec)
+		return mem, disk
+	}
+	if mem, disk := fetch([]synth.IterRecord{refuted, accepted}, 2); !mem || !disk {
+		t.Fatalf("well-shaped trace: memory hit %v, disk hit %v", mem, disk)
+	}
+	for name, tc := range map[string]struct {
+		trace      []synth.IterRecord
+		iterations int
+	}{
+		"fewer rounds than iterations": {[]synth.IterRecord{accepted}, 2},
+		"more rounds than iterations":  {[]synth.IterRecord{refuted, accepted}, 1},
+		"rounds misnumbered":           {[]synth.IterRecord{refuted, with(accepted, func(r *synth.IterRecord) { r.Round = 3 })}, 2},
+		"killer beyond the examples":   {[]synth.IterRecord{with(refuted, func(r *synth.IterRecord) { r.KilledBy = 1 }), accepted}, 2},
+		"refuted round without killer": {[]synth.IterRecord{with(refuted, func(r *synth.IterRecord) { r.KilledBy = -1 }), accepted}, 2},
+		"early round accepted":         {[]synth.IterRecord{with(refuted, func(r *synth.IterRecord) { r.Accepted = true }), accepted}, 2},
+		"last round refuted":           {[]synth.IterRecord{refuted, with(accepted, func(r *synth.IterRecord) { r.Accepted, r.KilledBy = false, 0 })}, 2},
+		"accepted round with killer":   {[]synth.IterRecord{refuted, with(accepted, func(r *synth.IterRecord) { r.KilledBy = 0 })}, 2},
+	} {
+		if mem, disk := fetch(tc.trace, tc.iterations); mem || disk {
+			t.Errorf("%s: memory hit %v, disk hit %v", name, mem, disk)
+		}
 	}
 }

@@ -352,14 +352,14 @@ func TestSolveConcolicCacheReturnsIdenticalExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1.Cached || out1.Tier != TierMiss {
+	if out1.Tier != TierMiss {
 		t.Fatal("first solve must miss")
 	}
 	e2, st2, out2, err := eng.SolveConcolic(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out2.Cached || out2.Tier != TierMem {
+	if out2.Tier != TierMem {
 		t.Fatal("second solve must hit in memory")
 	}
 	if !expr.Equal(e1, e2) {
@@ -415,7 +415,7 @@ func TestCacheHitsRehydrateAcrossUniverses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Cached {
+	if out.Tier != TierMem {
 		t.Fatal("second universe must hit the first's entry")
 	}
 	if r1.String() != r2.String() {
@@ -481,7 +481,7 @@ func TestSolveConcolicNoExpression(t *testing.T) {
 		if !errors.Is(err, synth.ErrNoExpression) {
 			t.Fatalf("solve %d: err = %v, want ErrNoExpression", i+1, err)
 		}
-		if out.Cached || out.Tier != TierMiss {
+		if out.Tier != TierMiss {
 			t.Fatalf("solve %d: tier %s, want a miss", i+1, out.Tier)
 		}
 	}

@@ -3,15 +3,19 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"transit/internal/engine/diskcache"
 	"transit/internal/expr"
+	"transit/internal/synth"
 )
 
 // diskEntrySpec is the hole the disk-bytes oracle fetches: a Bool output
@@ -25,7 +29,7 @@ func diskEntrySpec() SolveSpec {
 
 // fetchEntryFile writes file as spec's entry in dir, opens a store there
 // and fetches spec through a fresh cache in front of it.
-func fetchEntryFile(t *testing.T, dir string, spec SolveSpec, file []byte) (expr.Expr, Tier, bool) {
+func fetchEntryFile(t *testing.T, dir string, spec SolveSpec, file []byte) (expr.Expr, synth.Stats, Tier, bool) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, spec.Key()), file, 0o644); err != nil {
 		t.Fatal(err)
@@ -35,8 +39,8 @@ func fetchEntryFile(t *testing.T, dir string, spec SolveSpec, file []byte) (expr
 		t.Fatal(err)
 	}
 	defer store.Close()
-	e, _, _, tier, ok := NewCacheWithBackend(store).Fetch(spec)
-	return e, tier, ok
+	e, st, _, tier, ok := NewCacheWithBackend(store).Fetch(spec)
+	return e, st, tier, ok
 }
 
 // fitsHole reports why e is not an answer to spec's hole: a type other
@@ -83,18 +87,39 @@ func fitsHole(spec SolveSpec, e expr.Expr) error {
 	return nil
 }
 
+// fitsTrace reports why a hit's CEGIS trace is not one a solve of spec's
+// hole writes: one round per iteration, numbered from 1, every round but
+// the last refuted by one of the spec's examples, the last accepted.
+func fitsTrace(spec SolveSpec, st synth.Stats) error {
+	if len(st.Trace) != st.Iterations {
+		return fmt.Errorf("%d rounds for %d iterations", len(st.Trace), st.Iterations)
+	}
+	for i, it := range st.Trace {
+		switch {
+		case it.Round != i+1:
+			return fmt.Errorf("round %d numbered %d", i+1, it.Round)
+		case i == len(st.Trace)-1 && (!it.Accepted || it.KilledBy != -1):
+			return fmt.Errorf("last round %+v is not accepted", it)
+		case i < len(st.Trace)-1 && (it.Accepted || it.KilledBy < 0 || it.KilledBy >= len(spec.Examples)):
+			return fmt.Errorf("round %+v is not refuted by one of %d examples", it, len(spec.Examples))
+		}
+	}
+	return nil
+}
+
 // FuzzDiskEntry is the disk-cache bytes oracle: the fuzzer's bytes, framed
 // as an intact entry file (checksum line, then the bytes) so that they
 // reach the wire codec, must make Open plus Fetch return a miss or a disk
-// hit that fits the hole, and never panic. The committed corpus holds
-// EncodeEntry outputs: a real solve with its trace, and answers of every
-// wire node kind, some of them of the wrong type or naming the output.
+// hit that fits the hole, with a trace of a solve's shape, and never
+// panic. The committed corpus holds EncodeEntry outputs: a real solve
+// with its trace, and answers of every wire node kind, some of them of
+// the wrong type or naming the output.
 func FuzzDiskEntry(f *testing.F) {
 	spec := diskEntrySpec()
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, val []byte) {
 		file := append(fmt.Appendf(nil, "%08x\n", crc32.Checksum(val, castagnoli)), val...)
-		e, tier, ok := fetchEntryFile(t, t.TempDir(), spec, file)
+		e, st, tier, ok := fetchEntryFile(t, t.TempDir(), spec, file)
 		if !ok {
 			return
 		}
@@ -104,7 +129,43 @@ func FuzzDiskEntry(f *testing.F) {
 		if err := fitsHole(spec, e); err != nil {
 			t.Fatalf("%v, from %q", err, val)
 		}
+		if err := fitsTrace(spec, st); err != nil {
+			t.Fatalf("%v, from %q", err, val)
+		}
 	})
+}
+
+// TestDiskEntrySeedsAtWireVersion keeps the oracle's corpus live: a seed
+// written at another wire version is a miss on the version alone and
+// reaches no further into the codec. At least one seed must also be a
+// hit that replays a refuted round.
+func TestDiskEntrySeedsAtWireVersion(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzDiskEntry/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzDiskEntry seeds (%v)", err)
+	}
+	refuted := false
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		val, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if header != "go test fuzz v1" || err != nil {
+			t.Fatalf("%s is not a []byte corpus file: %v", f, err)
+		}
+		var v struct{ Version int }
+		if err := json.Unmarshal([]byte(val), &v); err != nil || v.Version != wireVersion {
+			t.Errorf("%s: version %d, want %d (%v)", f, v.Version, wireVersion, err)
+		}
+		if ent, ok := DecodeEntry([]byte(val), diskEntrySpec()); ok && len(ent.Stats.Trace) > 1 {
+			refuted = true
+		}
+	}
+	if !refuted {
+		t.Error("no seed replays a trace with a refuted round")
+	}
 }
 
 // TestDiskEntryByteFlipsMiss solves the hole through a disk-backed cache
@@ -125,14 +186,14 @@ func TestDiskEntryByteFlipsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, tier, ok := fetchEntryFile(t, dir, spec, orig); !ok || tier != TierDisk {
+	if e, _, tier, ok := fetchEntryFile(t, dir, spec, orig); !ok || tier != TierDisk {
 		t.Fatalf("intact entry file: %v from tier %s", e, tier)
 	}
 	for i := range orig {
 		for _, mask := range []byte{0x01, 0xff} {
 			flipped := bytes.Clone(orig)
 			flipped[i] ^= mask
-			if e, _, ok := fetchEntryFile(t, dir, spec, flipped); ok {
+			if e, _, _, ok := fetchEntryFile(t, dir, spec, flipped); ok {
 				t.Fatalf("byte %d of %d flipped by %#x reads as %s", i, len(orig), mask, e)
 			}
 		}

@@ -108,7 +108,7 @@ func TestSolveSpecKeySeparatesBankFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Cached {
+	if out.Tier != TierMiss {
 		t.Fatalf("restart-per-round solve answered from the default solve's entry (%s)", def)
 	}
 	if !expr.Equal(got, want) {

@@ -14,10 +14,8 @@ import (
 // call's time went is in its spans: the engine.cache lookup and, on a
 // miss, the synth.cegis solve.
 type SolveOutcome struct {
-	// Cached reports whether the cache supplied the answer (Tier is then
-	// TierMem or TierDisk).
-	Cached bool
-	// Tier is the cache tier that answered the lookup.
+	// Tier is the cache tier that answered the lookup: TierMem or
+	// TierDisk when the cache supplied the answer.
 	Tier Tier
 }
 
@@ -37,8 +35,8 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 	reg := obs.MetricsFrom(ctx)
 	var key string
 	if e.cfg.Cache != nil {
-		// Fetch consults memory first (re-binding the entry's symbols to
-		// this spec's world) and then the persistent backend, if any.
+		// Fetch consults memory first and then the persistent backend, if
+		// any, binding either tier's entry into this spec's world.
 		_, cacheSpan := obs.Start(ctx, "engine.cache")
 		lookupStart := time.Now()
 		re, st, k, tier, ok := e.cfg.Cache.Fetch(spec)
@@ -58,7 +56,6 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 			reg.Histogram("engine.cache.lookup_ms").Observe(lookup)
 		}
 		if ok {
-			out.Cached = true
 			return re, st, out, nil
 		}
 		key = k

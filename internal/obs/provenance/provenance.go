@@ -8,9 +8,10 @@
 // records of every expression on the failing path.
 //
 // The ledger is assembled at the core layer in plan order from data the
-// synthesizer already captures deterministically (synth.Stats.Trace), so
-// it is byte-identical across worker counts and across cold/warm memo
-// caches (the disk codec persists the trace; see DESIGN.md §16). A nil
+// synthesizer already captures deterministically: a hole's iterations
+// are its solve's synth.Stats.Trace as it is, which the memo cache keeps
+// on both tiers. So the ledger is byte-identical across worker counts and
+// across cold/warm memo caches (see DESIGN.md §16). A nil
 // *Recorder is free: every method has a nil receiver no-op, and the
 // assembly step is skipped entirely when no recorder is in the context.
 package provenance
@@ -23,10 +24,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
-	"transit/internal/expr"
+	"transit/internal/synth"
 )
 
 // Version identifies the ledger record schema.
@@ -65,23 +65,6 @@ type ExampleRecord struct {
 	Digest string `json:"digest"`
 }
 
-// IterationRecord is one CEGIS round: the proposed candidate and either
-// its acceptance or the concolic example that killed it plus the
-// concretization admitted in response. Only worker-count-deterministic
-// counters appear here.
-type IterationRecord struct {
-	Round      int    `json:"round"`
-	Candidate  string `json:"candidate"`
-	Accepted   bool   `json:"accepted"`
-	KilledBy   int    `json:"killed_by"` // example index, -1 when accepted
-	Witness    string `json:"witness,omitempty"`
-	CounterOut string `json:"counter_out,omitempty"` // concretized output pinned at Witness
-	Enumerated int64  `json:"enumerated"`
-	Kept       int64  `json:"kept"`
-	Resumed    bool   `json:"resumed,omitempty"`
-	Restarted  bool   `json:"restarted,omitempty"`
-}
-
 // WitnessRecord names one member of the minimal witness set: the
 // examples (and, when present, the killer counterexample) that
 // distinguish the final expression from the last rejected rival.
@@ -105,8 +88,10 @@ type HoleRecord struct {
 	Block   string `json:"block,omitempty"` // efsm.Snippet.BlockKey()
 	Target  string `json:"target"`          // variable being synthesized
 
-	Examples   []ExampleRecord   `json:"examples"`
-	Iterations []IterationRecord `json:"iterations"`
+	Examples []ExampleRecord `json:"examples"`
+	// Iterations is the solve's CEGIS trace, shared with the memo cache
+	// and so read-only.
+	Iterations []synth.IterRecord `json:"iterations"`
 
 	Status    string          `json:"status"`
 	Result    string          `json:"result,omitempty"`
@@ -150,29 +135,6 @@ func Digest(pre, post string) string {
 	return hex.EncodeToString(sum[:])[:12]
 }
 
-// RenderEnv renders a valuation deterministically: "k=v" pairs joined by
-// a single space, keys sorted.
-func RenderEnv(env expr.Env) string {
-	if len(env) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(env))
-	for k := range env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]byte, 0, 16*len(keys))
-	for i, k := range keys {
-		if i > 0 {
-			out = append(out, ' ')
-		}
-		out = append(out, k...)
-		out = append(out, '=')
-		out = append(out, env[k].String()...)
-	}
-	return string(out)
-}
-
 // ComputeWitnesses fills h.Witnesses with the minimal set distinguishing
 // the final expression from the last rejected rival:
 //
@@ -182,9 +144,14 @@ func RenderEnv(env expr.Env) string {
 //     the counterexample (witness valuation ⊢ pinned output) admitted in
 //     that round.
 //
-// Holes that never solved (or never ran CEGIS) get an empty set.
+// Holes that never solved (or never ran CEGIS) get an empty set. A hole
+// without a trace gets an empty Iterations list, so that the ledger
+// writes both lists as [] and never as null.
 func ComputeWitnesses(h *HoleRecord) {
 	h.Witnesses = []WitnessRecord{}
+	if h.Iterations == nil {
+		h.Iterations = []synth.IterRecord{}
+	}
 	if h.Status != StatusSolved || len(h.Iterations) == 0 {
 		return
 	}

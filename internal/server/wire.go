@@ -171,7 +171,7 @@ func solveProvenance(spec engine.SolveSpec, res expr.Expr, st synth.Stats) *prov
 			Digest: provenance.Digest(pre, post),
 		})
 	}
-	h.Iterations = provenance.TraceIterations(st.Trace)
+	h.Iterations = st.Trace
 	h.Status = provenance.StatusSolved
 	h.Result = res.String()
 	provenance.ComputeWitnesses(h)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"transit/internal/expr"
@@ -110,10 +112,11 @@ func cegisIteration(ctx context.Context, sc *schema, p Problem, examples []Conco
 		span.Mark("synth.round", obs.Int("iteration", iter),
 			obs.Int("concrete_examples", len(*concrete)))
 	}
+	var rec IterRecord
 	defer func() {
 		span.SetAttr(obs.Bool("consistent", consistent))
 		if candidate != nil {
-			span.SetAttr(obs.Str("candidate", candidate.String()))
+			span.SetAttr(obs.Str("candidate", rec.Candidate))
 		}
 		span.End()
 	}()
@@ -135,15 +138,16 @@ func cegisIteration(ctx context.Context, sc *schema, p Problem, examples []Conco
 		return nil, false, err
 	}
 
-	rec := IterRecord{
-		Candidate:  candidate,
+	rec = IterRecord{
+		Round:      iter,
+		Candidate:  candidate.String(),
+		Accepted:   true,
 		KilledBy:   -1,
-		Resumed:    resumed,
-		Restarted:  cstats.Restarts > 0,
 		Enumerated: cstats.Enumerated,
 		Kept:       cstats.Kept,
+		Resumed:    resumed,
+		Restarted:  cstats.Restarts > 0,
 	}
-	consistent = true
 	for i := range examples {
 		S, err := be.checkExample(ctx, i, candidate, stats)
 		if err != nil {
@@ -153,23 +157,20 @@ func cegisIteration(ctx context.Context, sc *schema, p Problem, examples []Conco
 			continue
 		}
 		// Witness S falsifies the example; concretize it.
-		consistent = false
-		rec.KilledBy = i
 		ko, err := be.concretize(ctx, S, stats)
 		if err != nil {
 			return nil, false, err
 		}
-		ex := ConcreteExample{S: S, Out: ko}
-		*concrete = append(*concrete, ex)
-		rec.Witness = S
-		rec.NewExample = &ex
+		*concrete = append(*concrete, ConcreteExample{S: S, Out: ko})
+		rec.Accepted, rec.KilledBy = false, i
+		rec.Witness, rec.CounterOut = be.witness(S), ko.String()
 		// One new concretization per iteration keeps the trace
 		// aligned with the paper's Table 2; remaining examples are
 		// re-checked next round against the refined candidate.
 		break
 	}
 	stats.Trace = append(stats.Trace, rec)
-	return candidate, consistent, nil
+	return candidate, rec.Accepted, nil
 }
 
 // smtBackend issues the CEGIS queries, each a one-shot query over
@@ -193,6 +194,7 @@ func cegisIteration(ctx context.Context, sc *schema, p Problem, examples []Conco
 type smtBackend struct {
 	p        Problem
 	qvars    []*expr.Var // p.Vars ∪ {Output}
+	byName   []*expr.Var // p.Vars in name order, the order a witness is written in
 	opts     smt.Options // hinted toward the saturated valuation
 	examples []ConcolicExample
 	allEx    expr.Expr // ∧_j (pre_j ⇒ post_j)
@@ -208,7 +210,22 @@ func newBackend(p Problem, examples []ConcolicExample, opts smt.Options) *smtBac
 	for _, c := range examples {
 		forms = append(forms, c.Formula())
 	}
-	return &smtBackend{p: p, qvars: qvars, opts: opts, examples: examples, allEx: expr.And(forms...)}
+	byName := slices.Clone(p.Vars)
+	slices.SortFunc(byName, func(x, y *expr.Var) int { return strings.Compare(x.Name, y.Name) })
+	return &smtBackend{p: p, qvars: qvars, byName: byName, opts: opts, examples: examples, allEx: expr.And(forms...)}
+}
+
+// witness writes the valuation S over the inputs as an IterRecord's
+// Witness: "k=v" pairs in name order, joined by single spaces.
+func (be *smtBackend) witness(S expr.Env) string {
+	b := make([]byte, 0, 16*len(be.byName))
+	for i, v := range be.byName {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(append(append(b, v.Name...), '='), S[v.Name].String()...)
+	}
+	return string(b)
 }
 
 // checkExample poses consistency query i for the candidate and returns

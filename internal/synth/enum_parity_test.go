@@ -28,8 +28,8 @@ func maxConcrete(t testing.TB) (Problem, []ConcreteExample) {
 	return p, []ConcreteExample{mk(1, 2, 2), mk(3, 1, 3), mk(2, 2, 2), mk(0, 3, 3)}
 }
 
-// sameTrace asserts two CEGIS traces are byte-identical: candidates,
-// witnesses, and concretized outputs.
+// sameTrace asserts two CEGIS traces agree round by round: candidates,
+// killers, witnesses, and concretized outputs.
 func sameTrace(t *testing.T, want, got []IterRecord) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -37,22 +37,9 @@ func sameTrace(t *testing.T, want, got []IterRecord) {
 	}
 	for i := range want {
 		wr, gr := want[i], got[i]
-		if wr.Candidate.String() != gr.Candidate.String() {
-			t.Fatalf("iter %d candidate: %s vs %s", i+1, wr.Candidate, gr.Candidate)
-		}
-		if (wr.Witness == nil) != (gr.Witness == nil) {
-			t.Fatalf("iter %d witness presence differs", i+1)
-		}
-		for k, v := range wr.Witness {
-			if gr.Witness[k] != v {
-				t.Fatalf("iter %d witness[%s]: %v vs %v", i+1, k, v, gr.Witness[k])
-			}
-		}
-		if (wr.NewExample == nil) != (gr.NewExample == nil) {
-			t.Fatalf("iter %d new-example presence differs", i+1)
-		}
-		if wr.NewExample != nil && wr.NewExample.Out != gr.NewExample.Out {
-			t.Fatalf("iter %d concretized output: %v vs %v", i+1, wr.NewExample.Out, gr.NewExample.Out)
+		if wr.Candidate != gr.Candidate || wr.KilledBy != gr.KilledBy ||
+			wr.Witness != gr.Witness || wr.CounterOut != gr.CounterOut {
+			t.Fatalf("iter %d: %+v vs %+v", i+1, wr, gr)
 		}
 	}
 }

@@ -37,7 +37,7 @@ var goldenCounters = []string{
 }
 
 // renderRounds writes one line per CEGIS round.
-func renderRounds(sb *strings.Builder, rounds []provenance.IterationRecord) {
+func renderRounds(sb *strings.Builder, rounds []synth.IterRecord) {
 	for _, r := range rounds {
 		fmt.Fprintf(sb, "  round %d: candidate=%s killed_by=%d enumerated=%d kept=%d resumed=%v restarted=%v",
 			r.Round, r.Candidate, r.KilledBy, r.Enumerated, r.Kept, r.Resumed, r.Restarted)
@@ -90,7 +90,7 @@ func table3Records(t *testing.T) string {
 		c := st.Concrete
 		fmt.Fprintf(&sb, "iterations=%d smt_queries=%d enumerated=%d kept=%d max_size_seen=%d restarts=%d bank_reuses=%d interp_pruned=%d unrealizable=%v\n",
 			st.Iterations, st.SMTQueries, c.Enumerated, c.Kept, c.MaxSizeSeen, c.Restarts, st.BankReuses, c.InterpPruned, st.Unrealizable)
-		renderRounds(&sb, provenance.TraceIterations(st.Trace))
+		renderRounds(&sb, st.Trace)
 	}
 	return sb.String()
 }

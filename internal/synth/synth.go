@@ -187,36 +187,43 @@ type ConcreteStats struct {
 	Elapsed      time.Duration
 }
 
-// IterRecord traces one CEGIS iteration; Table 2 of the paper is a
-// rendering of this trace for max(a, b). Beyond the paper's columns the
-// record carries the causal fields the provenance ledger needs: which
-// concolic example killed the candidate, whether the round resumed the
-// previous bank or restarted, and the round's enumeration counters. All
-// of them are deterministic, so the trace — and any ledger derived from
-// it — stays byte-identical across `-workers` settings and memo-cache
-// replays.
+// IterRecord is one CEGIS round, the paper's Table 2 row and the
+// provenance ledger's iteration record in one: the candidate checked,
+// the concolic example that refuted it with the SMT witness, and the
+// output the round concretized at that witness, plus whether the round
+// resumed the previous bank or restarted and its enumeration counters.
+// Every field is text or a number, rendered once when the round ends, so
+// the record is free of any universe: the ledger, the memo cache on both
+// tiers, Table 2 and -cegis-trace all carry it unchanged. The JSON names
+// and their order are the ledger's. All fields are deterministic, so a
+// trace stays byte-identical across -workers settings and cache replays.
 type IterRecord struct {
+	// Round numbers the rounds of a solve from 1.
+	Round int `json:"round"`
 	// Candidate is the expression proposed by SolveConcrete.
-	Candidate expr.Expr
-	// Witness is the SMT model showing inconsistency, or nil when the
-	// candidate was accepted.
-	Witness expr.Env
-	// NewExample is the concretization added, or nil when accepted.
-	NewExample *ConcreteExample
+	Candidate string `json:"candidate"`
+	// Accepted reports that every concolic example held for Candidate.
+	Accepted bool `json:"accepted"`
 	// KilledBy is the index of the concolic example whose consistency
-	// query produced Witness, or -1 when the candidate was accepted.
-	KilledBy int
+	// query refuted Candidate, or -1 when it was accepted.
+	KilledBy int `json:"killed_by"`
+	// Witness is the refuting SMT model over the inputs, as "k=v" pairs
+	// in name order joined by spaces; empty when accepted.
+	Witness string `json:"witness,omitempty"`
+	// CounterOut is the output value concretized at Witness, the new
+	// concrete example's output; empty when accepted.
+	CounterOut string `json:"counter_out,omitempty"`
+	// Enumerated and Kept are this round's enumeration counters
+	// (per-round slices of ConcreteStats.Enumerated/Kept).
+	Enumerated int64 `json:"enumerated"`
+	Kept       int64 `json:"kept"`
 	// Resumed reports that the round resumed the previous round's
 	// expression bank instead of enumerating from size 1. A round whose
 	// bank was proven stale before the walk ran fresh and is not resumed.
-	Resumed bool
+	Resumed bool `json:"resumed,omitempty"`
 	// Restarted reports that the round's search restarted despite a
 	// resumable bank (stale-skip or transparent fallback).
-	Restarted bool
-	// Enumerated and Kept are this round's enumeration counters
-	// (per-round slices of ConcreteStats.Enumerated/Kept).
-	Enumerated int64
-	Kept       int64
+	Restarted bool `json:"restarted,omitempty"`
 }
 
 // Stats reports work done by SolveConcolic.
@@ -225,7 +232,10 @@ type Stats struct {
 	SMTQueries int
 	Iterations int
 	Elapsed    time.Duration
-	Trace      []IterRecord
+
+	// Trace holds one record per CEGIS round. A memo-cache hit shares
+	// the trace of the solve it replays, so it is read-only.
+	Trace []IterRecord
 
 	// BankReuses counts CEGIS rounds that resumed enumeration from the
 	// previous round's expression bank instead of restarting at size 1,

@@ -3,6 +3,7 @@ package synth
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -332,13 +333,20 @@ func TestSolveConcolicTraceShape(t *testing.T) {
 		t.Fatalf("trace length %d != iterations %d", len(stats.Trace), stats.Iterations)
 	}
 	last := stats.Trace[len(stats.Trace)-1]
-	if last.Witness != nil || last.NewExample != nil {
+	if !last.Accepted || last.KilledBy != -1 || last.Witness != "" || last.CounterOut != "" {
 		t.Error("accepted iteration should have no witness")
 	}
-	for _, rec := range stats.Trace[:len(stats.Trace)-1] {
-		if rec.Witness == nil || rec.NewExample == nil {
-			t.Error("rejected iteration must carry witness and new example")
+	for i, rec := range stats.Trace {
+		if rec.Round != i+1 {
+			t.Errorf("round %d numbered %d", i+1, rec.Round)
 		}
+		if i < len(stats.Trace)-1 && (rec.Accepted || rec.KilledBy != 0 || rec.Witness == "" || rec.CounterOut == "") {
+			t.Errorf("rejected iteration must carry its killer, witness and new example: %+v", rec)
+		}
+	}
+	// The witness is written as the ledger writes it: k=v in name order.
+	if w := stats.Trace[0].Witness; !strings.HasPrefix(w, "a=") || !strings.Contains(w, " b=") {
+		t.Errorf("witness %q is not written as a=… b=…", w)
 	}
 }
 

@@ -30,10 +30,10 @@ import (
 // consistent, no expression of any size is: the hole is unrealizable.
 //
 // The check runs only on the exhaustion path (never on a solve that
-// succeeds), only under interpretation reduction, and under hard caps on
-// the valuation count, class count, enumerated candidates, and wall
-// clock; any cap overrun makes it inconclusive — the caller keeps its
-// plain ErrNoExpression.
+// succeeds), never under Limits.NoPrune (its only gate, so it runs under
+// NoBankReuse too), and under hard caps on the valuation count, class
+// count, enumerated candidates, and wall clock; any cap overrun makes it
+// inconclusive — the caller keeps its plain ErrNoExpression.
 
 const (
 	// unrealizableDomainCap bounds the materialized input valuations
