@@ -15,14 +15,13 @@
 //
 // Usage:
 //
-//	transit-infer [-max-size K] [-timeout D] [-cegis-trace] [-stats]
-//	              [-trace out.json] [-stats-summary]
-//	              [-serve ADDR] [-flight F]
-//	              [-cpuprofile F] [-memprofile F] file
+//	transit-infer [-max-size K] [-timeout D] [-cegis-trace] [flags] file
 //
-// With no file the spec is read from stdin. -cegis-trace prints the
-// Table 2 style iteration log; -trace writes a Chrome trace-event JSON
-// file of the CEGIS/SMT/SAT span tree (open it at ui.perfetto.dev).
+// With no file the spec is read from stdin. -timeout is an inference
+// deadline, and -cegis-trace prints the Table 2 style iteration log. The
+// other flags are the observability flags every command takes (-stats,
+// -trace, -stats-summary, -serve, -flight, -cpuprofile, -memprofile; see
+// serve.Flags in internal/obs/serve).
 package main
 
 import (
@@ -31,29 +30,21 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"transit"
 	"transit/internal/lang"
-	"transit/internal/obs"
 	"transit/internal/obs/serve"
 )
 
 // inferOptions is the CLI configuration for one inference run.
 type inferOptions struct {
-	maxSize      int
-	timeout      time.Duration
-	cegisTrace   bool
-	stats        bool
-	tracePath    string
-	statsSummary bool
-	serveAddr    string
-	flightPath   string
-	profiling    obs.Profiling
+	maxSize    int
+	timeout    time.Duration
+	cegisTrace bool
+	obs        serve.Flags
 }
 
 func main() {
@@ -61,13 +52,7 @@ func main() {
 	flag.IntVar(&opts.maxSize, "max-size", 14, "expression-size bound")
 	flag.BoolVar(&opts.cegisTrace, "cegis-trace", false, "print the CEGIS trace (Table 2 style)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "inference deadline, e.g. 30s (0 = none)")
-	flag.BoolVar(&opts.stats, "stats", false, "stream trace spans and marks as JSON lines to stderr")
-	flag.StringVar(&opts.tracePath, "trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
-	flag.BoolVar(&opts.statsSummary, "stats-summary", false, "print an end-of-run span tree and metrics table to stderr")
-	flag.StringVar(&opts.serveAddr, "serve", "", "serve live introspection on this address (e.g. localhost:6969)")
-	flag.StringVar(&opts.flightPath, "flight", "", "arm the flight recorder, dumping to this file on panic/cancel/SIGINT")
-	flag.StringVar(&opts.profiling.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&opts.profiling.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
+	opts.obs.Register(flag.CommandLine)
 	flag.Parse()
 	var src []byte
 	var err error
@@ -76,17 +61,13 @@ func main() {
 	} else {
 		src, err = io.ReadAll(os.Stdin)
 	}
+	if err == nil {
+		err = run(string(src), opts)
+	}
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, "transit-infer:", err)
+		os.Exit(1)
 	}
-	if err := run(string(src), opts); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "transit-infer:", err)
-	os.Exit(1)
 }
 
 // parseSpec splits the statement-oriented input into a problem
@@ -171,7 +152,13 @@ func parseSpec(src string) (*lang.SolveDecl, error) {
 	return sp, nil
 }
 
-func run(src string, opts inferOptions) error {
+func run(src string, opts inferOptions) (err error) {
+	cmd, ctx, err := serve.Open("transit-infer", opts.obs)
+	if err != nil {
+		return err
+	}
+	defer cmd.Close(&err)
+
 	sp, err := parseSpec(src)
 	if err != nil {
 		return err
@@ -180,49 +167,6 @@ func run(src string, opts inferOptions) error {
 	if err != nil {
 		return err
 	}
-
-	var ndjson, summary io.Writer
-	if opts.stats {
-		ndjson = os.Stderr
-	}
-	if opts.statsSummary {
-		summary = os.Stderr
-	}
-	var srv *serve.Server
-	flightPath := opts.flightPath
-	if opts.serveAddr != "" {
-		srv = serve.New(opts.serveAddr)
-		if flightPath == "" {
-			flightPath = obs.DefaultFlightPath()
-		}
-	}
-	oopts := obs.Options{
-		NDJSON:     ndjson,
-		TracePath:  opts.tracePath,
-		Summary:    summary,
-		FlightPath: flightPath,
-		Profiling:  opts.profiling,
-	}
-	if srv != nil {
-		oopts.Extra = srv.Exporters()
-	}
-	sess, err := obs.NewSession(oopts)
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	if srv != nil {
-		srv.Attach(sess)
-		if err := srv.Start(); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "transit-infer: live introspection on http://%s/\n", srv.Addr())
-	}
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx := sess.Context(sigCtx)
 	if opts.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
@@ -230,9 +174,6 @@ func run(src string, opts inferOptions) error {
 	}
 	e, st, err := transit.SolveConcolicCtx(ctx, prob, examples, transit.Limits{MaxSize: opts.maxSize})
 	if err != nil {
-		if path, derr := sess.DumpFlight(err.Error()); derr == nil && path != "" {
-			fmt.Fprintf(os.Stderr, "transit-infer: flight dump written to %s\n", path)
-		}
 		return err
 	}
 	if opts.cegisTrace {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"transit/internal/obs/serve"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -60,7 +62,7 @@ var a: Int;
 var b: Int;
 output o: Int;
 example true ==> (o >= a) & (o >= b) & ((o = a) | (o = b));
-`, inferOptions{maxSize: 8, stats: true})
+`, inferOptions{maxSize: 8, obs: serve.Flags{Stats: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,8 @@ var a: Int;
 var b: Int;
 output o: Int;
 example true ==> (o >= a) & (o >= b) & ((o = a) | (o = b));
-`, inferOptions{maxSize: 8, cegisTrace: true, tracePath: tracePath, statsSummary: true})
+`, inferOptions{maxSize: 8, cegisTrace: true,
+		obs: serve.Flags{Trace: tracePath, StatsSummary: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,24 +16,17 @@
 //	-deadlock       also report deadlocks (default true)
 //	-dump           print every completed transition
 //	-workers N      inference worker pool size (default 1 = sequential)
-//	-timeout D      overall synthesis deadline, e.g. 30s (default none)
-//	-stats          stream trace spans and marks as JSON lines to stderr
-//	-trace F        write a Chrome trace-event JSON file to F (open it at
-//	                https://ui.perfetto.dev)
-//	-stats-summary  print an end-of-run span tree and metrics table
-//	-cpuprofile F   write a CPU profile to F
-//	-memprofile F   write a heap profile to F at exit
-//	-serve ADDR     serve live introspection on ADDR: /metrics (Prometheus),
-//	                /vars, /runs, /trace/live (SSE), /flight, /debug/pprof/
-//	-flight F       arm the flight recorder, dumping the event tail to F on
-//	                panic, cancellation, or SIGINT (-serve arms it too,
-//	                defaulting to transit-flight-<pid>.ndjson)
+//	-timeout D      synthesis deadline, e.g. 30s (default none)
 //	-mc-progress D  model-checker heartbeat interval (default 1s, 0 disables)
 //	-mc-workers N   model-checker frontier workers (default: all CPUs; the
 //	                result is identical for every worker count)
 //	-no-symmetry    disable symmetry reduction (by default the checker
 //	                explores one canonical state per PID-permutation orbit
 //	                when the protocol qualifies)
+//
+// plus the observability flags every command takes (-stats, -trace,
+// -stats-summary, -serve, -flight, -cpuprofile, -memprofile; see
+// serve.Flags in internal/obs/serve).
 //
 // Subcommands:
 //
@@ -60,9 +53,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"transit"
@@ -101,14 +92,8 @@ func main() {
 	flag.StringVar(&opts.murphiOut, "murphi", "", "write the completed protocol as a Murphi model to this file")
 	flag.StringVar(&opts.builtin, "builtin", "", "run a built-in protocol: "+protocols.BuiltinNames)
 	flag.IntVar(&opts.workers, "workers", 1, "inference worker pool size (1 = sequential)")
-	flag.DurationVar(&opts.timeout, "timeout", 0, "overall synthesis deadline (0 = none)")
-	flag.BoolVar(&opts.stats, "stats", false, "stream trace spans and marks as JSON lines to stderr")
-	flag.StringVar(&opts.tracePath, "trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
-	flag.BoolVar(&opts.statsSummary, "stats-summary", false, "print an end-of-run span tree and metrics table to stderr")
-	flag.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&opts.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&opts.serveAddr, "serve", "", "serve live introspection on this address (e.g. localhost:6969)")
-	flag.StringVar(&opts.flightPath, "flight", "", "arm the flight recorder, dumping to this file on panic/cancel/SIGINT")
+	flag.DurationVar(&opts.timeout, "timeout", 0, "synthesis deadline (0 = none)")
+	opts.obs.Register(flag.CommandLine)
 	flag.StringVar(&opts.ledgerPath, "ledger", "", "write the synthesis provenance ledger (NDJSON) to this file; render it with `transit obs explain`")
 	flag.DurationVar(&opts.mcProgress, "mc-progress", time.Second, "model-checker heartbeat interval (0 disables)")
 	flag.IntVar(&opts.mcWorkers, "mc-workers", runtime.NumCPU(), "model-checker frontier workers (identical result at any count)")
@@ -127,28 +112,22 @@ func main() {
 
 // options collects the CLI configuration for one run.
 type options struct {
-	numCaches    int
-	maxSize      int
-	maxStates    int
-	deadlock     bool
-	dump         bool
-	msc          bool
-	builtin      string
-	murphiOut    string
-	workers      int
-	timeout      time.Duration
-	stats        bool
-	tracePath    string
-	statsSummary bool
-	cpuProfile   string
-	memProfile   string
-	serveAddr    string
-	flightPath   string
-	ledgerPath   string
-	mcProgress   time.Duration
-	mcWorkers    int
-	noSymmetry   bool
-	args         []string
+	numCaches  int
+	maxSize    int
+	maxStates  int
+	deadlock   bool
+	dump       bool
+	msc        bool
+	builtin    string
+	murphiOut  string
+	workers    int
+	timeout    time.Duration
+	obs        serve.Flags
+	ledgerPath string
+	mcProgress time.Duration
+	mcWorkers  int
+	noSymmetry bool
+	args       []string
 }
 
 // runObs handles the "transit obs" subcommand family.
@@ -246,71 +225,19 @@ func mcInterval(d time.Duration) time.Duration {
 
 // run executes the pipeline and returns the process exit code (0 ok, 2
 // model-check violation). Returning instead of calling os.Exit directly
-// lets the observability session flush trace files and profiles first.
-func run(opts options) (int, error) {
+// lets the observability lifecycle dump the flight ring on a failure and
+// flush trace files and profiles first; a violation is not a failure.
+func run(opts options) (code int, err error) {
+	cmd, ctx, err := serve.Open("transit", opts.obs)
+	if err != nil {
+		return 0, err
+	}
+	defer cmd.Close(&err)
+
 	proto, err := loadProtocol(opts)
 	if err != nil {
 		return 0, err
 	}
-
-	var ndjson io.Writer
-	var summary io.Writer
-	sopts := transit.SynthesisOptions{
-		Limits:  transit.Limits{MaxSize: opts.maxSize},
-		Workers: opts.workers,
-		Timeout: opts.timeout,
-	}
-	if opts.stats {
-		ndjson = os.Stderr
-	}
-	if opts.statsSummary {
-		summary = os.Stderr
-	}
-
-	// The introspection server's exporters must join the session fan-out,
-	// so it is built first and attached after. Serving also arms the
-	// flight recorder: a run someone is watching is a run whose death
-	// should leave evidence.
-	var srv *serve.Server
-	flightPath := opts.flightPath
-	if opts.serveAddr != "" {
-		srv = serve.New(opts.serveAddr)
-		if flightPath == "" {
-			flightPath = obs.DefaultFlightPath()
-		}
-	}
-	oopts := obs.Options{
-		NDJSON:     ndjson,
-		TracePath:  opts.tracePath,
-		Summary:    summary,
-		FlightPath: flightPath,
-		Profiling: obs.Profiling{
-			CPUProfile: opts.cpuProfile,
-			MemProfile: opts.memProfile,
-		},
-	}
-	if srv != nil {
-		oopts.Extra = srv.Exporters()
-	}
-	sess, err := obs.NewSession(oopts)
-	if err != nil {
-		return 0, err
-	}
-	if srv != nil {
-		srv.Attach(sess)
-		if err := srv.Start(); err != nil {
-			_ = sess.Close()
-			return 0, err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "transit: live introspection on http://%s/\n", srv.Addr())
-	}
-
-	// SIGINT/SIGTERM cancel the pipeline context; the partial-result paths
-	// return what was explored so far and the flight recorder keeps the
-	// event tail.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// -ledger arms provenance capture: the recorder rides the context into
 	// the completion run, the flight recorder embeds the ledger tail, and
@@ -322,30 +249,9 @@ func run(opts options) (int, error) {
 		}
 		ledger := provenance.NewRecorder(runLabel)
 		ctx = provenance.WithRecorder(ctx, ledger)
-		sess.Recorder.AddSnapshot("provenance", func() any { return ledger.Tail(16) })
+		cmd.Session.Recorder.AddSnapshot("provenance", func() any { return ledger.Tail(16) })
 	}
-
-	// A panic anywhere in the pipeline dumps the flight ring before the
-	// process dies — the dump is the post-mortem the stack trace lacks.
-	defer func() {
-		if r := recover(); r != nil {
-			if path, err := sess.DumpFlight(fmt.Sprintf("panic: %v", r)); err == nil && path != "" {
-				fmt.Fprintf(os.Stderr, "transit: flight dump written to %s\n", path)
-			}
-			panic(r)
-		}
-	}()
-
-	code, err := pipeline(sess.Context(ctx), proto, sopts, opts)
-	if ctx.Err() != nil {
-		if path, derr := sess.DumpFlight(ctx.Err().Error()); derr == nil && path != "" {
-			fmt.Fprintf(os.Stderr, "transit: flight dump written to %s\n", path)
-		}
-	}
-	if cerr := sess.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return code, err
+	return pipeline(ctx, proto, opts)
 }
 
 // loadProtocol resolves the -builtin flag or the .tr file argument.
@@ -366,7 +272,7 @@ func loadProtocol(opts options) (*transit.Protocol, error) {
 
 // pipeline runs synthesize → dump → export → model check under the
 // observability context.
-func pipeline(ctx context.Context, proto *transit.Protocol, sopts transit.SynthesisOptions, opts options) (int, error) {
+func pipeline(ctx context.Context, proto *transit.Protocol, opts options) (int, error) {
 	fmt.Printf("protocol %s with %d caches: %d snippets\n", proto.Name, opts.numCaches, len(proto.Snippets))
 
 	// The ledger is written on every exit path — synthesis failures record
@@ -391,7 +297,18 @@ func pipeline(ctx context.Context, proto *transit.Protocol, sopts transit.Synthe
 		}()
 	}
 
-	rep, err := transit.SynthesizeCtx(ctx, proto, sopts)
+	// -timeout is a synthesis deadline: it bounds SynthesizeCtx, not the
+	// model check after it.
+	sctx := ctx
+	if opts.timeout > 0 {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithTimeout(ctx, opts.timeout)
+		defer cancel()
+	}
+	rep, err := transit.SynthesizeCtx(sctx, proto, transit.SynthesisOptions{
+		Limits:  transit.Limits{MaxSize: opts.maxSize},
+		Workers: opts.workers,
+	})
 	if err != nil {
 		return 0, fmt.Errorf("synthesis: %w", err)
 	}
@@ -399,7 +316,7 @@ func pipeline(ctx context.Context, proto *transit.Protocol, sopts transit.Synthe
 		rep.Transitions, rep.Elapsed.Round(time.Millisecond),
 		rep.UpdatesSynthesized, rep.UpdateExprsTried,
 		rep.GuardsSynthesized, rep.GuardExprsTried, rep.SMTQueries)
-	if opts.stats {
+	if opts.obs.Stats {
 		fmt.Printf("engine: %d workers, %d jobs, %d cache hits / %d misses, utilization %.2f\n",
 			rep.Workers, rep.Jobs, rep.CacheHits, rep.CacheMisses, rep.Utilization)
 	}

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"transit/internal/obs/serve"
 	"transit/internal/protocols"
 )
 
@@ -23,7 +27,7 @@ func TestRunBuiltinVI(t *testing.T) {
 
 func TestRunBuiltinVIParallelStats(t *testing.T) {
 	opts := options{numCaches: 2, maxSize: 10, maxStates: 100_000, deadlock: true, builtin: "vi",
-		workers: 4, stats: true}
+		workers: 4, obs: serve.Flags{Stats: true}}
 	if _, err := run(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +42,8 @@ func TestRunTraceAndProfiles(t *testing.T) {
 	cpuPath := filepath.Join(dir, "cpu.pprof")
 	memPath := filepath.Join(dir, "mem.pprof")
 	opts := options{numCaches: 2, maxSize: 10, maxStates: 100_000, deadlock: true, builtin: "vi",
-		workers: 2, tracePath: tracePath, statsSummary: true,
-		cpuProfile: cpuPath, memProfile: memPath}
+		workers: 2, obs: serve.Flags{Trace: tracePath, StatsSummary: true,
+			CPUProfile: cpuPath, MemProfile: memPath}}
 	code, err := run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +155,48 @@ func TestRunUnknownBuiltin(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown builtin "nope"`) ||
 		!strings.Contains(err.Error(), protocols.BuiltinNames) {
 		t.Fatalf("run(-builtin nope) error = %v", err)
+	}
+}
+
+// TestRunTimeoutDumpsFlight checks -timeout is a deadline on the
+// synthesis context: the run fails with an error wrapping
+// context.DeadlineExceeded and leaves a flight dump that opens with the
+// flight header naming the deadline.
+func TestRunTimeoutDumpsFlight(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.ndjson")
+	_, err := run(options{numCaches: 3, maxSize: 12, maxStates: 100_000, builtin: "mesi",
+		timeout: time.Millisecond, obs: serve.Flags{Flight: path}})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run error = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no flight dump: %v", err)
+	}
+	first, _, _ := strings.Cut(string(data), "\n")
+	var header struct {
+		Type   string `json:"type"`
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal([]byte(first), &header); err != nil || header.Type != "flight" ||
+		!strings.Contains(header.Reason, "deadline") {
+		t.Fatalf("first line is not a flight header naming the deadline: %s (%v)", first, err)
+	}
+}
+
+// TestRunCleanLeavesNoFlightDump checks -flight writes nothing when the
+// run succeeds, and a model-check violation (exit code 2) is not a
+// failure either.
+func TestRunCleanLeavesNoFlightDump(t *testing.T) {
+	for builtin, want := range map[string]int{"vi": 0, "origin-buggy": 2} {
+		path := filepath.Join(t.TempDir(), "flight.ndjson")
+		code, err := run(options{numCaches: 2, maxSize: 10, maxStates: 500_000, builtin: builtin,
+			obs: serve.Flags{Flight: path}})
+		if err != nil || code != want {
+			t.Fatalf("%s: run = (%d, %v), want (%d, nil)", builtin, code, err, want)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: clean run left a flight dump (stat err %v)", builtin, err)
+		}
 	}
 }

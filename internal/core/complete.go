@@ -40,8 +40,6 @@ type Options struct {
 	// byte for byte; larger values run independent jobs concurrently
 	// (the inferred expressions are identical at every worker count).
 	Workers int
-	// Timeout bounds the whole completion run; 0 means none.
-	Timeout time.Duration
 	// DisableCache turns off cross-job memoization. Memoization never
 	// changes results (identical sub-problems have identical answers and
 	// their original work stats are replayed into the Report), it only
@@ -129,7 +127,7 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 	if cache == nil && !opts.DisableCache {
 		cache = engine.NewCache()
 	}
-	eng := engine.New(engine.Config{Workers: opts.Workers, Timeout: opts.Timeout, Cache: cache})
+	eng := engine.New(engine.Config{Workers: opts.Workers, Cache: cache})
 	p := &planner{sys: sys, vocab: vocab, opts: opts, eng: eng}
 	for _, name := range defOrder {
 		if err := p.planDef(defByName[name], perDef[name]); err != nil {

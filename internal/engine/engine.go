@@ -65,8 +65,6 @@ type Config struct {
 	// Workers is the pool size; values <= 0 mean 1. Workers == 1
 	// reproduces sequential plan-order execution exactly.
 	Workers int
-	// Timeout bounds a whole Run; 0 means none.
-	Timeout time.Duration
 	// Cache is the cross-job memoization cache; nil disables memoization.
 	Cache *Cache
 }
@@ -103,15 +101,11 @@ func (e *Engine) Cache() *Cache { return e.cfg.Cache }
 
 // RunStats summarizes one Run for its caller.
 type RunStats struct {
-	Workers     int           `json:"workers"`
-	Jobs        int           `json:"jobs"`
-	Failed      int           `json:"failed"`
-	Skipped     int           `json:"skipped"`
-	Wall        time.Duration `json:"-"`
-	Busy        time.Duration `json:"-"`
-	WallMS      float64       `json:"wall_ms"`
-	BusyMS      float64       `json:"busy_ms"`
-	Utilization float64       `json:"utilization"`
+	Workers     int
+	Jobs        int
+	Failed      int
+	Skipped     int
+	Utilization float64
 }
 
 // Run executes the DAG. Jobs must be topologically ordered: every Dep of
@@ -120,11 +114,6 @@ type RunStats struct {
 // (preferring real failures over cancellation/skip markers), or nil.
 func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 	start := time.Now()
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -169,11 +158,9 @@ func (e *Engine) Run(ctx context.Context, jobs []*Job) (RunStats, error) {
 	}
 	wg.Wait()
 
-	stats := RunStats{Workers: e.cfg.Workers, Jobs: len(jobs), Wall: time.Since(start), Busy: e.busy}
-	stats.WallMS = float64(stats.Wall) / float64(time.Millisecond)
-	stats.BusyMS = float64(stats.Busy) / float64(time.Millisecond)
-	if stats.Wall > 0 {
-		stats.Utilization = float64(stats.Busy) / (float64(stats.Wall) * float64(e.cfg.Workers))
+	stats := RunStats{Workers: e.cfg.Workers, Jobs: len(jobs)}
+	if wall := time.Since(start); wall > 0 {
+		stats.Utilization = float64(e.busy) / (float64(wall) * float64(e.cfg.Workers))
 	}
 	var first, firstAny error
 	for _, j := range jobs {

@@ -43,15 +43,13 @@ type Options struct {
 	// MaxStates caps explored states (0 = 1,000,000). With symmetry
 	// reduction on, the cap counts canonical states.
 	MaxStates int
-	// MaxDepth caps BFS depth (0 = unbounded).
-	MaxDepth int
 	// CheckDeadlock reports states with no enabled action as violations.
 	CheckDeadlock bool
 	// ProgressInterval paces the mc.progress heartbeat marks (states,
 	// states/sec, queue depth). 0 means the 1s default; negative disables
-	// heartbeats. Marks are emitted both from the BFS round loop (paced by
-	// state count) and from a wall-clock ticker, so protocols with slow
-	// transition or invariant functions still heartbeat on time.
+	// heartbeats. Marks are emitted from a wall-clock ticker, so
+	// protocols with slow transition or invariant functions still
+	// heartbeat on time.
 	ProgressInterval time.Duration
 	// Workers is the number of frontier workers (0 or 1 = sequential).
 	// Results are identical for every worker count.
@@ -170,7 +168,7 @@ type Result struct {
 	// violation.
 	OK bool
 	// Complete is true when the full reachable space was explored (no
-	// depth cut, no budget abort, no cancellation).
+	// budget abort, no cancellation).
 	Complete bool
 	// States counts explored states — canonical representatives when
 	// symmetry reduction applied, concrete states otherwise.
@@ -224,7 +222,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	}
 	res := &Result{SymmetryApplied: group != nil}
 	ctx, span := obs.Start(ctx, "mc.bfs",
-		obs.Int("max_states", maxStates), obs.Int("max_depth", opts.MaxDepth),
+		obs.Int("max_states", maxStates),
 		obs.Int("workers", workers), obs.Bool("symmetry", group != nil))
 	start := time.Now()
 	// repStates/repTransitions/repOrbit track what the heartbeat has
@@ -303,12 +301,10 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	}
 
 	// Heartbeat plumbing: the round loop mirrors its counters into
-	// atomics, and mc.progress marks fire whenever ProgressInterval has
-	// elapsed — checked from the loop after every round (the cheap path)
-	// and from a wall-clock ticker goroutine, so protocols whose
-	// transition or invariant functions are slow still heartbeat on time
-	// for /runs and the flight recorder. The CAS on lastBeat keeps the
-	// two emitters from double-marking an interval.
+	// atomics, and a wall-clock ticker goroutine marks mc.progress from
+	// them every ProgressInterval, so protocols whose transition or
+	// invariant functions are slow still heartbeat on time for /runs and
+	// the flight recorder.
 	interval := opts.ProgressInterval
 	if interval == 0 {
 		interval = time.Second
@@ -318,14 +314,8 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	progStates.Store(1)
 	progQueue.Store(1)
 	progOrbit.Store(orbitSum)
-	var lastBeat atomic.Int64
-	lastBeat.Store(start.UnixNano())
 	reg := obs.MetricsFrom(ctx)
 	beat := func(now time.Time) {
-		last := lastBeat.Load()
-		if now.UnixNano()-last < int64(interval) || !lastBeat.CompareAndSwap(last, now.UnixNano()) {
-			return
-		}
 		states := progStates.Load()
 		transitions := progTransitions.Load()
 		span.Mark("mc.progress",
@@ -383,12 +373,6 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	for cur.len() > 0 {
 		if ctx.Err() != nil {
 			return abort()
-		}
-		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
-			// Depth cut: everything explored so far is violation-free, but
-			// the space was not exhausted.
-			res.OK = true
-			return res, nil
 		}
 
 		// Phase A — expand: workers take frontier entries by stride,
@@ -516,9 +500,6 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		progQueue.Store(int64(len(win)))
 		progFrontier.Store(int64(depth + 1))
 		progOrbit.Store(orbitSum)
-		if span != nil && interval > 0 {
-			beat(time.Now())
-		}
 
 		cur, next = next, cur
 		depth++

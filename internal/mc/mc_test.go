@@ -237,25 +237,6 @@ func TestMaxStatesBudget(t *testing.T) {
 	}
 }
 
-func TestMaxDepthIncomplete(t *testing.T) {
-	sys, client, _ := tokenSystem(t, tokenOpts{})
-	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{MaxDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK {
-		t.Fatal("depth-bounded run should pass")
-	}
-	full, err := Check(r, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.States >= full.States {
-		t.Errorf("depth bound should cut exploration: %d vs %d", res.States, full.States)
-	}
-}
-
 func TestSWMRInvariant(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{grantWhileBusy: true})
 	r := mustRuntime(t, sys)

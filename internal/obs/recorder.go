@@ -28,8 +28,8 @@ type recSlot struct {
 
 // Recorder is the flight recorder: a fixed-size ring buffer fed by every
 // span close and instant mark, kept in memory and written out only when
-// something goes wrong (panic, cancellation, deadline, SIGINT) or when a
-// post-mortem is explicitly requested. It implements Exporter, so it
+// the command fails (an error, a deadline, SIGINT/SIGTERM or a panic) or
+// when a post-mortem is explicitly requested. It implements Exporter, so it
 // rides the same tracer fan-out as the file exporters; the hot path is
 // one atomic increment plus one uncontended mutexed struct copy, and when
 // no recorder is installed (the default) nothing changes anywhere.

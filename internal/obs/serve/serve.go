@@ -14,13 +14,8 @@ import (
 
 // Server is the live introspection endpoint for one process. Create it
 // before the obs.Session (its Exporters must join the tracer fan-out),
-// Attach the session's registry and recorder, then Start.
-//
-//	srv := serve.New(addr)
-//	sess, _ := obs.NewSession(obs.Options{Extra: srv.Exporters(), ...})
-//	srv.Attach(sess)
-//	srv.Start()
-//	defer srv.Close()
+// Attach the session's registry and recorder, then Start; Open does
+// this for the commands' -serve flag.
 type Server struct {
 	addr      string
 	broadcast *Broadcast

@@ -20,10 +20,8 @@ func startServer(t *testing.T) (*Server, *obs.Session, context.Context) {
 	t.Helper()
 	srv := New("127.0.0.1:0")
 	sess, err := obs.NewSession(obs.Options{
-		Metrics:      true,
-		FlightPath:   "unused",
-		FlightEvents: 64,
-		Extra:        srv.Exporters(),
+		FlightPath: "unused",
+		Extra:      srv.Exporters(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -232,7 +232,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // a no-op.
 func TestSessionFlightDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.ndjson")
-	sess, err := NewSession(Options{FlightPath: path, FlightEvents: 16})
+	sess, err := NewSession(Options{FlightPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestDisabledSpanHotPathZeroAlloc(t *testing.T) {
 // else must no-op, and the race detector must stay quiet.
 func TestDumpFlightConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.ndjson")
-	sess, err := NewSession(Options{FlightPath: path, FlightEvents: 64})
+	sess, err := NewSession(Options{FlightPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// Options configures a CLI observability Session — the one-stop wiring
-// used by cmd/transit, cmd/transit-infer, and cmd/transit-bench.
+// Options configures an observability Session; the commands build theirs
+// from their flags through serve.Open, and the job server its own.
 type Options struct {
 	// NDJSON, when non-nil, streams spans and marks as NDJSON lines to
 	// this writer.
@@ -21,17 +21,11 @@ type Options struct {
 	// Summary, when non-nil, prints the end-of-run span tree and metrics
 	// table to this writer at Close.
 	Summary io.Writer
-	// Metrics enables the metrics registry. It is forced on when Summary
-	// is set (the summary reports it) or when the flight recorder is
-	// enabled (the dump trailer reports it).
-	Metrics bool
 	// FlightPath, when non-empty, arms the flight recorder: spans and
 	// marks feed a fixed-size ring, and Session.DumpFlight writes the
-	// tail to this file when the run dies (panic, cancellation, SIGINT).
-	// Nothing is written on a clean run.
+	// tail to this file when the run fails. Nothing is written on a
+	// clean run.
 	FlightPath string
-	// FlightEvents sizes the recorder ring (0 = default 4096).
-	FlightEvents int
 	// Extra exporters join the tracer fan-out (the introspection server's
 	// SSE broadcaster and live-gauge aggregator ride here).
 	Extra []Exporter
@@ -60,15 +54,17 @@ type Session struct {
 
 // NewSession builds the observability stack described by opts. Callers
 // must Close the session after the traced work (and before reading the
-// trace file).
+// trace file). The metrics registry exists whenever something reports
+// it: the summary's table, or the flight dump's trailer (the live server
+// arms the flight recorder, so it has one too).
 func NewSession(opts Options) (*Session, error) {
 	s := &Session{}
-	if opts.Metrics || opts.Summary != nil || opts.FlightPath != "" {
+	if opts.Summary != nil || opts.FlightPath != "" {
 		s.Metrics = NewRegistry()
 	}
 	var exporters []Exporter
 	if opts.FlightPath != "" {
-		s.Recorder = NewRecorder(opts.FlightEvents)
+		s.Recorder = NewRecorder(0)
 		s.Recorder.Metrics = s.Metrics
 		s.flightPath = opts.FlightPath
 		// The recorder goes first: on a crash the freshest events matter
@@ -125,10 +121,9 @@ func (s *Session) Context(ctx context.Context) context.Context {
 }
 
 // DumpFlight writes the flight-recorder ring to the session's configured
-// flight path, once: the first caller (SIGINT handler, panic recovery,
-// deadline path — they can race) wins and later calls are no-ops. It
-// returns the path written, or "" when the recorder is disarmed or the
-// dump already happened.
+// flight path, once: the first caller wins and later calls are no-ops.
+// It returns the path written, or "" when the recorder is disarmed or
+// the dump already happened.
 func (s *Session) DumpFlight(reason string) (string, error) {
 	if s.Recorder == nil || s.flightPath == "" {
 		return "", nil

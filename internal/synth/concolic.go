@@ -31,9 +31,10 @@ func SolveConcolic(p Problem, examples []ConcolicExample, limits Limits) (expr.E
 // one "synth.iteration" child per CEGIS round, and the metrics registry
 // (when present) accumulates the solve counters. Every SMT query is a
 // one-shot smt.SolveStatsCtx call; no query sees another's state.
-func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits) (expr.Expr, Stats, error) {
+// stats is a named result so that the deferred Elapsed reaches the
+// caller.
+func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits) (_ expr.Expr, stats Stats, _ error) {
 	limits = limits.withDefaults()
-	stats := Stats{}
 	start := time.Now()
 	deadline := deadlineOf(limits)
 	ctx, span := obs.Start(ctx, "synth.cegis", obs.Int("examples", len(examples)))
@@ -131,6 +132,7 @@ func cegisIteration(ctx context.Context, sc *schema, p Problem, examples []Conco
 	stats.Concrete.Kept += cstats.Kept
 	stats.Concrete.Restarts += cstats.Restarts
 	stats.Concrete.InterpPruned += cstats.InterpPruned
+	stats.Concrete.Elapsed += cstats.Elapsed
 	if cstats.MaxSizeSeen > stats.Concrete.MaxSizeSeen {
 		stats.Concrete.MaxSizeSeen = cstats.MaxSizeSeen
 	}

@@ -350,6 +350,25 @@ func TestSolveConcolicTraceShape(t *testing.T) {
 	}
 }
 
+// TestSolveConcolicElapsed pins that a real solve reports its time: the
+// whole call's Elapsed reaches the caller, and the enumeration time of
+// every round adds into Concrete.Elapsed, which the call's time covers.
+func TestSolveConcolicElapsed(t *testing.T) {
+	a, b := expr.V("a", expr.IntType), expr.V("b", expr.IntType)
+	o := expr.V("o", expr.IntType)
+	exs := []ConcolicExample{
+		{Pre: expr.True(), Post: expr.And(expr.Ge(o, a), expr.Ge(o, b), expr.Or(expr.Eq(o, a), expr.Eq(o, b)))},
+	}
+	_, stats, err := SolveConcolic(smallProblem(t, expr.IntType, a, b), exs, Limits{MaxSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Concrete.Elapsed <= 0 || stats.Concrete.Elapsed > stats.Elapsed {
+		t.Errorf("Concrete.Elapsed = %v, Elapsed = %v; want 0 < Concrete.Elapsed <= Elapsed",
+			stats.Concrete.Elapsed, stats.Elapsed)
+	}
+}
+
 func TestSolveConcolicConcreteStyleExamples(t *testing.T) {
 	// A "concrete snippet" is a concolic example whose pre pins every
 	// variable and whose post is an output equality; SolveConcolic must

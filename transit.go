@@ -250,7 +250,8 @@ type SynthCache = engine.Cache
 func NewSynthCache() *SynthCache { return engine.NewCache() }
 
 // SynthesisOptions configures Synthesize: search limits, the inference
-// worker pool, an overall deadline, and the memoization cache.
+// worker pool, and the memoization cache. A deadline arrives on
+// SynthesizeCtx's context.
 type SynthesisOptions = core.Options
 
 // Synthesize completes the protocol's skeleton from its snippets (§5),
