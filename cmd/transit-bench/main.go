@@ -57,7 +57,7 @@ func main() {
 	flag.BoolVar(&o.enum, "enum", false, "compare the restart-per-round baseline vs. the default bank-reusing enumeration")
 	flag.BoolVar(&all, "all", false, "regenerate everything (short variants)")
 	flag.BoolVar(&o.long, "long", false, "include long-running rows (Table 3 max-of-three; larger Figure 5 trials)")
-	flag.IntVar(&o.n, "n", 3, "cache count for Tables 4 and 5 and the engine comparison")
+	flag.IntVar(&o.n, "n", 4, "cache count for Tables 4 and 5 and the engine comparison (the paper runs 4)")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel worker count for -engine")
 	flag.StringVar(&o.out, "out", "BENCH_engine.json", "JSON artifact path for -engine (empty = none)")
 	flag.IntVar(&o.enumTrials, "enum-trials", 3, "timing trials per mode for -enum (minimum is reported)")

@@ -7,14 +7,14 @@
 // model checker. The iterative specify → synthesize → model-check →
 // fix-with-snippets workflow of the case studies is driven by RunCaseStudy.
 //
-// Completion is executed by internal/engine as a DAG of inference jobs:
-// guard inference within a (state, event) group stays sequential (later
-// guards are constrained by earlier ones), but distinct groups, the
-// per-group mutual-exclusion checks, and every update-expression job run
-// in parallel on a bounded worker pool, with cross-job memoization and
-// cooperative cancellation. With Options.Workers <= 1 the jobs execute in
-// exactly the historical sequential order, so single-worker output is
-// byte-identical to the pre-engine implementation.
+// Completion is executed by internal/engine as a list of job chains:
+// each (state, event) group is one chain, its guards in order (later
+// guards are constrained by earlier ones) and then its mutual-exclusion
+// check, and every update-expression job is a chain of its own. Chains
+// run in parallel on a bounded worker pool, with cross-job memoization
+// and cooperative cancellation. With Options.Workers <= 1 the jobs
+// execute in exactly the historical sequential order, so single-worker
+// output is byte-identical to the pre-engine implementation.
 package core
 
 import (
@@ -127,15 +127,12 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 	if cache == nil && !opts.DisableCache {
 		cache = engine.NewCache()
 	}
-	eng := engine.New(engine.Config{Workers: opts.Workers, Cache: cache})
-	p := &planner{sys: sys, vocab: vocab, opts: opts, eng: eng}
+	p := &planner{sys: sys, vocab: vocab, opts: opts, cache: cache}
 	for _, name := range defOrder {
-		if err := p.planDef(defByName[name], perDef[name]); err != nil {
-			return rep, err
-		}
+		p.planDef(defByName[name], perDef[name])
 	}
 
-	stats, err := eng.Run(ctx, p.jobs)
+	stats, err := engine.Run(ctx, opts.Workers, p.chains)
 	aggregate(rep, p, stats)
 	// The ledger is assembled the same way the Report is — in plan order,
 	// single-threaded, on both the success and failure paths — so it is
@@ -149,13 +146,8 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 
 	// Deterministic assembly: install transitions in snippet/group/block
 	// order regardless of the order jobs completed in.
-	for _, dp := range p.defs {
-		for _, gp := range dp.groups {
-			if err := gp.assemble(p, dp.d, rep); err != nil {
-				rep.Elapsed = time.Since(start)
-				return rep, err
-			}
-		}
+	for _, g := range p.groups {
+		g.assemble(p, rep)
 	}
 	rep.Elapsed = time.Since(start)
 	if err := sys.Validate(); err != nil {
@@ -171,17 +163,19 @@ func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 	rep.Workers = stats.Workers
 	rep.Jobs = stats.Jobs
 	rep.Utilization = stats.Utilization
-	for _, j := range p.jobs {
-		switch j.Kind {
-		case "guard":
-			rep.GuardTime += j.Duration
-			if j.Err == nil {
-				rep.GuardsSynthesized++
-			}
-		case "update":
-			rep.UpdateTime += j.Duration
-			if j.Err == nil {
-				rep.UpdatesSynthesized++
+	for _, chain := range p.chains {
+		for _, j := range chain {
+			switch j.Kind {
+			case "guard":
+				rep.GuardTime += j.Duration
+				if j.Err == nil {
+					rep.GuardsSynthesized++
+				}
+			case "update":
+				rep.UpdateTime += j.Duration
+				if j.Err == nil {
+					rep.UpdatesSynthesized++
+				}
 			}
 		}
 	}
@@ -204,79 +198,60 @@ func aggregate(rep *Report, p *planner, stats engine.RunStats) {
 	}
 }
 
-// block is one guard-action block: the snippets sharing (from, event, to).
+// block is one guard-action block: the snippets sharing (from, event,
+// to), with its planned update jobs' targets and result slots (each job
+// writes its own index; the engine's completion barrier orders those
+// writes before assembly reads them).
 type block struct {
 	key      string
 	snips    []*efsm.Snippet
 	guard    expr.Expr // symbolic or synthesized
 	symbolic bool
 	defer_   bool
+	sends    []efsm.SendSpec
+	targets  []string
+	rhs      []expr.Expr
 }
 
-// group is one (state, event) family whose guards must be mutually
-// exclusive.
+// group is one (state, event) family of a process whose guards must be
+// mutually exclusive.
 type group struct {
-	key    string
-	event  efsm.Event
-	from   string
-	blocks []*block
+	d         *efsm.ProcDef
+	event     efsm.Event
+	from      string
+	blocks    []*block
+	prefix    string // error-message prefix, e.g. "core: Dir (EXCLUSIVE, ReqNet)"
+	scopeVars []*expr.Var
 }
 
-// planner accumulates the job DAG and the assembly schedule.
+// planner accumulates the job chains and the assembly schedule.
 type planner struct {
-	sys   *efsm.System
-	vocab *expr.Vocabulary
-	opts  Options
-	eng   *engine.Engine
-	jobs  []*engine.Job
-	defs  []*defPlan
+	sys    *efsm.System
+	vocab  *expr.Vocabulary
+	opts   Options
+	cache  *engine.Cache
+	chains [][]*engine.Job
+	groups []*group // every process's groups, in plan order
 	// caps holds one provenance capture per inference job, in plan order;
 	// recordProvenance folds them into the run's ledger after the engine
 	// run. Each job's Run closure writes only its own capture.
 	caps []*holeCapture
 }
 
-type defPlan struct {
-	d      *efsm.ProcDef
-	groups []*groupPlan
-}
-
-// groupPlan is one group's share of the DAG plus everything assembly
-// needs afterwards.
-type groupPlan struct {
-	g         *group
-	ctx       string // error-message prefix, e.g. "core: Dir (EXCLUSIVE, ReqNet)"
-	scopeVars []*expr.Var
-	blocks    []*blockPlan // aligned with g.blocks
-}
-
-// blockPlan carries one block's planned update jobs and their result
-// slots (each job writes its own index; the engine's completion barrier
-// orders those writes before assembly reads them).
-type blockPlan struct {
-	b       *block
-	sends   []efsm.SendSpec
-	targets []string
-	vts     []expr.Type
-	rhs     []expr.Expr
-}
-
-func (p *planner) add(j *engine.Job) { p.jobs = append(p.jobs, j) }
-
 // planDef groups a process's snippets into (state, event) families and
 // plans each group. The grouping mirrors §5.2: snippets sharing
 // (from, event, to, defer) form a block; blocks sharing (from, event)
 // form a group.
-func (p *planner) planDef(d *efsm.ProcDef, snips []*efsm.Snippet) error {
+func (p *planner) planDef(d *efsm.ProcDef, snips []*efsm.Snippet) {
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
 	for _, sn := range snips {
 		gk := sn.GroupKey()
 		g, ok := groups[gk]
 		if !ok {
-			g = &group{key: gk, event: sn.Event, from: sn.From}
+			g = &group{d: d, event: sn.Event, from: sn.From}
 			groups[gk] = g
-			order = append(order, gk)
+			order = append(order, g)
 		}
 		bk := sn.BlockKey()
 		var b *block
@@ -302,29 +277,20 @@ func (p *planner) planDef(d *efsm.ProcDef, snips []*efsm.Snippet) error {
 			b.symbolic = true
 		}
 	}
-
-	dp := &defPlan{d: d}
-	p.defs = append(p.defs, dp)
-	for _, gk := range order {
-		gp, err := p.planGroup(d, groups[gk])
-		if err != nil {
-			return err
-		}
-		dp.groups = append(dp.groups, gp)
+	for _, g := range order {
+		p.planGroup(g)
 	}
-	return nil
 }
 
-// planGroup plans one group: a sequential chain of guard-inference jobs
-// (§5.2 — each guard is constrained by the guards before it), a
-// mutual-exclusion check job depending on the chain, and fully parallel
-// update-inference jobs per block output.
-func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
-	gp := &groupPlan{
-		g:         g,
-		ctx:       fmt.Sprintf("core: %s (%s, %s)", d.Name, g.from, g.event),
-		scopeVars: p.sys.ScopeVars(d, g.event),
-	}
+// planGroup plans one group: one chain of guard-inference jobs (§5.2 —
+// each guard is constrained by the guards before it) ending in the
+// mutual-exclusion check, and one chain per block output's
+// update-inference job.
+func (p *planner) planGroup(g *group) {
+	d := g.d
+	g.prefix = fmt.Sprintf("core: %s (%s, %s)", d.Name, g.from, g.event)
+	g.scopeVars = p.sys.ScopeVars(d, g.event)
+	p.groups = append(p.groups, g)
 
 	// Guard inference needs symbolic blocks first (§5.2 processes blocks
 	// sequentially; known guards constrain later ones).
@@ -353,13 +319,12 @@ func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
 		inferable = append(inferable, b)
 	}
 
-	// The sequential guard chain.
-	var prev *engine.Job
+	// The group's chain: its guards, then its mutual-exclusion check.
+	var chain []*engine.Job
 	for j, b := range inferable {
 		if b.symbolic || b.defer_ {
 			continue // symbolic: given; catch-all defer: runtime fallback
 		}
-		j, b := j, b
 		job := &engine.Job{
 			Label: fmt.Sprintf("guard %s(%s,%s)[%s]", d.Name, g.from, g.event, b.key),
 			Kind:  "guard",
@@ -370,65 +335,54 @@ func (p *planner) planGroup(d *efsm.ProcDef, g *group) (*groupPlan, error) {
 			block: b.key, target: guardVar,
 		}
 		p.caps = append(p.caps, cap)
-		if prev != nil {
-			job.Deps = []*engine.Job{prev}
-		}
 		job.Run = func(jctx context.Context) error {
-			guard, err := p.inferGuard(jctx, g, inferable, j, gp, cap)
+			guard, err := p.inferGuard(jctx, g, inferable, j, cap)
 			if err != nil {
-				return fmt.Errorf("%s: block %s: %w", gp.ctx, b.key, err)
+				return fmt.Errorf("%s: block %s: %w", g.prefix, b.key, err)
 			}
 			b.guard = guard
 			return nil
 		}
-		p.add(job)
-		prev = job
+		chain = append(chain, job)
 	}
-
-	check := &engine.Job{
+	chain = append(chain, &engine.Job{
 		Label: fmt.Sprintf("mutex %s(%s,%s)", d.Name, g.from, g.event),
 		Kind:  "check",
-	}
-	if prev != nil {
-		check.Deps = []*engine.Job{prev}
-	}
-	check.Run = func(jctx context.Context) error {
-		if err := p.checkMutualExclusion(jctx, g, inferable, gp); err != nil {
-			return fmt.Errorf("%s: %w", gp.ctx, err)
-		}
-		return nil
-	}
-	p.add(check)
+		Run: func(jctx context.Context) error {
+			if err := p.checkMutualExclusion(jctx, g, inferable); err != nil {
+				return fmt.Errorf("%s: %w", g.prefix, err)
+			}
+			return nil
+		},
+	})
+	p.chains = append(p.chains, chain)
 
 	// Update-expression jobs per block: independent of everything.
 	for _, b := range g.blocks {
-		bp, err := p.planBlock(d, g, gp, b)
-		if err != nil {
-			return nil, err
-		}
-		gp.blocks = append(gp.blocks, bp)
+		p.planBlock(g, b)
 	}
-	return gp, nil
 }
 
 // planBlock validates a block's outbound-message agreement, collects the
 // obligations per output target (§5.1), and plans one inference job per
-// target. Validation problems become immediately-failing jobs rather than
-// plan-time errors so that, at Workers == 1, they surface in exactly the
-// order the sequential implementation reported them.
-func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) (*blockPlan, error) {
-	bp := &blockPlan{b: b}
+// target, each a chain of its own. Validation problems become
+// immediately-failing jobs rather than plan-time errors so that, at
+// Workers == 1, they surface in exactly the order the sequential
+// implementation reported them.
+func (p *planner) planBlock(g *group, b *block) {
 	if b.defer_ {
-		return bp, nil
+		return
 	}
+	d := g.d
 	first := b.snips[0]
 
 	// All snippets of a block must declare the same outbound messages.
-	bp.sends = first.Sends
+	b.sends = first.Sends
 	for _, sn := range b.snips[1:] {
-		if !sameSends(bp.sends, sn.Sends) {
-			return bp, p.planFailure(gp, b, fmt.Errorf("snippets %q and %q disagree on outbound messages",
+		if !sameSends(b.sends, sn.Sends) {
+			p.planFailure(g, b, fmt.Errorf("snippets %q and %q disagree on outbound messages",
 				first.Label, sn.Label))
+			return
 		}
 	}
 
@@ -440,7 +394,7 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 	addPost := func(target string, vt expr.Type, pre expr.Expr, constraint expr.Expr, m exampleMeta) {
 		if _, ok := vtByTarget[target]; !ok {
 			vtByTarget[target] = vt
-			bp.targets = append(bp.targets, target)
+			b.targets = append(b.targets, target)
 		}
 		if pre == nil {
 			pre = expr.True()
@@ -453,7 +407,7 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 		if ty, ok := scope[target]; ok {
 			return ty, true
 		}
-		for _, snd := range bp.sends {
+		for _, snd := range b.sends {
 			for _, f := range snd.Net.Msg.Fields {
 				if snd.MsgVar+"."+f.Name == target {
 					return f.T, true
@@ -471,7 +425,8 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 			for _, post := range c.Posts {
 				vt, ok := outType(post.Target)
 				if !ok {
-					return bp, p.planFailure(gp, b, fmt.Errorf("post targets %s, which is neither a process variable nor a declared outbound field", post.Target))
+					p.planFailure(g, b, fmt.Errorf("post targets %s, which is neither a process variable nor a declared outbound field", post.Target))
+					return
 				}
 				addPost(post.Target, vt, c.Pre, post.Constraint,
 					exampleMeta{kind: provenance.KindSnippet, source: src, caseIdx: ci})
@@ -484,7 +439,7 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 	// first enumerated expression — deliberately arbitrary, per the
 	// paper's underspecification-then-model-check dynamic). Multicast
 	// routing fields are filled per copy by the runtime instead.
-	for _, snd := range bp.sends {
+	for _, snd := range b.sends {
 		for _, f := range snd.Net.Msg.Fields {
 			if snd.TargetSet != nil && f.Name == snd.Net.DestField {
 				continue
@@ -492,17 +447,14 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 			target := snd.MsgVar + "." + f.Name
 			if _, ok := vtByTarget[target]; !ok {
 				vtByTarget[target] = f.T
-				bp.targets = append(bp.targets, target)
+				b.targets = append(b.targets, target)
 			}
 		}
 	}
 
-	bp.rhs = make([]expr.Expr, len(bp.targets))
-	bp.vts = make([]expr.Type, len(bp.targets))
-	for i, target := range bp.targets {
-		i, target := i, target
+	b.rhs = make([]expr.Expr, len(b.targets))
+	for i, target := range b.targets {
 		vt := vtByTarget[target]
-		bp.vts[i] = vt
 		exs := exsByTarget[target]
 		job := &engine.Job{
 			Label: fmt.Sprintf("update %s(%s,%s)[%s] %s", d.Name, g.from, g.event, b.key, target),
@@ -518,30 +470,28 @@ func (p *planner) planBlock(d *efsm.ProcDef, g *group, gp *groupPlan, b *block) 
 		job.Run = func(jctx context.Context) error {
 			cap.ran = true
 			o := expr.V(efsm.Prime(target), vt)
-			prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: gp.scopeVars, Output: o}
+			prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: g.scopeVars, Output: o}
 			rhs, err := p.solve(jctx, cap, prob, exs)
 			if err != nil {
-				return fmt.Errorf("%s: block %s: update inference for %s: %w", gp.ctx, b.key, target, err)
+				return fmt.Errorf("%s: block %s: update inference for %s: %w", g.prefix, b.key, target, err)
 			}
-			bp.rhs[i] = rhs
+			b.rhs[i] = rhs
 			return nil
 		}
-		p.add(job)
+		p.chains = append(p.chains, []*engine.Job{job})
 	}
-	return bp, nil
 }
 
 // planFailure records a static validation error as an immediately-failing
-// job at the current plan position (returning nil so planning continues;
+// job, a chain of one at the current plan position (planning continues;
 // the failure is reported by the run, in plan order).
-func (p *planner) planFailure(gp *groupPlan, b *block, err error) error {
-	wrapped := fmt.Errorf("%s: block %s: %w", gp.ctx, b.key, err)
-	p.add(&engine.Job{
+func (p *planner) planFailure(g *group, b *block, err error) {
+	wrapped := fmt.Errorf("%s: block %s: %w", g.prefix, b.key, err)
+	p.chains = append(p.chains, []*engine.Job{{
 		Label: fmt.Sprintf("validate %s", b.key),
 		Kind:  "update",
 		Run:   func(context.Context) error { return wrapped },
-	})
-	return nil
+	}})
 }
 
 // inferGuard implements §5.2: the guard ϕj must be false whenever an
@@ -549,8 +499,7 @@ func (p *planner) planFailure(gp *groupPlan, b *block, err error) error {
 // preconditions holds (ConcolicExs2), and false whenever a later block's
 // precondition holds (ConcolicExs3). Earlier blocks' guards are read at
 // job-execution time — the chain dependency guarantees they are solved.
-func (p *planner) inferGuard(ctx context.Context, g *group, blocks []*block, j int, gp *groupPlan, cap *holeCapture) (expr.Expr, error) {
-	scopeVars := gp.scopeVars
+func (p *planner) inferGuard(ctx context.Context, g *group, blocks []*block, j int, cap *holeCapture) (expr.Expr, error) {
 	o := expr.V(guardVar, expr.BoolType)
 	var exs []synth.ConcolicExample
 	var meta []exampleMeta
@@ -583,7 +532,7 @@ func (p *planner) inferGuard(ctx context.Context, g *group, blocks []*block, j i
 		}
 	}
 	cap.exs, cap.meta, cap.ran = exs, meta, true
-	prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: scopeVars, Output: o}
+	prob := synth.Problem{U: p.sys.U, Vocab: p.vocab, Vars: g.scopeVars, Output: o}
 	guard, err := p.solve(ctx, cap, prob, exs)
 	if err != nil {
 		return nil, fmt.Errorf("guard inference: %w", err)
@@ -591,19 +540,19 @@ func (p *planner) inferGuard(ctx context.Context, g *group, blocks []*block, j i
 	return guard, nil
 }
 
-// solve infers one hole through the engine's memo cache. It records the
+// solve infers one hole through the memo cache. It records the
 // solve's cache outcome and work counters on the job's engine.job span
 // (ctx carries it), and the answer, its tier and its stats on the hole's
 // capture, from which aggregate and the provenance ledger read them.
 func (p *planner) solve(ctx context.Context, cap *holeCapture, prob synth.Problem, exs []synth.ConcolicExample) (expr.Expr, error) {
-	res, stats, out, err := p.eng.SolveConcolic(ctx, engine.SolveSpec{
+	res, stats, tier, err := p.cache.Solve(ctx, engine.SolveSpec{
 		Problem: prob, Examples: exs, Limits: p.opts.Limits,
 	})
-	hit := out.Tier == engine.TierMem || out.Tier == engine.TierDisk
+	hit := tier == engine.TierMem || tier == engine.TierDisk
 	obs.SpanFrom(ctx).SetAttr(obs.Bool("cache_hit", hit),
 		obs.Int64("candidates", stats.Concrete.Enumerated),
 		obs.Int("smt_queries", stats.SMTQueries), obs.Int("cegis_iterations", stats.Iterations))
-	cap.expr, cap.stats, cap.tier, cap.err = res, stats, out.Tier, err
+	cap.expr, cap.stats, cap.tier, cap.err = res, stats, tier, err
 	return res, err
 }
 
@@ -629,7 +578,7 @@ func blockPre(b *block) expr.Expr {
 // within a group via SMT validity: ¬(gi ∧ gj) must hold for every pair,
 // i.e. gi ∧ gj must be unsatisfiable. A Sat verdict yields the canonical
 // counterexample model, so failure messages are deterministic.
-func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*block, gp *groupPlan) error {
+func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*block) error {
 	// Own span so the validity queries below don't read as CEGIS work in
 	// the trace.
 	ctx, span := obs.Start(ctx, "core.guard_check", obs.Int("blocks", len(blocks)))
@@ -640,7 +589,7 @@ func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*
 			if gi == nil || gj == nil {
 				continue
 			}
-			ok, cex, err := smt.ValidOptCtx(ctx, p.sys.U, gp.scopeVars, expr.Not(expr.And(gi, gj)), smt.Options{})
+			ok, cex, err := smt.ValidOptCtx(ctx, p.sys.U, g.scopeVars, expr.Not(expr.And(gi, gj)), smt.Options{})
 			if err != nil {
 				return fmt.Errorf("guard exclusivity check: %w", err)
 			}
@@ -657,25 +606,25 @@ func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*
 // guards from the chain, update expressions from the job result slots,
 // identity updates dropped, outbound message fields wired. Pure
 // bookkeeping — every solver call already happened inside the engine.
-func (gp *groupPlan) assemble(p *planner, d *efsm.ProcDef, rep *Report) error {
-	scope := p.sys.ScopeOf(d, gp.g.event)
-	for _, bp := range gp.blocks {
-		b := bp.b
+func (g *group) assemble(p *planner, rep *Report) {
+	d := g.d
+	scope := p.sys.ScopeOf(d, g.event)
+	for _, b := range g.blocks {
 		first := b.snips[0]
 		t := &efsm.Transition{
-			From:  gp.g.from,
-			Event: gp.g.event,
+			From:  g.from,
+			Event: g.event,
 			Guard: b.guard,
 			To:    first.To,
 			Defer: b.defer_,
 		}
 		if !b.defer_ {
 			rhsByTarget := map[string]expr.Expr{}
-			for i, target := range bp.targets {
-				rhsByTarget[target] = bp.rhs[i]
+			for i, target := range b.targets {
+				rhsByTarget[target] = b.rhs[i]
 			}
 			// Process-variable updates (dropping identities) ...
-			for _, target := range bp.targets {
+			for _, target := range b.targets {
 				if _, isVar := scope[target]; !isVar || d.VarIndex(target) < 0 {
 					continue
 				}
@@ -686,7 +635,7 @@ func (gp *groupPlan) assemble(p *planner, d *efsm.ProcDef, rep *Report) error {
 				t.Updates = append(t.Updates, efsm.Update{Var: target, Rhs: rhs})
 			}
 			// ... and outbound messages.
-			for _, snd := range bp.sends {
+			for _, snd := range b.sends {
 				out := efsm.Send{Net: snd.Net, MsgVar: snd.MsgVar, TargetSet: snd.TargetSet}
 				for _, f := range snd.Net.Msg.Fields {
 					if snd.TargetSet != nil && f.Name == snd.Net.DestField {
@@ -703,7 +652,6 @@ func (gp *groupPlan) assemble(p *planner, d *efsm.ProcDef, rep *Report) error {
 		d.Transitions = append(d.Transitions, t)
 		rep.Transitions++
 	}
-	return nil
 }
 
 func sameSends(a, b []efsm.SendSpec) bool {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"transit/internal/engine/diskcache"
 	"transit/internal/expr"
 	"transit/internal/synth"
 )
@@ -71,11 +72,11 @@ type Tier string
 const (
 	// TierMem: the in-memory table had the entry.
 	TierMem Tier = "mem"
-	// TierDisk: the persistent backend had it (promoted into memory).
+	// TierDisk: the disk store had it (promoted into memory).
 	TierDisk Tier = "disk"
 	// TierMiss: neither tier had it; the caller solved from scratch.
 	TierMiss Tier = "miss"
-	// TierNone: no lookup happened (cache disabled).
+	// TierNone: no lookup happened (no cache).
 	TierNone Tier = "none"
 )
 
@@ -89,70 +90,53 @@ type CacheEntry struct {
 	Stats synth.Stats
 }
 
-// CacheBackend is a persistent second tier behind a Cache: a key-value
-// store of wire-encoded entries (see EncodeEntry/DecodeEntry), typically
-// disk-backed and shared across processes. Implementations must be safe
-// for concurrent use; Put is best-effort (a backend that cannot persist
-// an entry simply forfeits the future hit). The engine/diskcache package
-// provides the content-addressed one-file-per-entry implementation.
-type CacheBackend interface {
-	// Get returns the encoded entry stored for key, if any.
-	Get(key string) ([]byte, bool)
-	// Put stores the encoded entry for key. Keys are content hashes, so
-	// racing writers always carry identical payloads.
-	Put(key string, val []byte)
-	// Close flushes and releases the backend.
-	Close() error
-}
-
 // Cache is a concurrency-safe memoization table for solved sub-problems.
 // Only successful solves are stored. A Cache may be shared across engine
 // runs (e.g. across CEGIS iterations of a case study, or across the four
-// case-study protocols) to exploit repeated sub-problems. With a backend
-// attached, the in-memory table becomes the first tier of a two-tier
-// store: Fetch falls through to the backend on a memory miss, and Put
-// writes through, so entries survive process restarts and are shared by
-// every front-end on the same backend. Both tiers hold the one entry
-// form of codec.go, in memory as it is and in the backend JSON-encoded.
+// case-study protocols) to exploit repeated sub-problems. With a disk
+// store attached, the in-memory table becomes the first tier of a
+// two-tier store: Fetch falls through to the store on a memory miss, and
+// Put writes through, so entries survive process restarts and are shared
+// by every front-end on the same store. Both tiers hold the one entry
+// form of codec.go, in memory as it is and on disk JSON-encoded.
 type Cache struct {
-	mu      sync.Mutex
-	m       map[string]*wireEntry
-	backend CacheBackend
+	mu    sync.Mutex
+	m     map[string]*wireEntry
+	store *diskcache.Store
 }
 
-// NewCache creates an empty cache with no backend.
+// NewCache creates an empty cache with no disk store.
 func NewCache() *Cache { return &Cache{m: make(map[string]*wireEntry)} }
 
 // NewCacheWithBackend creates an empty cache reading through to (and
-// writing through to) the given backend. The caller retains ownership of
-// the backend and closes it after the cache's last use.
-func NewCacheWithBackend(b CacheBackend) *Cache {
-	return &Cache{m: make(map[string]*wireEntry), backend: b}
+// writing through to) the given disk store. The caller retains ownership
+// of the store and closes it after the cache's last use.
+func NewCacheWithBackend(store *diskcache.Store) *Cache {
+	return &Cache{m: make(map[string]*wireEntry), store: store}
 }
 
-// Backend reports the attached backend (nil without one).
-func (c *Cache) Backend() CacheBackend { return c.backend }
+// Store reports the attached disk store (nil without one).
+func (c *Cache) Store() *diskcache.Store { return c.store }
 
 // Fetch is the spec-aware two-tier lookup: it derives the canonical key,
-// consults the in-memory table, then falls through to the backend. A
-// backend entry is parsed once and promoted into memory in the same form,
+// consults the in-memory table, then falls through to the disk store. A
+// disk entry is parsed once and promoted into memory in the same form,
 // so later hits stay in-process. Either tier's entry answers through the
 // same bind: rebound into spec's world, of the hole's output type, with a
 // trace of the right shape, or else a miss that is re-solved. The
 // returned tier says which layer answered (TierMem, TierDisk, TierMiss);
 // the cache keeps no counters of its own, its caller counts lookups by
-// tier (SolveConcolic's engine.cache span).
+// tier (Solve's engine.cache span).
 func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key string, tier Tier, ok bool) {
 	key = spec.Key()
 	c.mu.Lock()
 	we := c.m[key]
-	backend := c.backend
 	c.mu.Unlock()
 	if ent, ok := we.bind(spec); ok {
 		return ent.Expr, ent.Stats, key, TierMem, true
 	}
-	if backend != nil {
-		if raw, ok := backend.Get(key); ok {
+	if c.store != nil {
+		if raw, ok := c.store.Get(key); ok {
 			we := parseEntry(raw)
 			if ent, ok := we.bind(spec); ok {
 				c.mu.Lock()
@@ -165,7 +149,7 @@ func (c *Cache) Fetch(spec SolveSpec) (res expr.Expr, stats synth.Stats, key str
 	return nil, synth.Stats{}, key, TierMiss, false
 }
 
-// Put stores a successful solve in memory and, when a backend is
+// Put stores a successful solve in memory and, when a disk store is
 // attached, writes the encoded entry through to it. Concurrent writers
 // racing on one key store identical entries (the solver is
 // deterministic), so last-write-wins is safe. An entry whose expression
@@ -177,11 +161,10 @@ func (c *Cache) Put(key string, ent CacheEntry) {
 	}
 	c.mu.Lock()
 	c.m[key] = we
-	backend := c.backend
 	c.mu.Unlock()
-	if backend != nil {
+	if c.store != nil {
 		if raw, err := json.Marshal(we); err == nil {
-			backend.Put(key, raw)
+			c.store.Put(key, raw)
 		}
 	}
 }

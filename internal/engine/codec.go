@@ -13,7 +13,7 @@ import (
 // is held universe-free: the answer as a wire expression, every node
 // written by name and signature; the solve's counters; and its CEGIS
 // trace, which is already text (synth.IterRecord). The memory tier holds
-// these entries as they are and the backend holds them JSON-encoded, so
+// these entries as they are and the disk store holds them JSON-encoded, so
 // both tiers answer a hit the same way: bind re-binds the expression
 // into the requesting spec's world (functions by signature, variables by
 // name and declared type, enum types and ordinals by name) and checks

@@ -174,13 +174,11 @@ func TestCacheBackendReadThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache1 := NewCacheWithBackend(store)
-	eng1 := New(Config{Cache: cache1})
-	e1, st1, out1, err := eng1.SolveConcolic(context.Background(), spec)
+	e1, st1, tier1, err := NewCacheWithBackend(store).Solve(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1.Tier != TierMiss {
+	if tier1 != TierMiss {
 		t.Fatal("first solve must miss")
 	}
 	if err := store.Close(); err != nil {
@@ -193,13 +191,12 @@ func TestCacheBackendReadThrough(t *testing.T) {
 	}
 	defer store2.Close()
 	cache2 := NewCacheWithBackend(store2)
-	eng2 := New(Config{Cache: cache2})
 	reg := obs.NewRegistry()
-	e2, st2, out2, err := eng2.SolveConcolic(obs.WithMetrics(context.Background(), reg), spec)
+	e2, st2, tier2, err := cache2.Solve(obs.WithMetrics(context.Background(), reg), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2.Tier != TierDisk {
+	if tier2 != TierDisk {
 		t.Fatal("fresh front-end over a populated store must hit on disk")
 	}
 	if !expr.Equal(e1, e2) {
@@ -320,8 +317,7 @@ func TestFetchRejectsEntriesThatDoNotFitTheHole(t *testing.T) {
 // path against silently memory-only entries).
 func TestBackendPutEncodablePayloads(t *testing.T) {
 	spec := maxSpec(expr.NewUniverse(3))
-	eng := New(Config{Cache: NewCache()})
-	e, st, _, err := eng.SolveConcolic(context.Background(), spec)
+	e, st, _, err := NewCache().Solve(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +348,7 @@ func TestDiskEntrySurvivesManySpecShapes(t *testing.T) {
 			Examples: []synth.ConcolicExample{{Pre: expr.True(), Post: tc.post(o)}},
 			Limits:   synth.Limits{MaxSize: 6},
 		}
-		eng := New(Config{Cache: NewCache()})
-		e, st, _, err := eng.SolveConcolic(context.Background(), spec)
+		e, st, _, err := NewCache().Solve(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

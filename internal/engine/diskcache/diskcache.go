@@ -91,8 +91,9 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Store is the disk-backed cache. It implements engine.CacheBackend and
-// is safe for concurrent use by any number of front-ends in one process.
+// Store is the disk-backed cache, the second tier an engine.Cache holds
+// directly. It is safe for concurrent use by any number of front-ends in
+// one process.
 // Processes share a directory one at a time: a restarted serve daemon
 // picks up its predecessor's entries.
 type Store struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,32 +17,27 @@ import (
 
 // chainJobs builds a plan of three independent chains a0→a1→a2, b0→b1→b2,
 // c0→c1→c2 whose jobs append their labels to a per-chain log.
-func chainJobs(logs map[string]*[]string) []*Job {
-	var jobs []*Job
-	for _, chain := range []string{"a", "b", "c"} {
-		var prev *Job
-		log := logs[chain]
+func chainJobs(logs map[string]*[]string) [][]*Job {
+	var chains [][]*Job
+	for _, name := range []string{"a", "b", "c"} {
+		var chain []*Job
+		log := logs[name]
 		for i := 0; i < 3; i++ {
-			label := fmt.Sprintf("%s%d", chain, i)
-			j := &Job{Label: label, Kind: "test", Run: func(context.Context) error {
+			label := fmt.Sprintf("%s%d", name, i)
+			chain = append(chain, &Job{Label: label, Kind: "test", Run: func(context.Context) error {
 				*log = append(*log, label)
 				return nil
-			}}
-			if prev != nil {
-				j.Deps = []*Job{prev}
-			}
-			jobs = append(jobs, j)
-			prev = j
+			}})
 		}
+		chains = append(chains, chain)
 	}
-	return jobs
+	return chains
 }
 
 func TestRunRespectsDepsAtEveryWorkerCount(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		logs := map[string]*[]string{"a": {}, "b": {}, "c": {}}
-		jobs := chainJobs(logs)
-		stats, err := New(Config{Workers: workers}).Run(context.Background(), jobs)
+		stats, err := Run(context.Background(), workers, chainJobs(logs))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,11 +63,13 @@ func TestRunWorkersOneIsPlanOrder(t *testing.T) {
 			return nil
 		}})
 	}
-	// Reverse-ish dep structure: even jobs depend on the previous even job.
-	for i := 2; i < 20; i += 2 {
-		jobs[i].Deps = []*Job{jobs[i-2]}
+	// Chains of lengths 1, 2, 3, ... cut from the plan in order, the way
+	// core plans a group's chain between single-job chains.
+	var chains [][]*Job
+	for i, n := 0, 1; i < len(jobs); i, n = i+n, n+1 {
+		chains = append(chains, jobs[i:min(i+n, len(jobs))])
 	}
-	if _, err := New(Config{Workers: 1}).Run(context.Background(), jobs); err != nil {
+	if _, err := Run(context.Background(), 1, chains); err != nil {
 		t.Fatal(err)
 	}
 	for i, label := range order {
@@ -82,29 +80,20 @@ func TestRunWorkersOneIsPlanOrder(t *testing.T) {
 	}
 }
 
-func TestRunRejectsForwardDeps(t *testing.T) {
-	a := &Job{Label: "a", Run: func(context.Context) error { return nil }}
-	b := &Job{Label: "b", Run: func(context.Context) error { return nil }}
-	a.Deps = []*Job{b} // forward reference: b is planned after a
-	if _, err := New(Config{}).Run(context.Background(), []*Job{a, b}); err == nil {
-		t.Fatal("forward dependency must be rejected")
-	}
-}
-
 func TestRunFailureSkipsDependentsAndReportsFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	ran := make(map[string]bool)
-	mk := func(label string, err error, deps ...*Job) *Job {
-		return &Job{Label: label, Deps: deps, Run: func(context.Context) error {
+	mk := func(label string, err error) *Job {
+		return &Job{Label: label, Run: func(context.Context) error {
 			ran[label] = true
 			return err
 		}}
 	}
 	a := mk("a", nil)
-	b := mk("b", boom, a)
-	c := mk("c", nil, b)
-	d := mk("d", nil, c)
-	stats, err := New(Config{Workers: 1}).Run(context.Background(), []*Job{a, b, c, d})
+	b := mk("b", boom)
+	c := mk("c", nil)
+	d := mk("d", nil)
+	stats, err := Run(context.Background(), 1, [][]*Job{{a, b, c, d}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom (skip markers must not mask the root cause)", err)
 	}
@@ -142,7 +131,7 @@ func TestRunCancellationStopsInFlightJobs(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		_, err = New(Config{Workers: 2}).Run(context.Background(), []*Job{blocked, failing})
+		_, err = Run(context.Background(), 2, [][]*Job{{blocked}, {failing}})
 	}()
 	select {
 	case <-done:
@@ -168,8 +157,8 @@ func TestRunExternalCancellation(t *testing.T) {
 	}}
 	second := &Job{Label: "second", Run: func(context.Context) error {
 		return errors.New("must not run")
-	}, Deps: []*Job{first}}
-	_, err := New(Config{Workers: 1}).Run(ctx, []*Job{first, second})
+	}}
+	_, err := Run(ctx, 1, [][]*Job{{first, second}})
 	<-release
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -179,15 +168,49 @@ func TestRunExternalCancellation(t *testing.T) {
 	}
 }
 
-// runSpans runs jobs on workers under a collecting tracer and returns
-// the engine.run span and the engine.job spans it recorded.
-func runSpans(t *testing.T, workers int, jobs []*Job) (obs.SpanData, []obs.SpanData) {
+// TestRunOnEndedContextSkipsEveryJob checks the failed/skipped rule on
+// a run whose context ended before it started: no job's Run returned an
+// error, so none failed, and none started, so every one is skipped; the
+// run's error wraps the context's.
+func TestRunOnEndedContextSkipsEveryJob(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	<-ctx.Done()
+	col := obs.NewCollect()
+	ctx = obs.WithTracer(ctx, obs.NewTracer(col))
+	logs := map[string]*[]string{"a": {}, "b": {}, "c": {}}
+	stats, err := Run(ctx, 2, chainJobs(logs))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if stats.Jobs != 9 || stats.Failed != 0 || stats.Skipped != 9 {
+		t.Fatalf("stats = %+v, want 9 jobs: 0 failed, 9 skipped", stats)
+	}
+	for chain, log := range logs {
+		if len(*log) != 0 {
+			t.Errorf("chain %s ran %v on an ended context", chain, *log)
+		}
+	}
+	for _, d := range col.Spans() {
+		if d.Name == "engine.job" {
+			t.Errorf("engine.job span %v on an ended context", spanAttrs(d))
+		}
+		if a := spanAttrs(d); d.Name == "engine.run" && (a["failed"] != int64(0) || a["skipped"] != int64(9)) {
+			t.Errorf("engine.run attrs = %v, want failed 0 and skipped 9", a)
+		}
+	}
+}
+
+// runSpans runs the chains on workers under a collecting tracer and
+// returns the engine.run span and the engine.job spans it recorded.
+func runSpans(t *testing.T, workers int, chains [][]*Job) (obs.SpanData, []obs.SpanData) {
 	t.Helper()
 	col := obs.NewCollect()
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
-	if _, err := New(Config{Workers: workers}).Run(ctx, jobs); err != nil {
+	if _, err := Run(ctx, workers, chains); err != nil {
 		t.Fatal(err)
 	}
+	jobs := slices.Concat(chains...)
 	var runs, jobSpans []obs.SpanData
 	for _, d := range col.Spans() {
 		switch d.Name {
@@ -220,6 +243,7 @@ func spanAttrs(d obs.SpanData) map[string]any {
 func TestRunTelemetryEvents(t *testing.T) {
 	const workers = 2
 	var jobs []*Job
+	chains := make([][]*Job, 3)
 	for i := 0; i < 9; i++ {
 		j := &Job{Label: fmt.Sprintf("j%d", i), Kind: "test"}
 		j.Run = func(ctx context.Context) error {
@@ -227,12 +251,10 @@ func TestRunTelemetryEvents(t *testing.T) {
 				obs.Int("smt_queries", i), obs.Int("cegis_iterations", i+1))
 			return nil
 		}
-		if i >= 3 {
-			j.Deps = []*Job{jobs[i-3]}
-		}
+		chains[i%3] = append(chains[i%3], j)
 		jobs = append(jobs, j)
 	}
-	run, jobSpans := runSpans(t, workers, jobs)
+	run, jobSpans := runSpans(t, workers, chains)
 	if a := spanAttrs(run); a["workers"] != int64(workers) || a["jobs"] != int64(len(jobs)) {
 		t.Errorf("engine.run attrs = %v", a)
 	}
@@ -268,8 +290,9 @@ func TestRunStartMarks(t *testing.T) {
 	col := obs.NewCollect()
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
 	logs := map[string]*[]string{"a": {}, "b": {}, "c": {}}
-	jobs := chainJobs(logs)
-	if _, err := New(Config{Workers: 2}).Run(ctx, jobs); err != nil {
+	chains := chainJobs(logs)
+	jobs := slices.Concat(chains...)
+	if _, err := Run(ctx, 2, chains); err != nil {
 		t.Fatal(err)
 	}
 	spans := map[uint64]obs.SpanData{}
@@ -343,23 +366,23 @@ func maxSpec(u *expr.Universe) SolveSpec {
 }
 
 func TestSolveConcolicCacheReturnsIdenticalExpression(t *testing.T) {
-	eng := New(Config{Cache: NewCache()})
+	cache := NewCache()
 	spec := maxSpec(expr.NewUniverse(3))
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 
-	e1, st1, out1, err := eng.SolveConcolic(ctx, spec)
+	e1, st1, tier1, err := cache.Solve(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1.Tier != TierMiss {
+	if tier1 != TierMiss {
 		t.Fatal("first solve must miss")
 	}
-	e2, st2, out2, err := eng.SolveConcolic(ctx, spec)
+	e2, st2, tier2, err := cache.Solve(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2.Tier != TierMem {
+	if tier2 != TierMem {
 		t.Fatal("second solve must hit in memory")
 	}
 	if !expr.Equal(e1, e2) {
@@ -406,16 +429,15 @@ func TestCacheHitsRehydrateAcrossUniverses(t *testing.T) {
 	}
 
 	cache := NewCache()
-	eng := New(Config{Cache: cache})
-	r1, _, _, err := eng.SolveConcolic(context.Background(), s1)
+	r1, _, _, err := cache.Solve(context.Background(), s1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, out, err := eng.SolveConcolic(context.Background(), s2)
+	r2, _, tier, err := cache.Solve(context.Background(), s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Tier != TierMem {
+	if tier != TierMem {
 		t.Fatal("second universe must hit the first's entry")
 	}
 	if r1.String() != r2.String() {
@@ -444,7 +466,6 @@ func TestCacheHitsRehydrateAcrossUniverses(t *testing.T) {
 
 func TestSolveConcolicConcurrentSharedCache(t *testing.T) {
 	cache := NewCache()
-	eng := New(Config{Cache: cache})
 	spec := maxSpec(expr.NewUniverse(3))
 	results := make([]expr.Expr, 8)
 	var wg sync.WaitGroup
@@ -452,7 +473,7 @@ func TestSolveConcolicConcurrentSharedCache(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, _, _, err := eng.SolveConcolic(context.Background(), spec)
+			e, _, _, err := cache.Solve(context.Background(), spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -475,14 +496,14 @@ func TestSolveConcolicNoExpression(t *testing.T) {
 	// MaxSize 1 cannot express max(a, b).
 	spec := maxSpec(expr.NewUniverse(3))
 	spec.Limits = synth.Limits{MaxSize: 1}
-	eng := New(Config{Cache: NewCache()})
+	cache := NewCache()
 	for i := 0; i < 2; i++ {
-		_, _, out, err := eng.SolveConcolic(context.Background(), spec)
+		_, _, tier, err := cache.Solve(context.Background(), spec)
 		if !errors.Is(err, synth.ErrNoExpression) {
 			t.Fatalf("solve %d: err = %v, want ErrNoExpression", i+1, err)
 		}
-		if out.Tier != TierMiss {
-			t.Fatalf("solve %d: tier %s, want a miss", i+1, out.Tier)
+		if tier != TierMiss {
+			t.Fatalf("solve %d: tier %s, want a miss", i+1, tier)
 		}
 	}
 }
@@ -490,34 +511,43 @@ func TestSolveConcolicNoExpression(t *testing.T) {
 func TestSolveConcolicCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := New(Config{}).SolveConcolic(ctx, maxSpec(expr.NewUniverse(3))); !errors.Is(err, context.Canceled) {
+	var none *Cache
+	if _, _, _, err := none.Solve(ctx, maxSpec(expr.NewUniverse(3))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve: err = %v, want context.Canceled", err)
 	}
 }
 
+// TestEngineRunStress runs chains of every length from 1 to 12,
+// repeatedly and at several worker counts, each job checking that its
+// chain predecessor has finished; mainly a -race workout for the claim
+// index and the chain hand-off.
 func TestEngineRunStress(t *testing.T) {
-	// A wide random-free DAG executed repeatedly at several worker counts;
-	// mainly a -race workout for the scheduler's locking.
 	for _, workers := range []int{1, 3, 7} {
-		var total atomic.Int64
-		var jobs []*Job
-		var prevLayer []*Job
-		for layer := 0; layer < 5; layer++ {
-			var cur []*Job
-			for i := 0; i < 10; i++ {
-				j := &Job{Label: fmt.Sprintf("l%dj%d", layer, i), Deps: prevLayer,
-					Run: func(context.Context) error { total.Add(1); return nil }}
-				cur = append(cur, j)
-				jobs = append(jobs, j)
+		for round := 0; round < 20; round++ {
+			var total atomic.Int64
+			var chains [][]*Job
+			for n := 1; n <= 12; n++ {
+				done := make([]bool, n)
+				chain := make([]*Job, n)
+				for i := range chain {
+					chain[i] = &Job{Label: fmt.Sprintf("c%dj%d", n, i), Run: func(context.Context) error {
+						if i > 0 && !done[i-1] {
+							return fmt.Errorf("c%dj%d ran before its predecessor", n, i)
+						}
+						done[i] = true
+						total.Add(1)
+						return nil
+					}}
+				}
+				chains = append(chains, chain)
 			}
-			prevLayer = cur
-		}
-		stats, err := New(Config{Workers: workers}).Run(context.Background(), jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total.Load() != 50 || stats.Jobs != 50 {
-			t.Fatalf("workers=%d: ran %d of 50", workers, total.Load())
+			stats, err := Run(context.Background(), workers, chains)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if total.Load() != 78 || stats.Jobs != 78 || stats.Failed != 0 || stats.Skipped != 0 {
+				t.Fatalf("workers=%d: ran %d of 78, stats %+v", workers, total.Load(), stats)
+			}
 		}
 	}
 }
@@ -541,7 +571,8 @@ func TestUnrealizableFastFail(t *testing.T) {
 		}},
 		Limits: synth.Limits{MaxSize: 4},
 	}
-	_, stats, _, err := New(Config{}).SolveConcolic(context.Background(), spec)
+	var none *Cache
+	_, stats, _, err := none.Solve(context.Background(), spec)
 	if !errors.Is(err, synth.ErrUnrealizable) {
 		t.Fatalf("error = %v, want ErrUnrealizable", err)
 	}

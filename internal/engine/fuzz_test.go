@@ -178,7 +178,7 @@ func TestDiskEntryByteFlipsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := New(Config{Cache: NewCacheWithBackend(store)}).SolveConcolic(context.Background(), spec); err != nil {
+	if _, _, _, err := NewCacheWithBackend(store).Solve(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()

@@ -99,16 +99,16 @@ func TestSolveSpecKeySeparatesBankFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Cache: NewCache()})
-	def, _, _, err := eng.SolveConcolic(ctx, spec)
+	cache := NewCache()
+	def, _, _, err := cache.Solve(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, out, err := eng.SolveConcolic(ctx, restart)
+	got, _, tier, err := cache.Solve(ctx, restart)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Tier != TierMiss {
+	if tier != TierMiss {
 		t.Fatalf("restart-per-round solve answered from the default solve's entry (%s)", def)
 	}
 	if !expr.Equal(got, want) {

@@ -9,43 +9,30 @@ import (
 	"transit/internal/synth"
 )
 
-// SolveOutcome describes how one SolveConcolic call got its answer: which
-// cache tier served it (TierNone when memoization is disabled). Where the
-// call's time went is in its spans: the engine.cache lookup and, on a
-// miss, the synth.cegis solve.
-type SolveOutcome struct {
-	// Tier is the cache tier that answered the lookup: TierMem or
-	// TierDisk when the cache supplied the answer.
-	Tier Tier
-}
-
-// SolveConcolic is the engine's memoized front door to
-// synth.SolveConcolicCtx. It consults the cache (replaying the original
-// solve's stats on a hit, so aggregated reports are cache-invariant),
-// solves once on a miss, and stores successes. Failures, including
-// synth.ErrUnrealizable, reach the caller unchanged and are not cached.
+// Solve is the memoized front door to synth.SolveConcolicCtx. It
+// consults the cache (replaying the original solve's stats on a hit, so
+// aggregated reports are cache-invariant), solves once on a miss, and
+// stores successes. Failures, including synth.ErrUnrealizable, reach the
+// caller unchanged and are not cached. A nil cache solves without
+// memoization.
 //
 // The returned Stats are the solve's work (or the replayed stats on a
-// hit); the SolveOutcome carries the cache tier. The cache lookup runs
-// under an "engine.cache" span (tier recorded as an attribute) and feeds
-// the engine.cache.{mem_hits,disk_hits,misses} counters and the
-// engine.cache.lookup_ms histogram when ctx carries a metrics registry.
-func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Expr, stats synth.Stats, out SolveOutcome, err error) {
-	out.Tier = TierNone
-	reg := obs.MetricsFrom(ctx)
-	var key string
-	if e.cfg.Cache != nil {
-		// Fetch consults memory first and then the persistent backend, if
-		// any, binding either tier's entry into this spec's world.
+// hit), and the Tier names the cache tier that answered (TierNone on a
+// nil cache). The lookup runs under an "engine.cache" span (tier recorded
+// as an attribute) and feeds the engine.cache.{mem_hits,disk_hits,misses}
+// counters and the engine.cache.lookup_ms histogram when ctx carries a
+// metrics registry; on a miss the solve runs under its synth.cegis span.
+func (c *Cache) Solve(ctx context.Context, spec SolveSpec) (expr.Expr, synth.Stats, Tier, error) {
+	tier, key := TierNone, ""
+	if c != nil {
 		_, cacheSpan := obs.Start(ctx, "engine.cache")
 		lookupStart := time.Now()
-		re, st, k, tier, ok := e.cfg.Cache.Fetch(spec)
+		res, stats, k, t, ok := c.Fetch(spec)
 		lookup := time.Since(lookupStart)
-		out.Tier = tier
-		cacheSpan.SetAttr(obs.Str("tier", string(tier)))
+		cacheSpan.SetAttr(obs.Str("tier", string(t)))
 		cacheSpan.End()
-		if reg != nil {
-			switch tier {
+		if reg := obs.MetricsFrom(ctx); reg != nil {
+			switch t {
 			case TierMem:
 				reg.Counter("engine.cache.mem_hits").Inc()
 			case TierDisk:
@@ -56,16 +43,16 @@ func (e *Engine) SolveConcolic(ctx context.Context, spec SolveSpec) (res expr.Ex
 			reg.Histogram("engine.cache.lookup_ms").Observe(lookup)
 		}
 		if ok {
-			return re, st, out, nil
+			return res, stats, t, nil
 		}
-		key = k
+		tier, key = t, k
 	}
-	res, stats, err = synth.SolveConcolicCtx(ctx, spec.Problem, spec.Examples, spec.Limits)
+	res, stats, err := synth.SolveConcolicCtx(ctx, spec.Problem, spec.Examples, spec.Limits)
 	if err != nil {
-		return nil, stats, out, err
+		return nil, stats, tier, err
 	}
-	if e.cfg.Cache != nil {
-		e.cfg.Cache.Put(key, CacheEntry{Expr: res, Stats: stats})
+	if c != nil {
+		c.Put(key, CacheEntry{Expr: res, Stats: stats})
 	}
-	return res, stats, out, nil
+	return res, stats, tier, nil
 }

@@ -29,7 +29,7 @@ func TestRunsFromEngineSpans(t *testing.T) {
 	}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := engine.New(engine.Config{Workers: 2}).Run(ctx, []*engine.Job{block, fail})
+		_, err := engine.Run(ctx, 2, [][]*engine.Job{{block}, {fail}})
 		done <- err
 	}()
 

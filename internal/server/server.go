@@ -683,7 +683,7 @@ func (s *Server) stats() StatsSnapshot {
 	s.mu.Unlock()
 	snap.Utilization = float64(running) / float64(s.cfg.MaxInflight)
 	snap.CacheLen = s.cache.Len()
-	if store, ok := s.cache.Backend().(*diskcache.Store); ok {
+	if store := s.cache.Store(); store != nil {
 		st := store.Stats()
 		snap.Disk = &st
 	}

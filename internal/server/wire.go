@@ -125,7 +125,7 @@ func (s *Server) prepare(req *JobRequest) (string, func(context.Context, *job) (
 
 // runSolve executes a solve job through the shared cache.
 func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (json.RawMessage, error) {
-	res, st, _, err := engine.New(engine.Config{Cache: s.cache}).SolveConcolic(ctx, spec)
+	res, st, _, err := s.cache.Solve(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
