@@ -9,6 +9,7 @@
 package transit_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ import (
 // walk-through: max(a, b) from the functional specification.
 func BenchmarkTable2MaxConcolic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Table2(); err != nil {
+		if _, _, err := bench.Table2Ctx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +48,7 @@ func BenchmarkTable3(b *testing.B) {
 					b.Fatal(err)
 				}
 				prob, exs := bm.Build(u)
-				if _, _, err := synth.SolveConcolic(prob, exs, synth.Limits{MaxSize: bm.ExpectedSize + 2}); err != nil {
+				if _, _, err := synth.SolveConcolicCtx(context.Background(), prob, exs, synth.Limits{MaxSize: bm.ExpectedSize + 2}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -89,7 +90,7 @@ func BenchmarkFig5Pruned(b *testing.B) {
 		prob, exs := fig5Instance(b, size)
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := synth.SolveConcrete(prob, exs, synth.Limits{MaxSize: size + 2}); err != nil {
+				if _, _, err := synth.SolveConcreteCtx(context.Background(), prob, exs, synth.Limits{MaxSize: size + 2}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,7 +105,7 @@ func BenchmarkFig5Exhaustive(b *testing.B) {
 		prob, exs := fig5Instance(b, size)
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := synth.SolveConcrete(prob, exs, synth.Limits{
+				if _, _, err := synth.SolveConcreteCtx(context.Background(), prob, exs, synth.Limits{
 					MaxSize: size + 2, NoPrune: true, MaxExprs: 50_000_000,
 				}); err != nil {
 					b.Fatal(err)
@@ -120,7 +121,7 @@ func benchProtocol(b *testing.B, build func() *protocols.Spec) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		spec := build()
-		if _, err := core.Complete(spec.Sys, spec.Vocab, spec.Snippets,
+		if _, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
 			core.Options{Limits: synth.Limits{MaxSize: 12}}); err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func benchProtocol(b *testing.B, build func() *protocols.Spec) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mc.Check(rt, spec.Invariants, mc.Options{MaxStates: 4_000_000, CheckDeadlock: true})
+		res, err := mc.CheckCtx(context.Background(), rt, spec.Invariants, mc.Options{MaxStates: 4_000_000, CheckDeadlock: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func BenchmarkTable5(b *testing.B) {
 		mk := mk
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCaseStudy(mk(2))
+				res, err := core.RunCaseStudyCtx(context.Background(), mk(2))
 				if err != nil {
 					b.Fatal(err)
 				}

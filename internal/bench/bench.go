@@ -19,16 +19,11 @@ import (
 	"transit/internal/synth"
 )
 
-// Table2 reruns the paper's Table 2: SolveConcolic on
+// Table2Ctx reruns the paper's Table 2: SolveConcolicCtx on
 // true ⇒ (o ≥ a ∧ o ≥ b ∧ (o = a ∨ o = b)) with the coherence vocabulary,
 // returning the final expression and the solve's stats, whose Trace is
-// the table (FormatTable2 renders it).
-func Table2() (string, synth.Stats, error) {
-	return Table2Ctx(context.Background())
-}
-
-// Table2Ctx is Table2 under a context (cancellation plus observability
-// threading; see the obs package).
+// the table (FormatTable2 renders it). The context carries cancellation
+// and the observability plumbing (see the obs package).
 func Table2Ctx(ctx context.Context) (string, synth.Stats, error) {
 	u := expr.NewUniverse(3)
 	voc := expr.CoherenceVocabulary(u, expr.CoherenceOptions{})
@@ -72,15 +67,10 @@ type CheckKnobs struct {
 	Symmetry bool
 }
 
-// Table4 transcribes the GEMS protocols (VI and MSI) into snippets,
-// synthesizes them, and model checks the result, reporting the paper's
-// throughput metrics.
-func Table4(numCaches int) ([]Table4Row, error) {
-	return Table4Ctx(context.Background(), numCaches, CheckKnobs{})
-}
-
-// Table4Ctx is Table4 under a context (cancellation plus observability
-// threading).
+// Table4Ctx transcribes the GEMS protocols (VI and MSI) into snippets,
+// synthesizes them, and model checks the result with the knobs' checker
+// configuration, reporting the paper's throughput metrics. The context
+// carries cancellation and the observability plumbing.
 func Table4Ctx(ctx context.Context, numCaches int, knobs CheckKnobs) ([]Table4Row, error) {
 	specs := []*protocols.Spec{protocols.VI(numCaches), protocols.MSI(numCaches)}
 	var rows []Table4Row
@@ -135,16 +125,11 @@ type Table5Row struct {
 	Elapsed         time.Duration
 }
 
-// Table5 replays the three case studies and reports the effectiveness
-// metrics of the iterative methodology.
-func Table5(numCaches int) ([]Table5Row, error) {
-	return Table5Ctx(context.Background(), numCaches, CheckKnobs{})
-}
-
-// Table5Ctx is Table5 under a context (cancellation plus observability
-// threading). The knobs override each case study's model-checking
-// options, so the scripted debugging loops verify with the same checker
-// configuration the CLI was asked for.
+// Table5Ctx replays the three case studies and reports the
+// effectiveness metrics of the iterative methodology. The knobs override
+// each case study's model-checking options, so the scripted debugging
+// loops verify with the same checker configuration the CLI was asked
+// for. The context carries cancellation and the observability plumbing.
 func Table5Ctx(ctx context.Context, numCaches int, knobs CheckKnobs) ([]Table5Row, error) {
 	studies := []core.CaseStudy{
 		protocols.CaseStudyA(numCaches),

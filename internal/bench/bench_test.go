@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestTable2Shape(t *testing.T) {
-	final, stats, err := Table2()
+	final, stats, err := Table2Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3ShortRows(t *testing.T) {
-	rows, err := Table3(Table3Options{Timeout: 2 * time.Minute})
+	rows, err := Table3Ctx(context.Background(), Table3Options{Timeout: 2 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestTable3ShortRows(t *testing.T) {
 }
 
 func TestFig5SmallShape(t *testing.T) {
-	pts, err := Fig5(Fig5Options{
+	pts, err := Fig5Ctx(context.Background(), Fig5Options{
 		Sizes: []int{2, 4, 6, 8}, Trials: 2, Seed: 7,
 		MaxExhaustiveSize: 8, ExhaustiveCap: 5_000_000, PrunedCap: 5_000_000,
 	})
@@ -94,7 +95,7 @@ func TestFig5SmallShape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(2)
+	rows, err := Table4Ctx(context.Background(), 2, CheckKnobs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := Table5(2)
+	rows, err := Table5Ctx(context.Background(), 2, CheckKnobs{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ type EngineRow struct {
 }
 
 // engineSpecs builds fresh copies of the four case-study protocols; each
-// run must synthesize into a pristine System because Complete installs the
-// completed transitions in place.
+// run must synthesize into a pristine System because core.CompleteCtx
+// installs the completed transitions in place.
 func engineSpecs(numCaches int) []func() *protocols.Spec {
 	return []func() *protocols.Spec{
 		func() *protocols.Spec { return protocols.VI(numCaches) },
@@ -51,17 +51,12 @@ func engineSpecs(numCaches int) []func() *protocols.Spec {
 	}
 }
 
-// EngineBench synthesizes VI, MSI, MESI, and Origin three ways — one
+// EngineBenchCtx synthesizes VI, MSI, MESI, and Origin three ways — one
 // worker (the historical sequential order), `workers` workers, and one
 // more parallel run against the warm memo cache of the second — and
 // reports wall-clock plus cache statistics for each protocol. Serial and
 // parallel runs produce identical EFSMs (the engine guarantees worker-
-// count invariance); only the wall clock may differ.
-func EngineBench(numCaches, workers int) ([]EngineRow, error) {
-	return EngineBenchCtx(context.Background(), numCaches, workers)
-}
-
-// EngineBenchCtx is EngineBench under a context. Any tracer on the
+// count invariance); only the wall clock may differ. Any tracer on the
 // context is kept, so engine runs show up in -trace output; the metrics
 // registry is replaced per run so each row's counters stay isolated.
 func EngineBenchCtx(ctx context.Context, numCaches, workers int) ([]EngineRow, error) {

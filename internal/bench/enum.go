@@ -64,15 +64,10 @@ type EnumBenchResult struct {
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
 }
 
-// EnumBench runs the short Table 3 rows through both modes.
-func EnumBench(trials int) (*EnumBenchResult, error) {
-	return EnumBenchCtx(context.Background(), trials)
-}
-
-// EnumBenchCtx is EnumBench under a context. Every trial of every mode is
-// checked for answer identity against the baseline and for semantic
-// consistency by brute force, so a determinism regression fails the
-// benchmark instead of skewing it.
+// EnumBenchCtx runs the short Table 3 rows through both modes. Every
+// trial of every mode is checked for answer identity against the
+// baseline and for semantic consistency by brute force, so a determinism
+// regression fails the benchmark instead of skewing it.
 func EnumBenchCtx(ctx context.Context, trials int) (*EnumBenchResult, error) {
 	if trials < 1 {
 		trials = 3

@@ -62,17 +62,12 @@ func DefaultFig5Options() Fig5Options {
 	}
 }
 
-// Fig5 runs the Figure 5 experiment: for each size, generate random target
-// expressions over the coherence vocabulary, draw ten random consistent
-// concrete examples, and run SolveConcrete with and without
+// Fig5Ctx runs the Figure 5 experiment: for each size, generate random
+// target expressions over the coherence vocabulary, draw ten random
+// consistent concrete examples, and run SolveConcreteCtx with and without
 // indistinguishability pruning, counting candidates enumerated until a
-// consistent expression is found.
-func Fig5(opts Fig5Options) ([]Fig5Point, error) {
-	return Fig5Ctx(context.Background(), opts)
-}
-
-// Fig5Ctx is Fig5 under a context (cancellation plus observability
-// threading).
+// consistent expression is found. The context carries cancellation and
+// the observability plumbing.
 func Fig5Ctx(ctx context.Context, opts Fig5Options) ([]Fig5Point, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// Full 8-bit integers: with narrow domains, ten random examples are

@@ -52,16 +52,12 @@ type MCBenchResult struct {
 	Rows      []MCRow `json:"rows"`
 }
 
-// MCBench runs the model-checker scaling benchmark: each GEMS protocol
+// MCBenchCtx runs the model-checker scaling benchmark: each GEMS protocol
 // plus Origin at numCaches caches, checked with and without symmetry
-// reduction under the same state budget and worker count.
-func MCBench(numCaches, workers, maxStates int) (*MCBenchResult, error) {
-	return MCBenchCtx(context.Background(), numCaches, workers, maxStates)
-}
-
-// MCBenchCtx is MCBench under a context. Each protocol is synthesized
-// once from its snippets (same pipeline as Table 4), then the one runtime
-// is checked twice. Verdicts must agree whenever both runs complete.
+// reduction under the same state budget and worker count. Each protocol
+// is synthesized once from its snippets (same pipeline as Table 4), then
+// the one runtime is checked twice. Verdicts must agree whenever both
+// runs complete.
 func MCBenchCtx(ctx context.Context, numCaches, workers, maxStates int) (*MCBenchResult, error) {
 	if numCaches < 2 {
 		numCaches = 6

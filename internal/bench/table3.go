@@ -282,15 +282,10 @@ type Table3Options struct {
 	MaxExprs int64
 }
 
-// Table3 runs the benchmark suite. Each found expression is verified
+// Table3Ctx runs the benchmark suite. Each found expression is verified
 // against its constraints by brute force over a reduced universe before
-// being reported.
-func Table3(opts Table3Options) ([]Table3Row, error) {
-	return Table3Ctx(context.Background(), opts)
-}
-
-// Table3Ctx is Table3 under a context (cancellation plus observability
-// threading).
+// being reported. The context carries cancellation and the observability
+// plumbing.
 func Table3Ctx(ctx context.Context, opts Table3Options) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, b := range Table3Benchmarks() {

@@ -71,16 +71,12 @@ type CaseStudyResult struct {
 	Sys *efsm.System
 }
 
-// RunCaseStudy replays a scripted case study. It errors if the fix script
-// runs out while the model checker still finds violations — a regression in
-// either the protocol snippets or the toolchain.
-func RunCaseStudy(cs CaseStudy) (*CaseStudyResult, error) {
-	return RunCaseStudyCtx(context.Background(), cs)
-}
-
-// RunCaseStudyCtx is RunCaseStudy under a context: cancellation stops the
-// in-flight synthesis or model-checking round, and the context's
-// observability state (tracer, metrics) is threaded through both.
+// RunCaseStudyCtx replays a scripted case study. It errors if the fix
+// script runs out while the model checker still finds violations — a
+// regression in either the protocol snippets or the toolchain.
+// Cancellation stops the in-flight synthesis or model-checking round,
+// and the context's observability state (tracer, metrics) is threaded
+// through both.
 func RunCaseStudyCtx(ctx context.Context, cs CaseStudy) (*CaseStudyResult, error) {
 	start := time.Now()
 	res := &CaseStudyResult{Name: cs.Name}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func TestCompletionCertificate(t *testing.T) {
 		for _, build := range builds {
 			spec := build(n)
 			t.Run(fmt.Sprintf("%s/n=%d", spec.Name, n), func(t *testing.T) {
-				if _, err := core.Complete(spec.Sys, spec.Vocab, spec.Snippets,
+				if _, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
 					core.Options{Limits: synth.Limits{MaxSize: 12}}); err != nil {
 					t.Fatal(err)
 				}

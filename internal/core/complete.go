@@ -5,7 +5,8 @@
 // are inferred under the §5.2 mutual-exclusion side conditions; the
 // completed transitions are installed into the efsm.System, ready for the
 // model checker. The iterative specify → synthesize → model-check →
-// fix-with-snippets workflow of the case studies is driven by RunCaseStudy.
+// fix-with-snippets workflow of the case studies is driven by
+// RunCaseStudyCtx.
 //
 // Completion is executed by internal/engine as a list of job chains:
 // each (state, event) group is one chain, its guards in order (later
@@ -87,18 +88,12 @@ type Report struct {
 // '$' keeps it out of any user scope.
 const guardVar = "guard$"
 
-// Complete synthesizes full transitions for every process of the system
-// from the given snippets and installs them. Existing transitions on the
-// definitions are replaced. The vocabulary is the search space for inferred
-// guards and updates (snippet expressions themselves may use constants
-// outside it).
-func Complete(sys *efsm.System, vocab *expr.Vocabulary, snippets []*efsm.Snippet, opts Options) (*Report, error) {
-	return CompleteCtx(context.Background(), sys, vocab, snippets, opts)
-}
-
-// CompleteCtx is Complete under a context: cancellation or deadline
-// expiry stops in-flight inference jobs and fails the run with the
-// context's error.
+// CompleteCtx synthesizes full transitions for every process of the
+// system from the given snippets and installs them. Existing transitions
+// on the definitions are replaced. The vocabulary is the search space for
+// inferred guards and updates (snippet expressions themselves may use
+// constants outside it). Cancellation or deadline expiry stops in-flight
+// inference jobs and fails the run with the context's error.
 func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, snippets []*efsm.Snippet, opts Options) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Snippets: len(snippets)}
@@ -589,7 +584,7 @@ func (p *planner) checkMutualExclusion(ctx context.Context, g *group, blocks []*
 			if gi == nil || gj == nil {
 				continue
 			}
-			ok, cex, err := smt.ValidOptCtx(ctx, p.sys.U, g.scopeVars, expr.Not(expr.And(gi, gj)), smt.Options{})
+			ok, cex, err := smt.ValidCtx(ctx, p.sys.U, g.scopeVars, expr.Not(expr.And(gi, gj)), smt.Options{})
 			if err != nil {
 				return fmt.Errorf("guard exclusivity check: %w", err)
 			}

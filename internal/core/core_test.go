@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestAnecdoteUnderspecifiedThenFixed(t *testing.T) {
 			}
 			snips = append(snips, fix)
 		}
-		_, err := Complete(sys, vocab, snips, Options{Limits: synth.Limits{MaxSize: 10}})
+		_, err := CompleteCtx(context.Background(), sys, vocab, snips, Options{Limits: synth.Limits{MaxSize: 10}})
 		if err != nil {
 			t.Fatalf("Complete (fix=%v): %v", withFix, err)
 		}
@@ -203,7 +204,7 @@ func TestCompleteSynthesizesGuards(t *testing.T) {
 			},
 		}},
 	}
-	rep, err := Complete(sys, vocab, []*efsm.Snippet{read, write}, Options{Limits: synth.Limits{MaxSize: 8}})
+	rep, err := CompleteCtx(context.Background(), sys, vocab, []*efsm.Snippet{read, write}, Options{Limits: synth.Limits{MaxSize: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCompleteRejectsUnknownProcess(t *testing.T) {
 	sys, vocab, _, reqNet, _ := anecdoteSystem(t)
 	sn := &efsm.Snippet{Process: "Nope", From: "EXCLUSIVE",
 		Event: efsm.Event{Net: reqNet, MsgVar: "Msg"}, To: "EXCLUSIVE"}
-	if _, err := Complete(sys, vocab, []*efsm.Snippet{sn}, Options{}); err == nil {
+	if _, err := CompleteCtx(context.Background(), sys, vocab, []*efsm.Snippet{sn}, Options{}); err == nil {
 		t.Error("expected unknown-process error")
 	}
 }
@@ -261,7 +262,7 @@ func TestCompleteRejectsOverlappingSymbolicGuards(t *testing.T) {
 		Event: efsm.Event{Net: reqNet, MsgVar: "Msg"}, Guard: g, To: "EXCLUSIVE"}
 	b := &efsm.Snippet{Label: "b", Process: "Dir", From: "EXCLUSIVE",
 		Event: efsm.Event{Net: reqNet, MsgVar: "Msg"}, Guard: g, To: "BUSY_SHARED"}
-	_, err := Complete(sys, vocab, []*efsm.Snippet{a, b}, Options{})
+	_, err := CompleteCtx(context.Background(), sys, vocab, []*efsm.Snippet{a, b}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("expected overlap error, got %v", err)
 	}
@@ -358,7 +359,7 @@ func TestCaseStudyDriverConvergence(t *testing.T) {
 		Fixes:   []FixBatch{{Label: "handle WRITE", Snippets: []*efsm.Snippet{dirWrite}}},
 		MCOpts:  mc.Options{MaxStates: 200_000},
 	}
-	res, err := RunCaseStudy(cs)
+	res, err := RunCaseStudyCtx(context.Background(), cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestCaseStudyFixesExhausted(t *testing.T) {
 		Initial: []*efsm.Snippet{cacheRead},
 		MCOpts:  mc.Options{MaxStates: 10_000},
 	}
-	if _, err := RunCaseStudy(cs); err == nil {
+	if _, err := RunCaseStudyCtx(context.Background(), cs); err == nil {
 		t.Fatal("expected fixes-exhausted error")
 	}
 }

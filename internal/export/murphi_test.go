@@ -1,6 +1,7 @@
 package export
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestMurphiExportVI(t *testing.T) {
 	spec := protocols.VI(3)
-	if _, err := core.Complete(spec.Sys, spec.Vocab, spec.Snippets,
+	if _, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
 		core.Options{Limits: synth.Limits{MaxSize: 10}}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestMurphiExportVI(t *testing.T) {
 
 func TestMurphiExportMSIWithMulticast(t *testing.T) {
 	spec := protocols.MSI(2)
-	if _, err := core.Complete(spec.Sys, spec.Vocab, spec.Snippets,
+	if _, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
 		core.Options{Limits: synth.Limits{MaxSize: 12}}); err != nil {
 		t.Fatal(err)
 	}

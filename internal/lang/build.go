@@ -12,7 +12,7 @@ import (
 
 // Protocol is a fully elaborated TRANSIT program: the skeleton, the
 // synthesis vocabulary, the snippet set, and the declared invariants.
-// Feed Snippets through core.Complete over Sys, then model check.
+// Feed Snippets through core.CompleteCtx over Sys, then model check.
 type Protocol struct {
 	Name       string
 	Sys        *efsm.System
@@ -27,11 +27,6 @@ func Build(src string, numCaches int) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildFile(f, numCaches)
-}
-
-// BuildFile elaborates a parsed program.
-func BuildFile(f *File, numCaches int) (*Protocol, error) {
 	b := &builder{file: f}
 	return b.build(numCaches)
 }
@@ -174,7 +169,7 @@ func (b *builder) build(numCaches int) (*Protocol, error) {
 
 	proto := &Protocol{Name: b.file.Name, Sys: b.sys, Vocab: vocab,
 		Snippets: snippets, Invariants: invs}
-	// Per-snippet validation happens in core.Complete; validate the
+	// Per-snippet validation happens in core.CompleteCtx; validate the
 	// skeleton structure here.
 	if err := b.sys.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -216,7 +217,7 @@ func TestVIEndToEnd(t *testing.T) {
 		if proto.Name != "VI" {
 			t.Fatalf("name = %s", proto.Name)
 		}
-		_, err = core.Complete(proto.Sys, proto.Vocab, proto.Snippets,
+		_, err = core.CompleteCtx(context.Background(), proto.Sys, proto.Vocab, proto.Snippets,
 			core.Options{Limits: synth.Limits{MaxSize: 10}})
 		if err != nil {
 			t.Fatalf("VI(%d) synthesis: %v", n, err)
@@ -225,7 +226,7 @@ func TestVIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.Check(rt, proto.Invariants, mc.Options{MaxStates: 500_000, CheckDeadlock: true})
+		res, err := mc.CheckCtx(context.Background(), rt, proto.Invariants, mc.Options{MaxStates: 500_000, CheckDeadlock: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func TestMSIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = core.Complete(proto.Sys, proto.Vocab, proto.Snippets,
+		_, err = core.CompleteCtx(context.Background(), proto.Sys, proto.Vocab, proto.Snippets,
 			core.Options{Limits: synth.Limits{MaxSize: 12}})
 		if err != nil {
 			t.Fatalf("MSI(%d) synthesis: %v", tc.n, err)
@@ -316,7 +317,7 @@ func TestMSIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.Check(rt, proto.Invariants, mc.Options{MaxStates: 2_000_000, CheckDeadlock: true})
+		res, err := mc.CheckCtx(context.Background(), rt, proto.Invariants, mc.Options{MaxStates: 2_000_000, CheckDeadlock: true})
 		if err != nil {
 			t.Fatal(err)
 		}

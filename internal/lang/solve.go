@@ -72,6 +72,9 @@ func (d *SolveDecl) Elab() (synth.Problem, []synth.ConcolicExample, error) {
 	if err != nil {
 		return zp, nil, err
 	}
+	// b elaborates the examples: a builder of no file that knows the
+	// declared enums' literals.
+	b := &builder{u: u, literals: map[string][]*expr.EnumType{}}
 	enums := make([]*expr.EnumType, 0, len(d.Enums))
 	for _, e := range d.Enums {
 		et, err := u.DeclareEnum(e.Name, e.Values...)
@@ -79,6 +82,9 @@ func (d *SolveDecl) Elab() (synth.Problem, []synth.ConcolicExample, error) {
 			return zp, nil, err
 		}
 		enums = append(enums, et)
+		for _, v := range et.Values {
+			b.literals[v] = append(b.literals[v], et)
+		}
 	}
 	voc := expr.CoherenceVocabulary(u, expr.CoherenceOptions{
 		Enums:             enums,
@@ -91,28 +97,28 @@ func (d *SolveDecl) Elab() (synth.Problem, []synth.ConcolicExample, error) {
 	if d.Output.Name == "" {
 		return zp, nil, fmt.Errorf("output variable is required")
 	}
-	scope := ExprScope{U: u, Vars: map[string]expr.Type{}, Enums: enums}
+	sc := &scope{vars: map[string]expr.Type{}}
 	vars := make([]*expr.Var, 0, len(d.Vars))
 	for _, v := range d.Vars {
 		t, err := TypeByName(u, v.Type)
 		if err != nil {
 			return zp, nil, fmt.Errorf("var %s: %w", v.Name, err)
 		}
-		if _, dup := scope.Vars[v.Name]; dup {
+		if _, dup := sc.vars[v.Name]; dup {
 			return zp, nil, fmt.Errorf("duplicate variable %q", v.Name)
 		}
 		vars = append(vars, expr.V(v.Name, t))
-		scope.Vars[v.Name] = t
+		sc.vars[v.Name] = t
 	}
 	ot, err := TypeByName(u, d.Output.Type)
 	if err != nil {
 		return zp, nil, fmt.Errorf("output %s: %w", d.Output.Name, err)
 	}
-	if _, dup := scope.Vars[d.Output.Name]; dup {
+	if _, dup := sc.vars[d.Output.Name]; dup {
 		return zp, nil, fmt.Errorf("output %q shadows an input variable", d.Output.Name)
 	}
 	out := expr.V(d.Output.Name, ot)
-	scope.Vars[d.Output.Name] = ot
+	sc.vars[d.Output.Name] = ot
 
 	if len(d.Examples) == 0 {
 		return zp, nil, fmt.Errorf("at least one example is required")
@@ -121,11 +127,11 @@ func (d *SolveDecl) Elab() (synth.Problem, []synth.ConcolicExample, error) {
 	for i, ex := range d.Examples {
 		pre := expr.True()
 		if ex.Pre != "" {
-			if pre, err = ParseAndElabExpr(ex.Pre, scope); err != nil {
+			if pre, err = b.parseExpr(ex.Pre, sc); err != nil {
 				return zp, nil, fmt.Errorf("example %d pre: %w", i, err)
 			}
 		}
-		post, err := ParseAndElabExpr(ex.Post, scope)
+		post, err := b.parseExpr(ex.Post, sc)
 		if err != nil {
 			return zp, nil, fmt.Errorf("example %d post: %w", i, err)
 		}
@@ -135,4 +141,22 @@ func (d *SolveDecl) Elab() (synth.Problem, []synth.ConcolicExample, error) {
 		examples = append(examples, synth.ConcolicExample{Pre: pre, Post: post})
 	}
 	return synth.Problem{U: u, Vocab: voc, Vars: vars, Output: out}, examples, nil
+}
+
+// parseExpr parses src as one expression in TRANSIT surface syntax and
+// elaborates it in sc, where no primed target is allowed.
+func (b *builder) parseExpr(src string, sc *scope) (expr.Expr, error) {
+	toks, err := lexAll(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	node, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.at(tokEOF) {
+		return nil, errf(p.cur().pos, "trailing input after expression")
+	}
+	return b.elab(node, sc, false)
 }

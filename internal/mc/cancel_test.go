@@ -29,7 +29,7 @@ func TestCheckCtxCancelled(t *testing.T) {
 func TestCheckCtxBackgroundMatchesCheck(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{})
 	r1 := mustRuntime(t, sys)
-	plain, err := Check(r1, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	plain, err := CheckCtx(context.Background(), r1, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

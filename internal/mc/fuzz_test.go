@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -55,7 +56,7 @@ func FuzzCheckSymmetry(f *testing.F) {
 			var base *Result
 			var baseErr error
 			for _, w := range []int{1, many} {
-				res, err := Check(r, invs, Options{CheckDeadlock: bugs&16 != 0, Workers: w,
+				res, err := CheckCtx(context.Background(), r, invs, Options{CheckDeadlock: bugs&16 != 0, Workers: w,
 					SymmetryReduction: sym, MaxStates: 200_000})
 				normalize(res)
 				if base == nil {

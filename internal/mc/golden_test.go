@@ -22,7 +22,7 @@ const goldenPath = "testdata/golden.txt"
 
 // goldenRecord runs one check and renders its answer.
 func goldenRecord(name string, r *efsm.Runtime, invs []mc.Invariant, opts mc.Options) (string, *mc.Result) {
-	res, chart, err := mc.CheckWithMSCCtx(context.Background(), r, invs, opts)
+	res, err := mc.CheckCtx(context.Background(), r, invs, opts)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== %s symmetry=%v\n", name, opts.SymmetryReduction)
 	if err != nil {
@@ -30,13 +30,13 @@ func goldenRecord(name string, r *efsm.Runtime, invs []mc.Invariant, opts mc.Opt
 	}
 	fmt.Fprintf(&sb, "ok=%v complete=%v states=%d transitions=%d depth=%d\n",
 		res.OK, res.Complete, res.States, res.Transitions, res.Depth)
-	fmt.Fprintf(&sb, "symmetry_applied=%v canonical_states=%d reduction_factor=%s\n",
-		res.SymmetryApplied, res.CanonicalStates, strconv.FormatFloat(res.ReductionFactor, 'g', -1, 64))
+	fmt.Fprintf(&sb, "symmetry_applied=%v reduction_factor=%s\n",
+		res.SymmetryApplied, strconv.FormatFloat(res.ReductionFactor, 'g', -1, 64))
 	if res.Violation != nil {
 		sb.WriteString("--- violation\n")
 		sb.WriteString(res.Violation.String())
 		sb.WriteString("--- msc\n")
-		sb.WriteString(chart)
+		sb.WriteString(mc.FormatMSC(r, res.Violation.Actions()))
 	}
 	return sb.String(), res
 }

@@ -183,26 +183,18 @@ type Result struct {
 	// SymmetryApplied reports whether symmetry reduction was actually in
 	// effect (requested and the system qualified).
 	SymmetryApplied bool
-	// CanonicalStates mirrors States under symmetry reduction: the number
-	// of orbit representatives explored.
-	CanonicalStates int
 	// ReductionFactor estimates how many concrete states each explored
 	// state stood for: the mean orbit size (1 when reduction was off).
 	ReductionFactor float64
 }
 
-// Check explores the reachable states of the runtime and verifies the
-// invariants. It returns the first (BFS-shortest) violation found.
-func Check(r *efsm.Runtime, invs []Invariant, opts Options) (*Result, error) {
-	return CheckCtx(context.Background(), r, invs, opts)
-}
-
-// CheckCtx is Check under a context: the search polls the context every
-// round (and workers poll it during long expansions), so long-running
-// searches are cancellable and honor deadlines the same way the
-// Options.MaxStates budget bounds them. On cancellation the partial
-// Result (states explored so far) is returned alongside the context's
-// error.
+// CheckCtx explores the reachable states of the runtime and verifies
+// the invariants. It returns the first (BFS-shortest) violation found.
+// The search polls the context every round (and workers poll it during
+// long expansions), so long-running searches are cancellable and honor
+// deadlines the same way the Options.MaxStates budget bounds them. On
+// cancellation the partial Result (states explored so far) is returned
+// alongside the context's error.
 func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Options) (*Result, error) {
 	maxStates := opts.MaxStates
 	if maxStates == 0 {
@@ -225,17 +217,40 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		obs.Int("max_states", maxStates),
 		obs.Int("workers", workers), obs.Bool("symmetry", group != nil))
 	start := time.Now()
-	// repStates/repTransitions/repOrbit track what the heartbeat has
-	// already published to the metrics registry, so running updates and
-	// the final settle add exact deltas instead of double-counting.
-	var repStates, repTransitions, repOrbit atomic.Int64
+	// publish adds the search's totals to the metrics registry's counters
+	// as deltas over what it published before, and sets the gauges: the
+	// heartbeat publishes the running totals, so /metrics scrapes see
+	// mc.states advance during the search, and the end of the run the
+	// final ones, so the counters end equal to the Result. The heartbeat's
+	// ticker goroutine has exited before that last call, so published is
+	// never touched by two goroutines at once.
+	reg := obs.MetricsFrom(ctx)
+	var published struct{ states, transitions, orbit int64 }
+	publish := func(states, transitions, orbit, depth int64) {
+		if reg == nil {
+			return
+		}
+		reg.Counter("mc.states").Add(states - published.states)
+		reg.Counter("mc.transitions").Add(transitions - published.transitions)
+		reg.Counter("mc.orbit_states").Add(orbit - published.orbit)
+		published.states, published.transitions, published.orbit = states, transitions, orbit
+		reg.Gauge("mc.frontier_depth").Set(depth)
+		var milli int64
+		if states > 0 {
+			milli = orbit * 1000 / states
+		}
+		reg.Gauge("mc.reduction_factor_milli").Set(milli)
+	}
 	var orbitSum int64
+	// stopHeartbeat stops the heartbeat and waits for its goroutine to
+	// exit; it stays a no-op when there is none.
+	stopHeartbeat := func() {}
 	defer func() {
+		stopHeartbeat()
 		res.Elapsed = time.Since(start)
 		if secs := res.Elapsed.Seconds(); secs > 0 {
 			res.StatesPerSec = float64(res.States) / secs
 		}
-		res.CanonicalStates = res.States
 		if res.States > 0 {
 			res.ReductionFactor = float64(orbitSum) / float64(res.States)
 		}
@@ -245,23 +260,11 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			obs.Bool("ok", res.OK),
 			obs.Bool("complete", res.Complete),
 			obs.Float("states_per_sec", res.StatesPerSec),
-			obs.Int("canonical_states", res.CanonicalStates),
 			obs.Float("reduction_factor", res.ReductionFactor))
 		span.End()
-		if reg := obs.MetricsFrom(ctx); reg != nil {
+		if reg != nil {
 			reg.Counter("mc.runs").Inc()
-			// The heartbeat publishes running deltas; settle the remainder.
-			if d := int64(res.States) - repStates.Swap(int64(res.States)); d > 0 {
-				reg.Counter("mc.states").Add(d)
-			}
-			if d := int64(res.Transitions) - repTransitions.Swap(int64(res.Transitions)); d > 0 {
-				reg.Counter("mc.transitions").Add(d)
-			}
-			if d := orbitSum - repOrbit.Swap(orbitSum); d > 0 {
-				reg.Counter("mc.orbit_states").Add(d)
-			}
-			reg.Gauge("mc.frontier_depth").Set(int64(res.Depth))
-			reg.Gauge("mc.reduction_factor_milli").Set(int64(res.ReductionFactor * 1000))
+			publish(int64(res.States), int64(res.Transitions), orbitSum, int64(res.Depth))
 			reg.Histogram("mc.check_ms").Observe(res.Elapsed)
 		}
 	}()
@@ -314,47 +317,29 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	progStates.Store(1)
 	progQueue.Store(1)
 	progOrbit.Store(orbitSum)
-	reg := obs.MetricsFrom(ctx)
-	beat := func(now time.Time) {
-		states := progStates.Load()
-		transitions := progTransitions.Load()
-		span.Mark("mc.progress",
-			obs.Int64("states", states),
-			obs.Int64("transitions", transitions),
-			obs.Int64("queue", progQueue.Load()),
-			obs.Int64("depth", progDepth.Load()),
-			obs.Int64("frontier_depth", progFrontier.Load()),
-			obs.Float("states_per_sec", float64(states)/now.Sub(start).Seconds()))
-		// Mirror the running totals into the metrics registry so /metrics
-		// scrapes see mc.states advance during the search, not only after.
-		// Deltas guard monotonicity against a beat racing the final settle.
-		if reg != nil {
-			if d := states - repStates.Swap(states); d > 0 {
-				reg.Counter("mc.states").Add(d)
-			}
-			if d := transitions - repTransitions.Swap(transitions); d > 0 {
-				reg.Counter("mc.transitions").Add(d)
-			}
-			if d := progOrbit.Load() - repOrbit.Swap(progOrbit.Load()); d > 0 {
-				reg.Counter("mc.orbit_states").Add(d)
-			}
-			reg.Gauge("mc.frontier_depth").Set(progFrontier.Load())
-			if states > 0 {
-				reg.Gauge("mc.reduction_factor_milli").Set(progOrbit.Load() * 1000 / states)
-			}
-		}
-	}
 	if span != nil && interval > 0 {
-		stopHB := make(chan struct{})
-		defer close(stopHB)
+		stop, exited := make(chan struct{}), make(chan struct{})
+		stopHeartbeat = func() {
+			close(stop)
+			<-exited
+		}
 		go func() {
+			defer close(exited)
 			t := time.NewTicker(interval)
 			defer t.Stop()
 			for {
 				select {
 				case now := <-t.C:
-					beat(now)
-				case <-stopHB:
+					states, transitions, frontier := progStates.Load(), progTransitions.Load(), progFrontier.Load()
+					span.Mark("mc.progress",
+						obs.Int64("states", states),
+						obs.Int64("transitions", transitions),
+						obs.Int64("queue", progQueue.Load()),
+						obs.Int64("depth", progDepth.Load()),
+						obs.Int64("frontier_depth", frontier),
+						obs.Float("states_per_sec", float64(states)/now.Sub(start).Seconds()))
+					publish(states, transitions, progOrbit.Load(), frontier)
+				case <-stop:
 					return
 				}
 			}

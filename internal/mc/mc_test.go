@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -149,7 +150,7 @@ func mustRuntime(t *testing.T, sys *efsm.System) *efsm.Runtime {
 func TestTokenProtocolSafe(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{})
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestTokenProtocolSafe(t *testing.T) {
 func TestMutualExclusionViolation(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{grantWhileBusy: true})
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestMutualExclusionViolation(t *testing.T) {
 func TestUnexpectedMessage(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{dropRelease: true})
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestUnexpectedMessage(t *testing.T) {
 func TestNondeterministicGuards(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{overlapGuards: true})
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestNondeterministicGuards(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{noDone: true})
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{CheckDeadlock: true})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{CheckDeadlock: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestDeadlockDetection(t *testing.T) {
 func TestMaxStatesBudget(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{})
 	r := mustRuntime(t, sys)
-	_, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{MaxStates: 3})
+	_, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{MaxStates: 3})
 	if !errors.Is(err, ErrStateBudget) {
 		t.Fatalf("err = %v, want ErrStateBudget", err)
 	}
@@ -242,7 +243,7 @@ func TestSWMRInvariant(t *testing.T) {
 	r := mustRuntime(t, sys)
 	// Treat Holding as a writer state with no reader states: SWMR reduces
 	// to mutual exclusion and must catch the double grant.
-	res, err := Check(r, []Invariant{SWMR(client, []string{"Holding"}, nil)}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{SWMR(client, []string{"Holding"}, nil)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestViolationString(t *testing.T) {
 func TestFormatMSC(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{grantWhileBusy: true})
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,26 +430,27 @@ func TestFormatMSC(t *testing.T) {
 		}
 	}
 	t.Logf("message-sequence chart:\n%s", msc)
-	// CheckWithMSC agrees with Check and carries the chart.
+	// A second runtime reports the violation too, and its chart is not
+	// empty.
 	r2 := mustRuntime(t, sys)
-	res2, chart, err := CheckWithMSC(r2, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res2, err := CheckCtx(context.Background(), r2, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Violation == nil || chart == "" {
-		t.Fatal("CheckWithMSC should produce a chart for violations")
+	if res2.Violation == nil || FormatMSC(r2, res2.Violation.Actions()) == "" {
+		t.Fatal("a violation should render a chart")
 	}
 }
 
 func TestFormatMSCCleanRunHasNoChart(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{})
 	r := mustRuntime(t, sys)
-	res, chart, err := CheckWithMSC(r, []Invariant{AtMostOne(client, "Holding")}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK || chart != "" {
-		t.Fatalf("clean run: ok=%v chart=%q", res.OK, chart)
+	if !res.OK || res.Violation != nil {
+		t.Fatalf("clean run: ok=%v violation=%v", res.OK, res.Violation)
 	}
 }
 
@@ -482,7 +484,7 @@ func TestControlOrdinalAbove255(t *testing.T) {
 		}
 		return true, ""
 	})
-	res, err := Check(r, []Invariant{inv}, Options{})
+	res, err := CheckCtx(context.Background(), r, []Invariant{inv}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -23,8 +22,9 @@ type mscEvent struct {
 }
 
 // FormatMSC renders the action path from the initial state to the
-// violation as an ASCII message-sequence chart. It re-executes the trace,
-// so it needs the runtime the violation came from.
+// violation, a Violation's Actions, as an ASCII message-sequence chart.
+// It re-executes the trace, so it needs the runtime the violation came
+// from.
 func FormatMSC(r *efsm.Runtime, actions []efsm.Action) string {
 	colWidth := 16
 	for _, inst := range r.Insts {
@@ -135,19 +135,4 @@ func center(s string, width int) string {
 	}
 	left := (width - len(s)) / 2
 	return strings.Repeat(" ", left) + s
-}
-
-// CheckWithMSC is Check, additionally rendering the violation (when any)
-// as a message-sequence chart.
-func CheckWithMSC(r *efsm.Runtime, invs []Invariant, opts Options) (*Result, string, error) {
-	return CheckWithMSCCtx(context.Background(), r, invs, opts)
-}
-
-// CheckWithMSCCtx is CheckWithMSC under a context (see CheckCtx).
-func CheckWithMSCCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Options) (*Result, string, error) {
-	res, err := CheckCtx(ctx, r, invs, opts)
-	if err != nil || res.Violation == nil {
-		return res, "", err
-	}
-	return res, FormatMSC(r, res.Violation.actions), nil
 }

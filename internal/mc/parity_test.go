@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -140,7 +141,7 @@ func TestWorkerParity(t *testing.T) {
 				r := mustRuntime(t, sys)
 				var base *Result
 				for _, w := range []int{1, 2, 8} {
-					res, err := Check(r, []Invariant{AtMostOne(client, "Holding")},
+					res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")},
 						Options{CheckDeadlock: f.deadlock, Workers: w, SymmetryReduction: sym})
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
@@ -167,7 +168,7 @@ func TestWorkerParityBudgets(t *testing.T) {
 	for _, sym := range []bool{false, true} {
 		var baseBudget *Result
 		for _, w := range []int{1, 2, 8} {
-			res, err := Check(r, []Invariant{AtMostOne(client, "Holding")},
+			res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")},
 				Options{MaxStates: 7, Workers: w, SymmetryReduction: sym})
 			if !errors.Is(err, ErrStateBudget) {
 				t.Fatalf("workers=%d: err = %v, want ErrStateBudget", w, err)
@@ -201,13 +202,13 @@ func TestSymmetryAgreement(t *testing.T) {
 			sys, client, _ := tokenSystem(t, f.o)
 			r := mustRuntime(t, sys)
 			opts := Options{CheckDeadlock: f.deadlock}
-			plain, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, opts)
+			plain, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.SymmetryReduction = true
 			opts.Workers = 4
-			red, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, opts)
+			red, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +247,7 @@ func TestPermutedInitialSystems(t *testing.T) {
 	for owner := 0; owner < n; owner++ {
 		sys, client := grantSystem(t, n, owner)
 		r := mustRuntime(t, sys)
-		res, err := Check(r, []Invariant{AtMostOne(client, "Holding")},
+		res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")},
 			Options{SymmetryReduction: true, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -283,7 +284,7 @@ func TestTraceDeterministicPredecessor(t *testing.T) {
 	var want []TraceStep
 	for trial := 0; trial < 5; trial++ {
 		for _, w := range []int{1, 8} {
-			res, err := Check(r, []Invariant{AtMostOne(client, "Holding")}, Options{Workers: w})
+			res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")}, Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +309,7 @@ func TestSymmetryAutoDisables(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{})
 	sys.Defs[1].Asymmetric = true
 	r := mustRuntime(t, sys)
-	res, err := Check(r, []Invariant{AtMostOne(client, "Holding")},
+	res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")},
 		Options{SymmetryReduction: true})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +333,7 @@ func TestSymmetricViolationTraceReplays(t *testing.T) {
 	sys, client, _ := tokenSystem(t, tokenOpts{grantWhileBusy: true})
 	r := mustRuntime(t, sys)
 	inv := AtMostOne(client, "Holding")
-	res, err := Check(r, []Invariant{inv}, Options{SymmetryReduction: true, Workers: 4})
+	res, err := CheckCtx(context.Background(), r, []Invariant{inv}, Options{SymmetryReduction: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -151,7 +152,7 @@ func TestCheckTableLimits(t *testing.T) {
 			c.set()
 			var base *Result
 			for _, w := range []int{1, 2, 8} {
-				res, err := Check(r, []Invariant{AtMostOne(client, "Holding")},
+				res, err := CheckCtx(context.Background(), r, []Invariant{AtMostOne(client, "Holding")},
 					Options{Workers: w, SymmetryReduction: sym})
 				if !errors.Is(err, ErrTableLimit) {
 					t.Fatalf("%s symmetry=%v workers=%d: err = %v, want ErrTableLimit", c.name, sym, w, err)

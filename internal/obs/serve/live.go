@@ -19,10 +19,9 @@ type MCLive struct {
 	// FrontierDepth is the BFS depth the frontier workers are expanding
 	// right now (heartbeats) or finished at (final span).
 	FrontierDepth int64 `json:"frontier_depth"`
-	// CanonicalStates and ReductionFactor describe symmetry reduction on
-	// the finished check: canonical representatives explored and the mean
-	// PID-orbit size each one stands for (1.0 when reduction was off).
-	CanonicalStates int64   `json:"canonical_states"`
+	// ReductionFactor describes symmetry reduction on the finished check:
+	// the mean PID-orbit size each explored state stands for (1.0 when
+	// reduction was off).
 	ReductionFactor float64 `json:"reduction_factor"`
 	Done            bool    `json:"done"`
 	UpdatedMS       float64 `json:"updated_ms"`
@@ -227,7 +226,6 @@ func (l *Live) Span(d obs.SpanData) {
 		mc.Depth, _ = attrInt(d.Attrs, "depth")
 		mc.StatesPerSec, _ = attrFloat(d.Attrs, "states_per_sec")
 		mc.FrontierDepth = mc.Depth
-		mc.CanonicalStates, _ = attrInt(d.Attrs, "canonical_states")
 		mc.ReductionFactor, _ = attrFloat(d.Attrs, "reduction_factor")
 		l.mc = mc
 		l.mu.Unlock()

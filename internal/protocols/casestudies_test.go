@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"context"
 	"testing"
 
 	"transit/internal/core"
@@ -8,7 +9,7 @@ import (
 
 func runStudy(t *testing.T, cs core.CaseStudy) *core.CaseStudyResult {
 	t.Helper()
-	res, err := core.RunCaseStudy(cs)
+	res, err := core.RunCaseStudyCtx(context.Background(), cs)
 	if err != nil {
 		t.Fatalf("%s: %v", cs.Name, err)
 	}

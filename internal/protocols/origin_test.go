@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 func TestOriginAnecdoteEndToEnd(t *testing.T) {
 	// Buggy variant.
 	buggy := Origin(2, false)
-	rep, err := core.Complete(buggy.Sys, buggy.Vocab, buggy.Snippets,
+	rep, err := core.CompleteCtx(context.Background(), buggy.Sys, buggy.Vocab, buggy.Snippets,
 		core.Options{Limits: synth.Limits{MaxSize: 12}})
 	if err != nil {
 		t.Fatalf("buggy synthesis: %v", err)
@@ -31,7 +32,7 @@ func TestOriginAnecdoteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mc.Check(rt, buggy.Invariants, mc.Options{MaxStates: 2_000_000})
+	res, err := mc.CheckCtx(context.Background(), rt, buggy.Invariants, mc.Options{MaxStates: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

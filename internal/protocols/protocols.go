@@ -17,7 +17,7 @@ import (
 )
 
 // Spec is a complete protocol specification ready for synthesis: feed
-// Snippets through core.Complete over Sys, then model check with
+// Snippets through core.CompleteCtx over Sys, then model check with
 // Invariants.
 type Spec struct {
 	Name       string

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"context"
 	"testing"
 
 	"transit/internal/core"
@@ -13,7 +14,7 @@ import (
 // skeleton from snippets, then model check the result.
 func synthesizeAndCheck(t *testing.T, spec *Spec, mcOpts mc.Options) (*core.Report, *mc.Result) {
 	t.Helper()
-	rep, err := core.Complete(spec.Sys, spec.Vocab, spec.Snippets,
+	rep, err := core.CompleteCtx(context.Background(), spec.Sys, spec.Vocab, spec.Snippets,
 		core.Options{Limits: synth.Limits{MaxSize: 12}})
 	if err != nil {
 		t.Fatalf("%s: synthesis: %v", spec.Name, err)
@@ -22,7 +23,7 @@ func synthesizeAndCheck(t *testing.T, spec *Spec, mcOpts mc.Options) (*core.Repo
 	if err != nil {
 		t.Fatalf("%s: runtime: %v", spec.Name, err)
 	}
-	res, err := mc.Check(rt, spec.Invariants, mcOpts)
+	res, err := mc.CheckCtx(context.Background(), rt, spec.Invariants, mcOpts)
 	if err != nil {
 		t.Fatalf("%s: model check: %v", spec.Name, err)
 	}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,13 @@ func (s jobState) terminal() bool {
 // eventCap bounds each job's replayable event history; beyond it the
 // oldest lines are dropped (live subscribers still see everything).
 const eventCap = 4096
+
+// finishedJobsKept bounds the finished jobs the server remembers, each
+// with its result, event history and trace ring: when a job finishes,
+// the oldest finished jobs beyond it are forgotten, and their ids then
+// answer 404 like unknown ones. Queued and running jobs are never
+// forgotten.
+const finishedJobsKept = 256
 
 // job is one unit of work and its full lifecycle record.
 type job struct {
@@ -271,6 +279,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string
+	finished []string        // ids of the finished jobs in jobs, oldest first
 	byKey    map[string]*job // queued/running jobs only
 	queue    chan *job
 	draining bool
@@ -278,8 +287,10 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// now is the clock, swappable in tests.
-	now func() time.Time
+	// now is the clock and keep the number of finished jobs kept
+	// (finishedJobsKept); tests swap both.
+	now  func() time.Time
+	keep int
 }
 
 // New builds an unstarted server.
@@ -306,6 +317,7 @@ func New(cfg Config) *Server {
 		byKey: map[string]*job{},
 		queue: make(chan *job, cfg.QueueDepth),
 		now:   time.Now,
+		keep:  finishedJobsKept,
 	}
 	if cfg.Rate > 0 {
 		s.rl = newLimiter(cfg.Rate, cfg.Burst)
@@ -600,12 +612,22 @@ func (s *Server) runJob(j *job) {
 
 // finish emits a terminal job's status record, one envelope snapshot
 // written to the access log and published as the last job.state event,
-// and then ends its event stream.
+// ends its event stream, and forgets the oldest finished jobs beyond
+// s.keep.
 func (s *Server) finish(j *job) {
 	env := j.envelope(false)
 	s.cfg.AccessLog.Log(env, j.client)
 	j.publishState(env)
 	close(j.done)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, j.id)
+	for ; len(s.finished) > s.keep; s.finished = s.finished[1:] {
+		old := s.finished[0]
+		delete(s.jobs, old)
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old })
+	}
 }
 
 // ms converts a duration to float milliseconds for wire/log fields.

@@ -269,6 +269,61 @@ func TestCancelQueuedJob(t *testing.T) {
 	s.Drain(5 * time.Second)
 }
 
+// TestFinishedJobsBounded checks that the server forgets the oldest
+// finished jobs beyond its limit: GET /v1/jobs lists only the newest
+// ones, and a forgotten id answers 404 like an unknown one.
+func TestFinishedJobsBounded(t *testing.T) {
+	s := New(Config{})
+	s.keep = 2
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var ids []string
+	for i := 0; i < s.keep+2; i++ {
+		_, env := post(t, ts, maxReq(), nil)
+		if done := await(t, ts, env.ID); done.Status != string(JobDone) {
+			t.Fatalf("job %s: %+v", env.ID, done)
+		}
+		ids = append(ids, env.ID)
+	}
+	// A job's status is final before its worker forgets older jobs;
+	// draining waits for the workers.
+	s.Drain(5 * time.Second)
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Jobs []JobEnvelope }
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, env := range list.Jobs {
+		listed = append(listed, env.ID)
+	}
+	if !reflect.DeepEqual(listed, ids[2:]) {
+		t.Errorf("GET /v1/jobs lists %v, want the newest %v", listed, ids[2:])
+	}
+	for i, id := range ids {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if resp.StatusCode != want {
+			t.Errorf("GET /v1/jobs/%s: status %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+}
+
 func TestDrainRejectsLateSubmissions(t *testing.T) {
 	s := New(Config{})
 	s.Start()

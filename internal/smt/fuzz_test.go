@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,7 +38,7 @@ func FuzzSolveVsBrute(f *testing.F) {
 		if err != nil {
 			return // no Boolean expression of that size
 		}
-		got, err := Solve(u, vars, formula)
+		got, _, err := SolveCtx(context.Background(), u, vars, formula, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", formula, err)
 		}

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,7 +21,7 @@ type answer struct {
 }
 
 func solveAnswer(u *expr.Universe, vars []*expr.Var, f expr.Expr, opts Options) answer {
-	res, stats, err := SolveStats(u, vars, f, opts)
+	res, stats, err := SolveCtx(context.Background(), u, vars, f, opts)
 	return answer{res, stats, err}
 }
 
@@ -162,12 +163,12 @@ func TestConflictBudgetBoundsWholeQuery(t *testing.T) {
 	u, vars, fs := budgetFormulas()
 	cut := 0 // queries whose probes, not the first search, ran out
 	for _, f := range fs {
-		full, fullStats, err := SolveStats(u, vars, f, Options{})
+		full, fullStats, err := SolveCtx(context.Background(), u, vars, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k := int64(1); k <= fullStats.Conflicts; k++ {
-			res, stats, err := SolveStats(u, vars, f, Options{MaxConflicts: k})
+			res, stats, err := SolveCtx(context.Background(), u, vars, f, Options{MaxConflicts: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,11 +196,11 @@ func TestConflictBudgetBoundsWholeQuery(t *testing.T) {
 func TestValidBudgetError(t *testing.T) {
 	u, vars, fs := budgetFormulas()
 	for _, f := range fs {
-		_, stats, err := SolveStats(u, vars, expr.Not(f), Options{})
+		_, stats, err := SolveCtx(context.Background(), u, vars, expr.Not(f), Options{})
 		if err != nil || stats.Conflicts < 2 {
 			continue
 		}
-		if _, _, err := ValidOpt(u, vars, f, Options{MaxConflicts: 1}); !errors.Is(err, ErrConflictBudget) {
+		if _, _, err := ValidCtx(context.Background(), u, vars, f, Options{MaxConflicts: 1}); !errors.Is(err, ErrConflictBudget) {
 			t.Fatalf("%s: err = %v, want ErrConflictBudget", f, err)
 		}
 		return

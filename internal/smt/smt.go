@@ -47,9 +47,9 @@ type Result struct {
 }
 
 // ErrConflictBudget reports a query that exhausted Options.MaxConflicts
-// before reaching a verdict. Solve and its variants return Status Unknown
-// instead; ValidOptCtx, which has no Unknown to return, wraps this error,
-// and so do the synth callers that turn Unknown into an error.
+// before reaching a verdict. SolveCtx returns Status Unknown instead;
+// ValidCtx, which has no Unknown to return, wraps this error, and so do
+// the synth callers that turn Unknown into an error.
 var ErrConflictBudget = errors.New("smt: conflict budget exhausted")
 
 // Options tunes a query.
@@ -78,38 +78,15 @@ type Stats struct {
 	AssumptionSolves int64 // canonicalization probes (SAT calls under assumptions)
 }
 
-// Solve checks satisfiability of a Boolean formula over the given typed
-// variables in the universe. Every free variable of the formula must appear
-// in vars (vars may include unused variables; they receive arbitrary model
-// values).
-func Solve(u *expr.Universe, vars []*expr.Var, formula expr.Expr) (Result, error) {
-	return SolveOpt(u, vars, formula, Options{})
-}
-
-// SolveOpt is Solve with options.
-func SolveOpt(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (Result, error) {
-	r, _, err := SolveStats(u, vars, formula, opts)
-	return r, err
-}
-
-// SolveOptCtx is SolveOpt under a context: the SAT search polls the
-// context and the call fails with the context's error once it is
-// cancelled or its deadline passes.
-func SolveOptCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (Result, error) {
-	r, _, err := SolveStatsCtx(ctx, u, vars, formula, opts)
-	return r, err
-}
-
-// SolveStats is SolveOpt, additionally reporting work statistics.
-func SolveStats(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (Result, Stats, error) {
-	return SolveStatsCtx(context.Background(), u, vars, formula, opts)
-}
-
-// SolveStatsCtx is SolveStats under a context (see SolveOptCtx). One
-// "smt.solve" span brackets the query, with an "smt.encode" child for
-// bit-blasting and a "sat.search" child for the CDCL run; the metrics
-// registry on the context (when present) accumulates query and search
-// counters.
+// SolveCtx checks satisfiability of a Boolean formula over the given
+// typed variables in the universe, and reports the work it did. Every
+// free variable of the formula must appear in vars (vars may include
+// unused variables; they receive arbitrary model values). The SAT search
+// polls the context, and the call fails with the context's error once it
+// is cancelled or its deadline passes. One "smt.solve" span brackets the
+// query, with an "smt.encode" child for bit-blasting and a "sat.search"
+// child for the CDCL run; the metrics registry on the context (when
+// present) accumulates query and search counters.
 //
 // Every call encodes the formula into an empty encoder and SAT solver,
 // taken from a pool and emptied again when the call returns: no state
@@ -123,7 +100,7 @@ func SolveStats(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Opti
 // Options.Hint shifts the preference toward given values (the model
 // closest to the hint), keeping the same purity: the model is then a
 // function of (formula, hint).
-func SolveStatsCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (res Result, stats Stats, err error) {
+func SolveCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (res Result, stats Stats, err error) {
 	ctx, span := obs.Start(ctx, "smt.solve", obs.Int("vars", len(vars)))
 	start := time.Now()
 	defer func() {
@@ -228,22 +205,14 @@ func statusName(s Status) string {
 	}
 }
 
-// Valid reports whether the formula holds for all variable valuations: it
-// checks that the negation is unsatisfiable. When the formula is not valid,
-// the returned counterexample model falsifies it.
-func Valid(u *expr.Universe, vars []*expr.Var, formula expr.Expr) (bool, expr.Env, error) {
-	return ValidOpt(u, vars, formula, Options{})
-}
-
-// ValidOpt is Valid with options. Status Unknown from the underlying solver
-// is reported as an error, since neither verdict is established.
-func ValidOpt(u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (bool, expr.Env, error) {
-	return ValidOptCtx(context.Background(), u, vars, formula, opts)
-}
-
-// ValidOptCtx is ValidOpt under a context (see SolveOptCtx).
-func ValidOptCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (bool, expr.Env, error) {
-	res, err := SolveOptCtx(ctx, u, vars, expr.Not(formula), opts)
+// ValidCtx reports whether the formula holds for all variable
+// valuations: it checks with SolveCtx that the negation is
+// unsatisfiable. When the formula is not valid, the returned
+// counterexample model falsifies it. Status Unknown from the solver (an
+// exhausted Options.MaxConflicts) is reported as an error, since neither
+// verdict is established.
+func ValidCtx(ctx context.Context, u *expr.Universe, vars []*expr.Var, formula expr.Expr, opts Options) (bool, expr.Env, error) {
+	res, _, err := SolveCtx(ctx, u, vars, expr.Not(formula), opts)
 	if err != nil {
 		return false, nil, err
 	}

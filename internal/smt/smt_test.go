@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 
 func TestSolveTrivial(t *testing.T) {
 	u := expr.NewUniverse(2)
-	res, err := Solve(u, nil, expr.True())
+	res, _, err := SolveCtx(context.Background(), u, nil, expr.True(), Options{})
 	if err != nil || res.Status != Sat {
 		t.Fatalf("true: %v %v", res.Status, err)
 	}
-	res, err = Solve(u, nil, expr.False())
+	res, _, err = SolveCtx(context.Background(), u, nil, expr.False(), Options{})
 	if err != nil || res.Status != Unsat {
 		t.Fatalf("false: %v %v", res.Status, err)
 	}
@@ -32,7 +33,7 @@ func TestSolveModelSatisfiesFormula(t *testing.T) {
 		expr.Eq(expr.Card(s), expr.IntC(u, 2)),
 	)
 	vars := []*expr.Var{a, b, s, p}
-	res, err := Solve(u, vars, f)
+	res, _, err := SolveCtx(context.Background(), u, vars, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +49,12 @@ func TestSolveUnsatArithmetic(t *testing.T) {
 	u := expr.NewUniverse(2)
 	a := expr.V("a", expr.IntType)
 	// a > a is unsat.
-	res, err := Solve(u, []*expr.Var{a}, expr.Gt(a, a))
+	res, _, err := SolveCtx(context.Background(), u, []*expr.Var{a}, expr.Gt(a, a), Options{})
 	if err != nil || res.Status != Unsat {
 		t.Fatalf("a>a: %v %v", res.Status, err)
 	}
 	// a + 1 = a is unsat under wrapping too (adds exactly 1 mod 2^W).
-	res, err = Solve(u, []*expr.Var{a}, expr.Eq(expr.Inc(a), a))
+	res, _, err = SolveCtx(context.Background(), u, []*expr.Var{a}, expr.Eq(expr.Inc(a), a), Options{})
 	if err != nil || res.Status != Unsat {
 		t.Fatalf("a+1=a: %v %v", res.Status, err)
 	}
@@ -67,7 +68,7 @@ func TestWrappingAgreesWithEvaluator(t *testing.T) {
 		expr.Eq(a, expr.IntC(u, 127)),
 		expr.Eq(expr.Inc(a), expr.IntC(u, -128)),
 	)
-	res, err := Solve(u, []*expr.Var{a}, f)
+	res, _, err := SolveCtx(context.Background(), u, []*expr.Var{a}, f, Options{})
 	if err != nil || res.Status != Sat {
 		t.Fatalf("wrap: %v %v", res.Status, err)
 	}
@@ -81,7 +82,7 @@ func TestPIDDomainConstraint(t *testing.T) {
 		expr.Neq(p, expr.PIDC(1)),
 		expr.Neq(p, expr.PIDC(2)),
 	)
-	res, err := Solve(u, []*expr.Var{p}, f)
+	res, _, err := SolveCtx(context.Background(), u, []*expr.Var{p}, f, Options{})
 	if err != nil || res.Status != Unsat {
 		t.Fatalf("PID exhaustion should be unsat: %v %v", res.Status, err)
 	}
@@ -96,7 +97,7 @@ func TestEnumDomainConstraint(t *testing.T) {
 		expr.Neq(m, expr.EnumC(e, "B")),
 		expr.Neq(m, expr.EnumC(e, "C")),
 	)
-	res, err := Solve(u, []*expr.Var{m}, f)
+	res, _, err := SolveCtx(context.Background(), u, []*expr.Var{m}, f, Options{})
 	if err != nil || res.Status != Unsat {
 		t.Fatalf("enum exhaustion should be unsat: %v %v", res.Status, err)
 	}
@@ -113,7 +114,7 @@ func TestSetOperations(t *testing.T) {
 		expr.Eq(expr.SetInter(s, r), expr.SetC(1)),
 		expr.Eq(expr.SetMinus(s, r), expr.SetC(0)),
 	)
-	res, err := Solve(u, vars, f)
+	res, _, err := SolveCtx(context.Background(), u, vars, f, Options{})
 	if err != nil || res.Status != Sat {
 		t.Fatalf("set ops: %v %v", res.Status, err)
 	}
@@ -131,7 +132,7 @@ func TestSetofAndContains(t *testing.T) {
 		expr.SetContains(expr.Singleton(p), q),
 		expr.Neq(p, q),
 	)
-	res, err := Solve(u, []*expr.Var{p, q}, f)
+	res, _, err := SolveCtx(context.Background(), u, []*expr.Var{p, q}, f, Options{})
 	if err != nil || res.Status != Unsat {
 		t.Fatalf("singleton membership: %v %v", res.Status, err)
 	}
@@ -143,12 +144,12 @@ func TestValid(t *testing.T) {
 	p := expr.V("p", expr.PIDType)
 	vars := []*expr.Var{s, p}
 	// Valid: p ∈ s ∪ {p}.
-	ok, _, err := Valid(u, vars, expr.SetContains(expr.SetAdd(s, p), p))
+	ok, _, err := ValidCtx(context.Background(), u, vars, expr.SetContains(expr.SetAdd(s, p), p), Options{})
 	if err != nil || !ok {
 		t.Fatalf("valid formula rejected: %v %v", ok, err)
 	}
 	// Invalid: p ∈ s; counterexample must falsify.
-	ok, cex, err := Valid(u, vars, expr.SetContains(s, p))
+	ok, cex, err := ValidCtx(context.Background(), u, vars, expr.SetContains(s, p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestNumcachesConstant(t *testing.T) {
 	u := expr.NewUniverse(5)
 	a := expr.V("a", expr.IntType)
 	f := expr.Eq(a, expr.NumCaches())
-	res, err := Solve(u, []*expr.Var{a}, f)
+	res, _, err := SolveCtx(context.Background(), u, []*expr.Var{a}, f, Options{})
 	if err != nil || res.Status != Sat {
 		t.Fatalf("numcaches: %v %v", res.Status, err)
 	}
@@ -176,18 +177,18 @@ func TestNumcachesConstant(t *testing.T) {
 func TestErrors(t *testing.T) {
 	u := expr.NewUniverse(2)
 	a := expr.V("a", expr.IntType)
-	if _, err := Solve(u, nil, a); err == nil {
+	if _, _, err := SolveCtx(context.Background(), u, nil, a, Options{}); err == nil {
 		t.Error("non-Bool formula should error")
 	}
-	if _, err := Solve(u, nil, expr.Gt(a, a)); err == nil {
+	if _, _, err := SolveCtx(context.Background(), u, nil, expr.Gt(a, a), Options{}); err == nil {
 		t.Error("free variable should error")
 	}
-	if _, err := Solve(u, []*expr.Var{a, a}, expr.Gt(a, a)); err == nil {
+	if _, _, err := SolveCtx(context.Background(), u, []*expr.Var{a, a}, expr.Gt(a, a), Options{}); err == nil {
 		t.Error("duplicate variable should error")
 	}
 	// PID constant out of range for the universe.
 	p := expr.V("p", expr.PIDType)
-	if _, err := Solve(u, []*expr.Var{p}, expr.Eq(p, expr.PIDC(7))); err == nil {
+	if _, _, err := SolveCtx(context.Background(), u, []*expr.Var{p}, expr.Eq(p, expr.PIDC(7)), Options{}); err == nil {
 		t.Error("out-of-range PID constant should error")
 	}
 }
@@ -197,7 +198,7 @@ func TestUnknownFunctionRejected(t *testing.T) {
 	odd := &expr.Func{Name: "odd", Params: []expr.Type{expr.IntType}, Ret: expr.BoolType,
 		Apply: func(u *expr.Universe, a []expr.Value) expr.Value { return expr.BoolVal(a[0].Int()%2 != 0) }}
 	a := expr.V("a", expr.IntType)
-	if _, err := Solve(u, []*expr.Var{a}, expr.NewApply(odd, a)); err == nil {
+	if _, _, err := SolveCtx(context.Background(), u, []*expr.Var{a}, expr.NewApply(odd, a), Options{}); err == nil {
 		t.Error("unencodable function should error")
 	}
 }
@@ -207,7 +208,7 @@ func TestSingleCacheUniverse(t *testing.T) {
 	u := expr.NewUniverse(1)
 	p := expr.V("p", expr.PIDType)
 	q := expr.V("q", expr.PIDType)
-	ok, _, err := Valid(u, []*expr.Var{p, q}, expr.Eq(p, q))
+	ok, _, err := ValidCtx(context.Background(), u, []*expr.Var{p, q}, expr.Eq(p, q), Options{})
 	if err != nil || !ok {
 		t.Fatalf("all PIDs equal in 1-cache universe: %v %v", ok, err)
 	}
@@ -238,7 +239,7 @@ func TestRandomFormulasAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Solve(u, vars, f)
+		got, _, err := SolveCtx(context.Background(), u, vars, f, Options{})
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, f, err)
 		}
@@ -288,7 +289,7 @@ func TestRandomEqualitiesAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := expr.Eq(lhs, rhs)
-		got, err := Solve(u, vars, f)
+		got, _, err := SolveCtx(context.Background(), u, vars, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +310,7 @@ func TestSolveStatsReported(t *testing.T) {
 	u := expr.NewUniverse(4)
 	a := expr.V("a", expr.IntType)
 	b := expr.V("b", expr.IntType)
-	_, stats, err := SolveStats(u, []*expr.Var{a, b},
+	_, stats, err := SolveCtx(context.Background(), u, []*expr.Var{a, b},
 		expr.Eq(expr.Add(a, b), expr.IntC(u, 42)), Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 func composeFixture(t testing.TB) (en *enumerator, o uint16, kids []uint32) {
 	t.Helper()
 	p, exs := maxConcrete(t)
-	en = newEnumerator(context.Background(), newSchema(p), p, exs, Limits{MaxSize: 8}.withDefaults(), time.Time{}, true)
+	en = newEnumerator(context.Background(), newSchema(p), p, exs, Limits{MaxSize: 8}.WithDefaults(), time.Time{}, true)
 	en.initFresh()
 	if en.nProbe == 0 {
 		t.Fatal("shadow tracking is off")

@@ -116,7 +116,7 @@ func BenchmarkMax3PoolBytes(b *testing.B) {
 		Post: expr.And(expr.Ge(o, a), expr.Ge(o, bv), expr.Ge(o, c),
 			expr.Or(expr.Eq(o, a), expr.Eq(o, bv), expr.Eq(o, c))),
 	}}
-	limits := Limits{MaxSize: 18}.withDefaults()
+	limits := Limits{MaxSize: 18}.WithDefaults()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		be := newBackend(p, exs, smt.Options{MaxConflicts: limits.SMTConflicts})

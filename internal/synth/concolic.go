@@ -13,28 +13,24 @@ import (
 	"transit/internal/smt"
 )
 
-// SolveConcolic implements Algorithm 2: maintain a set of concretizations
-// of the concolic examples; propose a candidate with SolveConcrete; check
-// the candidate against every concolic example with an SMT query on
-// ¬C[o := e]; on failure, extract the witness valuation S, solve for an
-// output value k_o that satisfies the post-condition under S, add the
-// concretization (S, k_o), and iterate.
-func SolveConcolic(p Problem, examples []ConcolicExample, limits Limits) (expr.Expr, Stats, error) {
-	return SolveConcolicCtx(context.Background(), p, examples, limits)
-}
-
-// SolveConcolicCtx is SolveConcolic under a context: cancellation is
-// honored between CEGIS iterations, inside the enumerative search, and
-// inside every SMT query, so an in-flight inference stops promptly when
-// the context is cancelled or times out. The context also carries the
-// observability plumbing: a "synth.cegis" span brackets the call with
-// one "synth.iteration" child per CEGIS round, and the metrics registry
-// (when present) accumulates the solve counters. Every SMT query is a
-// one-shot smt.SolveStatsCtx call; no query sees another's state.
-// stats is a named result so that the deferred Elapsed reaches the
-// caller.
+// SolveConcolicCtx implements Algorithm 2: maintain a set of
+// concretizations of the concolic examples; propose a candidate with
+// SolveConcreteCtx; check the candidate against every concolic example
+// with an SMT query on ¬C[o := e]; on failure, extract the witness
+// valuation S, solve for an output value k_o that satisfies the
+// post-condition under S, add the concretization (S, k_o), and iterate.
+//
+// Cancellation is honored between CEGIS iterations, inside the
+// enumerative search, and inside every SMT query, so an in-flight
+// inference stops promptly when the context is cancelled or times out.
+// The context also carries the observability plumbing: a "synth.cegis"
+// span brackets the call with one "synth.iteration" child per CEGIS
+// round, and the metrics registry (when present) accumulates the solve
+// counters. Every SMT query is a one-shot smt.SolveCtx call; no query
+// sees another's state. stats is a named result so that the deferred
+// Elapsed reaches the caller.
 func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample, limits Limits) (_ expr.Expr, stats Stats, _ error) {
-	limits = limits.withDefaults()
+	limits = limits.WithDefaults()
 	start := time.Now()
 	deadline := deadlineOf(limits)
 	ctx, span := obs.Start(ctx, "synth.cegis", obs.Int("examples", len(examples)))
@@ -237,7 +233,7 @@ func (be *smtBackend) checkExample(ctx context.Context, i int, candidate expr.Ex
 	c := be.examples[i]
 	stats.SMTQueries++
 	query := expr.And(c.Pre, expr.Not(c.Post), expr.Eq(be.p.Output, candidate))
-	res, qstats, err := smt.SolveStatsCtx(ctx, be.p.U, be.qvars, query, be.opts)
+	res, qstats, err := smt.SolveCtx(ctx, be.p.U, be.qvars, query, be.opts)
 	stats.SMTClauses += qstats.Clauses
 	if err != nil {
 		return nil, fmt.Errorf("synth: consistency query: %w", err)
@@ -281,7 +277,7 @@ func (be *smtBackend) concretize(ctx context.Context, S expr.Env, stats *Stats) 
 	}
 	stats.SMTQueries++
 	query := expr.And(be.allEx, expr.And(pins...))
-	res, qstats, err := smt.SolveStatsCtx(ctx, be.p.U, be.qvars, query, be.opts)
+	res, qstats, err := smt.SolveCtx(ctx, be.p.U, be.qvars, query, be.opts)
 	stats.SMTClauses += qstats.Clauses
 	if err != nil {
 		return expr.Value{}, fmt.Errorf("synth: output concretization: %w", err)

@@ -10,22 +10,21 @@ import (
 	"transit/internal/obs"
 )
 
-// SolveConcrete implements Algorithm 1: enumerate expressions of increasing
-// size over the vocabulary, pruning candidates whose signature (vector of
-// evaluations over the concrete examples) has been seen before, until one
-// matches the goal signature (the vector of example outputs).
+// SolveConcreteCtx implements Algorithm 1: enumerate expressions of
+// increasing size over the vocabulary, pruning candidates whose signature
+// (vector of evaluations over the concrete examples) has been seen
+// before, until one matches the goal signature (the vector of example
+// outputs).
 //
 // With an empty example set, every expression is indistinguishable from
-// every other of its type, so the first enumerated expression of the output
-// type is returned — exactly the seeding behaviour Algorithm 2 relies on.
-func SolveConcrete(p Problem, examples []ConcreteExample, limits Limits) (expr.Expr, ConcreteStats, error) {
-	return SolveConcreteCtx(context.Background(), p, examples, limits)
-}
-
-// SolveConcreteCtx is SolveConcrete under a context: the enumeration loop
-// polls the context and aborts with its error once it is cancelled or its
-// deadline passes. The search runs under a "synth.enumerate" span with one
-// "synth.size" child per size tier entered.
+// every other of its type, so the first enumerated expression of the
+// output type is returned — exactly the seeding behaviour Algorithm 2
+// relies on.
+//
+// The enumeration loop polls the context and aborts with its error once
+// it is cancelled or its deadline passes. The search runs under a
+// "synth.enumerate" span with one "synth.size" child per size tier
+// entered.
 func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits) (expr.Expr, ConcreteStats, error) {
 	e, stats, _, _, err := solveConcrete(ctx, nil, p, examples, limits, deadlineOf(limits), nil, false)
 	return e, stats, err
@@ -69,7 +68,7 @@ var afterResumedRound func(en *enumerator)
 // (zero: none).
 func solveConcrete(ctx context.Context, sc *schema, p Problem, examples []ConcreteExample, limits Limits,
 	deadline time.Time, bk *bank, wantBank bool) (expr.Expr, ConcreteStats, *bank, bool, error) {
-	limits = limits.withDefaults()
+	limits = limits.WithDefaults()
 	if err := p.validate(); err != nil {
 		return nil, ConcreteStats{}, nil, false, err
 	}

@@ -54,11 +54,11 @@ func TestWithDefaultsPreservesExplicitFields(t *testing.T) {
 // exactly the same work as solving with the spelled-out defaults.
 func TestZeroLimitsEqualExplicitDefaults(t *testing.T) {
 	prob, spec := maxProblem()
-	eZero, sZero, err := SolveConcolic(prob, spec, Limits{})
+	eZero, sZero, err := SolveConcolicCtx(context.Background(), prob, spec, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eDef, sDef, err := SolveConcolic(prob, spec,
+	eDef, sDef, err := SolveConcolicCtx(context.Background(), prob, spec,
 		Limits{MaxSize: DefaultMaxSize, MaxExprs: DefaultMaxExprs, MaxIters: DefaultMaxIters})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestSolveConcolicCtxCancelled(t *testing.T) {
 // a search that found no expression.
 func TestSMTConflictBudgetTyped(t *testing.T) {
 	prob, spec := maxProblem()
-	_, _, err := SolveConcolic(prob, spec, Limits{MaxSize: 8, SMTConflicts: 1})
+	_, _, err := SolveConcolicCtx(context.Background(), prob, spec, Limits{MaxSize: 8, SMTConflicts: 1})
 	if !errors.Is(err, smt.ErrConflictBudget) {
 		t.Fatalf("err = %v, want wrapped smt.ErrConflictBudget", err)
 	}

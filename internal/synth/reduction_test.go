@@ -171,7 +171,7 @@ func TestSigKeyLayout(t *testing.T) {
 		{S: expr.Env{"a": expr.IntVal(u, 1), "b": expr.IntVal(u, -2)}, Out: expr.IntVal(u, 1)},
 		{S: expr.Env{"a": expr.IntVal(u, 300), "b": expr.IntVal(u, 7)}, Out: expr.IntVal(u, 300)},
 	}
-	en := newEnumerator(context.Background(), newSchema(p), p, exs, Limits{MaxSize: 3}.withDefaults(), time.Time{}, true)
+	en := newEnumerator(context.Background(), newSchema(p), p, exs, Limits{MaxSize: 3}.WithDefaults(), time.Time{}, true)
 	en.initFresh()
 	st := &en.stores[en.outStore]
 	if want := 2 * (3 + 2); en.nProbe != 3 || st.stride != want {

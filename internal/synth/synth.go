@@ -63,9 +63,9 @@ func (p Problem) validate() error {
 // DefaultMaxExprs, or DefaultMaxIters respectively, while a zero Timeout
 // means no wall-clock bound and a zero SMTConflicts means unbounded SMT
 // queries. WithDefaults is the single place this resolution happens; both
-// SolveConcrete and SolveConcolic apply it on entry, so callers passing
-// Limits{} and callers passing the explicit defaults get identical
-// behavior.
+// SolveConcreteCtx and SolveConcolicCtx apply it on entry, so callers
+// passing Limits{} and callers passing the explicit defaults get
+// identical behavior.
 type Limits struct {
 	// MaxSize is the largest expression size enumerated.
 	// 0 means DefaultMaxSize.
@@ -128,8 +128,6 @@ func (l Limits) WithDefaults() Limits {
 	}
 	return l
 }
-
-func (l Limits) withDefaults() Limits { return l.WithDefaults() }
 
 // Sentinel errors.
 var (

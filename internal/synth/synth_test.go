@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -49,7 +50,7 @@ func assertConsistentConcolic(t *testing.T, p Problem, e expr.Expr, exs []Concol
 func TestSolveConcreteEmptyExamples(t *testing.T) {
 	a := expr.V("a", expr.IntType)
 	p := smallProblem(t, expr.IntType, a)
-	e, stats, err := SolveConcrete(p, nil, Limits{})
+	e, stats, err := SolveConcreteCtx(context.Background(), p, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestSolveConcreteMax(t *testing.T) {
 	exs := []ConcreteExample{
 		mkEx(5, 3, 5), mkEx(2, 7, 7), mkEx(-3, -5, -3), mkEx(0, 0, 0), mkEx(1, -1, 1), mkEx(-8, 4, 4),
 	}
-	e, _, err := SolveConcrete(p, exs, Limits{MaxSize: 8})
+	e, _, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSolveConcreteRespectsSizeLimit(t *testing.T) {
 		{S: expr.Env{"a": expr.IntVal(u, 7), "b": expr.IntVal(u, 0)}, Out: expr.IntVal(u, 7)},
 		{S: expr.Env{"a": expr.IntVal(u, -8), "b": expr.IntVal(u, 4)}, Out: expr.IntVal(u, 4)},
 	}
-	_, _, err := SolveConcrete(p, exs, Limits{MaxSize: 3})
+	_, _, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 3})
 	if !errors.Is(err, ErrNoExpression) {
 		t.Fatalf("err = %v, want ErrNoExpression", err)
 	}
@@ -113,7 +114,7 @@ func TestSolveConcreteOutputTypeMismatch(t *testing.T) {
 	a := expr.V("a", expr.IntType)
 	p := smallProblem(t, expr.IntType, a)
 	exs := []ConcreteExample{{S: expr.Env{"a": expr.IntVal(p.U, 1)}, Out: expr.BoolVal(true)}}
-	if _, _, err := SolveConcrete(p, exs, Limits{}); err == nil {
+	if _, _, err := SolveConcreteCtx(context.Background(), p, exs, Limits{}); err == nil {
 		t.Error("expected type-mismatch error")
 	}
 }
@@ -121,7 +122,7 @@ func TestSolveConcreteOutputTypeMismatch(t *testing.T) {
 func TestSolveConcreteOutputCollision(t *testing.T) {
 	o := expr.V("o", expr.IntType)
 	p := smallProblem(t, expr.IntType, o)
-	if _, _, err := SolveConcrete(p, nil, Limits{}); err == nil {
+	if _, _, err := SolveConcreteCtx(context.Background(), p, nil, Limits{}); err == nil {
 		t.Error("expected output-variable collision error")
 	}
 }
@@ -140,11 +141,11 @@ func TestPruningBeatsExhaustive(t *testing.T) {
 		env := expr.RandomEnv(u, rng, p.Vars)
 		exs = append(exs, ConcreteExample{S: env, Out: target.Eval(u, env)})
 	}
-	_, pruned, err := SolveConcrete(p, exs, Limits{MaxSize: 8})
+	_, pruned, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, exhaustive, err := SolveConcrete(p, exs, Limits{MaxSize: 8, NoPrune: true, MaxExprs: 50_000_000})
+	_, exhaustive, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 8, NoPrune: true, MaxExprs: 50_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSolveConcolicMaxTwoStyles(t *testing.T) {
 	for name, exs := range map[string][]ConcolicExample{"guarded": styleA, "functional": styleB} {
 		t.Run(name, func(t *testing.T) {
 			p := smallProblem(t, expr.IntType, a, b)
-			e, stats, err := SolveConcolic(p, exs, Limits{MaxSize: 8})
+			e, stats, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +211,7 @@ func TestSolveConcreteMaxOfThreeExamples(t *testing.T) {
 		out := max3(env["a"].Int(), env["b"].Int(), env["c"].Int())
 		exs = append(exs, ConcreteExample{S: env, Out: expr.IntVal(u, out)})
 	}
-	e, stats, err := SolveConcrete(p, exs, Limits{MaxSize: 16, MaxExprs: 5_000_000})
+	e, stats, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 16, MaxExprs: 5_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestSolveConcolicEnumConditional(t *testing.T) {
 		{Pre: expr.Eq(m, expr.EnumC(mt, "READ")), Post: expr.Eq(o, a)},
 		{Pre: expr.Neq(m, expr.EnumC(mt, "READ")), Post: expr.Eq(o, b)},
 	}
-	e, stats, err := SolveConcolic(p, exs, Limits{MaxSize: 8})
+	e, stats, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestSolveConcolicSymmetricDifference(t *testing.T) {
 		{Pre: expr.True(), Post: expr.Eq(expr.SetUnion(o, un), un)},
 	}
 	p := smallProblem(t, expr.SetType, s1, s2)
-	e, stats, err := SolveConcolic(p, exs, Limits{MaxSize: 10})
+	e, stats, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestSolveConcolicLargestSet(t *testing.T) {
 			expr.Or(expr.Eq(o, s1), expr.Eq(o, s2)))},
 	}
 	p := smallProblem(t, expr.SetType, s1, s2)
-	e, stats, err := SolveConcolic(p, exs, Limits{MaxSize: 10})
+	e, stats, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestSolveConcolicBooleanGuard(t *testing.T) {
 		{Pre: expr.Not(expr.SetContains(s, q)), Post: expr.Eq(o, expr.False())},
 	}
 	p := smallProblem(t, expr.BoolType, s, q)
-	e, _, err := SolveConcolic(p, exs, Limits{MaxSize: 6})
+	e, _, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestSolveConcolicInconsistent(t *testing.T) {
 		{Pre: expr.True(), Post: expr.Gt(a, o)},
 	}
 	p := smallProblem(t, expr.IntType, a)
-	_, _, err := SolveConcolic(p, exs, Limits{MaxSize: 6})
+	_, _, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 6})
 	if !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("err = %v, want ErrInconsistent", err)
 	}
@@ -325,7 +326,7 @@ func TestSolveConcolicTraceShape(t *testing.T) {
 		{Pre: expr.True(), Post: expr.And(expr.Ge(o, a), expr.Ge(o, b), expr.Or(expr.Eq(o, a), expr.Eq(o, b)))},
 	}
 	p := smallProblem(t, expr.IntType, a, b)
-	_, stats, err := SolveConcolic(p, exs, Limits{MaxSize: 8})
+	_, stats, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestSolveConcolicElapsed(t *testing.T) {
 	exs := []ConcolicExample{
 		{Pre: expr.True(), Post: expr.And(expr.Ge(o, a), expr.Ge(o, b), expr.Or(expr.Eq(o, a), expr.Eq(o, b)))},
 	}
-	_, stats, err := SolveConcolic(smallProblem(t, expr.IntType, a, b), exs, Limits{MaxSize: 8})
+	_, stats, err := SolveConcolicCtx(context.Background(), smallProblem(t, expr.IntType, a, b), exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestSolveConcolicConcreteStyleExamples(t *testing.T) {
 		{Pre: expr.And(expr.Eq(s, expr.SetC(0)), expr.Eq(q, expr.PIDC(1))),
 			Post: expr.Eq(o, expr.SetC(0, 1))},
 	}
-	e, _, err := SolveConcolic(p, exs, Limits{MaxSize: 8})
+	e, _, err := SolveConcolicCtx(context.Background(), p, exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +393,11 @@ func TestSolveConcolicConcreteStyleExamples(t *testing.T) {
 }
 
 func TestLimitsDefaults(t *testing.T) {
-	l := Limits{}.withDefaults()
+	l := Limits{}.WithDefaults()
 	if l.MaxSize != DefaultMaxSize || l.MaxExprs != DefaultMaxExprs || l.MaxIters != DefaultMaxIters {
 		t.Errorf("defaults not applied: %+v", l)
 	}
-	l2 := Limits{MaxSize: 3}.withDefaults()
+	l2 := Limits{MaxSize: 3}.WithDefaults()
 	if l2.MaxSize != 3 {
 		t.Error("explicit value overridden")
 	}
@@ -429,7 +430,7 @@ func TestSolveConcretePropertyRandomTargets(t *testing.T) {
 			exs[i] = ConcreteExample{S: env, Out: target.Eval(u, env)}
 		}
 		p := Problem{U: u, Vocab: voc, Vars: vars, Output: expr.V("o", outType)}
-		e, _, err := SolveConcrete(p, exs, Limits{MaxSize: size + 2, MaxExprs: 3_000_000})
+		e, _, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: size + 2, MaxExprs: 3_000_000})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -466,11 +467,11 @@ func TestPruningSoundnessProperty(t *testing.T) {
 			exs[i] = ConcreteExample{S: env, Out: target.Eval(u, env)}
 		}
 		p := Problem{U: u, Vocab: voc, Vars: vars, Output: expr.V("o", expr.IntType)}
-		pruned, _, err := SolveConcrete(p, exs, Limits{MaxSize: 8, MaxExprs: 2_000_000})
+		pruned, _, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 8, MaxExprs: 2_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exhaustive, _, err := SolveConcrete(p, exs, Limits{MaxSize: 8, MaxExprs: 20_000_000, NoPrune: true})
+		exhaustive, _, err := SolveConcreteCtx(context.Background(), p, exs, Limits{MaxSize: 8, MaxExprs: 20_000_000, NoPrune: true})
 		if err != nil {
 			t.Fatal(err)
 		}

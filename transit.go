@@ -206,13 +206,13 @@ func EnumLit(e *EnumType, name string) Expr { return expr.EnumC(e, name) }
 // SolveConcrete runs Algorithm 1: enumerative search over the vocabulary
 // pruned by signature indistinguishability against concrete examples.
 func SolveConcrete(p Problem, examples []ConcreteExample, limits Limits) (Expr, ConcreteStats, error) {
-	return synth.SolveConcrete(p, examples, limits)
+	return synth.SolveConcreteCtx(context.Background(), p, examples, limits)
 }
 
 // SolveConcolic runs Algorithm 2: the CEGIS loop alternating SolveConcrete
 // over concretizations with SMT consistency checks.
 func SolveConcolic(p Problem, examples []ConcolicExample, limits Limits) (Expr, SynthStats, error) {
-	return synth.SolveConcolic(p, examples, limits)
+	return synth.SolveConcolicCtx(context.Background(), p, examples, limits)
 }
 
 // SolveConcolicCtx is SolveConcolic under a context: cancellation and
@@ -224,7 +224,7 @@ func SolveConcolicCtx(ctx context.Context, p Problem, examples []ConcolicExample
 // CheckSat decides satisfiability of a Boolean expression over typed
 // variables using the bundled finite-domain SMT solver.
 func CheckSat(u *Universe, vars []*Var, formula Expr) (sat bool, model Env, err error) {
-	res, err := smt.Solve(u, vars, formula)
+	res, _, err := smt.SolveCtx(context.Background(), u, vars, formula, smt.Options{})
 	if err != nil {
 		return false, nil, err
 	}
@@ -234,7 +234,7 @@ func CheckSat(u *Universe, vars []*Var, formula Expr) (sat bool, model Env, err 
 // CheckValid decides validity; on failure the returned environment is a
 // counterexample.
 func CheckValid(u *Universe, vars []*Var, formula Expr) (valid bool, counterexample Env, err error) {
-	return smt.Valid(u, vars, formula)
+	return smt.ValidCtx(context.Background(), u, vars, formula, smt.Options{})
 }
 
 // LoadProtocol parses and elaborates TRANSIT source for a cache count.
@@ -274,11 +274,7 @@ type VerifyOptions = mc.Options
 // Verify model checks a synthesized protocol against its invariants,
 // returning the first (shortest) counterexample if any.
 func Verify(proto *Protocol, opts VerifyOptions) (*CheckResult, error) {
-	rt, err := efsm.NewRuntime(proto.Sys)
-	if err != nil {
-		return nil, err
-	}
-	return mc.Check(rt, proto.Invariants, opts)
+	return VerifyCtx(context.Background(), proto, opts)
 }
 
 // VerifyCtx is Verify under a context: cancellation and deadlines abort
@@ -295,11 +291,7 @@ func VerifyCtx(ctx context.Context, proto *Protocol, opts VerifyOptions) (*Check
 // ASCII message-sequence chart (the paper's counterexample-visualizer
 // view; Figure 2 is one such chart). The chart is empty on a clean run.
 func VerifyWithChart(proto *Protocol, opts VerifyOptions) (*CheckResult, string, error) {
-	rt, err := efsm.NewRuntime(proto.Sys)
-	if err != nil {
-		return nil, "", err
-	}
-	return mc.CheckWithMSC(rt, proto.Invariants, opts)
+	return VerifyWithChartCtx(context.Background(), proto, opts)
 }
 
 // VerifyWithChartCtx is VerifyWithChart under a context: cancellation and
@@ -310,12 +302,16 @@ func VerifyWithChartCtx(ctx context.Context, proto *Protocol, opts VerifyOptions
 	if err != nil {
 		return nil, "", err
 	}
-	return mc.CheckWithMSCCtx(ctx, rt, proto.Invariants, opts)
+	res, err := mc.CheckCtx(ctx, rt, proto.Invariants, opts)
+	if err != nil || res.Violation == nil {
+		return res, "", err
+	}
+	return res, mc.FormatMSC(rt, res.Violation.Actions()), nil
 }
 
 // RunCaseStudy replays a scripted specify→synthesize→check→fix workflow.
 func RunCaseStudy(cs CaseStudy) (*CaseStudyResult, error) {
-	return core.RunCaseStudy(cs)
+	return core.RunCaseStudyCtx(context.Background(), cs)
 }
 
 // VI returns the built-in VI protocol (the simpler GEMS transcription of

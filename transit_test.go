@@ -1,6 +1,7 @@
 package transit_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,6 +148,28 @@ func TestFacadeOriginAnecdote(t *testing.T) {
 	}
 	if len(res.Violation.Trace) == 0 {
 		t.Fatal("violation must carry a trace")
+	}
+	// The chart of the violation has one column per process instance.
+	_, chart, err := transit.VerifyWithChart(buggy, transit.VerifyOptions{MaxStates: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(chart, "\n")
+	if cols := strings.Fields(header); !reflect.DeepEqual(cols, []string{"Dir", "Cache0", "Cache1"}) {
+		t.Errorf("buggy Origin chart columns = %q, want Dir Cache0 Cache1:\n%s", cols, chart)
+	}
+
+	// The fixed Origin verifies, and a clean run has no chart.
+	fixed := transit.Origin(2, true)
+	if _, err := transit.Synthesize(fixed, transit.SynthesisOptions{Limits: transit.Limits{MaxSize: 12}}); err != nil {
+		t.Fatal(err)
+	}
+	res, chart, err = transit.VerifyWithChart(fixed, transit.VerifyOptions{MaxStates: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK || chart != "" {
+		t.Fatalf("fixed Origin: ok=%v chart=%q", res.OK, chart)
 	}
 }
 
