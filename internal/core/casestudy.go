@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"transit/internal/efsm"
+	"transit/internal/engine"
 	"transit/internal/expr"
 	"transit/internal/mc"
 	"transit/internal/synth"
@@ -76,10 +77,15 @@ type CaseStudyResult struct {
 // regression in either the protocol snippets or the toolchain.
 // Cancellation stops the in-flight synthesis or model-checking round,
 // and the context's observability state (tracer, metrics) is threaded
-// through both.
+// through both. Every iteration of one replay completes through one memo
+// cache, so a hole an earlier iteration solved is answered from it; a hit
+// replays the stored stats, so the iteration's Report counters other than
+// CacheHits and CacheMisses, and its ledger, are those of a fresh cache.
+// The cache lives for the call: every replay starts cold.
 func RunCaseStudyCtx(ctx context.Context, cs CaseStudy) (*CaseStudyResult, error) {
 	start := time.Now()
 	res := &CaseStudyResult{Name: cs.Name}
+	cache := engine.NewCache()
 	snippets := append([]*efsm.Snippet(nil), cs.Initial...)
 	nextFix := 0
 	added := len(cs.Initial)
@@ -90,7 +96,7 @@ func RunCaseStudyCtx(ctx context.Context, cs CaseStudy) (*CaseStudyResult, error
 		if err != nil {
 			return res, fmt.Errorf("core: case study %s: build: %w", cs.Name, err)
 		}
-		rep, err := CompleteCtx(ctx, sys, vocab, snippets, Options{Limits: cs.Limits})
+		rep, err := CompleteCtx(ctx, sys, vocab, snippets, Options{Limits: cs.Limits, Cache: cache})
 		if err != nil {
 			return res, fmt.Errorf("core: case study %s iteration %d: synthesis: %w", cs.Name, iter, err)
 		}

@@ -47,8 +47,9 @@ type Options struct {
 	// skips redundant solving.
 	DisableCache bool
 	// Cache, when non-nil, is consulted and populated instead of a fresh
-	// per-run cache — share one across CEGIS iterations or across
-	// protocols to exploit repeated sub-problems.
+	// per-run cache — share one across the iterations of a case study
+	// (RunCaseStudyCtx does) or across protocols to exploit repeated
+	// sub-problems.
 	Cache *engine.Cache
 }
 

@@ -14,6 +14,7 @@ import (
 	"transit/internal/efsm"
 	"transit/internal/engine"
 	"transit/internal/engine/diskcache"
+	"transit/internal/mc"
 	"transit/internal/obs"
 	"transit/internal/obs/provenance"
 	"transit/internal/protocols"
@@ -124,6 +125,140 @@ func TestSharedCacheAcrossRebuilds(t *testing.T) {
 	hits1 := reg.Get("engine.cache.mem_hits")
 	if hits1 <= hits0 {
 		t.Errorf("warm rebuild produced no cache hits (%d -> %d)", hits0, hits1)
+	}
+}
+
+// replayRun is what a case-study replay produced: each iteration's
+// completion report and model-check result, the final system and the
+// provenance ledger of every iteration's holes.
+type replayRun struct {
+	reports []core.Report
+	checks  []*mc.Result
+	final   string
+	ledger  string
+}
+
+// caseStudyLedger runs replay with a provenance recorder in its context
+// and returns the ledger's NDJSON beside the replay's own results.
+func caseStudyLedger(t *testing.T, name string, replay func(ctx context.Context) replayRun) replayRun {
+	t.Helper()
+	rec := provenance.NewRecorder(name)
+	run := replay(provenance.WithRecorder(context.Background(), rec))
+	var sb strings.Builder
+	if err := rec.Ledger().WriteNDJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	run.ledger = sb.String()
+	return run
+}
+
+// freshCacheReplay replays cs with a fresh memo cache for every
+// iteration, the loop the synth and mc golden tests run.
+func freshCacheReplay(t *testing.T, ctx context.Context, cs core.CaseStudy) replayRun {
+	t.Helper()
+	var run replayRun
+	snippets := append([]*efsm.Snippet(nil), cs.Initial...)
+	for iter := 1; ; iter++ {
+		sys, vocab, invs, err := cs.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.CompleteCtx(ctx, sys, vocab, snippets, core.Options{Limits: cs.Limits})
+		if err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
+		}
+		r, err := efsm.NewRuntime(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := mc.CheckCtx(ctx, r, invs, cs.MCOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.reports = append(run.reports, *rep)
+		run.checks = append(run.checks, res)
+		if res.OK {
+			run.final = renderSystem(sys)
+			return run
+		}
+		if iter > len(cs.Fixes) {
+			t.Fatalf("fixes exhausted after iteration %d", iter)
+		}
+		snippets = append(snippets, cs.Fixes[iter-1].Snippets...)
+	}
+}
+
+// TestCaseStudyReplayMatchesFreshCaches holds RunCaseStudyCtx, whose
+// iterations share one memo cache, to a replay that gives every iteration
+// a fresh one: the same iterations, report counters, model-check results,
+// final system and ledger bytes, with more cache hits from the second
+// iteration on.
+func TestCaseStudyReplayMatchesFreshCaches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays three case studies twice at two sizes")
+	}
+	// counters drops what a report may differ in: the cache lookups and
+	// the durations.
+	counters := func(r core.Report) core.Report {
+		r.CacheHits, r.CacheMisses = 0, 0
+		r.UpdateTime, r.GuardTime, r.Elapsed, r.Utilization = 0, 0, 0, 0
+		return r
+	}
+	violation := func(r *mc.Result) string {
+		if r.Violation == nil {
+			return ""
+		}
+		return r.Violation.String()
+	}
+	for _, n := range []int{2, 3} {
+		for _, mk := range []func(int) core.CaseStudy{protocols.CaseStudyA, protocols.CaseStudyB, protocols.CaseStudyC} {
+			cs := mk(n)
+			t.Run(fmt.Sprintf("%s/n=%d", cs.Name, n), func(t *testing.T) {
+				shared := caseStudyLedger(t, cs.Name, func(ctx context.Context) replayRun {
+					res, err := core.RunCaseStudyCtx(ctx, cs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var run replayRun
+					for _, it := range res.Iterations {
+						run.reports = append(run.reports, *it.Synth)
+						run.checks = append(run.checks, it.Check)
+					}
+					run.final = renderSystem(res.Sys)
+					return run
+				})
+				fresh := caseStudyLedger(t, cs.Name, func(ctx context.Context) replayRun {
+					return freshCacheReplay(t, ctx, cs)
+				})
+				if len(shared.reports) != len(fresh.reports) {
+					t.Fatalf("%d iterations, fresh caches %d", len(shared.reports), len(fresh.reports))
+				}
+				for i := range shared.reports {
+					s, f := shared.reports[i], fresh.reports[i]
+					if counters(s) != counters(f) {
+						t.Errorf("iteration %d report %+v, fresh caches %+v", i+1, s, f)
+					}
+					if i > 0 && s.CacheHits <= f.CacheHits {
+						t.Errorf("iteration %d: %d cache hits, fresh caches %d; want more", i+1, s.CacheHits, f.CacheHits)
+					}
+					sc, fc := shared.checks[i], fresh.checks[i]
+					if sc.OK != fc.OK || sc.States != fc.States || sc.Transitions != fc.Transitions ||
+						sc.Depth != fc.Depth || violation(sc) != violation(fc) {
+						t.Errorf("iteration %d model check %d states, %d transitions, violation %q; fresh caches %d, %d, %q",
+							i+1, sc.States, sc.Transitions, violation(sc), fc.States, fc.Transitions, violation(fc))
+					}
+				}
+				if shared.final != fresh.final {
+					t.Errorf("final system differs:\n--- shared cache\n%s\n--- fresh caches\n%s", shared.final, fresh.final)
+				}
+				if !strings.Contains(shared.ledger, `"type":"hole"`) {
+					t.Fatalf("thin ledger:\n%.400s", shared.ledger)
+				}
+				if shared.ledger != fresh.ledger {
+					t.Error("ledger differs from the fresh-cache replay's")
+				}
+			})
+		}
 	}
 }
 

@@ -4,8 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"transit/internal/engine/diskcache"
@@ -32,14 +31,24 @@ type SolveSpec struct {
 // defaults share an entry). Limits.NoBankReuse can change which
 // consistent expression the search returns (ROADMAP item 2), so it is
 // appended when set; a spec without it keeps the key it always had. The
-// key text is built in one buffer and hashed once, with the vocabulary's
-// signatures as expr.Vocabulary rendered them in Add.
+// key text is appended into one buffer and hashed once: the vocabulary's
+// signatures as expr.Vocabulary rendered them in Add, the examples
+// through expr.AppendString, numbers through strconv.
 func (s SolveSpec) Key() string {
 	b := make([]byte, 0, 4096)
 	u := s.Problem.U
-	b = fmt.Appendf(b, "u:%d/%d;", u.NumCaches(), u.IntWidth())
+	b = strconv.AppendInt(append(b, "u:"...), int64(u.NumCaches()), 10)
+	b = strconv.AppendUint(append(b, '/'), uint64(u.IntWidth()), 10)
+	b = append(b, ';')
 	for _, e := range u.Enums() {
-		b = fmt.Appendf(b, "enum:%s=%s;", e.Name, strings.Join(e.Values, ","))
+		b = append(append(append(b, "enum:"...), e.Name...), '=')
+		for i, v := range e.Values {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, v...)
+		}
+		b = append(b, ';')
 	}
 	b = append(b, "vocab:"...)
 	for _, sig := range s.Problem.Vocab.Sigs() {
@@ -47,21 +56,31 @@ func (s SolveSpec) Key() string {
 	}
 	b = append(b, "vars:"...)
 	for _, v := range s.Problem.Vars {
-		b = fmt.Appendf(b, "%s:%s;", v.Name, v.VT)
+		b = appendVarDecl(b, v)
 	}
-	b = fmt.Appendf(b, "out:%s:%s;", s.Problem.Output.Name, s.Problem.Output.VT)
+	b = appendVarDecl(append(b, "out:"...), s.Problem.Output)
 	b = append(b, "exs:"...)
 	for _, ex := range s.Examples {
-		b = fmt.Appendf(b, "%s==>%s;", ex.Pre, ex.Post)
+		b = append(expr.AppendString(b, ex.Pre), "==>"...)
+		b = append(expr.AppendString(b, ex.Post), ';')
 	}
 	lim := s.Limits.WithDefaults()
-	b = fmt.Appendf(b, "lim:%d/%d/%d/%d/%d/%v", lim.MaxSize, lim.MaxExprs, lim.MaxIters,
-		int64(lim.Timeout), lim.SMTConflicts, lim.NoPrune)
+	b = append(b, "lim:"...)
+	for _, n := range [...]int64{int64(lim.MaxSize), lim.MaxExprs, int64(lim.MaxIters),
+		int64(lim.Timeout), lim.SMTConflicts} {
+		b = append(strconv.AppendInt(b, n, 10), '/')
+	}
+	b = strconv.AppendBool(b, lim.NoPrune)
 	if lim.NoBankReuse {
 		b = append(b, "/nobank"...)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// appendVarDecl appends a variable's part of the key text, name:type;.
+func appendVarDecl(b []byte, v *expr.Var) []byte {
+	return append(append(append(append(b, v.Name...), ':'), v.VT.String()...), ';')
 }
 
 // Tier identifies which cache tier answered a lookup — the label every
@@ -92,7 +111,7 @@ type CacheEntry struct {
 
 // Cache is a concurrency-safe memoization table for solved sub-problems.
 // Only successful solves are stored. A Cache may be shared across engine
-// runs (e.g. across CEGIS iterations of a case study, or across the four
+// runs (e.g. across the iterations of a case study, or across the four
 // case-study protocols) to exploit repeated sub-problems. With a disk
 // store attached, the in-memory table becomes the first tier of a
 // two-tier store: Fetch falls through to the store on a memory miss, and

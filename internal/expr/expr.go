@@ -1,9 +1,6 @@
 package expr
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Env is a valuation of variables by name. It is the S of the paper's
 // concrete examples (S, k_o) and the model returned by the SMT solver.
@@ -126,15 +123,30 @@ func (a *Apply) Eval(u *Universe, env Env) Value {
 }
 
 // String implements Expr.
-func (a *Apply) String() string {
-	if len(a.Args) == 0 {
-		return a.Fn.Name + "()"
+func (a *Apply) String() string { return string(AppendString(nil, a)) }
+
+// AppendString appends e's String form to dst: a variable's name, a
+// constant's Value.String, and an application as its function's name
+// followed by its arguments, comma-separated, in parentheses. It is the
+// one renderer of that form; the memo cache builds its keys with it
+// without a string per node.
+func AppendString(dst []byte, e Expr) []byte {
+	switch n := e.(type) {
+	case *Var:
+		return append(dst, n.Name...)
+	case *Const:
+		return n.Val.AppendString(dst)
+	case *Apply:
+		dst = append(append(dst, n.Fn.Name...), '(')
+		for i, arg := range n.Args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendString(dst, arg)
+		}
+		return append(dst, ')')
 	}
-	parts := make([]string, len(a.Args))
-	for i, arg := range a.Args {
-		parts[i] = arg.String()
-	}
-	return a.Fn.Name + "(" + strings.Join(parts, ", ") + ")"
+	return append(dst, e.String()...)
 }
 
 // Vars returns the distinct variable names free in e, in first-occurrence

@@ -109,6 +109,7 @@ func TestValueString(t *testing.T) {
 		{PIDVal(2), "C2"},
 		{SetVal(0), "{}"},
 		{SetOf(0, 2), "{C0, C2}"},
+		{SetOf(2, 10, 11, 63), "{C10, C11, C2, C63}"}, // members sort as text
 		{EnumValOf(e, "M"), "M"},
 	}
 	for _, c := range cases {
@@ -251,6 +252,10 @@ func TestStringForm(t *testing.T) {
 	x, y := V("a", IntType), V("b", IntType)
 	e := Ite(Gt(x, y), x, y)
 	if got := e.String(); got != "ite(gt(a, b), a, b)" {
+		t.Errorf("String = %q", got)
+	}
+	e = Ge(Add(NumCaches(), IntC(NewUniverse(2), -3)), x)
+	if got := e.String(); got != "ge(add(numcaches(), -3), a)" {
 		t.Errorf("String = %q", got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Value is a typed runtime value. Value is comparable: two Values are equal
@@ -133,37 +133,53 @@ func ZeroOf(t Type) Value {
 }
 
 // String renders the value in TRANSIT surface syntax.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendString(nil)) }
+
+// AppendString appends v's String form to dst: true or false, an Int in
+// decimal, a PID as C<index>, a Set as its members' names in braces,
+// sorted as text (so C10 comes before C2), and an enum value by name.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.t.Kind {
 	case KindBool:
-		if v.n != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.n != 0)
 	case KindInt:
-		return fmt.Sprintf("%d", v.n)
+		return strconv.AppendInt(dst, v.n, 10)
 	case KindPID:
-		return fmt.Sprintf("C%d", v.n)
+		return strconv.AppendInt(append(dst, 'C'), v.n, 10)
 	case KindSet:
-		if v.mask == 0 {
-			return "{}"
-		}
-		var elems []string
-		for p := 0; p < 64; p++ {
-			if v.mask&(1<<uint(p)) != 0 {
-				elems = append(elems, fmt.Sprintf("C%d", p))
+		dst = append(dst, '{')
+		sep := false
+		for _, p := range pidTextOrder {
+			if v.mask&(1<<p) == 0 {
+				continue
 			}
+			if sep {
+				dst = append(dst, ", "...)
+			}
+			sep = true
+			dst = strconv.AppendInt(append(dst, 'C'), int64(p), 10)
 		}
-		sort.Strings(elems)
-		return "{" + strings.Join(elems, ", ") + "}"
+		return append(dst, '}')
 	case KindEnum:
 		if v.t.Enum != nil && int(v.n) < len(v.t.Enum.Values) {
-			return v.t.Enum.Values[v.n]
+			return append(dst, v.t.Enum.Values[v.n]...)
 		}
-		return fmt.Sprintf("enum#%d", v.n)
+		return strconv.AppendInt(append(dst, "enum#"...), v.n, 10)
 	}
-	return "<invalid>"
+	return append(dst, "<invalid>"...)
 }
+
+// pidTextOrder lists the PIDs 0-63 in the order their names C0-C63 sort
+// as text: C0, C1, C10, ..., C19, C2, C20, and so on.
+var pidTextOrder = func() (order [64]uint8) {
+	for p := range order {
+		order[p] = uint8(p)
+	}
+	sort.Slice(order[:], func(i, j int) bool {
+		return strconv.Itoa(int(order[i])) < strconv.Itoa(int(order[j]))
+	})
+	return order
+}()
 
 // AppendEncoding appends a compact, injective byte encoding of the value
 // (including its type) to dst. Signatures — vectors of values — are encoded

@@ -116,9 +116,9 @@ func TestGoldenResults(t *testing.T) {
 	t.Fatalf("results differ from %s from line %d; got output written to %s", goldenPath, line+1, f.Name())
 }
 
-// caseStudyRecords replays a case study the way core.RunCaseStudyCtx does,
-// with symmetry on, rendering every iteration's check while its runtime is
-// still at hand for the message-sequence chart.
+// caseStudyRecords replays a case study with a fresh memo cache for every
+// iteration and symmetry on, rendering every iteration's check while its
+// runtime is still at hand for the message-sequence chart.
 func caseStudyRecords(t *testing.T, cs core.CaseStudy) string {
 	t.Helper()
 	var sb strings.Builder

@@ -35,11 +35,16 @@ var (
 	maxActions = math.MaxUint16
 )
 
-// pageBits sizes the key arena's pages. The arena grows a page at a time,
-// so growing it never copies the keys already stored.
+// The key arena grows a page at a time, so growing it never copies the
+// keys already stored. Its first page holds firstPage bytes and each next
+// page twice its predecessor (or the least such doubling that fits the key
+// that opens it), up to pageSize, so a small search allocates a few small
+// pages. A key's offset is its page's index times pageSize plus its place
+// in the page, whatever the page's size.
 const (
-	pageBits = 20
-	pageSize = 1 << pageBits
+	pageBits  = 20
+	pageSize  = 1 << pageBits
+	firstPage = 16 << 10
 )
 
 // table is the visited set. Each state has a dense uint32 id, handed out
@@ -98,8 +103,15 @@ func (t *table) insert(key []byte, h, parent uint32, act, sigma uint16) (uint32,
 		return 0, fmt.Errorf("%w: a %d-byte key does not fit a %d-byte arena page", ErrTableLimit, len(key), pageSize)
 	}
 	last := len(t.pages) - 1
-	if last < 0 || len(t.pages[last])+need > pageSize {
-		t.pages = append(t.pages, make([]byte, 0, pageSize))
+	if last < 0 || len(t.pages[last])+need > cap(t.pages[last]) {
+		size := firstPage
+		if last >= 0 {
+			size = 2 * cap(t.pages[last])
+		}
+		for size < need {
+			size *= 2
+		}
+		t.pages = append(t.pages, make([]byte, 0, min(size, pageSize)))
 		last++
 	}
 	o := uint64(last)<<pageBits | uint64(len(t.pages[last]))

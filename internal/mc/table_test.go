@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -165,6 +166,62 @@ func TestCheckTableLimits(t *testing.T) {
 				}
 			}
 			restore()
+		}
+	}
+}
+
+// TestArenaPageGrowth inserts keys across the arena's small pages, which
+// double from firstPage, and on into full pageSize pages: every key must
+// read back unchanged by id and by find, with ids dense in insertion
+// order, and the pages must have the sizes the doubling gives. A first
+// key larger than firstPage opens the arena with the least doubling that
+// holds it.
+func TestArenaPageGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, c := range []struct {
+		name  string
+		first int // length of the first key
+		page0 int // the first page's size
+	}{
+		{"small first key", 10, firstPage},
+		{"first key past firstPage", 3*firstPage + 5, 4 * firstPage},
+	} {
+		tab := newTable()
+		var keys [][]byte
+		for n, stored := 0, 0; stored < 3*pageSize; n++ {
+			k := make([]byte, 1+rng.Intn(3000))
+			if n == 0 {
+				k = make([]byte, c.first)
+			}
+			rng.Read(k)
+			id, err := tab.insert(k, tab.hash(k), uint32(n), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(id) != n {
+				t.Fatalf("%s: insert %d gave id %d", c.name, n, id)
+			}
+			keys = append(keys, k)
+			stored += len(k)
+		}
+		want, full := c.page0, 0
+		for i, p := range tab.pages {
+			if cap(p) != want {
+				t.Fatalf("%s: page %d holds %d bytes, want %d", c.name, i, cap(p), want)
+			}
+			if want == pageSize {
+				full++
+			}
+			want = min(2*want, pageSize)
+		}
+		if full < 2 {
+			t.Fatalf("%s: %d full pages, want 2 or more", c.name, full)
+		}
+		for id, k := range keys {
+			got, ok := tab.find(k, tab.hash(k))
+			if !ok || int(got) != id || !bytes.Equal(tab.key(uint32(id)), k) || tab.parent[id] != uint32(id) {
+				t.Fatalf("%s: key %d: find %d, %v; stored key equal %v", c.name, id, got, ok, bytes.Equal(tab.key(uint32(id)), k))
+			}
 		}
 	}
 }

@@ -205,9 +205,9 @@ func completionRecord(t *testing.T, name string, sys *efsm.System, vocab *expr.V
 	return sb.String()
 }
 
-// caseStudyRecords replays a case study the way core.RunCaseStudyCtx
-// does, rendering every iteration's completion; the model checker only
-// decides when the fixes stop.
+// caseStudyRecords replays a case study with a fresh memo cache for every
+// iteration, rendering every iteration's completion; the model checker
+// only decides when the fixes stop.
 func caseStudyRecords(t *testing.T, cs core.CaseStudy) string {
 	t.Helper()
 	var sb strings.Builder

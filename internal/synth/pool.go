@@ -180,28 +180,39 @@ type schema struct {
 	out    int
 }
 
+// newSchema builds the ops in one slice and their params in one shared
+// array. A problem has a handful of types, so a type's store is found by
+// scanning the fields built so far.
 func newSchema(p Problem) *schema {
-	sc := &schema{}
-	byType := map[expr.Type]int{}
+	funcs := p.Vocab.Funcs()
+	nparams := 0
+	for _, f := range funcs {
+		nparams += f.Arity()
+	}
+	sc := &schema{ops: make([]op, 0, len(p.Vars)+len(funcs))}
+	params := make([]int, 0, nparams)
 	storeOf := func(t expr.Type) int {
-		if i, ok := byType[t]; ok {
-			return i
+		for i := range sc.fields {
+			if sc.fields[i].t == t {
+				return i
+			}
 		}
-		byType[t] = len(sc.fields)
 		sc.fields = append(sc.fields, newField(p.U, t))
 		return len(sc.fields) - 1
 	}
 	for _, v := range p.Vars {
 		sc.ops = append(sc.ops, op{atom: v, ret: storeOf(v.VT)})
 	}
-	for _, f := range p.Vocab.Funcs() {
+	for _, f := range funcs {
 		o := op{f: f, ret: storeOf(f.Ret)}
 		if f.Arity() == 0 {
 			o.atom = expr.NewApply(f)
 		}
+		at := len(params)
 		for _, t := range f.Params {
-			o.params = append(o.params, storeOf(t))
+			params = append(params, storeOf(t))
 		}
+		o.params = params[at:len(params):len(params)]
 		sc.ops = append(sc.ops, o)
 	}
 	sc.out = storeOf(p.Output.VT)
