@@ -15,69 +15,37 @@ import (
 // no environment map and no expr.Value in between. FuzzCompiledEval holds
 // the compiled evaluator to expr.Expr.Eval.
 
+// cop is a compiled node's operation. An application's cop is its
+// symbol's expr.Builtin, so expr.BuiltinOf is the one table that maps
+// function symbols to built-ins; opCall (expr.NotBuiltin) applies any other
+// symbol through its own Apply. Constants and variables follow the
+// built-ins.
 type cop uint8
 
 const (
-	opConst cop = iota
-	opVar
-	opAdd
-	opSub
-	opInc
-	opDec
-	opSetAdd
-	opSetSize
-	opSetUnion
-	opSetInter
-	opSetMinus
-	opSetOf
-	opSetContains
-	opAnd
-	opOr
-	opNot
-	opIsZero
-	opGe
-	opGt
-	opEq
-	opIte
-	// opCall applies a function symbol outside the Table 1 vocabulary
-	// through its own Apply.
-	opCall
+	opCall        = cop(expr.NotBuiltin)
+	opAdd         = cop(expr.BuiltinAdd)
+	opSub         = cop(expr.BuiltinSub)
+	opInc         = cop(expr.BuiltinInc)
+	opDec         = cop(expr.BuiltinDec)
+	opSetAdd      = cop(expr.BuiltinSetAdd)
+	opSetSize     = cop(expr.BuiltinSetSize)
+	opSetUnion    = cop(expr.BuiltinSetUnion)
+	opSetInter    = cop(expr.BuiltinSetInter)
+	opSetMinus    = cop(expr.BuiltinSetMinus)
+	opSetOf       = cop(expr.BuiltinSetOf)
+	opSetContains = cop(expr.BuiltinSetContains)
+	opAnd         = cop(expr.BuiltinAnd)
+	opOr          = cop(expr.BuiltinOr)
+	opNot         = cop(expr.BuiltinNot)
+	opIsZero      = cop(expr.BuiltinIsZero)
+	opGe          = cop(expr.BuiltinGe)
+	opGt          = cop(expr.BuiltinGt)
+	opEq          = cop(expr.BuiltinEquals)
+	opIte         = cop(expr.BuiltinIte)
+	opConst       = cop(expr.NumBuiltins)
+	opVar         = opConst + 1
 )
-
-// vocabOps maps the vocabulary's fixed function symbols to their ops;
-// equals and ite, one symbol per type, are recognized in opOf.
-var vocabOps = map[*expr.Func]cop{
-	expr.FnAdd:         opAdd,
-	expr.FnSub:         opSub,
-	expr.FnInc:         opInc,
-	expr.FnDec:         opDec,
-	expr.FnSetAdd:      opSetAdd,
-	expr.FnSetSize:     opSetSize,
-	expr.FnSetUnion:    opSetUnion,
-	expr.FnSetInter:    opSetInter,
-	expr.FnSetMinus:    opSetMinus,
-	expr.FnSetOf:       opSetOf,
-	expr.FnSetContains: opSetContains,
-	expr.FnAnd:         opAnd,
-	expr.FnOr:          opOr,
-	expr.FnNot:         opNot,
-	expr.FnIsZero:      opIsZero,
-	expr.FnGe:          opGe,
-	expr.FnGt:          opGt,
-}
-
-func opOf(fn *expr.Func) cop {
-	if op, ok := vocabOps[fn]; ok {
-		return op
-	}
-	switch {
-	case len(fn.Params) == 2 && fn == expr.EqualsFn(fn.Params[0]):
-		return opEq
-	case len(fn.Params) == 3 && fn == expr.IteFn(fn.Ret):
-		return opIte
-	}
-	return opCall
-}
 
 // cexpr is a compiled expression node. Subtrees without variables are
 // folded to constants at compile time.
@@ -115,7 +83,7 @@ func compileExpr(u *expr.Universe, e expr.Expr, scope map[string]scopeVar) (*cex
 		}
 		return &cexpr{op: opVar, slot: sv.slot}, nil
 	case *expr.Apply:
-		c := &cexpr{op: opOf(n.Fn), shift: 64 - u.IntWidth(), args: make([]*cexpr, len(n.Args))}
+		c := &cexpr{op: cop(expr.BuiltinOf(n.Fn)), shift: 64 - u.IntWidth(), args: make([]*cexpr, len(n.Args))}
 		folded := true
 		for i, a := range n.Args {
 			ca, err := compileExpr(u, a, scope)

@@ -82,12 +82,73 @@ var (
 		Apply: func(u *Universe, _ []Value) Value { return SetVal(0) }}
 )
 
+// Builtin names what a Table 1 function symbol of arity one or more
+// computes, so that a compiled evaluator can run its formula instead of
+// calling Apply. Only the shared symbols above and the equals and ite
+// overloads EqualsFn and IteFn return are built-ins: a symbol is
+// recognized by identity, never by name, so any other Func is NotBuiltin.
+type Builtin uint8
+
+const (
+	NotBuiltin Builtin = iota
+	BuiltinAdd
+	BuiltinSub
+	BuiltinInc
+	BuiltinDec
+	BuiltinSetAdd
+	BuiltinSetSize
+	BuiltinSetUnion
+	BuiltinSetInter
+	BuiltinSetMinus
+	BuiltinSetOf
+	BuiltinSetContains
+	BuiltinAnd
+	BuiltinOr
+	BuiltinNot
+	BuiltinIsZero
+	BuiltinGe
+	BuiltinGt
+	BuiltinEquals
+	BuiltinIte
+	// NumBuiltins is one past the last Builtin.
+	NumBuiltins
+)
+
+// BuiltinOf reports which built-in f is: NotBuiltin for every symbol but
+// the shared ones.
+func BuiltinOf(f *Func) Builtin {
+	genericMu.Lock()
+	defer genericMu.Unlock()
+	return builtins[f]
+}
+
 var (
 	genericMu sync.Mutex
 	equalsFns = map[Type]*Func{}
 	iteFns    = map[Type]*Func{}
 	enumLits  = map[Value]*Func{}
 	pidLits   = map[int]*Func{}
+	// builtins is the one table from function symbols to built-ins: the
+	// fixed symbols, and each equals and ite overload as it is created.
+	builtins = map[*Func]Builtin{
+		FnAdd:         BuiltinAdd,
+		FnSub:         BuiltinSub,
+		FnInc:         BuiltinInc,
+		FnDec:         BuiltinDec,
+		FnSetAdd:      BuiltinSetAdd,
+		FnSetSize:     BuiltinSetSize,
+		FnSetUnion:    BuiltinSetUnion,
+		FnSetInter:    BuiltinSetInter,
+		FnSetMinus:    BuiltinSetMinus,
+		FnSetOf:       BuiltinSetOf,
+		FnSetContains: BuiltinSetContains,
+		FnAnd:         BuiltinAnd,
+		FnOr:          BuiltinOr,
+		FnNot:         BuiltinNot,
+		FnIsZero:      BuiltinIsZero,
+		FnGe:          BuiltinGe,
+		FnGt:          BuiltinGt,
+	}
 )
 
 // EqualsFn returns the equals overload for type t (∀t: equals(t,t)→Bool).
@@ -102,6 +163,7 @@ func EqualsFn(t Type) *Func {
 	f := &Func{Name: "equals", Params: []Type{t, t}, Ret: BoolType,
 		Apply: func(u *Universe, a []Value) Value { return BoolVal(a[0] == a[1]) }}
 	equalsFns[t] = f
+	builtins[f] = BuiltinEquals
 	return f
 }
 
@@ -120,6 +182,7 @@ func IteFn(t Type) *Func {
 			return a[2]
 		}}
 	iteFns[t] = f
+	builtins[f] = BuiltinIte
 	return f
 }
 

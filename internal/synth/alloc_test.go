@@ -45,14 +45,17 @@ func composeFixture(t testing.TB) (en *enumerator, o uint16, kids []uint32) {
 	return en, o, kids
 }
 
-// TestComposeAllocFree guards the compose hot path. Pruning an
-// already-seen candidate must not allocate: the row, the children's rows
-// and the argument values are enumerator scratch, and the indexes compare
-// keys in place in the arena. Retaining a candidate may only grow the
+// TestComposeAllocFree guards the compose hot path, here an Int addition's
+// byte kernel. Pruning an already-seen candidate must not allocate: the
+// row and the children's rows are enumerator scratch, and the indexes
+// compare keys in place in the arena. Retaining a candidate may only grow the
 // store's columns, its arena and its pool: with those grown ahead, it must
 // not allocate either.
 func TestComposeAllocFree(t *testing.T) {
 	en, o, kids := composeFixture(t)
+	if en.ops[o].kern.b == expr.NotBuiltin {
+		t.Fatalf("%s has no kernel", en.ops[o].f)
+	}
 	pruned := en.stats.InterpPruned
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := en.considerApply(o, kids, 0, 3); err != nil {

@@ -1,10 +1,9 @@
 package synth
 
 import (
+	"bytes"
 	"context"
 	"time"
-
-	"transit/internal/expr"
 )
 
 // bank carries SolveConcrete's retained state across the CEGIS rounds of
@@ -110,12 +109,12 @@ func resumeEnumerator(ctx context.Context, sc *schema, p Problem, examples []Con
 
 // extend appends the new concretizations' coordinates to every live row
 // and re-keys each store's seen index. Rows are re-laid at the wider
-// stride, old fields first, so entry ranks never change. Each new field is
-// one Apply over the children's new fields — pools are extended in size
-// order, and shadows and alts (whose children are pooled) after them, so
-// the children's fields are always ready — and an atom's is one direct
-// evaluation. Extension only refines the partition: two pooled classes
-// cannot come to share a key, and extend panics if they do.
+// stride, old fields first, so entry ranks never change. An entry's new
+// fields are composed from its children's new fields — pools are extended
+// in size order, and shadows and alts (whose children are pooled) after
+// them, so the children's fields are always ready — and an atom's are
+// direct evaluations. Extension only refines the partition: two pooled
+// classes cannot come to share a key, and extend panics if they do.
 func (en *enumerator) extend(bk *bank) {
 	nNew := len(en.examples) - bk.nExamples
 	for i := range en.stores {
@@ -176,17 +175,11 @@ func (en *enumerator) extendEntry(t int, r uint32, first int) {
 		return
 	}
 	kids := st.kidsOf(r)
-	rows, argv := en.kidRows[:len(kids)], en.argBuf[:len(kids)]
+	rows := en.kidRows[:len(kids)]
 	for j, k := range kids {
 		rows[j] = en.stores[a.params[j]].row(k)
 	}
-	for c := first; c < end; c++ {
-		for j := range rows {
-			ks := &en.stores[a.params[j]]
-			argv[j] = ks.get(rows[j][c*ks.w:])
-		}
-		st.put(row[c*st.w:], a.f.Apply(en.p.U, argv))
-	}
+	en.compose(a, row, rows, first, end)
 }
 
 // adoptShadows checks each extended shadow against the re-keyed pools and
@@ -294,8 +287,10 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 	first := en.nProbe
 	budget := shallowAltDoomBudget
 	best := 0
-	var argv []expr.Value
-	rows := make([][]byte, 8)
+	rows := en.kidRows
+	out := &en.stores[en.outStore]
+	row := en.rowBuf[:out.stride]
+	key := row[first*out.w:]
 	var try func(a *op, slot, sizeAcc int, hasAlt bool)
 	try = func(a *op, slot, sizeAcc int, hasAlt bool) {
 		if best != 0 && sizeAcc+(len(a.params)-slot) >= best {
@@ -306,16 +301,10 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 				return
 			}
 			budget -= n
-			for k := 0; k < n; k++ {
-				for j := 0; j < slot; j++ {
-					ks := &en.stores[a.params[j]]
-					argv[j] = ks.get(rows[j][(first+k)*ks.w:])
-				}
-				if a.f.Apply(en.p.U, argv) != en.examples[k].Out {
-					return
-				}
+			en.compose(a, row, rows[:slot], first, first+n)
+			if bytes.Equal(key, en.goal) {
+				best = sizeAcc
 			}
-			best = sizeAcc
 			return
 		}
 		t := a.params[slot]
@@ -331,8 +320,7 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 	}
 	for fi := range en.p.Vocab.Funcs() {
 		a := &en.ops[en.funcOp(fi)]
-		m := len(a.params)
-		if m == 0 || m > len(rows) || a.ret != en.outStore {
+		if len(a.params) == 0 || a.ret != en.outStore {
 			continue
 		}
 		// Require every slot to be fillable and at least one alt-typed slot
@@ -350,10 +338,6 @@ func (en *enumerator) shallowAltDoom() (int, bool) {
 		if !feasible || !altSlot {
 			continue
 		}
-		if cap(argv) < m {
-			argv = make([]expr.Value, m)
-		}
-		argv = argv[:m]
 		try(a, 0, 1, false)
 		if budget < n {
 			break

@@ -270,12 +270,10 @@ type enumerator struct {
 
 	// Scratch, so that the hot path allocates only the columns and rows of
 	// candidates that survive pruning: the candidate's row, its children's
-	// rows, fields and decoded key coordinates (argMat, one row of
-	// arguments per coordinate), and the per-tier odometer state.
+	// rows, the decoded arguments of compose's Apply path, and the per-tier
+	// odometer state.
 	rowBuf    []byte
 	kidRows   [][]byte
-	kidFields []*field
-	argMat    []expr.Value
 	argBuf    []expr.Value
 	kidBuf    []uint32
 	shareBuf  []int
@@ -371,8 +369,6 @@ func (en *enumerator) initScratch() {
 	}
 	en.rowBuf = make([]byte, stride)
 	en.kidRows = make([][]byte, arity)
-	en.kidFields = make([]*field, arity)
-	en.argMat = make([]expr.Value, en.nSig*arity)
 	en.argBuf = make([]expr.Value, arity)
 	en.kidBuf = make([]uint32, arity)
 	en.posBuf = make([]int, arity)
@@ -488,8 +484,8 @@ func (en *enumerator) runTier(size int, units []tierUnit, skip int64) (bool, err
 
 // runUnit enumerates one unit's candidates, fast-forwarding past the
 // resumed prefix by index arithmetic instead of iteration. The odometer
-// turns its last child fastest, so considerApply reuses the decoded
-// fields of the leading children that did not move.
+// turns its last child fastest, so considerApply reuses the rows of the
+// leading children that did not move.
 func (en *enumerator) runUnit(u *tierUnit, size int, skip int64) (bool, int64, error) {
 	m := len(u.pools)
 	kids, pos := en.kidBuf[:m], en.posBuf[:m]
@@ -519,41 +515,22 @@ func (en *enumerator) runUnit(u *tierUnit, size int, skip int64) (bool, int64, e
 }
 
 // considerApply composes the candidate o(kids)'s key from its children's
-// rows — one Apply per coordinate over the children's decoded fields —
-// and settles it. Children before moved are the previous call's, whose
-// fields are still decoded in argMat: a coordinate's arguments are the
-// row argMat[c*m:(c+1)*m], so only the moved children are decoded again.
-// The hot path allocates nothing until a candidate survives pruning, and
-// a survivor only grows the store's columns and arena: the row, the
-// children's rows and fields live in reusable buffers, and the index
-// compares keys in place.
+// rows (compose, kernel.go) and settles it. Children before moved are the
+// previous call's, whose rows are still in kidRows. The hot path allocates
+// nothing until a candidate survives pruning, and a survivor only grows
+// the store's columns and arena: the row and the children's rows live in
+// reusable buffers, and the index compares keys in place.
 func (en *enumerator) considerApply(o uint16, kids []uint32, moved, size int) (bool, error) {
 	if err := en.charge(); err != nil {
 		return false, err
 	}
 	a := &en.ops[o]
-	st := &en.stores[a.ret]
-	m, n, np := len(kids), en.nSig, en.nProbe
-	args := en.argMat[:n*m]
+	m := len(kids)
 	for j := moved; j < m; j++ {
-		ks := &en.stores[a.params[j]]
-		kr := ks.row(kids[j])
-		en.kidRows[j], en.kidFields[j] = kr, &ks.field
-		if j == m-1 {
-			break
-		}
-		for c := 0; c < n; c++ {
-			args[c*m+j] = ks.get(kr[(np+c)*ks.w:])
-		}
+		en.kidRows[j] = en.stores[a.params[j]].row(kids[j])
 	}
-	row := en.rowBuf[:st.stride]
-	u, apply, w := en.p.U, a.f.Apply, st.w
-	lf, lr := en.kidFields[m-1], en.kidRows[m-1]
-	for c := 0; c < n; c++ {
-		argv := args[c*m : c*m+m]
-		argv[m-1] = lf.get(lr[(np+c)*lf.w:])
-		st.put(row[(np+c)*w:], apply(u, argv))
-	}
+	row := en.rowBuf[:en.stores[a.ret].stride]
+	en.compose(a, row, en.kidRows[:m], en.nProbe, en.nProbe+en.nSig)
 	return en.settle(o, kids, row, size)
 }
 
@@ -572,26 +549,18 @@ func (en *enumerator) considerAtom(o uint16) (bool, error) {
 }
 
 // fillProbes writes the candidate's shadow-probe coordinates into the head
-// of its row: evaluated directly for an atom, composed pointwise from the
-// children's rows and fields (in kidRows and kidFields) otherwise, exactly
-// like the key.
+// of its row: evaluated directly for an atom, composed from the children's
+// rows (in kidRows) otherwise, exactly like the key.
 func (en *enumerator) fillProbes(o uint16, row []byte) {
 	a := &en.ops[o]
-	st := &en.stores[a.ret]
 	if a.atom != nil {
+		st := &en.stores[a.ret]
 		for c, env := range en.shadowProbes {
 			st.put(row[c*st.w:], a.atom.Eval(en.p.U, env))
 		}
 		return
 	}
-	m := len(a.params)
-	rows, fields, argv := en.kidRows[:m], en.kidFields[:m], en.argBuf[:m]
-	for c := 0; c < en.nProbe; c++ {
-		for j, f := range fields {
-			argv[j] = f.get(rows[j][c*f.w:])
-		}
-		st.put(row[c*st.w:], a.f.Apply(en.p.U, argv))
-	}
+	en.compose(a, row, en.kidRows[:len(a.params)], 0, en.nProbe)
 }
 
 // settle prunes, shadows or retains the candidate o(kids), whose key is in

@@ -28,8 +28,6 @@ type field struct {
 	w int
 	// half is 2^(W-1) for W-bit Ints, 0 otherwise.
 	half uint64
-	// vals decodes a one-byte field: vals[b] is the value stored as b.
-	vals []expr.Value
 }
 
 func newField(u *expr.Universe, t expr.Type) field {
@@ -41,12 +39,6 @@ func newField(u *expr.Universe, t expr.Type) field {
 	f.w = 1
 	for f.w < 8 && n-1 > 1<<(8*f.w)-1 {
 		f.w *= 2
-	}
-	if f.w == 1 {
-		f.vals = make([]expr.Value, n)
-		for c := range f.vals {
-			f.vals[c] = expr.FromCode(t, uint64(c)-f.half)
-		}
 	}
 	return f
 }
@@ -66,21 +58,12 @@ func (f *field) put(dst []byte, v expr.Value) {
 	}
 }
 
-// get reads the value in src[:f.w]. The one-byte case, a table lookup, is
-// inlined into the compose loop; wider fields take getWide.
+// get reads the value in src[:f.w].
 func (f *field) get(src []byte) expr.Value {
-	if f.w == 1 {
-		return f.vals[src[0]]
-	}
-	return f.getWide(src)
-}
-
-// getWide stays out of line so that get inlines.
-//
-//go:noinline
-func (f *field) getWide(src []byte) expr.Value {
 	var c uint64
 	switch f.w {
+	case 1:
+		c = uint64(src[0])
 	case 2:
 		c = uint64(binary.LittleEndian.Uint16(src))
 	case 4:
@@ -102,6 +85,8 @@ type op struct {
 	// ret and params are the stores of the result and parameter types.
 	ret    int
 	params []int
+	// kern composes the op's coordinates on packed bytes (kernel.go).
+	kern kernel
 }
 
 // store holds the entries of one type. Entry r (its rank) has op op[r],
@@ -181,8 +166,9 @@ type schema struct {
 }
 
 // newSchema builds the ops in one slice and their params in one shared
-// array. A problem has a handful of types, so a type's store is found by
-// scanning the fields built so far.
+// array, and gives every op whose fields are all one byte its kernel. A
+// problem has a handful of types, so a type's store is found by scanning
+// the fields built so far.
 func newSchema(p Problem) *schema {
 	funcs := p.Vocab.Funcs()
 	nparams := 0
@@ -213,6 +199,7 @@ func newSchema(p Problem) *schema {
 			params = append(params, storeOf(t))
 		}
 		o.params = params[at:len(params):len(params)]
+		o.kern = kernelOf(p.U, &o, sc.fields)
 		sc.ops = append(sc.ops, o)
 	}
 	sc.out = storeOf(p.Output.VT)
