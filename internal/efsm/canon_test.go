@@ -1,6 +1,7 @@
 package efsm_test
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -130,12 +131,15 @@ func walk(r *efsm.Runtime, visit func(st, next *efsm.State, acts []efsm.Action, 
 	return len(seen), successors
 }
 
-// TestAppendFormsMatchWrappers holds each append form to the call that
-// wraps it, on every successor of every reachable state of the systems
-// TestCanonicalizeMatchesScan walks, writing into buffers reused from one
-// call to the next as the model checker does: AppendActions to Actions,
-// messages included, AppendApply to Apply, AppendEncode to Encode,
-// AppendPermute to Permute, and AppendCanonical to Canonicalize.
+// TestAppendFormsMatchWrappers holds the stepper and each append form to
+// the call that wraps it, on every successor of every reachable state of
+// the systems TestCanonicalizeMatchesScan walks, writing into buffers
+// reused from one call to the next as the model checker does:
+// Stepper.Actions to Actions with messages left out, Stepper.Apply to Apply
+// and to RefApply, AppendEncode to Encode and to RefEncode, AppendPermute
+// to Permute, and AppendCanonical to Canonicalize. RefApply and RefEncode
+// write every slot one at a time, so they also catch a run of untouched
+// slots or a vector copied whole that the wrappers would share.
 func TestAppendFormsMatchWrappers(t *testing.T) {
 	for _, s := range testSystems(t) {
 		t.Run(s.name, func(t *testing.T) {
@@ -145,27 +149,38 @@ func TestAppendFormsMatchWrappers(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc := g.Encoder()
+			step := r.NewStepper()
 			rng := rand.New(rand.NewSource(1))
 			var acts []efsm.Action
-			var succ, key []byte
+			var succ, ref, key []byte
 			walk(r, func(st, next *efsm.State, want []efsm.Action, i int) {
 				if i == 0 {
-					// A new parent: refill the reused action buffer, whose
-					// messages belong to the previous parent.
-					acts, _ = r.AppendActions(acts[:0], st)
-					if !reflect.DeepEqual(acts, want) {
-						t.Fatalf("%s: AppendActions gives %v, Actions %v", r.FormatState(st), acts, want)
+					// A new parent: the stepper indexes it once for all its
+					// actions.
+					acts, _ = step.Actions(acts[:0], st)
+					bare := slices.Clone(want)
+					for j := range bare {
+						bare[j].Msg = nil
+					}
+					if !reflect.DeepEqual(acts, bare) {
+						t.Fatalf("%s: Stepper.Actions gives %v, Actions %v", r.FormatState(st), acts, want)
 					}
 				}
-				succ = r.AppendApply(succ[:0], st, acts[i])
+				succ = step.Apply(succ[:0], acts[i])
 				if v := efsm.View(succ); !reflect.DeepEqual(&v, next) {
-					t.Fatalf("%s: AppendApply(%s) differs from Apply", r.FormatState(st), r.FormatAction(acts[i]))
+					t.Fatalf("%s: Stepper.Apply(%s) differs from Apply", r.FormatState(st), r.FormatAction(want[i]))
+				}
+				if ref = efsm.RefApply(r, ref[:0], st, want[i]); !bytes.Equal(succ, ref) {
+					t.Fatalf("%s: Stepper.Apply(%s) differs from the reference applier", r.FormatState(st), r.FormatAction(want[i]))
 				}
 				if key = r.AppendEncode(key[:0], next); string(key) != r.Encode(next) {
 					t.Fatalf("%s: AppendEncode differs from Encode", r.FormatState(next))
 				}
+				if ref = efsm.RefEncode(r, ref[:0], next); !bytes.Equal(key, ref) {
+					t.Fatalf("%s: AppendEncode differs from the reference image writer", r.FormatState(next))
+				}
 				pi := g.Perm(rng.Intn(g.Size()))
-				if v := efsm.View(r.AppendPermute(succ[:0], next, pi)); !reflect.DeepEqual(&v, r.Permute(next, pi)) {
+				if v := efsm.View(r.AppendPermute(ref[:0], next, pi)); !reflect.DeepEqual(&v, r.Permute(next, pi)) {
 					t.Fatalf("%s: AppendPermute(%v) differs from Permute", r.FormatState(next), pi)
 				}
 				var rank, orbit int
@@ -175,6 +190,37 @@ func TestAppendFormsMatchWrappers(t *testing.T) {
 					t.Fatalf("%s: AppendCanonical differs from Canonicalize", r.FormatState(next))
 				}
 			})
+		})
+	}
+}
+
+// TestPlainKeyHitIsCanonical checks the premise of the model checker's
+// plain-key shortcut on the walk TestCanonicalizeMatchesScan takes: a
+// successor whose Encode is a canonical key the walk has already produced
+// canonicalizes to exactly that key, because a canonical key is the least
+// Encode image of its orbit. Every system must hit at least once.
+func TestPlainKeyHitIsCanonical(t *testing.T) {
+	for _, s := range testSystems(t) {
+		t.Run(s.name, func(t *testing.T) {
+			enc := encoder(t, s.r)
+			canon := map[string]bool{}
+			hits := 0
+			_, successors := walk(s.r, func(_, next *efsm.State, _ []efsm.Action, _ int) {
+				plain := s.r.Encode(next)
+				key, _, _ := enc.Canonicalize(next)
+				if canon[plain] {
+					hits++
+					if key != plain {
+						t.Fatalf("%s: plain key %x is a canonical key already produced, but Canonicalize gives %x",
+							s.r.FormatState(next), plain, key)
+					}
+				}
+				canon[key] = true
+			})
+			if hits == 0 {
+				t.Fatalf("none of %d successors has a plain key the walk produced as a canonical key", successors)
+			}
+			t.Logf("%d of %d successors hit (%.1f%%)", hits, successors, 100*float64(hits)/float64(successors))
 		})
 	}
 }

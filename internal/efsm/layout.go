@@ -162,6 +162,16 @@ func valueOf(u *expr.Universe, t expr.Type, x uint64) expr.Value {
 // slotRef locates the records of one receiver slot in a packed vector.
 type slotRef struct{ off, n int }
 
+// countOff is the offset of the slot's count. Every writer emits minimal
+// uvarint counts, so the count's width follows from n.
+func (s slotRef) countOff() int {
+	o := s.off - 1
+	for x := uint64(s.n); x >= 0x80; x >>= 7 {
+		o-- // a multi-byte count
+	}
+	return o
+}
+
 // index fills refs, one per slot in global slot order, from v.
 func (r *Runtime) index(v []byte, refs []slotRef) {
 	off, g := r.netsOff, 0
@@ -195,29 +205,45 @@ func (r *Runtime) refsFor(v []byte, buf []slotRef) []slotRef {
 // With sorted set, every unordered slot's records are sorted, which makes
 // the image a state key. Encode and Permute write through it.
 func (r *Runtime) appendImage(dst, v []byte, refs []slotRef, pi, inv Perm, sorted bool) []byte {
+	if pi == nil {
+		// Every writer emits minimal counts, so the unpermuted image is v
+		// itself up to the order of its unordered slots' records.
+		start := len(dst)
+		dst = append(dst, v...)
+		for i := range r.nets {
+			nl := &r.nets[i]
+			if !sorted || nl.ordered {
+				continue
+			}
+			for g := nl.base; g < nl.base+nl.slots; g++ {
+				if ref := refs[g]; ref.n > 1 {
+					sortRecords(dst[start+ref.off:], ref.n, nl.rec.size)
+				}
+			}
+		}
+		return dst
+	}
 	for i, pl := range r.procs {
 		src := i
-		if pi != nil && pl.def.Replicated {
+		if pl.def.Replicated {
 			src = r.peers[i][inv[r.Insts[i].PID]]
 		}
 		start, o := len(dst), r.procOff[src]
 		dst = append(dst, v[o:o+pl.block.size]...)
-		if pi != nil {
-			pl.block.permute(dst[start:], pi)
-		}
+		pl.block.permute(dst[start:], pi)
 	}
 	for i := range r.nets {
 		nl := &r.nets[i]
 		for q := 0; q < nl.slots; q++ {
 			src := q
-			if pi != nil && nl.dest >= 0 {
+			if nl.dest >= 0 {
 				src = inv[q]
 			}
 			ref := refs[nl.base+src]
 			dst = binary.AppendUvarint(dst, uint64(ref.n))
 			start, sz := len(dst), nl.rec.size
 			dst = append(dst, v[ref.off:ref.off+ref.n*sz]...)
-			if pi != nil && len(nl.rec.perm) > 0 {
+			if len(nl.rec.perm) > 0 {
 				for o := start; o < len(dst); o += sz {
 					nl.rec.permute(dst[o:], pi)
 				}

@@ -63,9 +63,8 @@ type procLayout struct {
 	// trig[c][k] and recv[c][n] are the candidate transitions from control
 	// state c on the definition's k-th trigger and on network n, in
 	// declaration order.
-	trig  [][][]*ctrans
-	recv  [][][]*ctrans
-	trans map[*Transition]*ctrans
+	trig [][][]*ctrans
+	recv [][][]*ctrans
 }
 
 // netLayout is the record layout and slot placement of one network.
@@ -97,6 +96,8 @@ type Runtime struct {
 	nets      []netLayout
 	netByName map[string]int
 	numSlots  int
+	// slotNet is the network of each global slot.
+	slotNet []int
 	// maxScope is the largest compiled scope: variables, Self and message
 	// fields.
 	maxScope int
@@ -165,6 +166,7 @@ func NewRuntime(sys *System) (*Runtime, error) {
 			} else {
 				nl.recv = append(nl.recv, ids[0])
 			}
+			r.slotNet = append(r.slotNet, i)
 		}
 		r.numSlots += nl.slots
 		r.nets = append(r.nets, nl)
@@ -190,13 +192,11 @@ func (r *Runtime) compileDef(pl *procLayout) error {
 		pl.trig[c] = make([][]*ctrans, len(d.Triggers))
 		pl.recv[c] = make([][]*ctrans, len(r.nets))
 	}
-	pl.trans = make(map[*Transition]*ctrans, len(d.Transitions))
 	for _, t := range d.Transitions {
 		ct, err := r.compileTrans(pl, t)
 		if err != nil {
 			return err
 		}
-		pl.trans[t] = ct
 		c := d.States.Ord(t.From)
 		if !t.Event.IsTrigger() {
 			n := r.netByName[t.Event.Net.Name]
@@ -238,6 +238,9 @@ type Action struct {
 	// Net/Slot/Pos locate the consumed message; Net < 0 for triggers.
 	Net, Slot, Pos int
 	Msg            Msg
+	// ct is Trans compiled. A definition's instances share its compiled
+	// transitions, so PermuteAction keeps it valid.
+	ct *ctrans
 }
 
 // ProblemKind classifies execution-semantics violations detected while
@@ -305,18 +308,47 @@ func loadRecord(s []uint64, rec *packedBlock, b []byte) {
 // problems. For ordered networks only the head of each slot is
 // deliverable; for unordered networks every distinct pending message is.
 func (r *Runtime) Actions(st *State) ([]Action, []Problem) {
-	return r.AppendActions(nil, st)
+	var rbuf [slotBuf]slotRef
+	return r.appendActions(nil, st, r.refsFor(st.v, rbuf[:]), true)
 }
 
-// AppendActions appends the actions Actions returns to acts, and returns
-// them with the state's problems. An action it writes into acts' spare
-// capacity decodes its message into the Msg storage of the action it
-// overwrites, so a caller that reuses one buffer must be done with the
-// previous actions' messages.
-func (r *Runtime) AppendActions(acts []Action, st *State) ([]Action, []Problem) {
+// Stepper expands one state at a time: Actions indexes the state's slots
+// once, and Apply reuses that index for every action of the state. It
+// runs the matcher and applier Runtime.Actions and Runtime.Apply run. A
+// Stepper is not safe for concurrent use; take one per goroutine.
+type Stepper struct {
+	r *Runtime
+	// v and refs are the vector Actions last took and its slot index.
+	v    []byte
+	refs []slotRef
+}
+
+// NewStepper returns a stepper over the runtime's states.
+func (r *Runtime) NewStepper() *Stepper {
+	return &Stepper{r: r, refs: make([]slotRef, r.numSlots)}
+}
+
+// Actions appends the actions Runtime.Actions returns for st to acts, with
+// Msg left empty, and returns them with the state's problems. st's vector
+// must not change while Apply still takes its actions.
+func (x *Stepper) Actions(acts []Action, st *State) ([]Action, []Problem) {
+	x.v = st.v
+	x.r.index(x.v, x.refs)
+	return x.r.appendActions(acts, st, x.refs, false)
+}
+
+// Apply appends the packed vector of the successor that action a of the
+// state last passed to Actions reaches to dst.
+func (x *Stepper) Apply(dst []byte, a Action) []byte {
+	return x.r.appendApply(dst, x.v, x.refs, a)
+}
+
+// appendActions appends the enabled actions of st, whose slots refs
+// indexes, to acts, decoding each consumed message into Msg when msgs is
+// set, and returns them with the state's problems.
+func (r *Runtime) appendActions(acts []Action, st *State, refs []slotRef, msgs bool) ([]Action, []Problem) {
 	var probs []Problem
 	var sbuf [scopeBuf]uint64
-	var rbuf [slotBuf]slotRef
 	s := r.scope(sbuf[:])
 	v := st.v
 
@@ -346,12 +378,11 @@ func (r *Runtime) AppendActions(acts []Action, st *State) ([]Action, []Problem) 
 			if ct == nil || ct.t.Defer {
 				continue
 			}
-			acts = append(acts, Action{Inst: inst.Idx, Trans: ct.t, Net: -1})
+			acts = append(acts, Action{Inst: inst.Idx, Trans: ct.t, Net: -1, ct: ct})
 		}
 	}
 
 	// Message deliveries.
-	refs := r.refsFor(v, rbuf[:])
 	for n := range r.nets {
 		nl := &r.nets[n]
 		sz := nl.rec.size
@@ -383,12 +414,11 @@ func (r *Runtime) AppendActions(acts []Action, st *State) ([]Action, []Problem) 
 				if ct == nil || ct.t.Defer {
 					continue // stalled
 				}
-				var msg Msg
-				if len(acts) < cap(acts) {
-					msg = acts[:len(acts)+1][len(acts)].Msg[:0]
+				a := Action{Inst: inst, Trans: ct.t, Net: n, Slot: slot, Pos: pos, ct: ct}
+				if msgs {
+					a.Msg = r.decodeMsg(n, rec)
 				}
-				acts = append(acts, Action{Inst: inst, Trans: ct.t, Net: n, Slot: slot, Pos: pos,
-					Msg: r.appendMsg(msg, n, rec)})
+				acts = append(acts, a)
 			}
 		}
 	}
@@ -462,13 +492,8 @@ func (r *Runtime) problem(st *State, inst int, ev Event, n int, rec []byte, kind
 
 // decodeMsg reads record rec of network n as a message.
 func (r *Runtime) decodeMsg(n int, rec []byte) Msg {
-	return r.appendMsg(nil, n, rec)
-}
-
-// appendMsg appends the fields of record rec of network n to m.
-func (r *Runtime) appendMsg(m Msg, n int, rec []byte) Msg {
 	fields := r.nets[n].rec.fields
-	m = slices.Grow(m, len(fields))
+	m := slices.Grow(Msg(nil), len(fields))
 	for j := range fields {
 		m = append(m, valueOf(r.Sys.U, fields[j].t, fields[j].get(rec)))
 	}
@@ -478,21 +503,20 @@ func (r *Runtime) appendMsg(m Msg, n int, rec []byte) Msg {
 // sent is a record Apply appends to global slot g, at off in its buffer.
 type sent struct{ g, off int }
 
-// Apply executes an action, returning the successor state. The action's
+// Apply executes an action of st, one that Actions returned or
+// PermuteAction mapped, returning the successor state. The action's
 // message is read from the state at (Net, Slot, Pos).
 func (r *Runtime) Apply(st *State, a Action) *State {
-	return &State{v: r.AppendApply(nil, st, a)}
+	var rbuf [slotBuf]slotRef
+	return &State{v: r.appendApply(nil, st.v, r.refsFor(st.v, rbuf[:]), a)}
 }
 
-// AppendApply appends the packed vector of Apply(st, a) to dst.
-func (r *Runtime) AppendApply(dst []byte, st *State, a Action) []byte {
-	v := st.v
-	pl := r.procs[a.Inst]
-	ct := pl.trans[a.Trans]
+// appendApply appends the packed vector of the successor that action a
+// reaches from the vector v, whose slots refs indexes, to dst.
+func (r *Runtime) appendApply(dst, v []byte, refs []slotRef, a Action) []byte {
+	pl, ct := r.procs[a.Inst], a.ct
 	var sbuf [scopeBuf]uint64
-	var rbuf [slotBuf]slotRef
 	s := r.scope(sbuf[:])
-	refs := r.refsFor(v, rbuf[:])
 	msgScope := r.load(s, v, a.Inst)
 	consumed := -1
 	if a.Net >= 0 {
@@ -539,40 +563,51 @@ func (r *Runtime) AppendApply(dst []byte, st *State, a Action) []byte {
 		}
 	}
 
+	// Besides the acting instance's block, written last, only the slots
+	// that lose or gain a record change: every run of bytes between them
+	// is the parent's and is copied with one append.
+	var tbuf [16]int
+	touched := tbuf[:0]
+	if consumed >= 0 {
+		touched = append(touched, consumed)
+	}
+	for _, p := range pend {
+		touched = append(touched, p.g)
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 	next := slices.Grow(dst, len(v)+len(out))
-	base := len(next)
-	next = append(next, v[:r.netsOff]...)
+	base, from := len(next), 0
+	for _, g := range touched {
+		ref, sz := refs[g], r.nets[r.slotNet[g]].rec.size
+		next = append(next, v[from:ref.countOff()]...)
+		recs := v[ref.off : ref.off+ref.n*sz]
+		c := ref.n
+		for _, p := range pend {
+			if p.g == g {
+				c++
+			}
+		}
+		if g == consumed {
+			next = binary.AppendUvarint(next, uint64(c-1))
+			next = append(next, recs[:a.Pos*sz]...)
+			next = append(next, recs[(a.Pos+1)*sz:]...)
+		} else {
+			next = binary.AppendUvarint(next, uint64(c))
+			next = append(next, recs...)
+		}
+		for _, p := range pend {
+			if p.g == g {
+				next = append(next, out[p.off:p.off+sz]...)
+			}
+		}
+		from = ref.off + len(recs)
+	}
+	next = append(next, v[from:]...)
 	blk := next[base+r.procOff[a.Inst]:]
 	pl.ctl.put(blk, uint64(ct.to))
 	for k, up := range ct.updates {
 		pl.block.fields[up.v].put(blk, vals[k])
-	}
-	for n := range r.nets {
-		nl := &r.nets[n]
-		sz := nl.rec.size
-		for g := nl.base; g < nl.base+nl.slots; g++ {
-			ref := refs[g]
-			recs := v[ref.off : ref.off+ref.n*sz]
-			c := ref.n
-			for _, p := range pend {
-				if p.g == g {
-					c++
-				}
-			}
-			if g == consumed {
-				next = binary.AppendUvarint(next, uint64(c-1))
-				next = append(next, recs[:a.Pos*sz]...)
-				next = append(next, recs[(a.Pos+1)*sz:]...)
-			} else {
-				next = binary.AppendUvarint(next, uint64(c))
-				next = append(next, recs...)
-			}
-			for _, p := range pend {
-				if p.g == g {
-					next = append(next, out[p.off:p.off+sz]...)
-				}
-			}
-		}
 	}
 	return next
 }
@@ -702,11 +737,7 @@ func (r *Runtime) SetVar(st *State, instIdx int, name string, val expr.Value) {
 func (r *Runtime) SetPending(st *State, n, slot int, msgs ...Msg) {
 	nl := &r.nets[n]
 	ref := r.refsFor(st.v, nil)[nl.base+slot]
-	countOff := ref.off - 1
-	for x := uint64(ref.n); x >= 0x80; x >>= 7 {
-		countOff-- // a multi-byte count
-	}
-	v := binary.AppendUvarint(append([]byte(nil), st.v[:countOff]...), uint64(len(msgs)))
+	v := binary.AppendUvarint(append([]byte(nil), st.v[:ref.countOff()]...), uint64(len(msgs)))
 	for _, m := range msgs {
 		start := len(v)
 		v = append(v, make([]byte, nl.rec.size)...)

@@ -279,8 +279,6 @@ var factorial = [MaxSymmetryPIDs + 1]int{1, 1, 2, 6, 24, 120, 720, 5040, 40320}
 type SymGroup struct {
 	r     *Runtime
 	perms []Perm
-	// slotNet is the network of each global slot.
-	slotNet []int
 }
 
 // NewSymGroup validates that the runtime's system is PID-symmetric and
@@ -309,11 +307,6 @@ func NewSymGroup(r *Runtime) (*SymGroup, error) {
 		}
 	}
 	gen(make(Perm, 0, n), IdentityPerm(n))
-	for i := range r.nets {
-		for s := 0; s < r.nets[i].slots; s++ {
-			g.slotNet = append(g.slotNet, i)
-		}
-	}
 	return g, nil
 }
 
@@ -666,7 +659,7 @@ func (e *CanonEncoder) step(at int, p *canonPart) (next, open int) {
 		return at + end - q, -1
 	}
 	g := at - len(r.procs)
-	nl := &r.nets[e.g.slotNet[g]]
+	nl := &r.nets[r.slotNet[g]]
 	if nl.dest < 0 {
 		return at + 1, e.slot(g, nl, p)
 	}

@@ -79,7 +79,8 @@ type cand struct {
 
 // expander is one frontier worker's arena and output for a round.
 type expander struct {
-	enc *efsm.CanonEncoder
+	step *efsm.Stepper
+	enc  *efsm.CanonEncoder
 	// acts and succ hold the actions of the state being expanded and the
 	// successor being canonicalized.
 	acts  []efsm.Action
@@ -113,16 +114,17 @@ func (x *expander) rep(i int) []byte {
 	return x.buf[at : at+int(c.klen)]
 }
 
-// add records a new candidate unless the worker has one for its key
-// already, and reports whether it did.
-func (x *expander) add(c cand) bool {
-	key := x.buf[c.off : c.off+int(c.klen)]
-	if _, dup := x.idx.Find(c.hash, func(i uint32) bool { return bytes.Equal(x.key(int(i)), key) }); dup {
-		return false
-	}
+// has reports whether the worker holds a candidate with key, whose hash
+// is h.
+func (x *expander) has(key []byte, h uint32) bool {
+	_, dup := x.idx.Find(h, func(i uint32) bool { return bytes.Equal(x.key(int(i)), key) })
+	return dup
+}
+
+// add records a candidate whose key the worker does not hold yet.
+func (x *expander) add(c cand) {
 	x.idx.Add(c.hash, uint32(len(x.cands)))
 	x.cands = append(x.cands, c)
-	return true
 }
 
 // search is the state of one CheckCtx call that the round phases share.
@@ -150,6 +152,12 @@ func (s *search) appendKey(enc *efsm.CanonEncoder, dst []byte, st *efsm.State) (
 	return enc.AppendCanonical(dst, st)
 }
 
+// holds reports whether the table or worker x holds key, whose hash is h.
+func (s *search) holds(x *expander, key []byte, h uint32) bool {
+	_, seen := s.t.find(key, h)
+	return seen || x.has(key, h)
+}
+
 // expand expands frontier entries w, w+workers, ... of cur, whose entry 0
 // has id lo, into x.
 func (s *search) expand(ctx context.Context, x *expander, cur *frontier, lo uint32, w, workers int) {
@@ -160,7 +168,7 @@ func (s *search) expand(ctx context.Context, x *expander, cur *frontier, lo uint
 			return
 		}
 		st := cur.state(i)
-		acts, probs := s.r.AppendActions(x.acts[:0], &st)
+		acts, probs := x.step.Actions(x.acts[:0], &st)
 		x.acts = acts
 		if len(probs) > 0 {
 			if x.prob == nil {
@@ -182,23 +190,39 @@ func (s *search) expand(ctx context.Context, x *expander, cur *frontier, lo uint
 		}
 		x.trans += int64(len(acts))
 		for ai, a := range acts {
-			x.succ = s.r.AppendApply(x.succ[:0], &st, a)
+			x.succ = x.step.Apply(x.succ[:0], a)
 			next := efsm.View(x.succ)
 			off := len(x.buf)
-			var rank, orbit int
-			x.buf, rank, orbit = s.appendKey(x.enc, x.buf, &next)
-			key := x.buf[off:]
-			h := s.t.hash(key)
-			c := cand{off: off, klen: int32(len(key)), hash: h, parent: lo + uint32(i),
-				orbit: uint32(orbit), act: uint16(ai), sigma: uint16(rank)}
-			if _, seen := s.t.find(key, h); seen || !x.add(c) {
+			x.buf = s.r.AppendEncode(x.buf, &next)
+			end := len(x.buf)
+			h := s.t.hash(x.buf[off:])
+			if s.holds(x, x.buf[off:], h) {
 				x.buf = x.buf[:off]
 				continue
 			}
+			rank, orbit := 0, 1
+			if x.enc != nil {
+				// Every stored key is the least image of its orbit, so a
+				// successor whose plain key is stored has that key for its
+				// canonical one, and the lookup above dropped it without
+				// canonicalizing it. Otherwise the canonical key takes the
+				// plain key's place; only a different key needs looking up.
+				x.buf, rank, orbit = x.enc.AppendCanonical(x.buf, &next)
+				if key := x.buf[end:]; !bytes.Equal(key, x.buf[off:end]) {
+					x.buf = append(x.buf[:off], key...)
+					end = len(x.buf)
+					if h = s.t.hash(x.buf[off:]); s.holds(x, x.buf[off:], h) {
+						x.buf = x.buf[:off]
+						continue
+					}
+				}
+				x.buf = x.buf[:end]
+			}
+			x.add(cand{off: off, klen: int32(end - off), hash: h, parent: lo + uint32(i),
+				orbit: uint32(orbit), act: uint16(ai), sigma: uint16(rank)})
 			// The representative differs from the key only where an
 			// unordered slot's records are out of order; otherwise the key
 			// stands for it.
-			end := len(x.buf)
 			x.buf = s.r.AppendPermute(x.buf, &next, s.perm(rank))
 			if bytes.Equal(x.buf[off:end], x.buf[end:]) {
 				x.buf = x.buf[:end]

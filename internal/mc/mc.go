@@ -277,6 +277,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	// encoder over the shared (immutable) group.
 	m := &merger{xs: make([]expander, workers)}
 	for w := range m.xs {
+		m.xs[w].step = r.NewStepper()
 		if group != nil {
 			m.xs[w].enc = group.Encoder()
 		}
