@@ -207,6 +207,21 @@ func (d *ProcDef) Var(name string) *expr.Var {
 	return nil
 }
 
+// StateSet returns a set of control states as a slice indexed by the
+// ordinals Runtime.CtlOrd reads, true at each named state. It panics on a
+// state d lacks, as Runtime.SetCtl does.
+func (d *ProcDef) StateSet(states ...string) []bool {
+	set := make([]bool, len(d.States.Values))
+	for _, s := range states {
+		ord := d.States.Ord(s)
+		if ord < 0 {
+			panic(fmt.Sprintf("efsm: process %s has no control state %s", d.Name, s))
+		}
+		set[ord] = true
+	}
+	return set
+}
+
 // System is a complete protocol instance: a universe, the networks, and the
 // process definitions. Exactly one replicated definition is instantiated
 // NumCaches times; singleton definitions once each.

@@ -18,7 +18,7 @@ func valueKey(r *Runtime, st *State) string {
 	for i, inst := range r.Insts {
 		b = append(b, byte(inst.Def.States.Ord(r.CtlOf(st, i))))
 		for j := range inst.Def.Vars {
-			b = r.varAt(st, i, j).AppendEncoding(b)
+			b = r.VarAt(st, i, j).AppendEncoding(b)
 		}
 	}
 	for n, net := range r.Sys.Networks {

@@ -137,36 +137,13 @@ func mesiExtensionSnippets(p *msiParts) []*efsm.Snippet {
 
 func mesiInvariants(p *msiParts) []mc.Invariant {
 	cache, dir := p.cache, p.dir
-	invs := []mc.Invariant{
+	return []mc.Invariant{
 		// E is exclusive-clean and may silently become M, so it counts as
 		// a writer state for SWMR.
 		mc.SWMR(cache, []string{"M", "E"}, []string{"S", "S_M"}),
-		dirAccuracy("dir-sharers-accuracy", dir, cache, "S", []string{"S", "S_M"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Sharers").Set()&(1<<uint(r.Insts[cacheIdx].PID)) != 0
-			}),
-		dirAccuracy("dir-owner-accuracy-M", dir, cache, "M", []string{"M", "E"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Owner").PID() == r.Insts[cacheIdx].PID
-			}),
-		dirAccuracy("dir-owner-accuracy-E", dir, cache, "E", []string{"M", "E"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Owner").PID() == r.Insts[cacheIdx].PID
-			}),
+		dirAccuracy("dir-sharers-accuracy", dir, cache, "S", []string{"S", "S_M"}, "Sharers"),
+		dirAccuracy("dir-owner-accuracy-M", dir, cache, "M", []string{"M", "E"}, "Owner"),
+		dirAccuracy("dir-owner-accuracy-E", dir, cache, "E", []string{"M", "E"}, "Owner"),
+		noWriterUnderUnownedDir("no-writer-under-unowned-dir", dir, cache, "M", "E"),
 	}
-	invs = append(invs, mc.Predicate("no-writer-under-unowned-dir",
-		func(r *efsm.Runtime, st *efsm.State) (bool, string) {
-			dirIdx := r.InstancesOf(dir)[0]
-			dctl := r.CtlOf(st, dirIdx)
-			if dctl != "I" && dctl != "S" && dctl != "B_M" {
-				return true, ""
-			}
-			for _, idx := range r.InstancesOf(cache) {
-				if c := r.CtlOf(st, idx); c == "M" || c == "E" {
-					return false, r.Insts[idx].Name() + " in " + c + " while directory in " + dctl
-				}
-			}
-			return true, ""
-		}))
-	return invs
 }

@@ -376,37 +376,17 @@ func msiDirSnippets(p *msiParts) []*efsm.Snippet {
 
 func msiInvariants(p *msiParts) []mc.Invariant {
 	cache, dir := p.cache, p.dir
-	invs := []mc.Invariant{
+	return []mc.Invariant{
 		// SWMR: M_I/S_I/I_I are stale-pending, never read, and may
 		// overlap a new epoch (see the VI discussion).
 		mc.SWMR(cache, []string{"M"}, []string{"S", "S_M"}),
 		// Directory bookkeeping accuracy (the §2 anecdote's invariant
 		// class): every stable sharer is tracked while the directory is
 		// in S.
-		dirAccuracy("dir-sharers-accuracy", dir, cache, "S", []string{"S", "S_M"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Sharers").Set()&(1<<uint(r.Insts[cacheIdx].PID)) != 0
-			}),
-		dirAccuracy("dir-owner-accuracy", dir, cache, "M", []string{"M"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Owner").PID() == r.Insts[cacheIdx].PID
-			}),
+		dirAccuracy("dir-sharers-accuracy", dir, cache, "S", []string{"S", "S_M"}, "Sharers"),
+		dirAccuracy("dir-owner-accuracy", dir, cache, "M", []string{"M"}, "Owner"),
+		// No cache holds M while the directory believes the line is
+		// unowned or shared.
+		noWriterUnderUnownedDir("no-M-under-unowned-dir", dir, cache, "M"),
 	}
-	// No cache holds M while the directory believes the line is unowned
-	// or shared.
-	invs = append(invs, mc.Predicate("no-M-under-unowned-dir",
-		func(r *efsm.Runtime, st *efsm.State) (bool, string) {
-			dirIdx := r.InstancesOf(dir)[0]
-			dctl := r.CtlOf(st, dirIdx)
-			if dctl != "I" && dctl != "S" && dctl != "B_M" {
-				return true, ""
-			}
-			for _, idx := range r.InstancesOf(cache) {
-				if r.CtlOf(st, idx) == "M" {
-					return false, r.Insts[idx].Name() + " in M while directory in " + dctl
-				}
-			}
-			return true, ""
-		}))
-	return invs
 }

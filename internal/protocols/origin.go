@@ -416,13 +416,7 @@ func originInvariants(p *originParts) []mc.Invariant {
 		mc.SWMR(cache, []string{"M", "E"}, []string{"S", "S_M"}),
 		// The anecdote's violation class: the directory's sharer list
 		// must cover every stable shared copy.
-		dirAccuracy("dir-sharers-accuracy", dir, cache, "SHRD", []string{"S", "S_M"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Sharers").Set()&(1<<uint(r.Insts[cacheIdx].PID)) != 0
-			}),
-		dirAccuracy("dir-owner-accuracy", dir, cache, "EXCL", []string{"M", "E"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Owner").PID() == r.Insts[cacheIdx].PID
-			}),
+		dirAccuracy("dir-sharers-accuracy", dir, cache, "SHRD", []string{"S", "S_M"}, "Sharers"),
+		dirAccuracy("dir-owner-accuracy", dir, cache, "EXCL", []string{"M", "E"}, "Owner"),
 	}
 }

@@ -115,23 +115,50 @@ func field(name string, t expr.Type) *expr.Var { return expr.V("Msg."+name, t) }
 func selfVar() *expr.Var { return expr.V(efsm.SelfVar, expr.PIDType) }
 
 // dirAccuracy asserts that whenever the directory is in dirState, every
-// cache instance occupying one of cacheStates is tracked by the tracker
-// predicate (e.g. membership in Sharers, equality with Owner).
+// cache instance occupying one of cacheStates is tracked by the directory
+// variable tracker: a member of it when it is a Set (Sharers), equal to it
+// when it is a PID (Owner).
 func dirAccuracy(name string, dir, cache *efsm.ProcDef, dirState string, cacheStates []string,
-	tracked func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool) mc.Invariant {
-	inSet := map[string]bool{}
-	for _, s := range cacheStates {
-		inSet[s] = true
+	tracker string) mc.Invariant {
+	atDir, in := dir.StateSet(dirState), cache.StateSet(cacheStates...)
+	j := dir.VarIndex(tracker)
+	if j < 0 {
+		panic(fmt.Sprintf("protocols: process %s has no variable %s", dir.Name, tracker))
 	}
+	set := dir.Vars[j].VT.Kind == expr.KindSet
 	return mc.Predicate(name, func(r *efsm.Runtime, st *efsm.State) (bool, string) {
 		dirIdx := r.InstancesOf(dir)[0]
-		if r.CtlOf(st, dirIdx) != dirState {
+		if !atDir[r.CtlOrd(st, dirIdx)] {
+			return true, ""
+		}
+		v := r.VarAt(st, dirIdx, j)
+		for _, idx := range r.InstancesOf(cache) {
+			if !in[r.CtlOrd(st, idx)] {
+				continue
+			}
+			pid := r.Insts[idx].PID
+			if set && v.Set()&(1<<uint(pid)) == 0 || !set && v.PID() != pid {
+				return false, fmt.Sprintf("directory in %s does not track %s (in %s)",
+					dirState, r.Insts[idx].Name(), r.CtlOf(st, idx))
+			}
+		}
+		return true, ""
+	})
+}
+
+// noWriterUnderUnownedDir asserts that no cache occupies one of the writer
+// states while the directory is in I, S or B_M, believing the line
+// unowned or shared.
+func noWriterUnderUnownedDir(name string, dir, cache *efsm.ProcDef, writers ...string) mc.Invariant {
+	unowned, writer := dir.StateSet("I", "S", "B_M"), cache.StateSet(writers...)
+	return mc.Predicate(name, func(r *efsm.Runtime, st *efsm.State) (bool, string) {
+		dirIdx := r.InstancesOf(dir)[0]
+		if !unowned[r.CtlOrd(st, dirIdx)] {
 			return true, ""
 		}
 		for _, idx := range r.InstancesOf(cache) {
-			if inSet[r.CtlOf(st, idx)] && !tracked(r, st, dirIdx, idx) {
-				return false, fmt.Sprintf("directory in %s does not track %s (in %s)",
-					dirState, r.Insts[idx].Name(), r.CtlOf(st, idx))
+			if writer[r.CtlOrd(st, idx)] {
+				return false, r.Insts[idx].Name() + " in " + r.CtlOf(st, idx) + " while directory in " + r.CtlOf(st, dirIdx)
 			}
 		}
 		return true, ""

@@ -174,10 +174,7 @@ func VI(numCaches int) *Spec {
 	// directory guarantees a current copy (V) is exclusive.
 	spec.Invariants = []mc.Invariant{
 		mc.AtMostOne(cache, "V"),
-		dirAccuracy("dir-owner-accuracy", dir, cache, "V", []string{"V"},
-			func(r *efsm.Runtime, st *efsm.State, dirIdx, cacheIdx int) bool {
-				return r.VarOf(st, dirIdx, "Owner").PID() == r.Insts[cacheIdx].PID
-			}),
+		dirAccuracy("dir-owner-accuracy", dir, cache, "V", []string{"V"}, "Owner"),
 	}
 	return spec
 }
